@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -207,15 +206,6 @@ def _solver_config(args, solver_cfg: dict) -> SolverConfig:
                         init=init, variant=variant)
 
 
-def _resolve_threads(args) -> int:
-    raw = args.threads if args.threads is not None else \
-        os.environ.get("HYBRID_ISAACS_THREADS", "1")
-    threads = int(raw)
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
-    return threads
-
-
 def _out_dir(args, config_path: Path) -> Path:
     out = Path(args.out) if args.out else config_path.parent
     out.mkdir(parents=True, exist_ok=True)
@@ -284,7 +274,6 @@ def cmd_solve(args) -> int:
 
     grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, spec))
     config = _solver_config(args, solver_cfg)
-    threads = _resolve_threads(args)
     result = solve(spec, grid, config)
 
     out_dir = _out_dir(args, config_path)
@@ -302,7 +291,6 @@ def cmd_solve(args) -> int:
         "init": str(config.init),
         "variant": config.variant.value,
         "seed": args.seed,
-        "threads": threads,
         "iterations": result.iterations,
         "converged": result.converged,
     }, [value_path, residual_path], started)
@@ -463,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--init", choices=["zero", "upper"])
     p.add_argument("--variant", choices=["plus", "minus"])
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (mirrors HYBRID_ISAACS_THREADS; results "
-                        "are identical for any value)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="roll out the feedback policy")

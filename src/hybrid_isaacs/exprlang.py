@@ -386,14 +386,14 @@ def to_str(expr: Expr) -> str:
         if expr.op in "+-":
             if lp < _PREC_ADD:
                 left = f"({left})"
-            # subtraction is left associative: a-(b+c) needs the parens
-            if rp < _PREC_ADD or (expr.op == "-" and rp == _PREC_ADD):
+            # float + and - do not reassociate: a+(b+c) keeps its parens
+            if rp <= _PREC_ADD:
                 right = f"({right})"
             return f"{left} {expr.op} {right}"
         if expr.op in "*/":
             if lp < _PREC_MUL:
                 left = f"({left})"
-            if rp < _PREC_MUL or (expr.op == "/" and rp == _PREC_MUL):
+            if rp <= _PREC_MUL:
                 right = f"({right})"
             return f"{left}{expr.op}{right}"
         # '^' is right associative and binds above unary minus

@@ -3,10 +3,11 @@ discounted cost accounting.
 
 The policy at a state checks the obstacles in a fixed priority order
 (impulse, then player-2 switch, then player-1 switch) and otherwise plays
-the saddle of the one-step continue values over the control grids.  Events
-are instantaneous: the clock does not advance while they are applied, and a
-guard allows at most one impulse and one switch per player per time step so
-that a too-loose binding tolerance cannot chatter forever.
+the saddle of the one-step continue values over the control grids, with at
+most two stencil builds and one pass over each expression per decision.
+Events are instantaneous, and a cascade of them at one instant may neither
+return to a (modes, state) it held (the policy is deterministic, so it
+would chatter forever) nor exceed ``m1*m2*(1 + n_impulses)`` events.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import GridSpec, default_time_step, interp_weights, semigroup_step
+from .discretize import (GridSpec, default_time_step, interp_weights, interpolate,
+                         semigroup_step)
 from .operators import Variant
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
 
@@ -44,8 +46,8 @@ DEFAULT_ACTION_TOL = 1e-8
 
 
 class ChatterError(RuntimeError):
-    """A second impulse (or second switch by one player) was requested within
-    a single time step; the binding tolerance is too large for this field."""
+    """The events at one instant revisit a (modes, state) or exceed
+    ``m1*m2*(1 + n_impulses)``: the binding tolerance is too large for this field."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,16 @@ class HybridTrajectory:
 
 
 class _Policy:
-    """Pointwise decision helper for a fixed (field, grid, step) context."""
+    """Batched decision kernel for a fixed (field, grid, step) context.
+
+    Obstacles first: one stencil build on ``[x; clamp(x + xi_j)]`` yields the
+    local value and every switch and impulse candidate.  Only if none binds
+    are the mode pair's dynamics and running cost evaluated, once over the
+    whole control grid (the expressions a pointwise walk evaluates, so
+    ExprDomainError is raised where it was), and one stencil build covers
+    all the feet.  ``continue`` returns the chosen pair's cost and foot,
+    which is the next state.
+    """
 
     def __init__(self, spec: ProblemSpec, grid: GridSpec, values: np.ndarray,
                  dt: float, action_tol: float, variant: Variant):
@@ -122,61 +133,55 @@ class _Policy:
         self.gamma = math.exp(-spec.discount * dt)
         self.weight = (1.0 - self.gamma) / spec.discount
         self.step_matrix = semigroup_step(spec.generator, dt)
+        # the control grid flattened: pair (a, b) sits at a*nu2 + b
+        self.u1 = np.repeat(spec.u1_levels, len(spec.u2_levels))
+        self.u2 = np.tile(spec.u2_levels, len(spec.u1_levels))
+        self.jumps = np.reshape([imp.vector for imp in spec.impulses], (-1, spec.dimension))
+        self.jump_costs = np.array([imp.cost for imp in spec.impulses])
 
-    def value_at(self, x: np.ndarray, d1: int, d2: int) -> float:
-        idx, wts = interp_weights(self.grid, x.reshape(1, -1))
-        return float((self.values[d1, d2][idx[0]] * wts[0]).sum())
+    def decide(self, x: np.ndarray, d1: int, d2: int):
+        """(decision, running cost, next state); the last two are None
+        unless the decision is ``continue``."""
+        spec, tol = self.spec, self.action_tol
+        if spec.impulses or spec.m1 > 1 or spec.m2 > 1:
+            pts = np.vstack([x, self.grid.clamp(x + self.jumps)])
+            idx, wts = interp_weights(self.grid, pts)
+            v = (self.values[:, :, idx] * wts).sum(axis=-1)    # (m1, m2, 1 + n_imp)
+            here = v[d1, d2, 0]
+            if spec.impulses:
+                cands = self.jump_costs + v[d1, d2, 1:]
+                j = int(np.argmin(cands))
+                if cands[j] <= here + tol:
+                    return PolicyDecision(IMPULSE, impulse_index=j), None, None
+            if spec.m2 > 1:
+                cands2 = spec.switch_cost_2[d2] + v[d1, :, 0]
+                cands2[d2] = math.inf
+                o2 = int(np.argmin(cands2))
+                if cands2[o2] <= here + tol:
+                    return PolicyDecision(SWITCH2, target=o2), None, None
+            if spec.m1 > 1:
+                cands1 = v[:, d2, 0] - spec.switch_cost_1[d1]
+                cands1[d1] = -math.inf
+                o1 = int(np.argmax(cands1))
+                if cands1[o1] >= here - tol:
+                    return PolicyDecision(SWITCH1, target=o1), None, None
 
-    def decide(self, x: np.ndarray, d1: int, d2: int) -> PolicyDecision:
-        spec = self.spec
-        here = self.value_at(x, d1, d2)
-
-        if spec.impulses:
-            cands = [imp.cost + self.value_at(self.grid.clamp(x + imp.vector), d1, d2)
-                     for imp in spec.impulses]
-            j = int(np.argmin(cands))
-            if cands[j] <= here + self.action_tol:
-                return PolicyDecision(IMPULSE, impulse_index=j)
-
-        if spec.m2 > 1:
-            cands2 = [spec.switch_cost_2[d2, o] + self.value_at(x, d1, o)
-                      if o != d2 else math.inf for o in range(spec.m2)]
-            o2 = int(np.argmin(cands2))
-            if cands2[o2] <= here + self.action_tol:
-                return PolicyDecision(SWITCH2, target=o2)
-
-        if spec.m1 > 1:
-            cands1 = [self.value_at(x, o, d2) - spec.switch_cost_1[d1, o]
-                      if o != d1 else -math.inf for o in range(spec.m1)]
-            o1 = int(np.argmax(cands1))
-            if cands1[o1] >= here - self.action_tol:
-                return PolicyDecision(SWITCH1, target=o1)
-
-        u1, u2 = self._saddle_controls(x, d1, d2)
-        return PolicyDecision(CONTINUE, u1=u1, u2=u2)
-
-    def _continue_table(self, x: np.ndarray, d1: int, d2: int) -> np.ndarray:
-        spec = self.spec
-        q = np.empty((len(spec.u1_levels), len(spec.u2_levels)))
-        lin = self.step_matrix @ x
-        for a, u1 in enumerate(spec.u1_levels):
-            for b, u2 in enumerate(spec.u2_levels):
-                foot = self.grid.clamp(
-                    lin + self.dt * eval_dynamics(spec, d1, d2, x, float(u1), float(u2)))
-                k = float(eval_running_cost(spec, d1, d2, x, float(u1), float(u2)))
-                q[a, b] = self.weight * k + self.gamma * self.value_at(foot, d1, d2)
-        return q
-
-    def _saddle_controls(self, x: np.ndarray, d1: int, d2: int) -> tuple[float, float]:
-        spec = self.spec
-        q = self._continue_table(x, d1, d2)
+        xs = np.tile(x, (len(self.u1), 1))
+        f = eval_dynamics(spec, d1, d2, xs, self.u1, self.u2)
+        k = eval_running_cost(spec, d1, d2, xs, self.u1, self.u2)
+        feet = self.grid.clamp(self.step_matrix @ x + self.dt * f)
+        idx, wts = interp_weights(self.grid, feet)
+        q = self.weight * k + self.gamma * (self.values[d1, d2][idx] * wts).sum(axis=-1)
+        q = q.reshape(len(spec.u1_levels), -1)
         if self.variant is Variant.PLUS:
             a = int(q.min(axis=1).argmax())    # player 1 commits first
             b = int(q[a].argmin())
         else:
             b = int(q.max(axis=0).argmin())    # player 2 commits first
             a = int(q[:, b].argmax())
-        return float(spec.u1_levels[a]), float(spec.u2_levels[b])
+        pair = a * len(spec.u2_levels) + b
+        return (PolicyDecision(CONTINUE, u1=float(self.u1[pair]), u2=float(self.u2[pair])),
+                float(k[pair]), feet[pair])
 
 
 def decide(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x, d1: int, d2: int,
@@ -190,7 +195,7 @@ def decide(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x, d1: int, d2
     controls of the one-step continue table are returned.
     """
     policy = _Policy(spec, grid, values, dt, action_tol, variant)
-    return policy.decide(np.asarray(x, dtype=float), d1, d2)
+    return policy.decide(np.asarray(x, dtype=float), d1, d2)[0]
 
 
 def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int, d2: int,
@@ -199,36 +204,33 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
              variant: Variant = Variant.PLUS) -> HybridTrajectory:
     """Roll the feedback policy out to ``horizon``.
 
-    Events fire at the current instant without advancing the clock; at most
-    one impulse and one switch per player may fire per step (ChatterError
-    otherwise, which indicates ``action_tol`` is too coarse).
+    Events fire at the current instant without advancing the clock, and any
+    cascade of them may fire before the step's controls act.  A cascade
+    that returns to a (d1, d2, x) it already held would repeat forever, and
+    one longer than ``m1*m2*(1 + n_impulses)`` events is taken for the same;
+    both raise ChatterError, which indicates ``action_tol`` is too coarse.
     """
     if dt is None:
         dt = _default_sim_step(spec, grid)
     policy = _Policy(spec, grid, values, dt, action_tol, variant)
-    lam = spec.discount
 
     x = grid.clamp(np.asarray(x0, dtype=float))
     times, states, modes, controls, step_costs, flags = [], [], [], [], [], []
-    traj = HybridTrajectory(
-        dt=dt, discount=lam, times=np.empty(0), states=np.empty((0, spec.dimension)),
-        modes=np.empty((0, 2), dtype=int), controls=np.empty((0, 2)),
-        step_costs=np.empty(0), event_flags=np.empty((0, 3), dtype=int))
+    traj = HybridTrajectory(dt, spec.discount, *[np.empty(0)] * 6)    # arrays filled in below
 
-    n = 0
-    t = 0.0
+    n, t = 0, 0.0
     while t < horizon - 1e-12:
-        used = {IMPULSE: 0, SWITCH1: 0, SWITCH2: 0}
-        disc = math.exp(-lam * t)
+        held = {}    # (d1, d2, x) -> the event taken there at this instant
+        disc = math.exp(-spec.discount * t)
         while True:
-            decision = policy.decide(x, d1, d2)
+            decision, k_val, x_next = policy.decide(x, d1, d2)
             if decision.kind == CONTINUE:
                 break
-            if used[decision.kind]:
-                raise ChatterError(
-                    f"repeated {decision.kind} request at t={t:.6g}; "
-                    "action_tol is too large for this field")
-            used[decision.kind] += 1
+            here = (d1, d2, tuple(x.tolist()))
+            if here in held or len(held) == spec.m1 * spec.m2 * (1 + len(spec.impulses)):
+                raise ChatterError(f"{decision.kind} request at t={t:.6g} after {len(held)} "
+                                   "events; action_tol is too large for this field")
+            held[here] = decision.kind
             if decision.kind == IMPULSE:
                 imp = spec.impulses[decision.impulse_index]
                 traj.impulse_events.append(ImpulseEvent(t, decision.impulse_index,
@@ -246,18 +248,16 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
                 traj.switch1_total += disc * cost
                 d1 = decision.target
 
-        u1, u2 = decision.u1, decision.u2
-        k_val = float(eval_running_cost(spec, d1, d2, x, u1, u2))
         times.append(t)
         states.append(x.copy())
         modes.append((d1, d2))
-        controls.append((u1, u2))
+        controls.append((decision.u1, decision.u2))
         step_costs.append(k_val)
-        flags.append((used[IMPULSE], used[SWITCH1], used[SWITCH2]))
+        kinds = list(held.values())
+        flags.append([kinds.count(kind) for kind in (IMPULSE, SWITCH1, SWITCH2)])
         traj.running_total += disc * policy.weight * k_val
 
-        drift = eval_dynamics(spec, d1, d2, x, u1, u2)
-        x = grid.clamp(policy.step_matrix @ x + dt * drift)
+        x = x_next
         n += 1
         t = n * dt
 
@@ -271,15 +271,12 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
 
 
 def _default_sim_step(spec: ProblemSpec, grid: GridSpec) -> float:
-    # cheap drift bound: sample the grid corners and midpoint per control pair
+    # cheap drift bound: the box corners and midpoint under every control pair
     probe = np.vstack([grid.box[:, 0], grid.box[:, 1], grid.box.mean(axis=1)])
-    f_sup = 0.0
-    for (i1, i2) in spec.mode_pairs():
-        for u1 in spec.u1_levels:
-            for u2 in spec.u2_levels:
-                f = eval_dynamics(spec, i1, i2, probe, float(u1), float(u2))
-                f_sup = max(f_sup, float(np.linalg.norm(f, axis=-1).max()))
-    return default_time_step(spec, grid, f_sup)
+    u1, u2, p = (g.ravel() for g in np.meshgrid(spec.u1_levels, spec.u2_levels, range(3)))
+    f_sup = max(np.linalg.norm(eval_dynamics(spec, i1, i2, probe[p], u1, u2), axis=-1).max()
+                for (i1, i2) in spec.mode_pairs())
+    return default_time_step(spec, grid, float(f_sup))
 
 
 def evaluate_cost(traj: HybridTrajectory, discount: float) -> float:
@@ -344,8 +341,7 @@ def rollout_value_gap(spec: ProblemSpec, grid: GridSpec, values: np.ndarray,
         x = np.asarray(x, dtype=float)
         traj = simulate(spec, grid, values, x, d1, d2, horizon, dt=dt,
                         action_tol=action_tol, variant=variant)
-        idx, wts = interp_weights(grid, grid.clamp(x).reshape(1, -1))
-        v0 = float((values[d1, d2][idx[0]] * wts[0]).sum())
         rows.append(RolloutRow(start=(tuple(np.atleast_1d(x).tolist()), d1, d2),
-                               value=v0, cost=evaluate_cost(traj, spec.discount)))
+                               value=interpolate(values[d1, d2], grid, grid.clamp(x)),
+                               cost=evaluate_cost(traj, spec.discount)))
     return RolloutReport(rows=rows, horizon=horizon)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_isaacs.exprlang import (BinOp, Call, ExprDomainError, ExprSyntaxError, Neg, Num,
@@ -108,6 +108,9 @@ def test_canonical_printing_keeps_structure():
         (BinOp("-", a, Neg(b)), "x0 - -u1"),
         (BinOp("-", a, BinOp("-", b, c)), "x0 - (u1 - u2)"),
         (BinOp("*", a, BinOp("+", b, c)), "x0*(u1 + u2)"),
+        (BinOp("+", a, BinOp("+", b, c)), "x0 + (u1 + u2)"),
+        (BinOp("*", a, BinOp("/", b, c)), "x0*(u1/u2)"),
+        (BinOp("+", BinOp("+", a, b), c), "x0 + u1 + u2"),
     ]
     env = {"x0": 2.0, "u1": 3.0, "u2": 5.0}
     for tree, expected in cases:
@@ -141,6 +144,12 @@ _exprs = st.recursive(_leaf, _combine, max_leaves=12)
 
 @settings(max_examples=200, deadline=None)
 @given(_exprs, st.integers(0, 2 ** 32 - 1))
+# float + and * do not reassociate, so an equal-precedence right operand
+# keeps its parentheses
+@example(parse("1e16 + (1 + 1)"), 0)
+@example(parse("x0*(u1/3)"), 1)
+@example(BinOp("*", Num(2.0), BinOp("*", Num(0.25), Num(2.2e-311))), 0)
+@example(BinOp("*", Num(2.0), BinOp("*", Num(0.25), Num(2.2000000000006e-311))), 0)
 def test_roundtrip_print_parse_evaluates_identically(expr, seed):
     rng = np.random.default_rng(seed)
     env = {name: float(v) for name, v in

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hybrid_isaacs.discretize import make_grid
-from hybrid_isaacs.hybridsim import (ChatterError, decide, evaluate_cost, rollout_value_gap,
-                                     simulate)
+from hybrid_isaacs.discretize import interpolate, make_grid, semigroup_step
+from hybrid_isaacs.hybridsim import (ChatterError, PolicyDecision, decide, evaluate_cost,
+                                     rollout_value_gap, simulate)
+from hybrid_isaacs.operators import Variant
+from hybrid_isaacs.problem import eval_dynamics, eval_running_cost
 from hybrid_isaacs.solver import SolverConfig, solve
 
 from conftest import toy_spec
@@ -36,6 +38,108 @@ def solved_impulse_toy(impulse_toy):
     result = solve(spec, grid, SolverConfig(dt=solver_cfg["dt"],
                                             tolerance=solver_cfg["tolerance"]))
     return spec, grid, result.values
+
+
+@pytest.fixture(scope="module")
+def solved_balanced_loop(balanced_loop):
+    spec, grid_cfg, solver_cfg = balanced_loop
+    grid = make_grid(spec, grid_cfg["points"])
+    result = solve(spec, grid, SolverConfig(tolerance=solver_cfg["tolerance"]))
+    return spec, grid, result.values, result.dt
+
+
+@pytest.fixture(scope="module")
+def solved_2d():
+    """A small 2-D game with 2x2 modes, 3x3 controls and a 2-jump menu."""
+    spec = toy_spec(
+        f={(0, 0): ("0.5*u1 - 0.2*x0", "0.3*u1*tanh(x0)"),
+           (0, 1): ("0.4*u1 + 0.1", "-0.4*u1 - 0.1*x1"),
+           (1, 0): ("0.6*u1", "0.2*u1 - 0.1*tanh(x1)"),
+           (1, 1): ("0.3*u1 - 0.1*x1", "0.5*u1")},
+        k={(0, 0): "x0^2 + x1^2 + 0.1*(1 + u1) + 0.1*(1 - u2*tanh(x1))",
+           (0, 1): "0.5*(x0 - 0.5)^2 + x1^2 + 0.3 + 0.1*(1 - u2)",
+           (1, 0): "(x0 + 0.5)^2 + 0.5*x1^2 + 0.2 + 0.05*(1 + u1*u2)",
+           (1, 1): "x0^2 + (x1 - 0.5)^2 + 0.4 + 0.1*(1 + u2)"},
+        u1=(-1.0, 0.0, 1.0), u2=(-1.0, 0.0, 1.0), lam=1.5, box=((-1.0, 1.0), (-1.0, 1.0)),
+        A=[[0.2, 0.0], [0.0, 0.1]], d1=("a", "b"), d2=("c", "d"),
+        c1=[[0.0, 0.4], [0.5, 0.0]], c2=[[0.0, 0.3], [0.35, 0.0]],
+        impulses=(([-0.6, 0.0], 0.4), ([0.4, -0.4], 0.5)))
+    grid = make_grid(spec, 11)
+    result = solve(spec, grid, SolverConfig(tolerance=1e-9))
+    return spec, grid, result.values, result.dt
+
+
+def reference_decide(spec, grid, values, x, d1, d2, dt, action_tol, variant):
+    """The pointwise policy: one interpolation per candidate value and one
+    expression walk per control pair."""
+    x = np.asarray(x, dtype=float)
+
+    def value(y, i1, i2):
+        return interpolate(values[i1, i2], grid, y)
+
+    here = value(x, d1, d2)
+    cands = [imp.cost + value(grid.clamp(x + imp.vector), d1, d2) for imp in spec.impulses]
+    if cands and min(cands) <= here + action_tol:
+        return PolicyDecision("impulse", impulse_index=int(np.argmin(cands)))
+    cands = [spec.switch_cost_2[d2, o] + value(x, d1, o) if o != d2 else math.inf
+             for o in range(spec.m2)]
+    if min(cands) <= here + action_tol:
+        return PolicyDecision("switch2", target=int(np.argmin(cands)))
+    cands = [value(x, o, d2) - spec.switch_cost_1[d1, o] if o != d1 else -math.inf
+             for o in range(spec.m1)]
+    if max(cands) >= here - action_tol:
+        return PolicyDecision("switch1", target=int(np.argmax(cands)))
+
+    gamma = math.exp(-spec.discount * dt)
+    step = semigroup_step(spec.generator, dt)
+    q = np.empty((len(spec.u1_levels), len(spec.u2_levels)))
+    for a, u1 in enumerate(spec.u1_levels):
+        for b, u2 in enumerate(spec.u2_levels):
+            foot = grid.clamp(step @ x + dt * eval_dynamics(spec, d1, d2, x, u1, u2))
+            k = float(eval_running_cost(spec, d1, d2, x, u1, u2))
+            q[a, b] = (1.0 - gamma) / spec.discount * k + gamma * value(foot, d1, d2)
+    if variant is Variant.PLUS:
+        a = int(q.min(axis=1).argmax())
+        b = int(q[a].argmin())
+    else:
+        b = int(q.max(axis=0).argmin())
+        a = int(q[:, b].argmax())
+    return PolicyDecision("continue", u1=float(spec.u1_levels[a]), u2=float(spec.u2_levels[b]))
+
+
+def sample_states(grid, rng):
+    """Nodes, off-node points, points on every face, and the box corners."""
+    low, high = grid.box[:, 0], grid.box[:, 1]
+    nodes = grid.points[rng.choice(grid.n_points, 12, replace=False)]
+    inside = rng.uniform(low, high, size=(24, grid.dimension))
+    faces = []
+    for d in range(grid.dimension):
+        for bound in (low, high):
+            for y in rng.uniform(low, high, size=(2, grid.dimension)):
+                y[d] = bound[d]
+                faces.append(y)
+    return np.vstack([nodes, inside, faces, low, high])
+
+
+# balanced_loop's cheapest impulse undercuts every player-2 switch
+REACHED = {"solved_balanced_loop": {"continue", "impulse", "switch1"},
+           "solved_2d": {"continue", "impulse", "switch1", "switch2"}}
+
+
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+@pytest.mark.parametrize("game", sorted(REACHED))
+def test_decide_matches_pointwise_reference(game, variant, request):
+    spec, grid, values, dt = request.getfixturevalue(game)
+    kinds = set()
+    for x in sample_states(grid, np.random.default_rng(3)):
+        for d1 in range(spec.m1):
+            for d2 in range(spec.m2):
+                expected = reference_decide(spec, grid, values, x, d1, d2, dt, 1e-8, variant)
+                assert decide(spec, grid, values, x, d1, d2, dt=dt, action_tol=1e-8,
+                              variant=variant) == expected, (x, d1, d2)
+                kinds.add(expected.kind)
+    # the samples reach the game's branches, obstacle-binding states included
+    assert kinds == REACHED[game]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +278,38 @@ def test_chatter_guard_raises_for_huge_tolerance(solved_impulse_toy):
         simulate(spec, grid, values, [4.0], 0, 0, 2.0, dt=0.5, action_tol=10.0)
 
 
+def _two_by_two_game(field, impulses=()):
+    """Four constant value planes (values by mode pair) with unit switch
+    costs, no dynamics and unit running cost."""
+    spec = toy_spec(d1=("a", "b"), d2=("c", "d"), c1=[[0.0, 1.0], [1.0, 0.0]],
+                    c2=[[0.0, 1.0], [1.0, 0.0]], impulses=impulses)
+    grid = make_grid(spec, 5)
+    values = np.repeat(np.asarray(field, dtype=float)[:, :, None], grid.n_points, axis=2)
+    return spec, grid, values
+
+
+def test_switch_cascade_completes_within_one_instant():
+    # from (a, d): player 1 to b, player 2 to c, player 1 back to a, continue
+    spec, grid, values = _two_by_two_game([[9.0, 8.5], [7.0, 10.0]])
+    traj = simulate(spec, grid, values, [0.3], 0, 1, 1.0, dt=0.5)
+    assert [(e.from_mode, e.to_mode) for e in traj.switch1_events] == [(0, 1), (1, 0)]
+    assert [(e.from_mode, e.to_mode) for e in traj.switch2_events] == [(1, 0)]
+    assert all(e.time == 0.0 for e in traj.switch1_events + traj.switch2_events)
+    np.testing.assert_array_equal(traj.event_flags, [[0, 2, 1], [0, 0, 0]])
+    np.testing.assert_array_equal(traj.modes, [[0, 0], [0, 0]])
+    assert evaluate_cost(traj, spec.discount) == pytest.approx(traj.total_cost(), abs=1e-12)
+
+
+def test_zero_net_cost_switch_cycle_raises():
+    # (a,c) -> (a,d) -> (b,d) -> (b,c) -> (a,c): each player pays 2 per lap.
+    # A never-binding impulse lifts the event bound to 8, so the revisit of
+    # (a, c) is what stops the cycle, after its four events.
+    spec, grid, values = _two_by_two_game([[1.0, 0.0], [0.0, 1.0]],
+                                          impulses=(([0.0], 100.0),))
+    with pytest.raises(ChatterError, match="after 4 events"):
+        simulate(spec, grid, values, [0.0], 0, 0, 1.0, dt=0.5)
+
+
 def test_states_stay_in_the_box():
     # outward drift from the edge: every sample must stay clamped inside
     spec = toy_spec(f="2", k="x0^2", box=((-1.0, 1.0),))
@@ -183,6 +319,20 @@ def test_states_stay_in_the_box():
     assert (traj.states[:, 0] >= -1.0).all()
     assert (traj.states[:, 0] <= 1.0).all()
     assert traj.states[-1, 0] == 1.0   # parked on the face
+
+
+def test_2d_rollout_accumulators_match_recomputed_cost(solved_2d):
+    spec, grid, values, dt = solved_2d
+    starts = [([0.3, -0.7], 0, 1), ([-0.9, 0.9], 1, 0), ([1.0, 0.0], 1, 1), ([0.1, 0.2], 0, 0)]
+    events = 0
+    for x0, d1, d2 in starts:
+        traj = simulate(spec, grid, values, x0, d1, d2, 60 * dt, dt=dt)
+        assert traj.steps == 60
+        assert traj.states.shape == (60, 2)
+        assert evaluate_cost(traj, spec.discount) == pytest.approx(
+            traj.total_cost(), abs=1e-12)
+        events += int(traj.event_flags.sum())
+    assert events > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hybrid_isaacs.problem import (SpecStructureError, check_y1_y2, lipschitz_probe, load_spec,
-                                   save_spec, subadditivity_gap, validate_a2)
+from hybrid_isaacs.discretize import build_tables, make_grid
+from hybrid_isaacs.problem import (SpecStructureError, check_y1_y2, lipschitz_probe, load_config,
+                                   load_spec, save_spec, subadditivity_gap, validate_a2)
 
 from conftest import BUNDLED, INVALID
 
@@ -85,6 +87,21 @@ def test_bundled_specs_load_and_roundtrip(name, tmp_path):
     assert first.read_text() == second.read_text()
     assert respec.d1_labels == spec.d1_labels
     assert np.array_equal(respec.switch_cost_2, spec.switch_cost_2)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_saved_spec_builds_bit_identical_tables(name, tmp_path):
+    spec, grid_cfg, solver_cfg = load_config(BUNDLED[name])
+    path = tmp_path / "saved.toml"
+    save_spec(spec, path)
+    grid = make_grid(spec, grid_cfg["points"])
+    ours = build_tables(spec, grid, solver_cfg.get("dt"))
+    theirs = build_tables(load_spec(path), grid, solver_cfg.get("dt"))
+    for f in dataclasses.fields(ours):
+        if f.name not in ("spec", "grid"):
+            a, b = np.asarray(getattr(ours, f.name)), np.asarray(getattr(theirs, f.name))
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
 
 
 # ---------------------------------------------------------------------------
