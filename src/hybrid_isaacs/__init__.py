@@ -5,7 +5,8 @@ solves a double-obstacle system of quasi-variational inequalities."""
 
 from .operators import Variant
 from .problem import ProblemSpec, load_spec, save_spec, validate_a2
-from .solver import GridSpec, SolveResult, SolverConfig, make_grid, solve
+from .discretize import GridSpec, make_grid
+from .solver import SolveResult, SolverConfig, solve
 
 __version__ = "0.1.0"
 

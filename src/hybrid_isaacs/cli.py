@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError
-from .discretize import GridSpec, interp_weights, make_grid
+from .discretize import GridSpec, interpolate, make_grid
 from .hybridsim import ChatterError, evaluate_cost, simulate
 from .operators import Variant, isaacs_gap
 from .problem import (ProblemSpec, SpecStructureError, check_y1_y2, lipschitz_probe,
@@ -331,8 +331,7 @@ def cmd_simulate(args) -> int:
 
     total = traj.total_cost()
     recomputed = evaluate_cost(traj, spec.discount)
-    idx, wts = interp_weights(grid, grid.clamp(start).reshape(1, -1))
-    v0 = float((values[d1, d2][idx[0]] * wts[0]).sum())
+    v0 = interpolate(values[d1, d2], grid, grid.clamp(start))
     summary = (
         f"trajectory: {traj.steps} step(s), {len(traj.impulse_events)} impulse(s), "
         f"{len(traj.switch1_events)} player-1 switch(es), "

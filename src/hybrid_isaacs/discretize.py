@@ -4,7 +4,7 @@ Everything the fixed-point sweep touches repeatedly is static once the grid
 and step size are chosen: the one-step linear factor, the propagated foot
 point of every (state, control, mode) combination, its interpolation stencil,
 and the running-cost samples.  ``build_tables`` evaluates all of it once so
-each sweep reduces to numpy gathers and reductions.
+each sweep reduces to numpy gathers and one weighted sum per stencil corner.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "GridSpec",
     "make_grid",
     "interpolate",
+    "interpolate_many",
     "interp_weights",
     "semigroup_step",
     "BellmanTables",
@@ -121,7 +122,8 @@ def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Points are clamped to the box first, so the map is total.  Queries that
     sit on a node (up to a relative snap tolerance) reproduce it exactly.
-    Shapes: (m, 2**n) each.
+    Shapes: (m, 2**n) each, stored corner-major (each ``[:, c]`` column is
+    contiguous).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m, n = pts.shape
@@ -139,14 +141,14 @@ def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
         base[:, d] = i0
         frac[:, d] = t - i0
     corners = 1 << n
-    idx = np.zeros((m, corners), dtype=np.int64)
-    wts = np.ones((m, corners), dtype=float)
+    idx = np.zeros((corners, m), dtype=np.int64)
+    wts = np.ones((corners, m), dtype=float)
     for c in range(corners):
         for d in range(n):
             bit = (c >> d) & 1
-            idx[:, c] += (base[:, d] + bit) * grid.strides[d]
-            wts[:, c] *= frac[:, d] if bit else (1.0 - frac[:, d])
-    return idx, wts
+            idx[c] += (base[:, d] + bit) * grid.strides[d]
+            wts[c] *= frac[:, d] if bit else (1.0 - frac[:, d])
+    return idx.T, wts.T
 
 
 def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
@@ -158,11 +160,58 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
     if values.shape != (grid.n_points,):
         raise ValueError("values must be a flat nodal array for this grid")
     idx, wts = interp_weights(grid, np.asarray(x, dtype=float).reshape(1, -1))
-    return float((values[idx[0]] * wts[0]).sum())
+    return float(interpolate_many(values, idx, wts)[0])
+
+
+# at most this many gathered values, one product over all corners is the
+# faster read.  The value sits between the measured sizes (a rollout read
+# gathers 36 to 64 values, a 2-D sweep read about 59k); the crossover itself
+# was not measured.
+_FEW_READS = 1024
 
 
 def interpolate_many(values: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    return (values[idx] * wts).sum(axis=-1)
+    """Multilinear reads ``sum_c values[..., idx[..., c]] * wts[..., c]``.
+
+    ``idx``/``wts`` hold stencil corners on their last axis, as
+    ``interp_weights`` and ``build_tables`` give them; leading axes of
+    ``values`` broadcast over the queries.  The result is bit-identical to
+    the C-contiguous product ``values[..., idx] * wts`` summed over its last
+    axis.  Small reads (a rollout step, one state) compute exactly that.
+    Large reads (a sweep) gather and weight one corner at a time, from the
+    contiguous corner slices, and add the terms in that sum's order.  This
+    skips the corner-long temporary and its slow short-axis reduction.
+    """
+    values = np.asarray(values, dtype=float)
+    corners = idx.shape[-1]
+    if corners > 128 or values.size // values.shape[-1] * idx.size <= _FEW_READS:
+        return np.ascontiguousarray(values[..., idx] * wts).sum(axis=-1)
+    # numpy adds a contiguous axis of fewer than 8 terms in one running sum,
+    # and of 8 to 128 terms in 8 (terms c, c + 8, ...) joined pairwise;
+    # longer axes (7-D grids and up) it splits first, so they take the
+    # product above
+    sums = 8 if corners >= 8 else 1
+    out = _pairwise_running_sums(values, idx, wts, 0, sums, sums)
+    out += 0.0    # the reduction's identity: an all -0.0 stencil sums to +0.0
+    return out
+
+
+def _pairwise_running_sums(values: np.ndarray, idx: np.ndarray, wts: np.ndarray,
+                           lo: int, hi: int, stride: int) -> np.ndarray:
+    """Running sums ``lo`` to ``hi - 1`` of the weighted corner terms, joined
+    as a pairwise tree; running sum j adds corners j, j + stride, ..."""
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        out = _pairwise_running_sums(values, idx, wts, lo, mid, stride)
+        out += _pairwise_running_sums(values, idx, wts, mid, hi, stride)
+        return out
+    out = np.take(values, idx[..., lo], axis=-1)
+    out *= wts[..., lo]
+    for c in range(lo + stride, idx.shape[-1], stride):
+        term = np.take(values, idx[..., c], axis=-1)
+        term *= wts[..., c]
+        out += term
+    return out
 
 
 def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
@@ -201,6 +250,10 @@ class BellmanTables:
 
     Index conventions: mode pairs (i1, i2), control indices (a, b) into the
     level lists, flat grid points p, stencil corners c.
+
+    The stencil tables are stored corner-major: the corner axis is last in
+    the shapes below but outermost in memory, so every ``foot_idx[..., c]``
+    slice is one contiguous block that ``interpolate_many`` gathers from.
     """
 
     spec: ProblemSpec
@@ -256,9 +309,10 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     weight = (1.0 - gamma) / lam
     step_matrix = semigroup_step(spec.generator, dt)
 
+    # corner-major buffers behind (..., p, c) views: see BellmanTables
     corners = 1 << n
-    foot_idx = np.empty((m1, m2, nu1, nu2, npts, corners), dtype=np.int64)
-    foot_wts = np.empty((m1, m2, nu1, nu2, npts, corners))
+    foot_idx = np.moveaxis(np.empty((corners, m1, m2, nu1, nu2, npts), dtype=np.int64), 0, -1)
+    foot_wts = np.moveaxis(np.empty((corners, m1, m2, nu1, nu2, npts)), 0, -1)
     linear_part = pts @ step_matrix.T
     for (i1, i2) in spec.mode_pairs():
         for a in range(nu1):
@@ -267,8 +321,8 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
                 foot_idx[i1, i2, a, b], foot_wts[i1, i2, a, b] = interp_weights(grid, feet)
 
     n_imp = len(spec.impulses)
-    imp_idx = np.empty((n_imp, npts, corners), dtype=np.int64)
-    imp_wts = np.empty((n_imp, npts, corners))
+    imp_idx = np.moveaxis(np.empty((corners, n_imp, npts), dtype=np.int64), 0, -1)
+    imp_wts = np.moveaxis(np.empty((corners, n_imp, npts)), 0, -1)
     imp_costs = np.array([imp.cost for imp in spec.impulses])
     for j, imp in enumerate(spec.impulses):
         targets = grid.clamp(pts + imp.vector)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import (GridSpec, default_time_step, interp_weights, interpolate,
-                         semigroup_step)
+                         interpolate_many, semigroup_step)
 from .operators import Variant
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
 
@@ -146,7 +146,7 @@ class _Policy:
         if spec.impulses or spec.m1 > 1 or spec.m2 > 1:
             pts = np.vstack([x, self.grid.clamp(x + self.jumps)])
             idx, wts = interp_weights(self.grid, pts)
-            v = (self.values[:, :, idx] * wts).sum(axis=-1)    # (m1, m2, 1 + n_imp)
+            v = interpolate_many(self.values, idx, wts)    # (m1, m2, 1 + n_imp)
             here = v[d1, d2, 0]
             if spec.impulses:
                 cands = self.jump_costs + v[d1, d2, 1:]
@@ -171,7 +171,7 @@ class _Policy:
         k = eval_running_cost(spec, d1, d2, xs, self.u1, self.u2)
         feet = self.grid.clamp(self.step_matrix @ x + self.dt * f)
         idx, wts = interp_weights(self.grid, feet)
-        q = self.weight * k + self.gamma * (self.values[d1, d2][idx] * wts).sum(axis=-1)
+        q = self.weight * k + self.gamma * interpolate_many(self.values[d1, d2], idx, wts)
         q = q.reshape(len(spec.u1_levels), -1)
         if self.variant is Variant.PLUS:
             a = int(q.min(axis=1).argmax())    # player 1 commits first

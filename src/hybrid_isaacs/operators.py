@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import BellmanTables, GridSpec, build_tables, interp_weights, interpolate_many
+from .discretize import BellmanTables, GridSpec, build_tables, interpolate, interpolate_many
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
 
 __all__ = [
@@ -191,8 +191,7 @@ def impulse_obstacle(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, x,
     x = np.asarray(x, dtype=float)
     best = np.inf
     for imp in spec.impulses:
-        idx, wts = interp_weights(grid, grid.clamp(x + imp.vector).reshape(1, -1))
-        best = min(best, float((values[d1, d2][idx[0]] * wts[0]).sum()) + imp.cost)
+        best = min(best, interpolate(values[d1, d2], grid, grid.clamp(x + imp.vector)) + imp.cost)
     return best
 
 

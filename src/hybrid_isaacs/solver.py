@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .discretize import (BellmanTables, GridSpec, build_tables, interpolate, make_grid,
-                         semigroup_step)
+from .discretize import BellmanTables, build_tables
 from .operators import Variant, bellman_update
 from .problem import ProblemSpec
 
+if TYPE_CHECKING:
+    from .discretize import GridSpec
+
 __all__ = [
-    "GridSpec",
-    "make_grid",
-    "interpolate",
-    "semigroup_step",
     "SolverConfig",
     "SolveResult",
     "solve",

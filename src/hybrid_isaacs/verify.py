@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import BellmanTables, GridSpec, build_tables, interp_weights
+from .discretize import BellmanTables, GridSpec, build_tables, interpolate, interpolate_many
 from .operators import (Variant, bellman_update, impulse_field, impulse_obstacle, isaacs_gap,
                         switch_lower_field, switch_upper_field)
 from .problem import ProblemSpec, subadditivity_gap
@@ -146,7 +146,7 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
 
     # per-candidate values to pick the minimizing impulse at binding points
     cand = np.stack([
-        np.stack([(values[i1, i2][tables.imp_idx[j]] * tables.imp_wts[j]).sum(-1)
+        np.stack([interpolate_many(values[i1, i2], tables.imp_idx[j], tables.imp_wts[j])
                   + tables.imp_costs[j]
                   for j in range(len(spec.impulses))])
         for (i1, i2) in spec.mode_pairs()
@@ -159,8 +159,7 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
         for p in np.flatnonzero(binding[i1, i2]):
             j = int(cand[pair_idx, :, p].argmin())
             landed = grid.clamp(grid.points[p] + spec.impulses[j].vector)
-            idx, wts = interp_weights(grid, landed.reshape(1, -1))
-            v_landed = float((values[i1, i2][idx[0]] * wts[0]).sum())
+            v_landed = interpolate(values[i1, i2], grid, landed)
             n_landed = impulse_obstacle(values, spec, grid, landed, i1, i2)
             gap = n_landed - v_landed
             if gap < worst:
@@ -177,9 +176,14 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
 def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
                           config: SolverConfig | None = None,
                           costate_samples: int = 16, seed: int = 0,
-                          tol: float = 1e-12) -> CheckResult:
+                          tol: float = 1e-12,
+                          low: SolveResult | None = None) -> CheckResult:
     """When both saddle orders agree on sampled costates, the two solve
     variants must produce the same field.
+
+    ``low``, if given, is the solve of ``config`` from a zero init, as
+    ``two_sided_uniqueness`` takes it.  It stands in for the solve of its
+    own variant only when ``config`` starts from zero too.
 
     Caveat: the costate-level gap is linear in the drift, but the discrete
     continue value feeds the drift through a piecewise-linear interpolant.
@@ -194,8 +198,15 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
                            f"saddle-order gap {gap:.3e} > 0; orders differ by design",
                            {"order_gap": gap}, tol)
     base = config or SolverConfig()
-    plus = solve(spec, grid, _with(base, variant=Variant.PLUS))
-    minus = solve(spec, grid, _with(base, variant=Variant.MINUS))
+
+    from_zero = isinstance(base.init, str) and base.init == "zero"
+
+    def run(variant: Variant) -> SolveResult:
+        if from_zero and low is not None and low.variant is variant:
+            return low
+        return solve(spec, grid, _with(base, variant=variant))
+
+    plus, minus = run(Variant.PLUS), run(Variant.MINUS)
     if not (plus.converged and minus.converged):
         return CheckResult("saddle-order-equality", FAIL, "a variant solve did not converge",
                            {"order_gap": gap}, tol)
@@ -346,7 +357,7 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
         checks.append(dpp_consistency(base.values, spec, grid, variant=config.variant,
                                       steps=dpp_steps, tables=tables))
     if wanted("isaacs"):
-        checks.append(isaacs_value_equality(spec, grid, config, seed=seed))
+        checks.append(isaacs_value_equality(spec, grid, config, seed=seed, low=base))
     if wanted("uniqueness"):
         checks.append(two_sided_uniqueness(spec, grid, config, low=base))
     if wanted("probes"):

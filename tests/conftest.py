@@ -45,6 +45,24 @@ def toy_spec(f="0", k="1", u1=(0.0,), u2=(0.0,), lam=1.0, box=((-1.0, 1.0),),
         box=np.asarray(box, dtype=float),
     )
 
+
+def game_2d():
+    """A small 2-D game with 2x2 modes, 3x3 controls and a 2-jump menu."""
+    return toy_spec(
+        f={(0, 0): ("0.5*u1 - 0.2*x0", "0.3*u1*tanh(x0)"),
+           (0, 1): ("0.4*u1 + 0.1", "-0.4*u1 - 0.1*x1"),
+           (1, 0): ("0.6*u1", "0.2*u1 - 0.1*tanh(x1)"),
+           (1, 1): ("0.3*u1 - 0.1*x1", "0.5*u1")},
+        k={(0, 0): "x0^2 + x1^2 + 0.1*(1 + u1) + 0.1*(1 - u2*tanh(x1))",
+           (0, 1): "0.5*(x0 - 0.5)^2 + x1^2 + 0.3 + 0.1*(1 - u2)",
+           (1, 0): "(x0 + 0.5)^2 + 0.5*x1^2 + 0.2 + 0.05*(1 + u1*u2)",
+           (1, 1): "x0^2 + (x1 - 0.5)^2 + 0.4 + 0.1*(1 + u2)"},
+        u1=(-1.0, 0.0, 1.0), u2=(-1.0, 0.0, 1.0), lam=1.5, box=((-1.0, 1.0), (-1.0, 1.0)),
+        A=[[0.2, 0.0], [0.0, 0.1]], d1=("a", "b"), d2=("c", "d"),
+        c1=[[0.0, 0.4], [0.5, 0.0]], c2=[[0.0, 0.3], [0.35, 0.0]],
+        impulses=(([-0.6, 0.0], 0.4), ([0.4, -0.4], 0.5)))
+
+
 BUNDLED = {
     "constant_cost": SPEC_DIR / "constant_cost.toml",
     "mode_selection": SPEC_DIR / "mode_selection.toml",

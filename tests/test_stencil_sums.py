@@ -1,0 +1,225 @@
+"""Multilinear reads on corner-major tables are bit-identical to numpy's
+``(values[idx] * wts).sum(-1)`` on C-contiguous tables, which every read
+used to be, and to that sum written out term by term."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from hybrid_isaacs import hybridsim
+from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate,
+                                      interpolate_many, make_grid)
+from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, impulse_field,
+                                     switch_lower_field, switch_upper_field)
+
+from conftest import game_2d, load_bundled, toy_spec
+
+
+def contiguous_sum(values, idx, wts):
+    """The reference: C-contiguous stencil tables, every corner gathered at
+    once, and numpy's reduction over the corner axis of the C-contiguous
+    product.  (With leading value axes, ``values[..., idx]`` alone is laid
+    out corner-outer, and numpy then sums 8 corners in sequence instead of
+    pairwise.)"""
+    idx, wts = np.ascontiguousarray(idx), np.ascontiguousarray(wts)
+    product = np.asarray(values, dtype=float)[..., idx] * wts
+    return np.ascontiguousarray(product).sum(axis=-1)
+
+
+def ordered_sum(values, idx, wts):
+    """numpy's summation order for a contiguous corner axis, written out:
+    in sequence below 8 terms, else 8 running sums (the terms at c and
+    c + 8) added as a pairwise tree, all started from the identity +0.0."""
+    values = np.asarray(values, dtype=float)
+    terms = [values[..., idx[..., c]] * wts[..., c] for c in range(idx.shape[-1])]
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total = total + t
+        return total
+    r = [terms[j] + terms[j + 8] if j + 8 < len(terms) else terms[j] for j in range(8)]
+    return 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def game_3d():
+    """2x2 modes on a cube: 8-corner stencils, where the summation order
+    is a pairwise tree rather than sequential."""
+    return toy_spec(
+        f={(0, 0): ("0.4*u1", "0.2*x0", "0.1 - 0.1*x1"),
+           (0, 1): ("0.4*u1 + 0.1", "0.2*x0*u2", "-0.1*x1"),
+           (1, 0): ("0.3*u1", "-0.2*x2", "0.1*x0 + 0.05*u2"),
+           (1, 1): ("0.3*u1 - 0.1", "-0.2*x2", "0.1*x0")},
+        k={(0, 0): "x0^2 + 0.5*x1^2 + 0.3*x2^2 + 0.1*u2 + 0.2",
+           (0, 1): "(x0 - 0.3)^2 + x1^2 + 0.2 + 0.1*u2",
+           (1, 0): "0.5*x0^2 + (x1 + 0.2)^2 + x2^2 + 0.3",
+           (1, 1): "x0^2 + x2^2 + 0.4 - 0.1*u2"},
+        u1=(-1.0, 0.0, 1.0), u2=(0.0, 1.0), lam=1.5, box=((-1.0, 1.0),) * 3,
+        A=np.diag([0.2, 0.1, 0.3]), d1=("a", "b"), d2=("c", "d"),
+        c1=[[0.0, 0.4], [0.5, 0.0]], c2=[[0.0, 0.3], [0.6, 0.0]],
+        impulses=(([-0.3, 0.0, 0.1], 0.5), ([0.0, 0.25, -0.25], 0.7)))
+
+
+def _balanced_loop():
+    spec, grid_cfg, _ = load_bundled("balanced_loop")
+    return spec, make_grid(spec, grid_cfg["points"])
+
+
+GAMES = {
+    "balanced_loop": _balanced_loop,
+    "game_2d": lambda: (game_2d(), make_grid(game_2d(), 11)),
+    "game_3d": lambda: (game_3d(), make_grid(game_3d(), 6)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GAMES))
+def game(request):
+    spec, grid = GAMES[request.param]()
+    return spec, grid, build_tables(spec, grid)
+
+
+def fields(spec, grid):
+    """Mixed-sign values with signed zeros, and an all -0.0 field, whose
+    contiguous sum is +0.0 (numpy's reduction starts from the identity)."""
+    rng = np.random.default_rng(7)
+    shape = (spec.m1, spec.m2, grid.n_points)
+    mixed = rng.uniform(-1.0, 3.0, size=shape) * np.exp(rng.uniform(-20.0, 20.0, size=shape))
+    mixed[rng.random(shape) < 0.2] = -0.0
+    return [mixed, np.full(shape, -0.0)]
+
+
+READS = pytest.mark.parametrize("read", [contiguous_sum, ordered_sum])
+
+
+def reference_continue(values, tables, variant, read):
+    out = np.empty_like(values)
+    for (i1, i2) in tables.spec.mode_pairs():
+        q = (tables.weight * tables.k[i1, i2] + tables.gamma * read(
+            values[i1, i2], tables.foot_idx[i1, i2], tables.foot_wts[i1, i2]))
+        if variant is Variant.PLUS:
+            out[i1, i2] = q.min(axis=1).max(axis=0)
+        else:
+            out[i1, i2] = q.max(axis=0).min(axis=0)
+    return out
+
+
+def reference_impulse(values, tables, read):
+    out = np.full_like(values, np.inf)
+    for j, cost in enumerate(tables.imp_costs):
+        for (i1, i2) in tables.spec.mode_pairs():
+            cand = read(values[i1, i2], tables.imp_idx[j], tables.imp_wts[j]) + cost
+            out[i1, i2] = np.minimum(out[i1, i2], cand)
+    return out
+
+
+def test_tables_keep_their_shapes_and_store_corners_contiguously(game):
+    spec, grid, tables = game
+    corners = 1 << spec.dimension
+    stencil = (len(spec.u1_levels), len(spec.u2_levels), grid.n_points, corners)
+    tabs = {"foot_idx": (spec.m1, spec.m2) + stencil, "foot_wts": (spec.m1, spec.m2) + stencil,
+            "imp_idx": (len(spec.impulses), grid.n_points, corners),
+            "imp_wts": (len(spec.impulses), grid.n_points, corners)}
+    for name, shape in tabs.items():
+        table = getattr(tables, name)
+        assert table.shape == shape, name
+        assert table.nbytes == table.size * 8
+        assert all(table[..., c].flags.c_contiguous for c in range(corners)), name
+    idx, wts = interp_weights(grid, grid.points[:5])
+    assert idx.shape == wts.shape == (5, corners)
+    assert all(idx[:, c].flags.c_contiguous and wts[:, c].flags.c_contiguous
+               for c in range(corners))
+
+
+@READS
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+def test_sweep_is_bit_identical_to_contiguous_sums(game, variant, read):
+    spec, grid, tables = game
+    for values in fields(spec, grid):
+        cont = reference_continue(values, tables, variant, read)
+        imp = reference_impulse(values, tables, read)
+        assert_same_bits(continue_field(values, tables, variant), cont)
+        assert_same_bits(impulse_field(values, tables), imp)
+        expected = np.maximum(switch_upper_field(values, spec),
+                              np.minimum(np.minimum(switch_lower_field(values, spec), imp), cont))
+        assert_same_bits(bellman_update(values, spec, grid, variant=variant, tables=tables),
+                         expected)
+
+
+@READS
+def test_interpolate_is_bit_identical_to_contiguous_sum(game, read):
+    spec, grid, _ = game
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform(grid.box[:, 0] - 0.1, grid.box[:, 1] + 0.1,
+                                 size=(20, spec.dimension)), grid.points[:3]])
+    for values in fields(spec, grid):
+        for x in pts:
+            idx, wts = interp_weights(grid, x.reshape(1, -1))
+            expected = read(values[0, 0], idx[0], wts[0])
+            assert_same_bits(np.float64(interpolate(values[0, 0], grid, x)), expected)
+
+
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+def test_decide_reads_are_bit_identical_to_contiguous_sums(game, variant, monkeypatch):
+    spec, grid, tables = game
+    calls = []
+
+    def checked(values, idx, wts):
+        out = interpolate_many(values, idx, wts)
+        assert_same_bits(out, contiguous_sum(values, idx, wts))
+        assert_same_bits(out, ordered_sum(values, idx, wts))
+        calls.append(idx.shape)
+        return out
+
+    monkeypatch.setattr(hybridsim, "interpolate_many", checked)
+    rng = np.random.default_rng(9)
+    states = rng.uniform(grid.box[:, 0], grid.box[:, 1], size=(8, spec.dimension))
+    for values in fields(spec, grid):
+        for x in np.vstack([states, grid.points[:2]]):
+            for d1 in range(spec.m1):
+                for d2 in range(spec.m2):
+                    hybridsim.decide(spec, grid, values, x, d1, d2, dt=tables.dt,
+                                     variant=variant)
+    # both reads: the obstacle candidates and the continue feet
+    assert {shape[0] for shape in calls} >= {1 + len(spec.impulses),
+                                             len(spec.u1_levels) * len(spec.u2_levels)}
+
+
+@pytest.mark.parametrize("queries", [(1,), (4, 5), (40, 50)])
+@pytest.mark.parametrize("corners", [2, 4, 8, 16])
+def test_helper_follows_numpy_summation_order(corners, queries):
+    """Any corner count, small and large reads, with leading value axes
+    broadcast over the queries."""
+    rng = np.random.default_rng(corners)
+    values = rng.standard_normal((2, 3, 50)) * np.exp(rng.uniform(-30.0, 30.0, size=(2, 3, 50)))
+    values[0, 0, :10] = -0.0
+    idx = np.moveaxis(rng.integers(0, 50, size=(corners,) + queries), 0, -1)
+    wts = np.moveaxis(rng.random((corners,) + queries), 0, -1)
+    for vals in (values, values[1, 2], values[0, 0, :10]):
+        out = interpolate_many(vals, idx % vals.shape[-1], wts)
+        assert_same_bits(out, contiguous_sum(vals, idx % vals.shape[-1], wts))
+        assert_same_bits(out, ordered_sum(vals, idx % vals.shape[-1], wts))
+
+
+def test_sweeps_leave_no_reference_cycle_holding_the_tables():
+    """Tables are freed as soon as they are dropped, not at the next cyclic
+    garbage collection: a sweep must not tie them into a cycle."""
+    spec = game_3d()
+    grid = make_grid(spec, 6)
+    values = fields(spec, grid)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        tables = build_tables(spec, grid)
+        buffers = [weakref.ref(tables.foot_idx.base), weakref.ref(tables.imp_wts.base)]
+        bellman_update(values, spec, grid, tables=tables)
+        del tables
+        assert all(ref() is None for ref in buffers)
+    finally:
+        gc.enable()

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from hybrid_isaacs import verify
 from hybrid_isaacs.discretize import make_grid
+from hybrid_isaacs.operators import Variant
 from hybrid_isaacs.solver import SolverConfig, solve
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
                                   two_sided_uniqueness)
 
-from conftest import toy_spec
+from conftest import BUNDLED, load_bundled, toy_spec
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +200,41 @@ def test_report_serialization_is_diff_stable(constant_cost):
     assert a.to_text() == b.to_text()
     kv_lines = a.to_kv().splitlines(keepends=True)
     assert kv_lines == sorted(kv_lines)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_run_all_reuses_its_base_solve(name, monkeypatch):
+    """From a zero init the base solve is the saddle-order check's solve of
+    the configured variant: three solves in all, and the same check result
+    as a fresh run of the check."""
+    spec, grid_cfg, solver_cfg = load_bundled(name)
+    grid = make_grid(spec, grid_cfg["points"])
+    config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append((args[2].init, args[2].variant))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve", counting_solve)
+    report = run_all(spec, grid, config, suites={"isaacs", "uniqueness"})
+    check = report.checks[0]
+    assert check.name == "saddle-order-equality" and check.status == "pass"
+    assert calls == [("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]
+    assert check == isaacs_value_equality(spec, grid, config)
+
+
+def test_run_all_solves_again_from_an_upper_init(constant_cost, monkeypatch):
+    spec, grid_cfg, solver_cfg = constant_cost
+    grid = make_grid(spec, 21)
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[2].init)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve", counting_solve)
+    report = run_all(spec, grid, SolverConfig(dt=0.5, tolerance=1e-9, init="upper"),
+                     suites={"isaacs"})
+    assert report.checks[0].status == "pass"
+    assert calls == ["zero", "upper", "upper"]
