@@ -83,8 +83,19 @@ class GridSpec:
     def axis_coords(self, d: int) -> np.ndarray:
         return self.box[d, 0] + self.spacing[d] * np.arange(self.counts[d])
 
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.box[:, 0].copy(), self.box[:, 1].copy()
+
+    @cached_property
+    def _axis_columns(self) -> tuple[np.ndarray, ...]:
+        """(n, 1) columns: low, spacing, last node and last cell per axis."""
+        counts = np.asarray(self.counts)[:, None]
+        return self.box[:, :1].copy(), self.spacing[:, None], counts - 1.0, counts - 2.0
+
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.box[:, 0], self.box[:, 1])
+        low, high = self._bounds
+        return np.minimum(np.maximum(x, low), high)
 
     def flat_index(self, multi: tuple[int, ...]) -> int:
         return int(np.dot(np.asarray(multi, dtype=np.int64), self.strides))
@@ -124,30 +135,35 @@ def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     sit on a node (up to a relative snap tolerance) reproduce it exactly.
     Shapes: (m, 2**n) each, stored corner-major (each ``[:, c]`` column is
     contiguous).
+
+    Cells and fractions are found on an (n, m) copy of the points.  Corners
+    are built by doubling: dimension d copies corners ``[0, 2**d)`` to
+    ``[2**d, 2**(d+1))`` with stride d added and weight ``frac_d``, then
+    weights the originals by ``1 - frac_d``.  So bit d of c picks the upper
+    node along d, and each weight is ``((1*g_0)*g_1)*...`` in dimension order.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m, n = pts.shape
     if n != grid.dimension:
         raise ValueError("point dimension does not match grid")
-    base = np.empty((m, n), dtype=np.int64)
-    frac = np.empty((m, n), dtype=float)
-    for d in range(n):
-        t = (pts[:, d] - grid.box[d, 0]) / grid.spacing[d]
-        t = np.clip(t, 0.0, grid.counts[d] - 1)
-        near = np.rint(t)
-        snap = np.abs(t - near) <= _NODE_SNAP * np.maximum(1.0, np.abs(t))
-        t = np.where(snap, near, t)
-        i0 = np.minimum(np.floor(t).astype(np.int64), grid.counts[d] - 2)
-        base[:, d] = i0
-        frac[:, d] = t - i0
+    low, spacing, last_node, last_cell = grid._axis_columns
+    t = np.minimum(np.maximum((np.ascontiguousarray(pts.T) - low) / spacing, 0.0), last_node)
+    near = np.rint(t)
+    # t >= 0 here, so max(1, |t|) is max(1, t)
+    np.copyto(t, near, where=np.abs(t - near) <= _NODE_SNAP * np.maximum(1.0, t))
+    cell = np.minimum(np.floor(t), last_cell)
+    frac = t - cell
+    comp = 1.0 - frac
     corners = 1 << n
-    idx = np.zeros((corners, m), dtype=np.int64)
-    wts = np.ones((corners, m), dtype=float)
-    for c in range(corners):
-        for d in range(n):
-            bit = (c >> d) & 1
-            idx[c] += (base[:, d] + bit) * grid.strides[d]
-            wts[c] *= frac[:, d] if bit else (1.0 - frac[:, d])
+    idx = np.empty((corners, m), dtype=np.int64)
+    wts = np.empty((corners, m))
+    np.matmul(grid.strides, cell.astype(np.int64), out=idx[0])
+    wts[0] = 1.0
+    for d in range(n):
+        half = 1 << d
+        np.add(idx[:half], grid.strides[d], out=idx[half:2 * half])
+        np.multiply(wts[:half], frac[d], out=wts[half:2 * half])
+        wts[:half] *= comp[d]
     return idx.T, wts.T
 
 

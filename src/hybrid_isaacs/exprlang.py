@@ -11,16 +11,18 @@ Grammar (standard precedence, `^` binds tightest and associates right):
 Identifiers are either variables (``x0`` .. ``x{n-1}``, ``u1``, ``u2``;
 which names are legal is decided by the caller, not the grammar) or one of
 the built-in functions ``sin cos tanh exp sqrt abs min max``.  Parsed trees
-are immutable and safe to evaluate concurrently.  Evaluation is strict
-about domains: division by zero, square roots of negatives and fractional
-powers of negatives raise instead of producing NaN.
+are immutable and safe to evaluate concurrently; ``compile_expr`` turns one
+into nested closures, so repeated evaluation walks no tree.  Evaluation is
+strict about domains: division by zero, square roots of negatives and
+fractional powers of negatives raise instead of producing NaN.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "FUNCTIONS",
     "parse",
     "evaluate",
+    "compile_expr",
     "free_vars",
     "to_str",
 ]
@@ -257,68 +260,10 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_UNARY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "abs": np.abs,
-}
-
-
-def evaluate(expr: Expr, env: Mapping[str, object]):
-    """Evaluate ``expr`` with variables bound by ``env``.
-
-    Values in ``env`` may be scalars or numpy arrays (all of one broadcastable
-    shape); the result is a float for scalar input and an ndarray otherwise.
-    Raises UnboundVariableError / ExprDomainError.
-    """
-    result = _eval(expr, env)
-    if np.ndim(result) == 0 and not isinstance(result, np.ndarray):
-        return float(result)
-    if isinstance(result, np.ndarray) and result.ndim == 0:
-        return float(result)
-    return result
-
-
-def _eval(expr: Expr, env: Mapping[str, object]):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, env)
-    if isinstance(expr, BinOp):
-        a = _eval(expr.left, env)
-        b = _eval(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if np.any(b == 0):
-                raise ExprDomainError("division by zero")
-            return a / b
-        if expr.op == "^":
-            return _power(a, b)
-        raise AssertionError(expr.op)
-    if isinstance(expr, Call):
-        args = [_eval(arg, env) for arg in expr.args]
-        if expr.func == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise ExprDomainError("sqrt of a negative value")
-            return np.sqrt(args[0])
-        if expr.func == "min":
-            return np.minimum(args[0], args[1])
-        if expr.func == "max":
-            return np.maximum(args[0], args[1])
-        return _UNARY_FUNCS[expr.func](args[0])
-    raise AssertionError(type(expr))
+def _divide(a, b):
+    if np.any(b == 0):
+        raise ExprDomainError("division by zero")
+    return a / b
 
 
 def _power(a, b):
@@ -330,6 +275,75 @@ def _power(a, b):
     if np.any(neg_base & (b_arr != np.floor(b_arr))):
         raise ExprDomainError("negative base with non-integer exponent")
     return np.power(a, b)
+
+
+def _sqrt(a):
+    if np.any(np.asarray(a) < 0):
+        raise ExprDomainError("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+_FUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp, "sqrt": _sqrt,
+          "abs": np.abs, "min": np.minimum, "max": np.maximum}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
+_UNCHECKED = {"/": operator.truediv, "^": np.power}
+
+
+def _never_trips(op: str, c: float) -> bool:
+    """Whether a constant right operand ``c`` can never trip ``op``'s check."""
+    return (op == "/" and c != 0) or (op == "^" and c >= 0 and float(c).is_integer())
+
+
+def evaluate(expr: Expr, env: Mapping[str, object]):
+    """Evaluate ``expr`` with variables bound by ``env``.
+
+    Values in ``env`` may be scalars or numpy arrays (all of one broadcastable
+    shape); the result is a float for scalar input and an ndarray otherwise.
+    Raises UnboundVariableError / ExprDomainError.  Compiles ``expr`` each
+    time; a caller evaluating it repeatedly keeps ``compile_expr(expr)``.
+    """
+    result = compile_expr(expr)(env)
+    return float(result) if np.ndim(result) == 0 else result
+
+
+def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], object]:
+    """``expr`` as one function of ``env``, built from nested closures.
+
+    Each closure makes the numpy calls a walk of the tree makes at its node,
+    in the same order, so results are bit-identical and errors are raised
+    where a walk raises them.  Only checks that can never trip are left out
+    (see ``_never_trips``); every other ``/``, ``^`` and ``sqrt`` is checked.
+    """
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def variable(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+        return variable
+    if isinstance(expr, Neg):
+        operand = compile_expr(expr.operand)
+        return lambda env: -operand(env)
+    if isinstance(expr, BinOp):
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        op = _BINARY[expr.op]
+        if isinstance(expr.right, Num) and _never_trips(expr.op, expr.right.value):
+            op = _UNCHECKED[expr.op]
+        return lambda env: op(left(env), right(env))
+    if isinstance(expr, Call):
+        func = _FUNCS[expr.func]
+        args = [compile_expr(arg) for arg in expr.args]
+        if len(args) == 2:
+            first, second = args
+            return lambda env: func(first(env), second(env))
+        (arg,) = args
+        return lambda env: func(arg(env))
+    raise AssertionError(type(expr))
 
 
 def free_vars(expr: Expr) -> frozenset[str]:

@@ -144,7 +144,9 @@ class _Policy:
         unless the decision is ``continue``."""
         spec, tol = self.spec, self.action_tol
         if spec.impulses or spec.m1 > 1 or spec.m2 > 1:
-            pts = np.vstack([x, self.grid.clamp(x + self.jumps)])
+            pts = np.empty((1 + len(self.jumps), len(x)))
+            pts[0] = x
+            pts[1:] = self.grid.clamp(x + self.jumps)
             idx, wts = interp_weights(self.grid, pts)
             v = interpolate_many(self.values, idx, wts)    # (m1, m2, 1 + n_imp)
             here = v[d1, d2, 0]
@@ -166,7 +168,10 @@ class _Policy:
                 if cands1[o1] >= here - tol:
                     return PolicyDecision(SWITCH1, target=o1), None, None
 
-        xs = np.tile(x, (len(self.u1), 1))
+        # x over the control grid as contiguous arrays: a broadcast
+        # (stride-0) input may take another SIMD loop and round differently
+        xs = np.empty((len(x), len(self.u1))).T
+        xs[...] = x
         f = eval_dynamics(spec, d1, d2, xs, self.u1, self.u2)
         k = eval_running_cost(spec, d1, d2, xs, self.u1, self.u2)
         feet = self.grid.clamp(self.step_matrix @ x + self.dt * f)

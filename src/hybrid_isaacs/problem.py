@@ -13,12 +13,13 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from . import config
-from .exprlang import Expr, evaluate, free_vars, parse, to_str
+from .exprlang import Expr, compile_expr, free_vars, parse, to_str
 
 __all__ = [
     "Impulse",
@@ -74,9 +75,16 @@ class ProblemSpec:
     def m2(self) -> int:
         return len(self.d2_labels)
 
-    @property
+    @cached_property
     def state_names(self) -> tuple[str, ...]:
         return tuple(f"x{i}" for i in range(self.dimension))
+
+    @cached_property
+    def compiled(self) -> dict[tuple[int, int], tuple[tuple[Callable, ...], Callable]]:
+        """Per mode pair, compiled once: the dynamics components and the cost."""
+        return {pair: (tuple(compile_expr(c) for c in self.dynamics[pair]),
+                       compile_expr(self.running_cost[pair]))
+                for pair in self.mode_pairs()}
 
     def mode_pairs(self) -> Iterable[tuple[int, int]]:
         for i1 in range(self.m1):
@@ -378,15 +386,18 @@ def eval_dynamics(spec: ProblemSpec, i1: int, i2: int, x: np.ndarray,
                   u1: float, u2: float) -> np.ndarray:
     """f(x, u1, d1, u2, d2) for a batch of states ``x`` of shape (..., n)."""
     env = _env(spec, x, u1, u2)
-    comps = [np.broadcast_to(evaluate(c, env), x.shape[:-1])
-             for c in spec.dynamics[(i1, i2)]]
-    return np.stack(comps, axis=-1)
+    out = np.empty(x.shape)
+    for i, component in enumerate(spec.compiled[(i1, i2)][0]):
+        out[..., i] = component(env)
+    return out
 
 
 def eval_running_cost(spec: ProblemSpec, i1: int, i2: int, x: np.ndarray,
                       u1: float, u2: float):
     env = _env(spec, x, u1, u2)
-    return np.broadcast_to(evaluate(spec.running_cost[(i1, i2)], env), x.shape[:-1])
+    out = np.empty(x.shape[:-1])
+    out[...] = spec.compiled[(i1, i2)][1](env)
+    return out
 
 
 def validate_a2(spec: ProblemSpec, samples: int = 256, seed: int = 0) -> ValidationReport:

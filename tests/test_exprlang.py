@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_isaacs.exprlang import (BinOp, Call, ExprDomainError, ExprSyntaxError, Neg, Num,
-                                    UnboundVariableError, Var, evaluate, free_vars, parse,
-                                    to_str)
+                                    UnboundVariableError, Var, compile_expr, evaluate,
+                                    free_vars, parse, to_str)
 
 
 def ev(text, **env):
@@ -162,3 +162,138 @@ def test_roundtrip_print_parse_evaluates_identically(expr, seed):
 @given(_exprs)
 def test_roundtrip_preserves_free_vars(expr):
     assert free_vars(parse(to_str(expr))) == free_vars(expr)
+
+
+# ---------------------------------------------------------------------------
+# the compiler against the tree walk it replaced
+
+_REF_UNARY = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp, "abs": np.abs}
+
+
+def reference_eval(expr, env):
+    """The recursive tree walk ``evaluate`` used before expressions were
+    compiled: every node dispatched at call time, every ``/``, ``^`` and
+    ``sqrt`` checked."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise UnboundVariableError(expr.name) from None
+    if isinstance(expr, Neg):
+        return -reference_eval(expr.operand, env)
+    if isinstance(expr, BinOp):
+        a = reference_eval(expr.left, env)
+        b = reference_eval(expr.right, env)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "/":
+            if np.any(b == 0):
+                raise ExprDomainError("division by zero")
+            return a / b
+        a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if np.any((a_arr == 0) & (b_arr < 0)):
+            raise ExprDomainError("zero raised to a negative power")
+        if np.any((a_arr < 0) & (b_arr != np.floor(b_arr))):
+            raise ExprDomainError("negative base with non-integer exponent")
+        return np.power(a, b)
+    args = [reference_eval(arg, env) for arg in expr.args]
+    if expr.func == "sqrt":
+        if np.any(np.asarray(args[0]) < 0):
+            raise ExprDomainError("sqrt of a negative value")
+        return np.sqrt(args[0])
+    if expr.func == "min":
+        return np.minimum(args[0], args[1])
+    if expr.func == "max":
+        return np.maximum(args[0], args[1])
+    return _REF_UNARY[expr.func](args[0])
+
+
+def outcome(fn):
+    """(kind, value bits) of a call, or (error class, None) if it raises."""
+    try:
+        result = fn()
+    except Exception as exc:    # the class is what is compared
+        return type(exc), None
+    return type(result), np.asarray(result).tobytes()
+
+
+def reference_evaluate(expr, env):
+    result = reference_eval(expr, env)
+    return float(result) if np.ndim(result) == 0 else result
+
+
+# small integers, zero and halves make the domain checks trip
+_checked_leaf = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(Num),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False).map(Num),
+    _names.map(Var),
+)
+
+
+def _combine_checked(children):
+    checked = st.one_of(
+        st.tuples(st.sampled_from(["/", "^"]), children, children).map(
+            lambda t: BinOp(t[0], t[1], t[2])),
+        children.map(lambda c: Call("sqrt", (c,))),
+    )
+    return st.one_of(_combine(children), checked)
+
+
+_checked_exprs = st.recursive(_checked_leaf, _combine_checked, max_leaves=10)
+_values = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 2.0, -0.5, 1.5, -2.0]),
+                    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_checked_exprs, st.lists(_values, min_size=4, max_size=4),
+       st.lists(_values, min_size=3, max_size=3))
+@example(parse("x0^2 / (u1 - u1)"), [1.5, 0.0, 2.0, 2.0], [0.0, 1.0, -1.0])
+@example(parse("x0^u1"), [-2.0, 0.0, 0.5, 0.0], [-1.0, 2.0, 0.5])
+@example(parse("sqrt(x0) + 0^-1"), [4.0, 0.0, 0.0, 0.0], [1.0, 4.0, 9.0])
+def test_compiled_evaluation_matches_tree_walk(expr, scalars, column):
+    """Same bits or the same error class, for scalar and array variables."""
+    names = ["x0", "x1", "u1", "u2"]
+    scalar_env = dict(zip(names, scalars))
+    array_env = dict(scalar_env, x0=np.array(column), u2=np.array(column[::-1]))
+    with np.errstate(all="ignore"):
+        for env in (scalar_env, array_env):
+            assert (outcome(lambda: evaluate(expr, env))
+                    == outcome(lambda: reference_evaluate(expr, env)))
+
+
+@pytest.mark.parametrize("text, env", [
+    ("1/x0", {"x0": 0.0}),
+    ("1/x0", {"x0": np.array([1.0, 0.0, 2.0])}),
+    ("u1/(x0 - x0)", {"x0": 0.3, "u1": 1.0}),
+    ("x0^u1", {"x0": -2.0, "u1": 0.5}),
+    ("x0^u1", {"x0": np.array([1.0, -2.0]), "u1": 0.5}),
+    ("0^-1", {}),
+    ("x0^-1", {"x0": np.array([2.0, 0.0])}),
+    ("(-8)^0.5", {}),
+    ("x0^0.5", {"x0": -8.0}),
+    ("sqrt(x0 - 1)", {"x0": np.array([2.0, 0.5])}),
+    ("1/0", {}),
+])
+def test_domain_errors_survive_compilation(text, env):
+    fn = compile_expr(parse(text))
+    with pytest.raises(ExprDomainError):
+        fn(env)
+    with pytest.raises(ExprDomainError):
+        evaluate(parse(text), env)
+
+
+def test_statically_safe_operands_are_not_checked():
+    """A constant non-negative integral exponent and a constant non-zero
+    divisor can never trip a check; the result is the same numpy call."""
+    x = np.array([-2.0, 0.0, 3.5])
+    assert evaluate(parse("x0^2"), {"x0": x}).tobytes() == np.power(x, 2.0).tobytes()
+    assert evaluate(parse("x0^0"), {"x0": x}).tobytes() == np.power(x, 0.0).tobytes()
+    assert evaluate(parse("x0/4"), {"x0": x}).tobytes() == (x / 4.0).tobytes()
+    assert evaluate(parse("(-8)^3"), {}) == -512.0
+    assert isinstance(evaluate(parse("2^3"), {}), float)

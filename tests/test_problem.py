@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from hybrid_isaacs import problem
 from hybrid_isaacs.discretize import build_tables, make_grid
-from hybrid_isaacs.problem import (SpecStructureError, check_y1_y2, lipschitz_probe, load_config,
-                                   load_spec, save_spec, subadditivity_gap, validate_a2)
+from hybrid_isaacs.problem import (SpecStructureError, check_y1_y2, eval_dynamics,
+                                   eval_running_cost, lipschitz_probe, load_config, load_spec,
+                                   save_spec, subadditivity_gap, validate_a2)
 
-from conftest import BUNDLED, INVALID
+from conftest import BUNDLED, INVALID, game_2d
 
 
 MINIMAL = """
@@ -262,3 +264,29 @@ box = [[-1.0, 1.0]]
     report = check_y1_y2(spec)
     assert report.y2_holds is True
     assert report.loop_count > 0
+
+
+
+def test_expressions_compile_once_per_spec(monkeypatch):
+    compiled = []
+    original = problem.compile_expr
+
+    def counting(expr):
+        compiled.append(expr)
+        return original(expr)
+
+    monkeypatch.setattr(problem, "compile_expr", counting)
+    spec = game_2d()
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (9, 2))
+    u = np.linspace(-1.0, 1.0, 9)
+    results = {}
+    for _ in range(3):
+        for (i1, i2) in spec.mode_pairs():
+            f = eval_dynamics(spec, i1, i2, x, u, u[::-1])
+            k = eval_running_cost(spec, i1, i2, x, 0.5, u)
+            assert results.setdefault((i1, i2), (f.tobytes(), k.tobytes())) \
+                == (f.tobytes(), k.tobytes())
+    expected = [c for pair in spec.mode_pairs() for c in spec.dynamics[pair]] \
+        + list(spec.running_cost.values())
+    assert len(compiled) == len(expected) == 12
+    assert sorted(map(id, compiled)) == sorted(map(id, expected))

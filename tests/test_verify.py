@@ -1,15 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hybrid_isaacs import verify
 from hybrid_isaacs.discretize import make_grid
 from hybrid_isaacs.operators import Variant
+from hybrid_isaacs.problem import load_config
 from hybrid_isaacs.solver import SolverConfig, solve
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
                                   two_sided_uniqueness)
 
 from conftest import BUNDLED, load_bundled, toy_spec
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +89,45 @@ def test_strictness_not_applicable_without_matching_sums():
     grid = make_grid(spec, 9)
     check = post_impulse_strictness(np.zeros((1, 1, 9)), spec, grid)
     assert check.status == "not-applicable"
+
+
+def test_strictness_covers_only_menu_sums_inside_the_box():
+    """Jumps (-0.6, 0), (0, -0.5) and their sum at costs 0.6, 0.7, 1.2
+    (margin 0.1).  On the top face an optimal jump (-0.6, 0) is best
+    followed by a second (-0.6, 0), whose composition is not in the menu:
+    that slack, 0.0517, lies outside the lemma and must not fail the check."""
+    spec, grid_cfg, solver_cfg = load_config(DATA / "summing_menu.toml")
+    grid = make_grid(spec, grid_cfg["points"])
+    result = solve(spec, grid, SolverConfig(tolerance=solver_cfg["tolerance"]))
+    check = post_impulse_strictness(result.values, spec, grid, tol=1e-6, binding_tol=1e-8,
+                                    tables=result.tables)
+    assert check.status == "pass", check.detail
+    assert check.measured["margin"] == pytest.approx(0.1)
+    assert check.measured["binding_points"] == 16
+    assert check.measured["skipped_points"] == 0
+    assert check.measured["min_post_gap"] == pytest.approx(0.37664, abs=1e-5)
+    assert "16 binding point(s), 0 skipped" in check.detail
+
+
+def test_strictness_fails_on_a_field_below_the_margin():
+    """A hand-built field on [0, 1] with jumps -0.3 (cost 0.5) and
+    -0.6 + 5e-10 (cost 0.8), which the menu check takes for the sum of two
+    -0.3 jumps (margin 0.2).  With an exact sum the lemma's bound follows
+    from the first jump being optimal, so a field can break it only where
+    the sum holds to the match tolerance.  A cliff between 0.3 and 0.4 makes
+    the single jump from 0.9 dear, so 0.9 jumps to 0.6, where a second -0.3
+    jump is no dearer than stopping.  The node at 0.1 binds too, but its
+    first jump leaves the box, so it is skipped."""
+    spec = toy_spec(box=((0.0, 1.0),), impulses=(([-0.3], 0.5), ([-0.6 + 5e-10], 0.8)))
+    grid = make_grid(spec, 11)
+    values = np.full(11, 10.0)
+    values[[1, 3, 4, 6, 9]] = [10.5, 0.0, 1e9, 0.5, 1.0]
+    check = post_impulse_strictness(values.reshape(1, 1, -1), spec, grid)
+    assert check.status == "fail"
+    assert check.measured["margin"] == pytest.approx(0.2)
+    assert check.measured["min_post_gap"] == 0.0
+    assert check.measured["skipped_points"] >= 1
+    assert "x=[0.9" in check.detail
 
 
 # ---------------------------------------------------------------------------
