@@ -184,6 +184,7 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
 # gathers 36 to 64 values, a 2-D sweep read about 59k); the crossover itself
 # was not measured.
 _FEW_READS = 1024
+_PAIR_BLOCK_READS = 1 << 14  # cap on one continue read, in control-node values
 
 
 def interpolate_many(values: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -270,6 +271,10 @@ class BellmanTables:
     The stencil tables are stored corner-major: the corner axis is last in
     the shapes below but outermost in memory, so every ``foot_idx[..., c]``
     slice is one contiguous block that ``interpolate_many`` gathers from.
+
+    ``foot_idx`` indexes the flattened field ``values.reshape(-1)``, pair
+    offset ``(i1*m2 + i2)*p`` included: one read covers several mode pairs
+    (``pair_blocks``) without an offset copy.  ``imp_idx`` indexes a slab.
     """
 
     spec: ProblemSpec
@@ -292,6 +297,16 @@ class BellmanTables:
     def upper_bound(self) -> float:
         """Value of never switching/impulsing under the worst constant cost."""
         return self.k_sup / self.spec.discount
+
+    @cached_property
+    def pair_blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(pairs, foot_idx, foot_wts, k)`` views of each block of the continue branch."""
+        pairs = self.spec.m1 * self.spec.m2
+        size = max(1, _PAIR_BLOCK_READS // self.k[0, 0].size)
+        idx, wts, k = (a.reshape((pairs,) + a.shape[2:])
+                       for a in (self.foot_idx, self.foot_wts, self.k))
+        return [(slice(lo, lo + size), idx[lo:lo + size], wts[lo:lo + size], k[lo:lo + size])
+                for lo in range(0, pairs, size)]
 
 
 def default_time_step(spec: ProblemSpec, grid: GridSpec, f_sup: float) -> float:
@@ -335,6 +350,7 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
             for b in range(nu2):
                 feet = grid.clamp(linear_part + dt * f[i1, i2, a, b])
                 foot_idx[i1, i2, a, b], foot_wts[i1, i2, a, b] = interp_weights(grid, feet)
+    foot_idx += (np.arange(m1 * m2) * npts).reshape(m1, m2, 1, 1, 1, 1)  # see BellmanTables
 
     n_imp = len(spec.impulses)
     imp_idx = np.moveaxis(np.empty((corners, n_imp, npts), dtype=np.int64), 0, -1)

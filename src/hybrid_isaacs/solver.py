@@ -111,10 +111,12 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         updated = bellman_update(values, spec, grid, variant=config.variant, tables=tables)
-        change = float(np.abs(updated - values).max())
+        diff = updated - values
+        low = float(diff.min())
+        change = abs(max(float(diff.max()), -low))  # |diff|.max(), +0.0 when all zero
         history.append(change)
         if track_monotone and monotone:
-            monotone = bool(np.all(updated >= values))
+            monotone = low >= 0.0  # updated >= values, on finite fields
         values = updated
         if change <= stop:
             converged = True

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import BellmanTables, GridSpec, build_tables, interpolate, interpolate_many
-from .operators import (Variant, bellman_update, impulse_field, isaacs_gap,
+from .discretize import BellmanTables, GridSpec, build_tables, interpolate
+from .operators import (Variant, bellman_update, impulse_candidates, impulse_field, isaacs_gap,
                         switch_lower_field, switch_upper_field)
 from .problem import ProblemSpec, _subadditivity_gaps
 from .solver import SolverConfig, SolveResult, solve
@@ -146,7 +146,8 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     if tables is None:
         tables = build_tables(spec, grid)
 
-    imp = impulse_field(values, tables)
+    cand = impulse_candidates(values, tables)  # picks the minimizing jump at binding points
+    imp = cand.min(axis=2)
     binding = np.abs(values - imp) <= binding_tol
     count = int(binding.sum())
     if count == 0:
@@ -154,13 +155,6 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
                            "impulse obstacle never binds", {"binding_points": 0.0,
                                                             "margin": margin}, tol)
 
-    # per-candidate values to pick the minimizing impulse at binding points
-    cand = np.stack([
-        np.stack([interpolate_many(values[i1, i2], tables.imp_idx[j], tables.imp_wts[j])
-                  + tables.imp_costs[j]
-                  for j in range(len(spec.impulses))])
-        for (i1, i2) in spec.mode_pairs()
-    ])  # (m1*m2, n_imp, npts)
     # after jump j, the second jumps k with xi_j + xi_k in the menu
     covered = [set() for _ in spec.impulses]
     for i, j, _ in applicable:
@@ -174,10 +168,9 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     worst = np.inf
     worst_at = ""
     used = 0
-    pair_list = list(spec.mode_pairs())
-    for pair_idx, (i1, i2) in enumerate(pair_list):
+    for (i1, i2) in spec.mode_pairs():
         for p in np.flatnonzero(binding[i1, i2]):
-            j = int(cand[pair_idx, :, p].argmin())
+            j = int(cand[i1, i2, :, p].argmin())
             landed = grid.points[p] + spec.impulses[j].vector
             ks = [k for k in sorted(covered[j]) if inside(landed + spec.impulses[k].vector)]
             if not (ks and inside(landed)):
@@ -271,11 +264,13 @@ def two_sided_uniqueness(spec: ProblemSpec, grid: GridSpec,
 
 
 def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
-                    trials: int = 100, seed: int = 0) -> CheckResult:
-    """Random-field probes of the one-step operator: order preservation,
-    nonexpansiveness, and (without obstacles) the discount contraction and
-    constant-shift identity."""
-    tables = build_tables(spec, grid, dt)
+                    trials: int = 100, seed: int = 0, variant: Variant = Variant.PLUS,
+                    tables: BellmanTables | None = None) -> CheckResult:
+    """Random-field probes of the one-step operator of ``variant``: order
+    preservation, nonexpansiveness, and (without obstacles) the discount
+    contraction and constant-shift identity."""
+    if tables is None:
+        tables = build_tables(spec, grid, dt)
     rng = np.random.default_rng(seed)
     shape = (spec.m1, spec.m2, grid.n_points)
     scale = max(1.0, tables.upper_bound)
@@ -289,8 +284,8 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
     for _ in range(trials):
         v = rng.uniform(0.0, scale, size=shape)
         w = v + rng.uniform(0.0, scale, size=shape)
-        tv = bellman_update(v, spec, grid, tables=tables)
-        tw = bellman_update(w, spec, grid, tables=tables)
+        tv = bellman_update(v, spec, grid, tables=tables, variant=variant)
+        tw = bellman_update(w, spec, grid, tables=tables, variant=variant)
         monotone_violations += int((tv > tw).any())
         norm_in = float(np.abs(v - w).max())
         norm_out = float(np.abs(tv - tw).max())
@@ -300,7 +295,7 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
             if norm_out > tables.gamma * norm_in * (1.0 + _ULP_GUARD):
                 contraction_violations += 1
             c = float(rng.uniform(0.1, 2.0))
-            shifted = bellman_update(v + c, spec, grid, tables=tables)
+            shifted = bellman_update(v + c, spec, grid, tables=tables, variant=variant)
             shift_error = max(shift_error, float(
                 np.abs(shifted - (tv + tables.gamma * c)).max()))
 
@@ -394,5 +389,6 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     if wanted("uniqueness"):
         checks.append(two_sided_uniqueness(spec, grid, config, low=base))
     if wanted("probes"):
-        checks.append(operator_probes(spec, grid, dt=config.dt, trials=trials, seed=seed))
+        checks.append(operator_probes(spec, grid, trials=trials, seed=seed,
+                                      variant=config.variant, tables=tables))
     return VerificationReport(checks, seed)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hybrid_isaacs.discretize import build_tables, make_grid
-from hybrid_isaacs.operators import (Variant, bellman_update, hamiltonian, impulse_field,
-                                     impulse_obstacle, isaacs_gap, sqvi_residual,
-                                     switch_lower_field, switch_obstacle_lower,
-                                     switch_obstacle_upper, switch_upper_field)
+from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, hamiltonian,
+                                     impulse_field, impulse_obstacle, isaacs_gap, sqvi_residual,
+                                     switch_lower_field, switch_upper_field)
 
 from conftest import toy_spec
 
@@ -98,7 +97,6 @@ def test_switch_lower_single_competitor():
     spec = toy_spec(d2=("a", "b"), c2=[[0.0, 1.0], [1.0, 0.0]])
     values = np.zeros((1, 2, 3))
     values[0, 1, :] = 0.5
-    assert switch_obstacle_lower(values, spec, 0, 0, 0) == 1.5
     field = switch_lower_field(values, spec)
     assert field[0, 0, 0] == 1.5
     assert field[0, 1, 0] == 1.0   # switch back costs 1 on top of V[a] = 0
@@ -107,8 +105,7 @@ def test_switch_lower_single_competitor():
 def test_switch_lower_inactive_for_single_mode():
     spec = toy_spec()
     values = np.zeros((1, 1, 3))
-    assert switch_obstacle_lower(values, spec, 0, 0, 0) == math.inf
-    assert np.isinf(switch_lower_field(values, spec)).all()
+    assert (switch_lower_field(values, spec) == math.inf).all()
 
 
 def test_switch_lower_three_modes_takes_best():
@@ -117,26 +114,94 @@ def test_switch_lower_three_modes_takes_best():
     values = np.zeros((1, 3, 1))
     values[0, 1, 0] = 0.5   # candidate 0.5 + 1.0
     values[0, 2, 0] = 2.0   # candidate 2.0 + 0.1
-    assert switch_obstacle_lower(values, spec, 0, 0, 0) == 1.5
+    assert switch_lower_field(values, spec)[0, 0, 0] == 1.5
 
 
 def test_switch_upper_examples():
     spec = toy_spec(d1=("a", "b"), c1=[[0.0, 0.3], [0.3, 0.0]])
     values = np.zeros((2, 1, 2))
     values[1, 0, :] = 1.0
-    assert switch_obstacle_upper(values, spec, 0, 0, 0) == pytest.approx(0.7)
+    assert switch_upper_field(values, spec)[0, 0, 0] == pytest.approx(0.7)
 
     single = toy_spec()
-    assert switch_obstacle_upper(np.zeros((1, 1, 2)), single, 0, 0, 0) == -math.inf
+    assert (switch_upper_field(np.zeros((1, 1, 2)), single) == -math.inf).all()
 
     three = toy_spec(d1=("a", "b", "c"),
                      c1=[[0.0, 0.3, 0.1], [0.3, 0.0, 0.1], [0.1, 0.1, 0.0]])
     values = np.zeros((3, 1, 1))
     values[1, 0, 0] = 1.0   # candidate 1.0 - 0.3
     values[2, 0, 0] = 0.2   # candidate 0.2 - 0.1
-    assert switch_obstacle_upper(values, three, 0, 0, 0) == pytest.approx(0.7)
     field = switch_upper_field(values, three)
     assert field[0, 0, 0] == pytest.approx(0.7)
+
+
+def sequential_switch_fields(values, spec):
+    """The per-mode loops the fused switch fields replace: minimum and
+    maximum folded over the other modes in ascending order from +/-inf."""
+    m1, m2, _ = values.shape
+    lower = np.full_like(values, np.inf)
+    upper = np.full_like(values, -np.inf)
+    for i2 in range(m2):
+        for j2 in range(m2):
+            if j2 != i2:
+                lower[:, i2] = np.minimum(lower[:, i2], values[:, j2] + spec.switch_cost_2[i2, j2])
+    for i1 in range(m1):
+        for j1 in range(m1):
+            if j1 != i1:
+                upper[i1] = np.maximum(upper[i1], values[j1] - spec.switch_cost_1[i1, j1])
+    return lower, upper
+
+
+# off-diagonal zeros of both signs let candidates tie at +0.0 and -0.0:
+# x + 0.0 and x - (-0.0) turn -0.0 into +0.0, x - 0.0 and x + (-0.0) keep it
+THREE_MODE_COSTS = [[0.0, 0.0, -0.0], [-0.0, 0.0, 0.0], [-0.0, 0.3, 0.0]]
+
+
+@pytest.mark.parametrize("modes", [(3, 1), (1, 3), (3, 2)])
+def test_switch_fields_match_the_sequential_loops_bit_for_bit(modes):
+    m1, m2 = modes
+    labels = ("a", "b", "c")
+    costs = np.array(THREE_MODE_COSTS)
+    spec = toy_spec(d1=labels[:m1], d2=labels[:m2], c1=costs[:m1, :m1], c2=costs[:m2, :m2])
+    rng = np.random.default_rng(4)
+    shape = (m1, m2, 40)
+    mixed = rng.uniform(-1.0, 3.0, size=shape) * np.exp(rng.uniform(-20.0, 20.0, size=shape))
+    signs = rng.random(shape)
+    mixed[signs < 0.3] = -0.0
+    mixed[signs > 0.7] = 0.0
+    for values in (mixed, np.full(shape, -0.0)):
+        lower, upper = sequential_switch_fields(values, spec)
+        for actual, expected in ((switch_lower_field(values, spec), lower),
+                                 (switch_upper_field(values, spec), upper)):
+            assert actual.shape == expected.shape and actual.dtype == expected.dtype
+            assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("impulses", [(), (([0.5], -0.0),)])
+@pytest.mark.parametrize("modes", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_bellman_update_skips_only_branches_that_cannot_bind(modes, impulses):
+    """Against the full composition of all four branches, bit for bit, on
+    fields where the branches tie at zeros of both signs (with a zero
+    running cost the continue branch of an all -0.0 field is +0.0)."""
+    m1, m2 = modes
+    costs = np.array([[0.0, -0.0], [0.0, 0.0]])
+    spec = toy_spec(f="0.3*u1", k="0", u1=(-1.0, 1.0), d1=("a", "b")[:m1],
+                    d2=("c", "d")[:m2], c1=costs[:m1, :m1], c2=costs[:m2, :m2],
+                    impulses=impulses)
+    grid = make_grid(spec, 9)
+    tables = build_tables(spec, grid, dt=0.1)
+    rng = np.random.default_rng(2)
+    mixed = rng.uniform(-1.0, 1.0, size=(m1, m2, grid.n_points))
+    mixed[rng.random(mixed.shape) < 0.5] = -0.0
+    for values in (mixed, np.full_like(mixed, -0.0)):
+        for variant in Variant:
+            expected = np.maximum(
+                switch_upper_field(values, spec),
+                np.minimum(np.minimum(switch_lower_field(values, spec),
+                                      impulse_field(values, tables)),
+                           continue_field(values, tables, variant)))
+            actual = bellman_update(values, spec, grid, variant=variant, tables=tables)
+            assert actual.tobytes() == expected.tobytes()
 
 
 def test_impulse_obstacle_empty_menu_inactive():

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hybrid_isaacs import hybridsim
+from hybrid_isaacs import discretize, hybridsim
 from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate,
                                       interpolate_many, make_grid)
 from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, impulse_field,
@@ -99,10 +99,11 @@ READS = pytest.mark.parametrize("read", [contiguous_sum, ordered_sum])
 
 
 def reference_continue(values, tables, variant, read):
+    """Pair by pair; feet index the flattened field."""
     out = np.empty_like(values)
     for (i1, i2) in tables.spec.mode_pairs():
         q = (tables.weight * tables.k[i1, i2] + tables.gamma * read(
-            values[i1, i2], tables.foot_idx[i1, i2], tables.foot_wts[i1, i2]))
+            values.reshape(-1), tables.foot_idx[i1, i2], tables.foot_wts[i1, i2]))
         if variant is Variant.PLUS:
             out[i1, i2] = q.min(axis=1).max(axis=0)
         else:
@@ -135,6 +136,35 @@ def test_tables_keep_their_shapes_and_store_corners_contiguously(game):
     assert idx.shape == wts.shape == (5, corners)
     assert all(idx[:, c].flags.c_contiguous and wts[:, c].flags.c_contiguous
                for c in range(corners))
+
+
+def test_feet_index_the_flattened_field(game):
+    """Pair (i1, i2)'s feet land in its own slab of ``values.reshape(-1)``,
+    and the pair blocks are views of the one table, not offset copies."""
+    spec, grid, tables = game
+    for (i1, i2) in spec.mode_pairs():
+        assert (tables.foot_idx[i1, i2] // grid.n_points == i1 * spec.m2 + i2).all()
+    for _, idx, wts, k in tables.pair_blocks:
+        assert idx.base is tables.foot_idx.base and wts.base is tables.foot_wts.base
+        assert np.shares_memory(k, tables.k)
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+def test_continue_blocks_match_pair_by_pair_reads(game, variant, per_block, monkeypatch):
+    """A budget of ``per_block`` pairs (plus a spare value) splits the four
+    mode pairs into full blocks and a partial last one."""
+    spec, grid, _ = game
+    per_pair = len(spec.u1_levels) * len(spec.u2_levels) * grid.n_points
+    monkeypatch.setattr(discretize, "_PAIR_BLOCK_READS", per_block * per_pair + 1)
+    tables = build_tables(spec, grid)
+    full, rest = divmod(spec.m1 * spec.m2, per_block)
+    sizes = [idx.shape[0] for _, idx, _, _ in tables.pair_blocks]
+    assert sizes == [per_block] * full + [rest] * (rest > 0)
+    assert len(sizes) > 1
+    for values in fields(spec, grid):
+        assert_same_bits(continue_field(values, tables, variant),
+                         reference_continue(values, tables, variant, contiguous_sum))
 
 
 @READS

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from hybrid_isaacs import verify
 from hybrid_isaacs.discretize import make_grid
-from hybrid_isaacs.operators import Variant
+from hybrid_isaacs.operators import Variant, bellman_update
 from hybrid_isaacs.problem import load_config
 from hybrid_isaacs.solver import SolverConfig, solve
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
@@ -282,3 +283,28 @@ def test_run_all_solves_again_from_an_upper_init(constant_cost, monkeypatch):
                      suites={"isaacs"})
     assert report.checks[0].status == "pass"
     assert calls == ["zero", "upper", "upper"]
+
+
+def test_run_all_probes_the_configured_variant(balanced_loop, monkeypatch):
+    """A MINUS verification probes the MINUS operator, on the base solve's
+    tables."""
+    spec, _, solver_cfg = balanced_loop
+    grid = make_grid(spec, 21)
+    variants = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(bellman_update).bind(*args, **kwargs)
+        bound.apply_defaults()
+        variants.append(bound.arguments["variant"])
+        return bellman_update(*args, **kwargs)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("operator_probes rebuilt the tables")
+
+    monkeypatch.setattr(verify, "bellman_update", recording)
+    monkeypatch.setattr(verify, "build_tables", no_rebuild)
+    config = SolverConfig(tolerance=solver_cfg["tolerance"], variant=Variant.MINUS)
+    report = run_all(spec, grid, config, trials=5, suites={"probes"})
+    assert [c.name for c in report.checks] == ["operator-probes"]
+    assert report.checks[0].status == "pass"
+    assert variants == [Variant.MINUS] * 10
