@@ -27,14 +27,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError
-from .discretize import GridSpec, interpolate, make_grid
+from .discretize import GridSpec, build_tables, interpolate, make_grid
 from .hybridsim import ChatterError, evaluate_cost, simulate
 from .operators import Variant, isaacs_gap
 from .problem import (ProblemSpec, SpecStructureError, check_y1_y2, lipschitz_probe,
-                      load_config, validate_a2)
+                      load_config, sample_controls, validate_a2)
 from .solver import SolverConfig, solve
-from .verify import (VerificationReport, dpp_consistency, obstacle_chain_check,
-                     post_impulse_strictness, run_all)
+from .verify import SUITES, VerificationReport, check_field, run_all
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -42,9 +41,6 @@ EXIT_ASSUMPTION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
-
-SUITES = ("chain", "impulse", "dpp", "isaacs", "uniqueness", "probes")
-
 
 def fmt(x: float) -> str:
     return f"{x:.16e}"
@@ -212,10 +208,6 @@ def _out_dir(args, config_path: Path) -> Path:
     return out
 
 
-def _load(config_path: Path):
-    return load_config(config_path)
-
-
 def _mode_index(labels: tuple[str, ...], raw: str, player: int) -> int:
     if raw in labels:
         return labels.index(raw)
@@ -235,7 +227,7 @@ def _mode_index(labels: tuple[str, ...], raw: str, player: int) -> int:
 def cmd_validate(args) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
-    spec, _, _ = _load(config_path)
+    spec, _, _ = load_config(config_path)
     report = validate_a2(spec, samples=args.samples, seed=args.seed)
     out_dir = _out_dir(args, config_path)
     stem = config_path.stem
@@ -267,7 +259,7 @@ def _gate(spec: ProblemSpec, samples: int, seed: int) -> int | None:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
-    spec, grid_cfg, solver_cfg = _load(config_path)
+    spec, grid_cfg, solver_cfg = load_config(config_path)
     gate = _gate(spec, args.samples, args.seed)
     if gate is not None:
         return gate
@@ -310,7 +302,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
-    spec, grid_cfg, solver_cfg = _load(config_path)
+    spec, grid_cfg, solver_cfg = load_config(config_path)
     grid, values = read_value_csv(Path(args.values), spec)
 
     d1 = _mode_index(spec.d1_labels, args.d1, 1)
@@ -361,7 +353,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
-    spec, grid_cfg, solver_cfg = _load(config_path)
+    spec, grid_cfg, solver_cfg = load_config(config_path)
     gate = _gate(spec, args.samples, args.seed)
     if gate is not None:
         return gate
@@ -371,14 +363,9 @@ def cmd_verify(args) -> int:
 
     if args.values:
         grid, values = read_value_csv(Path(args.values), spec)
-        checks = []
-        if suites is None or "chain" in suites:
-            checks.append(obstacle_chain_check(values, spec, grid))
-        if suites is None or "impulse" in suites:
-            checks.append(post_impulse_strictness(values, spec, grid))
-        if suites is None or "dpp" in suites:
-            checks.append(dpp_consistency(values, spec, grid, variant=config.variant))
-        report = VerificationReport(checks, args.seed)
+        tables = build_tables(spec, grid, config.dt)
+        report = VerificationReport(check_field(values, spec, grid, config, tables, suites),
+                                    args.seed)
     else:
         grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, spec))
         report = run_all(spec, grid, config, seed=args.seed, trials=args.trials,
@@ -403,11 +390,12 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     config_path = Path(args.config)
-    spec, grid_cfg, _ = _load(config_path)
+    spec, grid_cfg, _ = load_config(config_path)
     grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, spec))
 
     y = check_y1_y2(spec)
-    gap = isaacs_gap(spec, grid, costate_samples=args.costates, seed=args.seed)
+    gap = isaacs_gap(*sample_controls(spec, grid.points), costate_samples=args.costates,
+                     seed=args.seed)
     lip = lipschitz_probe(spec, samples=args.samples, seed=args.seed)
     report = validate_a2(spec, samples=args.samples, seed=args.seed)
 

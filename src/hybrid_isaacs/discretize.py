@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem import ProblemSpec, eval_dynamics, eval_running_cost
+from .problem import ProblemSpec, sample_controls
 
 __all__ = [
     "GridSpec",
@@ -79,9 +79,6 @@ class GridSpec:
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         pts.setflags(write=False)
         return pts
-
-    def axis_coords(self, d: int) -> np.ndarray:
-        return self.box[d, 0] + self.spacing[d] * np.arange(self.counts[d])
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -316,18 +313,8 @@ def default_time_step(spec: ProblemSpec, grid: GridSpec, f_sup: float) -> float:
 
 def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> BellmanTables:
     pts = grid.points
-    m1, m2 = spec.m1, spec.m2
-    nu1, nu2 = len(spec.u1_levels), len(spec.u2_levels)
-    npts = grid.n_points
-    n = spec.dimension
-
-    k = np.empty((m1, m2, nu1, nu2, npts))
-    f = np.empty((m1, m2, nu1, nu2, npts, n))
-    for (i1, i2) in spec.mode_pairs():
-        for a, u1 in enumerate(spec.u1_levels):
-            for b, u2 in enumerate(spec.u2_levels):
-                f[i1, i2, a, b] = eval_dynamics(spec, i1, i2, pts, float(u1), float(u2))
-                k[i1, i2, a, b] = eval_running_cost(spec, i1, i2, pts, float(u1), float(u2))
+    f, k = sample_controls(spec, pts)
+    m1, m2, _, _, npts, n = f.shape
 
     f_sup = float(np.linalg.norm(f, axis=-1).max())
     k_sup = float(k.max())
@@ -342,14 +329,11 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
 
     # corner-major buffers behind (..., p, c) views: see BellmanTables
     corners = 1 << n
-    foot_idx = np.moveaxis(np.empty((corners, m1, m2, nu1, nu2, npts), dtype=np.int64), 0, -1)
-    foot_wts = np.moveaxis(np.empty((corners, m1, m2, nu1, nu2, npts)), 0, -1)
+    foot_idx = np.moveaxis(np.empty((corners,) + k.shape, dtype=np.int64), 0, -1)
+    foot_wts = np.moveaxis(np.empty((corners,) + k.shape), 0, -1)
     linear_part = pts @ step_matrix.T
-    for (i1, i2) in spec.mode_pairs():
-        for a in range(nu1):
-            for b in range(nu2):
-                feet = grid.clamp(linear_part + dt * f[i1, i2, a, b])
-                foot_idx[i1, i2, a, b], foot_wts[i1, i2, a, b] = interp_weights(grid, feet)
+    for i in np.ndindex(k.shape[:-1]):
+        foot_idx[i], foot_wts[i] = interp_weights(grid, grid.clamp(linear_part + dt * f[i]))
     foot_idx += (np.arange(m1 * m2) * npts).reshape(m1, m2, 1, 1, 1, 1)  # see BellmanTables
 
     n_imp = len(spec.impulses)

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import BellmanTables, GridSpec, build_tables, interpolate, interpolate_many
-from .problem import ProblemSpec, eval_dynamics, eval_running_cost
+from .discretize import BellmanTables, GridSpec, build_tables, interpolate_many
+from .problem import ProblemSpec
 
 __all__ = [
     "Variant",
     "hamiltonian",
     "isaacs_gap",
-    "impulse_obstacle",
     "impulse_candidates",
     "switch_lower_field",
     "switch_upper_field",
@@ -55,39 +54,27 @@ class Variant(enum.Enum):
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
-def _control_table(spec: ProblemSpec, d1: int, d2: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """<-p, f(x,u1,d1,u2,d2)> - k(...) enumerated over the control grids."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    nu1, nu2 = len(spec.u1_levels), len(spec.u2_levels)
-    table = np.empty((nu1, nu2))
-    for a, u1 in enumerate(spec.u1_levels):
-        for b, u2 in enumerate(spec.u2_levels):
-            fval = eval_dynamics(spec, d1, d2, x, float(u1), float(u2))
-            kval = eval_running_cost(spec, d1, d2, x, float(u1), float(u2))
-            table[a, b] = -float(np.dot(p, fval)) - float(kval)
-    return table
-
-
-def hamiltonian(spec: ProblemSpec, variant: Variant, d1: int, d2: int, x, p) -> float:
-    """Saddle of the enumerated control table in the requested order."""
-    table = _control_table(spec, d1, d2, x, p)
+def hamiltonian(table: np.ndarray, variant: Variant) -> np.ndarray:
+    """Saddle of a ``<-p, f> - k`` table over its leading (nu1, nu2) axes, in
+    the order of ``variant``."""
     if variant is Variant.PLUS:
-        return float(table.max(axis=1).min())  # min over u1 of max over u2
-    return float(table.min(axis=0).max())      # max over u2 of min over u1
+        return table.max(axis=1).min(axis=0)  # min over u1 of max over u2
+    return table.min(axis=0).max(axis=0)      # max over u2 of min over u1
 
 
-def isaacs_gap(spec: ProblemSpec, grid: GridSpec, costate_samples: int = 16,
+def isaacs_gap(f: np.ndarray, k: np.ndarray, costate_samples: int = 16,
                seed: int = 0) -> float:
-    """Largest |H_plus - H_minus| over grid points, mode pairs, and costates.
+    """Largest |H_plus - H_minus| over the sampled states, mode pairs, and costates.
 
-    The costate set always contains the zero vector and +/- unit vectors;
-    ``costate_samples`` additional standard-normal draws are seeded for
-    reproducibility.  A measured gap of zero certifies that both orderings of
-    the control saddle agree on the sampled set.
+    ``f``/``k`` are control samples as ``sample_controls`` or
+    ``BellmanTables`` hold them.  The costate set always contains the zero
+    vector and +/- unit vectors; ``costate_samples`` additional
+    standard-normal draws are seeded for reproducibility.  A measured gap of
+    zero certifies that both orderings of the control saddle agree on the
+    sampled set.
     """
     rng = np.random.default_rng(seed)
-    n = spec.dimension
+    n = f.shape[-1]
     canonical = [np.zeros(n)]
     for d in range(n):
         e = np.zeros(n)
@@ -95,20 +82,11 @@ def isaacs_gap(spec: ProblemSpec, grid: GridSpec, costate_samples: int = 16,
         canonical.extend([e.copy(), -e])
     costates = np.array(canonical + list(rng.standard_normal((costate_samples, n))))
 
-    pts = grid.points
     gap = 0.0
-    for (i1, i2) in spec.mode_pairs():
-        nu1, nu2 = len(spec.u1_levels), len(spec.u2_levels)
-        f = np.empty((nu1, nu2, grid.n_points, n))
-        k = np.empty((nu1, nu2, grid.n_points))
-        for a, u1 in enumerate(spec.u1_levels):
-            for b, u2 in enumerate(spec.u2_levels):
-                f[a, b] = eval_dynamics(spec, i1, i2, pts, float(u1), float(u2))
-                k[a, b] = eval_running_cost(spec, i1, i2, pts, float(u1), float(u2))
+    for pair in np.ndindex(k.shape[:2]):
         for p in costates:
-            table = -(f @ p) - k  # (nu1, nu2, npts)
-            plus = table.max(axis=1).min(axis=0)
-            minus = table.min(axis=0).max(axis=0)
+            table = -(f[pair] @ p) - k[pair]  # (nu1, nu2, npts)
+            plus, minus = hamiltonian(table, Variant.PLUS), hamiltonian(table, Variant.MINUS)
             gap = max(gap, float(np.abs(plus - minus).max()))
     return gap
 
@@ -158,18 +136,6 @@ def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
     if tables.imp_costs.size == 0:
         return np.full_like(values, np.inf)
     return impulse_candidates(values, tables).min(axis=2)
-
-
-def impulse_obstacle(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, x,
-                     d1: int, d2: int) -> float:
-    """Impulse obstacle at an arbitrary (possibly off-node) state."""
-    if not spec.impulses:
-        return np.inf
-    x = np.asarray(x, dtype=float)
-    best = np.inf
-    for imp in spec.impulses:
-        best = min(best, interpolate(values[d1, d2], grid, grid.clamp(x + imp.vector)) + imp.cost)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +208,6 @@ class ResidualField:
     gap_impulse: np.ndarray  # impulse - V       (>= 0 wanted)
     interior: np.ndarray     # (npts,) bool
 
-    def max_interior(self, field: np.ndarray) -> float:
-        return float(np.abs(field[..., self.interior]).max())
-
 
 def _gradient(values_slab: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Central differences inside, one-sided on faces; shape (npts, n)."""
@@ -269,11 +232,8 @@ def sqvi_residual(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     for (i1, i2) in spec.mode_pairs():
         dv = _gradient(values[i1, i2], grid)
         table = -np.einsum("abpn,pn->abp", tables.f[i1, i2], dv) - tables.k[i1, i2]
-        if variant is Variant.PLUS:
-            ham = table.max(axis=1).min(axis=0)
-        else:
-            ham = table.min(axis=0).max(axis=0)
-        pde[i1, i2] = lam * values[i1, i2] + np.einsum("pn,pn->p", ax, dv) + ham
+        pde[i1, i2] = (lam * values[i1, i2] + np.einsum("pn,pn->p", ax, dv)
+                       + hamiltonian(table, variant))
 
     lower = switch_lower_field(values, spec)
     upper = switch_upper_field(values, spec)

@@ -32,6 +32,7 @@ __all__ = [
     "load_spec",
     "load_config",
     "save_spec",
+    "sample_controls",
     "validate_a2",
     "lipschitz_probe",
     "check_y1_y2",
@@ -90,18 +91,6 @@ class ProblemSpec:
         for i1 in range(self.m1):
             for i2 in range(self.m2):
                 yield (i1, i2)
-
-    def d1_index(self, label: str) -> int:
-        try:
-            return self.d1_labels.index(label)
-        except ValueError:
-            raise SpecStructureError(f"unknown player-1 mode {label!r}") from None
-
-    def d2_index(self, label: str) -> int:
-        try:
-            return self.d2_labels.index(label)
-        except ValueError:
-            raise SpecStructureError(f"unknown player-2 mode {label!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +389,22 @@ def eval_running_cost(spec: ProblemSpec, i1: int, i2: int, x: np.ndarray,
     return out
 
 
+def sample_controls(spec: ProblemSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and k at states ``pts`` (p, n) for every mode pair and control pair.
+
+    Shapes (m1, m2, nu1, nu2, p, n) and (m1, m2, nu1, nu2, p).
+    """
+    shape = (spec.m1, spec.m2, len(spec.u1_levels), len(spec.u2_levels), len(pts))
+    f = np.empty(shape + (spec.dimension,))
+    k = np.empty(shape)
+    for (i1, i2) in spec.mode_pairs():
+        for a, u1 in enumerate(spec.u1_levels):
+            for b, u2 in enumerate(spec.u2_levels):
+                f[i1, i2, a, b] = eval_dynamics(spec, i1, i2, pts, float(u1), float(u2))
+                k[i1, i2, a, b] = eval_running_cost(spec, i1, i2, pts, float(u1), float(u2))
+    return f, k
+
+
 def validate_a2(spec: ProblemSpec, samples: int = 256, seed: int = 0) -> ValidationReport:
     """Sampled cost-assumption checks; failures are reported, never raised."""
     rng = np.random.default_rng(seed)
@@ -409,20 +414,14 @@ def validate_a2(spec: ProblemSpec, samples: int = 256, seed: int = 0) -> Validat
 
     # (a) running cost nonnegative on sampled (state, control) draws
     pts = _sample_states(spec, rng, samples)
-    k_min = np.inf
-    k_max = -np.inf
-    k_min_where = ""
-    for (i1, i2) in spec.mode_pairs():
-        for u1 in spec.u1_levels:
-            for u2 in spec.u2_levels:
-                vals = np.asarray(eval_running_cost(spec, i1, i2, pts, float(u1), float(u2)))
-                lo = float(vals.min())
-                k_max = max(k_max, float(vals.max()))
-                if lo < k_min:
-                    k_min = lo
-                    at = pts[int(vals.argmin())]
-                    k_min_where = (f"mode ({spec.d1_labels[i1]},{spec.d2_labels[i2]}), "
-                                   f"u1={float(u1)!r}, u2={float(u2)!r}, x={at.tolist()}")
+    _, k = sample_controls(spec, pts)
+    # per (pair, u1, u2) extremes; the first block holding the minimum names it
+    lows, highs = k.min(axis=-1), k.max(axis=-1)
+    i1, i2, a, b = np.unravel_index(int(lows.argmin()), lows.shape)
+    k_min, k_max = float(lows[i1, i2, a, b]), float(highs.flat[int(highs.argmax())])
+    k_min_where = (f"mode ({spec.d1_labels[i1]},{spec.d2_labels[i2]}), "
+                   f"u1={float(spec.u1_levels[a])!r}, u2={float(spec.u2_levels[b])!r}, "
+                   f"x={pts[int(k[i1, i2, a, b].argmin())].tolist()}")
     checks.append(Check(
         "running-cost-nonnegative",
         PASS if k_min >= 0 else FAIL,
@@ -522,22 +521,12 @@ def _lipschitz_estimates(spec: ProblemSpec, samples: int,
     ys = _sample_states(spec, rng, samples)
     dist = np.linalg.norm(xs - ys, axis=-1)
     keep = dist > 1e-12
-    lip_f = 0.0
-    lip_k = 0.0
-    f_sup = 0.0
-    for (i1, i2) in spec.mode_pairs():
-        for u1 in spec.u1_levels:
-            for u2 in spec.u2_levels:
-                fx = eval_dynamics(spec, i1, i2, xs, float(u1), float(u2))
-                fy = eval_dynamics(spec, i1, i2, ys, float(u1), float(u2))
-                f_sup = max(f_sup, float(np.linalg.norm(fx, axis=-1).max()))
-                kx = np.asarray(eval_running_cost(spec, i1, i2, xs, float(u1), float(u2)))
-                ky = np.asarray(eval_running_cost(spec, i1, i2, ys, float(u1), float(u2)))
-                if keep.any():
-                    df = np.linalg.norm(fx - fy, axis=-1)[keep] / dist[keep]
-                    dk = np.abs(kx - ky)[keep] / dist[keep]
-                    lip_f = max(lip_f, float(df.max()))
-                    lip_k = max(lip_k, float(dk.max()))
+    (fx, kx), (fy, ky) = sample_controls(spec, xs), sample_controls(spec, ys)
+    f_sup = float(np.linalg.norm(fx, axis=-1).max())
+    if not keep.any():
+        return 0.0, 0.0, f_sup
+    lip_f = float((np.linalg.norm(fx - fy, axis=-1)[..., keep] / dist[keep]).max())
+    lip_k = float((np.abs(kx - ky)[..., keep] / dist[keep]).max())
     return lip_f, lip_k, f_sup
 
 

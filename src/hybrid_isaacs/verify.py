@@ -21,7 +21,7 @@ import numpy as np
 from .discretize import BellmanTables, GridSpec, build_tables, interpolate
 from .operators import (Variant, bellman_update, impulse_candidates, impulse_field, isaacs_gap,
                         switch_lower_field, switch_upper_field)
-from .problem import ProblemSpec, _subadditivity_gaps
+from .problem import ProblemSpec, _subadditivity_gaps, sample_controls
 from .solver import SolverConfig, SolveResult, solve
 
 __all__ = [
@@ -33,13 +33,18 @@ __all__ = [
     "two_sided_uniqueness",
     "operator_probes",
     "dpp_consistency",
+    "check_field",
     "run_all",
+    "SUITES",
 ]
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 NOT_APPLICABLE = "not-applicable"
+
+# check names ``run_all`` and ``check_field`` filter by
+SUITES = ("chain", "impulse", "dpp", "isaacs", "uniqueness", "probes")
 
 # relative guard for comparisons that are exact in real arithmetic but
 # re-round once on the obstacle branches
@@ -208,8 +213,9 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
     variants must produce the same field.
 
     ``low``, if given, is the solve of ``config`` from a zero init, as
-    ``two_sided_uniqueness`` takes it.  It stands in for the solve of its
-    own variant only when ``config`` starts from zero too.
+    ``two_sided_uniqueness`` takes it.  Its tables give the control samples
+    of the gap, and it stands in for the solve of its own variant only when
+    ``config`` starts from zero too.
 
     Caveat: the costate-level gap is linear in the drift, but the discrete
     continue value feeds the drift through a piecewise-linear interpolant.
@@ -218,7 +224,9 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
     measured gap is zero; with the drift controlled by one player (costs may
     involve both, additively) the orders provably coincide bit for bit.
     """
-    gap = isaacs_gap(spec, grid, costate_samples=costate_samples, seed=seed)
+    f, k = (low.tables.f, low.tables.k) if low is not None else sample_controls(spec, grid.points)
+    gap = isaacs_gap(f, k, costate_samples=costate_samples, seed=seed)
+    del f, k  # free fresh samples before the solves build their tables
     if gap > 0:
         return CheckResult("saddle-order-equality", SKIPPED,
                            f"saddle-order gap {gap:.3e} > 0; orders differ by design",
@@ -353,42 +361,48 @@ def _with(config: SolverConfig, **overrides) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+def _wanted(suites: set[str] | None, key: str) -> bool:
+    return suites is None or key in suites
+
+
+def check_field(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
+                tables: BellmanTables, suites: set[str] | None = None) -> list[CheckResult]:
+    """The checks that read one field, against the operator of ``config``'s
+    variant on ``tables``: obstacle chain, post-impulse strictness (binding
+    within 10x the solver tolerance) and multi-step consistency."""
+    checks = []
+    if _wanted(suites, "chain"):
+        checks.append(obstacle_chain_check(values, spec, grid, tables=tables))
+    if _wanted(suites, "impulse"):
+        checks.append(post_impulse_strictness(values, spec, grid,
+                                              binding_tol=10 * config.tolerance,
+                                              tables=tables))
+    if _wanted(suites, "dpp"):
+        checks.append(dpp_consistency(values, spec, grid, variant=config.variant,
+                                      tables=tables))
+    return checks
+
+
 def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None,
-            seed: int = 0, trials: int = 100, chain_tol: float = 1e-9,
-            impulse_tol: float = 1e-6, dpp_steps: tuple[int, ...] = (1, 10, 100),
+            seed: int = 0, trials: int = 100,
             suites: set[str] | None = None) -> VerificationReport:
     """Solve once from zero and run every applicable check.
 
-    ``suites`` filters by check name fragment ("chain", "impulse", "isaacs",
-    "uniqueness", "probes", "dpp"); None runs everything.
+    ``suites`` filters by the names in ``SUITES``; None runs everything.
     """
     config = config or SolverConfig()
-
-    def wanted(key: str) -> bool:
-        return suites is None or key in suites
-
-    checks: list[CheckResult] = []
     base = solve(spec, grid, _with(config, init="zero"))
     tables = base.tables
     if not base.converged:
-        checks.append(CheckResult("base-solve", FAIL,
-                                  f"no convergence in {base.iterations} iterations"))
-        return VerificationReport(checks, seed)
+        return VerificationReport([CheckResult(
+            "base-solve", FAIL, f"no convergence in {base.iterations} iterations")], seed)
 
-    if wanted("chain"):
-        checks.append(obstacle_chain_check(base.values, spec, grid, chain_tol, tables=tables))
-    if wanted("impulse"):
-        checks.append(post_impulse_strictness(base.values, spec, grid, impulse_tol,
-                                              binding_tol=10 * config.tolerance,
-                                              tables=tables))
-    if wanted("dpp"):
-        checks.append(dpp_consistency(base.values, spec, grid, variant=config.variant,
-                                      steps=dpp_steps, tables=tables))
-    if wanted("isaacs"):
+    checks = check_field(base.values, spec, grid, config, tables, suites)
+    if _wanted(suites, "isaacs"):
         checks.append(isaacs_value_equality(spec, grid, config, seed=seed, low=base))
-    if wanted("uniqueness"):
+    if _wanted(suites, "uniqueness"):
         checks.append(two_sided_uniqueness(spec, grid, config, low=base))
-    if wanted("probes"):
+    if _wanted(suites, "probes"):
         checks.append(operator_probes(spec, grid, trials=trials, seed=seed,
                                       variant=config.variant, tables=tables))
     return VerificationReport(checks, seed)

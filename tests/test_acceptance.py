@@ -87,7 +87,7 @@ def test_criterion_3_obstacle_chain_everywhere(solved):
 
 def test_criterion_4_order_equality_on_separated_spec(solved):
     spec, grid, config, plus = solved["drift_1d"]
-    gap = isaacs_gap(spec, grid, costate_samples=16, seed=0)
+    gap = isaacs_gap(plus.tables.f, plus.tables.k, costate_samples=16, seed=0)
     minus = solve(spec, grid, SolverConfig(dt=config.dt, tolerance=config.tolerance,
                                            variant=Variant.MINUS))
     diff = float(np.abs(plus.values - minus.values).max())

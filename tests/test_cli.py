@@ -3,9 +3,10 @@ import shutil
 import numpy as np
 import pytest
 
+from hybrid_isaacs import cli, discretize, operators, verify
 from hybrid_isaacs.cli import (EXIT_ASSUMPTION, EXIT_MISMATCH, EXIT_NO_CONVERGENCE, EXIT_OK,
                                EXIT_PARSE, EXIT_VERIFY, main, read_value_csv)
-from hybrid_isaacs.problem import load_spec
+from hybrid_isaacs.problem import load_config, load_spec
 
 from conftest import BUNDLED, INVALID
 
@@ -224,6 +225,45 @@ def test_verify_broken_field_exits_5(workdir):
     lines[60] = ",".join(row)
     value_path.write_text("".join(lines))
     assert run("verify", cfg, "--values", value_path) == EXIT_VERIFY
+
+
+def test_verify_values_uses_the_solving_operator(workdir):
+    """``--values`` checks a stored field against the operator it was solved
+    with: the configured dt (0.5 for impulse_toy, not the default step) and
+    binding within 10x the configured tolerance."""
+    tmp, copy = workdir
+    cfg = copy("impulse_toy")
+    assert run("solve", cfg) == EXIT_OK
+    assert run("verify", cfg, "--values", tmp / "impulse_toy.value.csv") == EXIT_OK
+    spec, _, solver_cfg = load_config(cfg)
+    grid, values = read_value_csv(tmp / "impulse_toy.value.csv", spec)
+    assert solver_cfg["dt"] == 0.5
+    expected = [verify.post_impulse_strictness(values, spec, grid,
+                                               binding_tol=10 * solver_cfg["tolerance"]),
+                verify.dpp_consistency(values, spec, grid, dt=solver_cfg["dt"])]
+    kv = (tmp / "impulse_toy.verification.kv").read_text()
+    for check in expected:
+        block = [line for line in kv.splitlines() if line.startswith(f"check.{check.name}")]
+        assert block == sorted([f"check.{check.name} = {check.status}",
+                                f"check.{check.name}.tolerance = {check.tolerance:.16e}"]
+                               + [f"check.{check.name}.{key} = {value:.16e}"
+                                  for key, value in check.measured.items()])
+
+
+def test_verify_values_builds_the_tables_once(workdir, monkeypatch):
+    tmp, copy = workdir
+    cfg = copy("impulse_toy")
+    assert run("solve", cfg) == EXIT_OK
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:])
+        return discretize.build_tables(*args, **kwargs)
+
+    for module in (cli, verify, operators):
+        monkeypatch.setattr(module, "build_tables", counting)
+    assert run("verify", cfg, "--values", tmp / "impulse_toy.value.csv") == EXIT_OK
+    assert calls == [(0.5,)]
 
 
 def test_verify_isaacs_suite_skips_on_coupled_spec(workdir, tmp_path, capsys):

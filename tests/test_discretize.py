@@ -6,8 +6,9 @@ import scipy.linalg
 
 from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate, make_grid,
                                       semigroup_step)
+from hybrid_isaacs.problem import eval_dynamics, eval_running_cost, sample_controls
 
-from conftest import toy_spec
+from conftest import game_2d, toy_spec
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +160,20 @@ def test_tables_feet_respect_linear_factor():
     values = grid.points[:, 0].copy()   # identity function on nodes
     foot_values = (values[tables.foot_idx[0, 0, 0, 0]] * tables.foot_wts[0, 0, 0, 0]).sum(-1)
     np.testing.assert_allclose(foot_values, math.exp(-0.1) * grid.points[:, 0], atol=1e-12)
+
+
+def test_tables_hold_the_control_samples():
+    """``build_tables`` keeps ``sample_controls``' samples byte for byte, laid
+    out as (mode pair, u1, u2, point)."""
+    spec = game_2d()
+    grid = make_grid(spec, (5, 4))
+    tables = build_tables(spec, grid)
+    f, k = sample_controls(spec, grid.points)
+    assert tables.f.tobytes() == f.tobytes() and tables.f.shape == (2, 2, 3, 3, 20, 2)
+    assert tables.k.tobytes() == k.tobytes() and tables.k.shape == (2, 2, 3, 3, 20)
+    for (i1, i2) in spec.mode_pairs():
+        for a, u1 in enumerate(spec.u1_levels):
+            for b, u2 in enumerate(spec.u2_levels):
+                args = (spec, i1, i2, grid.points, float(u1), float(u2))
+                assert f[i1, i2, a, b].tobytes() == eval_dynamics(*args).tobytes()
+                assert k[i1, i2, a, b].tobytes() == eval_running_cost(*args).tobytes()

@@ -5,8 +5,9 @@ import pytest
 
 from hybrid_isaacs.discretize import build_tables, make_grid
 from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, hamiltonian,
-                                     impulse_field, impulse_obstacle, isaacs_gap, sqvi_residual,
+                                     impulse_field, isaacs_gap, sqvi_residual,
                                      switch_lower_field, switch_upper_field)
+from hybrid_isaacs.problem import sample_controls
 
 from conftest import toy_spec
 
@@ -32,26 +33,30 @@ def saddle_oracle(spec, d1, d2, x, p, order):
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
+def saddles(spec, x, p):
+    """Both orders of the Hamiltonian at state ``x``, from ``sample_controls``."""
+    f, k = sample_controls(spec, np.atleast_2d(np.asarray(x, float)))
+    table = -(f[0, 0] @ p) - k[0, 0]  # (nu1, nu2, 1)
+    return float(hamiltonian(table, Variant.PLUS)[0]), float(hamiltonian(table, Variant.MINUS)[0])
+
+
 def test_hamiltonian_additive_controls():
     spec = toy_spec(f="u1 + u2", k="0", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
     x, p = np.array([0.0]), np.array([1.0])
-    assert hamiltonian(spec, Variant.PLUS, 0, 0, x, p) == 0.0
-    assert hamiltonian(spec, Variant.MINUS, 0, 0, x, p) == 0.0
+    assert saddles(spec, x, p) == (0.0, 0.0)
     assert saddle_oracle(spec, 0, 0, x, p, "min_max") == 0.0
 
 
 def test_hamiltonian_zero_costate_zero_cost():
     spec = toy_spec(f="u1*u2 + x0", k="0", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
     x, p = np.array([0.3]), np.array([0.0])
-    assert hamiltonian(spec, Variant.PLUS, 0, 0, x, p) == 0.0
-    assert hamiltonian(spec, Variant.MINUS, 0, 0, x, p) == 0.0
+    assert saddles(spec, x, p) == (0.0, 0.0)
 
 
 def test_hamiltonian_multiplicative_controls_order_gap():
     spec = toy_spec(f="u1*u2", k="0", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
     x, p = np.array([0.0]), np.array([1.0])
-    assert hamiltonian(spec, Variant.PLUS, 0, 0, x, p) == 1.0
-    assert hamiltonian(spec, Variant.MINUS, 0, 0, x, p) == -1.0
+    assert saddles(spec, x, p) == (1.0, -1.0)
     assert saddle_oracle(spec, 0, 0, x, p, "min_max") == 1.0
     assert saddle_oracle(spec, 0, 0, x, p, "max_min") == -1.0
 
@@ -63,10 +68,8 @@ def test_hamiltonian_matches_oracle_on_random_inputs():
     for _ in range(20):
         x = rng.uniform(-1, 1, size=1)
         p = rng.standard_normal(1)
-        assert hamiltonian(spec, Variant.PLUS, 0, 0, x, p) == \
-            saddle_oracle(spec, 0, 0, x, p, "min_max")
-        assert hamiltonian(spec, Variant.MINUS, 0, 0, x, p) == \
-            saddle_oracle(spec, 0, 0, x, p, "max_min")
+        assert saddles(spec, x, p) == (saddle_oracle(spec, 0, 0, x, p, "min_max"),
+                                       saddle_oracle(spec, 0, 0, x, p, "max_min"))
 
 
 def test_isaacs_gap_zero_for_separated_controls():
@@ -74,20 +77,24 @@ def test_isaacs_gap_zero_for_separated_controls():
     spec = toy_spec(f="0.5*u1 - 0.25*x0", k="x0^2 + 0.05*(1 + u1) + 0.1*(1 - u2*tanh(x0))",
                     u1=(-1.0, 0.0, 1.0), u2=(-1.0, 0.0, 1.0), box=((-2.0, 2.0),))
     grid = make_grid(spec, 41)
-    assert isaacs_gap(spec, grid, costate_samples=16, seed=0) == 0.0
+    assert isaacs_gap(*sample_controls(spec, grid.points), costate_samples=16, seed=0) == 0.0
 
 
 def test_isaacs_gap_two_for_multiplicative_controls():
     spec = toy_spec(f="u1*u2", k="0", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
     grid = make_grid(spec, 5)
     # canonical costates include +/- unit vectors, where the order gap is 2
-    assert isaacs_gap(spec, grid, costate_samples=0, seed=0) == 2.0
+    assert isaacs_gap(*sample_controls(spec, grid.points), costate_samples=0, seed=0) == 2.0
+    # the same gap when only the last of two mode pairs couples the controls
+    spec = toy_spec(f={(0, 0): "u1", (0, 1): "u1*u2"}, k="0", u1=(-1.0, 1.0), u2=(-1.0, 1.0),
+                    d2=("a", "b"), c2=[[0.0, 1.0], [1.0, 0.0]])
+    assert isaacs_gap(*sample_controls(spec, grid.points), costate_samples=0, seed=0) == 2.0
 
 
 def test_isaacs_gap_zero_for_singleton_controls():
     spec = toy_spec(f="u1*u2 + x0", k="x0^2", u1=(0.5,), u2=(-0.5,))
     grid = make_grid(spec, 9)
-    assert isaacs_gap(spec, grid, costate_samples=8, seed=3) == 0.0
+    assert isaacs_gap(*sample_controls(spec, grid.points), costate_samples=8, seed=3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +215,8 @@ def test_impulse_obstacle_empty_menu_inactive():
     spec = toy_spec()
     grid = make_grid(spec, 5)
     values = np.zeros((1, 1, grid.n_points))
-    assert impulse_obstacle(values, spec, grid, [0.0], 0, 0) == math.inf
     tables = build_tables(spec, grid, dt=0.1)
+    assert impulse_field(values, tables)[0, 0, 2] == math.inf  # node x = 0
     assert np.isinf(impulse_field(values, tables)).all()
 
 
@@ -220,16 +227,18 @@ def test_impulse_obstacle_two_candidates():
     values = np.zeros((1, 1, grid.n_points))
     # V(x-1) = 2 at node -1, V(x+0.5) = 1 halfway between nodes 0 and 1
     values[0, 0, :] = [0.0, 2.0, 0.0, 2.0, 0.0]
-    x = np.array([0.0])
-    # candidates: 2.0 + 0.4 and interp(0.5) = 1.0 + 0.25
-    assert impulse_obstacle(values, spec, grid, x, 0, 0) == pytest.approx(1.25)
+    # at node x = 0, candidates: 2.0 + 0.4 and interp(0.5) = 1.0 + 0.25
+    field = impulse_field(values, build_tables(spec, grid, dt=0.1))
+    assert field[0, 0, 2] == pytest.approx(1.25)
 
 
 def test_impulse_obstacle_clamps_outside_box():
     spec = toy_spec(box=((0.0, 1.0),), impulses=(([-5.0], 0.1),))
     grid = make_grid(spec, 2)
     values = np.array([[[3.0, 9.0]]])
-    assert impulse_obstacle(values, spec, grid, [0.5], 0, 0) == pytest.approx(3.1)
+    # every jump lands clamped on node 0
+    field = impulse_field(values, build_tables(spec, grid, dt=0.1))
+    assert field[0, 0] == pytest.approx([3.1, 3.1])
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +331,7 @@ def test_zero_cost_zero_field_is_fixed_point():
 def test_plus_minus_updates_coincide_when_gap_is_zero(drift_1d):
     spec, grid_defaults, _ = drift_1d
     grid = make_grid(spec, 41)
-    assert isaacs_gap(spec, grid, costate_samples=8, seed=2) == 0.0
+    assert isaacs_gap(*sample_controls(spec, grid.points), costate_samples=8, seed=2) == 0.0
     tables = build_tables(spec, grid)
     rng = np.random.default_rng(21)
     for _ in range(5):

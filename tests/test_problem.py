@@ -10,7 +10,7 @@ from hybrid_isaacs.problem import (SpecStructureError, check_y1_y2, eval_dynamic
                                    eval_running_cost, lipschitz_probe, load_config, load_spec,
                                    save_spec, subadditivity_gap, validate_a2)
 
-from conftest import BUNDLED, INVALID, game_2d
+from conftest import BUNDLED, INVALID, game_2d, toy_spec
 
 
 MINIMAL = """
@@ -136,6 +136,72 @@ def test_negative_running_cost_detected():
     report = validate_a2(spec, samples=64, seed=0)
     failed = {c.name for c in report.failures()}
     assert "running-cost-nonnegative" in failed
+
+
+def test_nan_running_cost_fails_the_gate():
+    # exp overflows on the right of the box, where k is inf - inf
+    spec = toy_spec(k="exp(1000*x0) - exp(1000*x0) + 1 + u1", u1=(0.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate_a2(spec, samples=32, seed=0)
+    check = report.checks[0]
+    assert check.name == "running-cost-nonnegative" and check.status == "fail"
+    assert math.isnan(check.data["k_min"])
+    assert math.isnan(report.estimates["lipschitz_k"])
+
+
+def test_nan_dynamics_shows_in_the_drift_estimates():
+    spec = toy_spec(f="exp(1000*x0) - exp(1000*x0)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = validate_a2(spec, samples=32, seed=0).estimates
+    assert math.isnan(estimates["f_sup_sampled"]) and math.isnan(estimates["lipschitz_f"])
+
+
+def loop_estimates(spec, samples, seed):
+    """The sampled cost and drift estimates of ``validate_a2``, one
+    (mode pair, u1, u2) at a time: the reference for its array reductions."""
+    rng = np.random.default_rng(seed)
+    pts, xs, ys = (problem._sample_states(spec, rng, samples) for _ in range(3))
+    dist = np.linalg.norm(xs - ys, axis=-1)
+    k_min, k_max, where = np.inf, -np.inf, ""
+    f_sup = lip_f = lip_k = 0.0
+    for (i1, i2) in spec.mode_pairs():
+        for u1 in spec.u1_levels:
+            for u2 in spec.u2_levels:
+                args = (spec, i1, i2)
+                u = (float(u1), float(u2))
+                k = eval_running_cost(*args, pts, *u)
+                if k.min() < k_min:
+                    k_min = float(k.min())
+                    where = (f"mode ({spec.d1_labels[i1]},{spec.d2_labels[i2]}), "
+                             f"u1={u[0]!r}, u2={u[1]!r}, x={pts[int(k.argmin())].tolist()}")
+                k_max = max(k_max, float(k.max()))
+                fx, fy = eval_dynamics(*args, xs, *u), eval_dynamics(*args, ys, *u)
+                f_sup = max(f_sup, float(np.linalg.norm(fx, axis=-1).max()))
+                lip_f = max(lip_f, float((np.linalg.norm(fx - fy, axis=-1) / dist).max()))
+                k_diff = eval_running_cost(*args, xs, *u) - eval_running_cost(*args, ys, *u)
+                lip_k = max(lip_k, float((np.abs(k_diff) / dist).max()))
+    return k_min, where, {"k_sup_sampled": k_max, "f_sup_sampled": f_sup,
+                          "lipschitz_f": lip_f, "lipschitz_k": lip_k}
+
+
+SIGNED_COSTS = toy_spec(
+    f={(0, 0): "u1 - x0", (0, 1): "u1*u2", (1, 0): "0.5*u2", (1, 1): "sin(3*x0)*u1"},
+    k={(0, 0): "1 + x0^2", (0, 1): "x0 - 0.3*u1", (1, 0): "x0 + 0.2*u2 - 0.1*u1",
+       (1, 1): "x0^2 + u2"},
+    u1=(-1.0, 1.0), u2=(-1.0, 0.0, 1.0), d1=("a", "b"), d2=("c", "d"))
+
+
+@pytest.mark.parametrize("spec", [game_2d(), load_spec(INVALID["negative_cost"]), SIGNED_COSTS],
+                         ids=["game_2d", "negative_cost", "signed_costs"])
+def test_sampled_estimates_match_a_per_control_loop(spec):
+    for seed in (0, 4):
+        k_min, where, estimates = loop_estimates(spec, 48, seed)
+        report = validate_a2(spec, samples=48, seed=seed)
+        check = report.checks[0]
+        assert check.data == {"k_min": k_min}
+        assert check.status == ("pass" if k_min >= 0 else "fail")
+        assert check.detail.endswith(f"= {k_min:.6g}" if k_min >= 0 else f" at {where}")
+        assert {key: report.estimates[key] for key in estimates} == estimates
 
 
 def test_subadditivity_gap_value(tmp_path):

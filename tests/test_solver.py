@@ -5,6 +5,7 @@ import pytest
 
 from hybrid_isaacs.discretize import make_grid
 from hybrid_isaacs.operators import Variant, isaacs_gap
+from hybrid_isaacs.problem import sample_controls
 from hybrid_isaacs.solver import SolverConfig, solve
 
 from conftest import toy_spec
@@ -146,7 +147,7 @@ def test_balanced_loop_two_sided_agreement(balanced_loop):
 def test_plus_and_minus_solves_identical_when_gap_zero(drift_1d):
     spec, grid_cfg, solver_cfg = drift_1d
     grid = make_grid(spec, grid_cfg["points"])
-    assert isaacs_gap(spec, grid, costate_samples=8, seed=0) == 0.0
+    assert isaacs_gap(*sample_controls(spec, grid.points), costate_samples=8, seed=0) == 0.0
     tol = solver_cfg["tolerance"]
     plus = solve(spec, grid, SolverConfig(tolerance=tol, variant=Variant.PLUS))
     minus = solve(spec, grid, SolverConfig(tolerance=tol, variant=Variant.MINUS))

@@ -78,6 +78,21 @@ def test_strictness_on_impulse_toy(solved_impulse):
     assert check.measured["min_post_gap"] >= 0.5 - 1e-6
 
 
+def test_check_field_binds_within_ten_times_the_tolerance(solved_impulse):
+    """The impulse check of ``check_field`` counts binding points within 10x
+    the solver tolerance, here on a field lifted by up to 1e-5."""
+    spec, grid, result = solved_impulse
+    values = result.values + np.random.default_rng(0).uniform(0.0, 1e-5, result.values.shape)
+    counts = []
+    for tol in (1e-10, 1e-4):
+        config = SolverConfig(dt=result.dt, tolerance=tol)
+        [check] = verify.check_field(values, spec, grid, config, result.tables, {"impulse"})
+        assert check == post_impulse_strictness(values, spec, grid, binding_tol=10 * tol,
+                                                tables=result.tables)
+        counts.append(check.measured["binding_points"])
+    assert counts[0] < counts[1]
+
+
 def test_strictness_not_applicable_without_impulses():
     spec = toy_spec()
     grid = make_grid(spec, 5)
@@ -250,8 +265,9 @@ def test_report_serialization_is_diff_stable(constant_cost):
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_run_all_reuses_its_base_solve(name, monkeypatch):
     """From a zero init the base solve is the saddle-order check's solve of
-    the configured variant: three solves in all, and the same check result
-    as a fresh run of the check."""
+    the configured variant, and its tables give the gap's control samples:
+    three solves in all, and the same check result as a fresh run of the
+    check."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
     config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
@@ -261,8 +277,13 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
         calls.append((args[2].init, args[2].variant))
         return solve(*args, **kwargs)
 
+    def no_resample(*args):
+        raise AssertionError("the saddle-order check sampled the controls again")
+
     monkeypatch.setattr(verify, "solve", counting_solve)
-    report = run_all(spec, grid, config, suites={"isaacs", "uniqueness"})
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "sample_controls", no_resample)
+        report = run_all(spec, grid, config, suites={"isaacs", "uniqueness"})
     check = report.checks[0]
     assert check.name == "saddle-order-equality" and check.status == "pass"
     assert calls == [("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]
