@@ -177,10 +177,13 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
 
 
 # at most this many gathered values, one product over all corners is the
-# faster read.  The value sits between the measured sizes (a rollout read
-# gathers 36 to 64 values, a 2-D sweep read about 59k); the crossover itself
-# was not measured.
-_FEW_READS = 1024
+# faster read.  Best of 9x2000 calls (2-vCPU Xeon, numpy 2.4), product /
+# running sums: 2 corners 7.4 / 5.6 us at 256 values, 13.3 / 7.5 us at 384 and
+# 25.5 / 10.1 us at 1024; 1 corner 6.5 / 4.7 us at 256.  4 and 8 corners cross
+# later (about 1k and 4k values), but only rollout reads (36 to 96 values) and
+# sweep reads of tiny grids come near that.  drift_1d's 966-value continue
+# read solves in 39 ms with this bound and 63-66 ms with 1024.
+_FEW_READS = 256
 _PAIR_BLOCK_READS = 1 << 14  # cap on one continue read, in control-node values
 
 
@@ -219,10 +222,10 @@ def _pairwise_running_sums(values: np.ndarray, idx: np.ndarray, wts: np.ndarray,
         out = _pairwise_running_sums(values, idx, wts, lo, mid, stride)
         out += _pairwise_running_sums(values, idx, wts, mid, hi, stride)
         return out
-    out = np.take(values, idx[..., lo], axis=-1)
+    out = values.take(idx[..., lo], axis=-1)
     out *= wts[..., lo]
     for c in range(lo + stride, idx.shape[-1], stride):
-        term = np.take(values, idx[..., c], axis=-1)
+        term = values.take(idx[..., c], axis=-1)
         term *= wts[..., c]
         out += term
     return out
@@ -272,6 +275,10 @@ class BellmanTables:
     ``foot_idx`` indexes the flattened field ``values.reshape(-1)``, pair
     offset ``(i1*m2 + i2)*p`` included: one read covers several mode pairs
     (``pair_blocks``) without an offset copy.  ``imp_idx`` indexes a slab.
+
+    A control axis that the drift ignores (``f`` bit-identical along it) has
+    length 1 in ``foot_idx``/``foot_wts``: its feet are all equal, and the
+    continue read broadcasts the one stencil against ``k``'s full axis.
     """
 
     spec: ProblemSpec
@@ -282,8 +289,8 @@ class BellmanTables:
     step_matrix: np.ndarray      # one-step linear factor
     k: np.ndarray                # (m1, m2, nu1, nu2, p)
     f: np.ndarray                # (m1, m2, nu1, nu2, p, n)
-    foot_idx: np.ndarray         # (m1, m2, nu1, nu2, p, c)
-    foot_wts: np.ndarray         # (m1, m2, nu1, nu2, p, c)
+    foot_idx: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p, c)
+    foot_wts: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p, c)
     imp_idx: np.ndarray          # (n_imp, p, c)
     imp_wts: np.ndarray          # (n_imp, p, c)
     imp_costs: np.ndarray        # (n_imp,)
@@ -327,13 +334,20 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     weight = (1.0 - gamma) / lam
     step_matrix = semigroup_step(spec.generator, dt)
 
+    # one stencil per distinct foot (see BellmanTables): equal drift bits give
+    # equal feet, so the u1 (2) or u2 (3) axis keeps length 1 where f's bits
+    # never change along it; -0.0 and +0.0 differ
+    bits = f.view(np.uint64)
+    drift = f[(slice(None),) * 2 + tuple(
+        slice(1) if (bits == bits.take([0], axis=ax)).all() else slice(None) for ax in (2, 3))]
+
     # corner-major buffers behind (..., p, c) views: see BellmanTables
     corners = 1 << n
-    foot_idx = np.moveaxis(np.empty((corners,) + k.shape, dtype=np.int64), 0, -1)
-    foot_wts = np.moveaxis(np.empty((corners,) + k.shape), 0, -1)
+    foot_idx = np.moveaxis(np.empty((corners,) + drift.shape[:-1], dtype=np.int64), 0, -1)
+    foot_wts = np.moveaxis(np.empty((corners,) + drift.shape[:-1]), 0, -1)
     linear_part = pts @ step_matrix.T
-    for i in np.ndindex(k.shape[:-1]):
-        foot_idx[i], foot_wts[i] = interp_weights(grid, grid.clamp(linear_part + dt * f[i]))
+    for i in np.ndindex(drift.shape[:-2]):
+        foot_idx[i], foot_wts[i] = interp_weights(grid, grid.clamp(linear_part + dt * drift[i]))
     foot_idx += (np.arange(m1 * m2) * npts).reshape(m1, m2, 1, 1, 1, 1)  # see BellmanTables
 
     n_imp = len(spec.impulses)

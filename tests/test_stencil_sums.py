@@ -2,6 +2,7 @@
 ``(values[idx] * wts).sum(-1)`` on C-contiguous tables, which every read
 used to be, and to that sum written out term by term."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -120,10 +121,14 @@ def reference_impulse(values, tables, read):
     return out
 
 
-def test_tables_keep_their_shapes_and_store_corners_contiguously(game):
+# (u1, u2) lengths of the foot tables: an axis the drift ignores has length 1
+FOOT_CONTROLS = {"balanced_loop": (2, 1), "game_2d": (3, 1), "game_3d": (3, 2)}
+
+
+def test_tables_keep_their_shapes_and_store_corners_contiguously(game, request):
     spec, grid, tables = game
     corners = 1 << spec.dimension
-    stencil = (len(spec.u1_levels), len(spec.u2_levels), grid.n_points, corners)
+    stencil = FOOT_CONTROLS[request.node.callspec.params["game"]] + (grid.n_points, corners)
     tabs = {"foot_idx": (spec.m1, spec.m2) + stencil, "foot_wts": (spec.m1, spec.m2) + stencil,
             "imp_idx": (len(spec.impulses), grid.n_points, corners),
             "imp_wts": (len(spec.impulses), grid.n_points, corners)}
@@ -147,6 +152,57 @@ def test_feet_index_the_flattened_field(game):
     for _, idx, wts, k in tables.pair_blocks:
         assert idx.base is tables.foot_idx.base and wts.base is tables.foot_wts.base
         assert np.shares_memory(k, tables.k)
+
+
+@pytest.mark.parametrize("name, spec, controls", [
+    ("balanced_loop", _balanced_loop()[0], (2, 1)),
+    ("game_2d", game_2d(), (3, 1)),
+    ("game_3d", game_3d(), (3, 2)),
+    # 0*u2 is -0.0 at u2 = -1 and +0.0 at u2 = 1: equal values, unequal bits
+    ("signed_zero", toy_spec(f="0*u2", u1=(-1.0, 1.0), u2=(-1.0, 1.0)), (1, 2)),
+    ("u1_free", toy_spec(f=("0.3*u2 - 0.1*x0", "0.2*x0"), u1=(-1.0, 0.0, 1.0),
+                         u2=(-1.0, 1.0), box=((-1.0, 1.0),) * 2), (1, 2)),
+])
+def test_foot_axes_collapse_exactly_where_the_drift_bits_are_constant(name, spec, controls):
+    tables = build_tables(spec, make_grid(spec, 5))
+    assert tables.foot_idx.shape[2:4] == tables.foot_wts.shape[2:4] == controls, name
+    assert tables.k.shape[2:4] == (len(spec.u1_levels), len(spec.u2_levels))
+
+
+def full_shape(tables):
+    """The tables with one stencil per (u1, u2) pair, broadcast from the
+    stored ones and copied corner-major."""
+    shape = tables.k.shape + (tables.foot_idx.shape[-1],)
+
+    def spread(a):
+        return np.moveaxis(np.moveaxis(np.broadcast_to(a, shape), -1, 0).copy(), 0, -1)
+
+    return dataclasses.replace(tables, foot_idx=spread(tables.foot_idx),
+                               foot_wts=spread(tables.foot_wts))
+
+
+@pytest.mark.parametrize("name", ["balanced_loop", "drift_1d", "game_2d"])
+def test_collapsed_tables_read_bit_identically_to_full_ones(name):
+    """Every (u1, u2) pair's own stencil equals the stored one it reads, and
+    the continue branch and the sweep on the collapsed tables give the bits
+    of the full-shape tables, in both orderings."""
+    spec, grid_cfg = (game_2d(), {"points": 11}) if name == "game_2d" else load_bundled(name)[:2]
+    grid = make_grid(spec, grid_cfg["points"])
+    tables = build_tables(spec, grid)
+    assert tables.foot_idx.shape[2:4] != tables.k.shape[2:4]
+    full = full_shape(tables)
+    linear_part = grid.points @ tables.step_matrix.T
+    for i in np.ndindex(tables.k.shape[:-1]):
+        idx, wts = interp_weights(grid, grid.clamp(linear_part + tables.dt * tables.f[i]))
+        pair = (i[0] * spec.m2 + i[1]) * grid.n_points
+        assert_same_bits(full.foot_idx[i], idx + pair)
+        assert_same_bits(full.foot_wts[i], wts)
+    for values in fields(spec, grid):
+        for variant in (Variant.PLUS, Variant.MINUS):
+            assert_same_bits(continue_field(values, tables, variant),
+                             continue_field(values, full, variant))
+            assert_same_bits(bellman_update(values, spec, grid, variant=variant, tables=tables),
+                             bellman_update(values, spec, grid, variant=variant, tables=full))
 
 
 @pytest.mark.parametrize("per_block", [1, 3])
@@ -235,6 +291,32 @@ def test_helper_follows_numpy_summation_order(corners, queries):
         out = interpolate_many(vals, idx % vals.shape[-1], wts)
         assert_same_bits(out, contiguous_sum(vals, idx % vals.shape[-1], wts))
         assert_same_bits(out, ordered_sum(vals, idx % vals.shape[-1], wts))
+
+
+@pytest.mark.parametrize("corners", [1, 2, 4, 8])
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_reads_on_both_sides_of_the_small_read_bound(corners, side, monkeypatch):
+    """Reads of ``_FEW_READS`` gathered values minus, plus or exactly one
+    stencil take the product at or below the bound and the running sums
+    above it; both give the contiguous sum's bits."""
+    reads = discretize._FEW_READS + side * corners
+    running = []
+    inner = discretize._pairwise_running_sums
+
+    def counted(*args):
+        running.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(discretize, "_pairwise_running_sums", counted)
+    rng = np.random.default_rng(corners)
+    values = rng.standard_normal(300) * np.exp(rng.uniform(-30.0, 30.0, size=300))
+    values[:30] = -0.0
+    idx = np.moveaxis(rng.integers(0, 300, size=(corners, reads // corners)), 0, -1)
+    wts = np.moveaxis(rng.random((corners, reads // corners)), 0, -1)
+    wts[:5] = -0.0
+    assert idx.size == reads
+    assert_same_bits(interpolate_many(values, idx, wts), contiguous_sum(values, idx, wts))
+    assert bool(running) == (side > 0)
 
 
 def test_sweeps_leave_no_reference_cycle_holding_the_tables():
