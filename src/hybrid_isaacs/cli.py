@@ -181,13 +181,14 @@ def write_manifest(path: Path, command: str, inputs: dict, outputs: list[Path],
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_grid(text: str | None, grid_cfg: dict, spec: ProblemSpec):
+def _parse_grid(text: str | None, grid_cfg: dict):
+    """Point counts for ``make_grid``: a single count (``--grid 11`` or
+    ``points = 11``) stays an int, which ``make_grid`` gives every axis."""
     if text:
-        return tuple(int(c) for c in text.split(","))
-    if "points" in grid_cfg:
-        points = grid_cfg["points"]
-        return tuple(int(c) for c in (points if isinstance(points, list) else [points]))
-    return (101,) * spec.dimension
+        counts = tuple(int(c) for c in text.split(","))
+        return counts[0] if len(counts) == 1 else counts
+    points = grid_cfg.get("points", 101)
+    return tuple(int(c) for c in points) if isinstance(points, list) else int(points)
 
 
 def _solver_config(args, solver_cfg: dict) -> SolverConfig:
@@ -264,7 +265,7 @@ def cmd_solve(args) -> int:
     if gate is not None:
         return gate
 
-    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, spec))
+    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
     config = _solver_config(args, solver_cfg)
     result = solve(spec, grid, config)
 
@@ -367,7 +368,7 @@ def cmd_verify(args) -> int:
         report = VerificationReport(check_field(values, spec, grid, config, tables, suites),
                                     args.seed)
     else:
-        grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, spec))
+        grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
         report = run_all(spec, grid, config, seed=args.seed, trials=args.trials,
                          suites=suites)
 
@@ -391,7 +392,7 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     config_path = Path(args.config)
     spec, grid_cfg, _ = load_config(config_path)
-    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, spec))
+    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
 
     y = check_y1_y2(spec)
     gap = isaacs_gap(*sample_controls(spec, grid.points), costate_samples=args.costates,

@@ -23,6 +23,7 @@ __all__ = [
     "interpolate_many",
     "interp_weights",
     "semigroup_step",
+    "step_constants",
     "BellmanTables",
     "build_tables",
     "default_time_step",
@@ -176,13 +177,13 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
     return float(interpolate_many(values, idx, wts)[0])
 
 
-# at most this many gathered values, one product over all corners is the
-# faster read.  Best of 9x2000 calls (2-vCPU Xeon, numpy 2.4), product /
-# running sums: 2 corners 7.4 / 5.6 us at 256 values, 13.3 / 7.5 us at 384 and
-# 25.5 / 10.1 us at 1024; 1 corner 6.5 / 4.7 us at 256.  4 and 8 corners cross
-# later (about 1k and 4k values), but only rollout reads (36 to 96 values) and
-# sweep reads of tiny grids come near that.  drift_1d's 966-value continue
-# read solves in 39 ms with this bound and 63-66 ms with 1024.
+# at most this many gathered values, a read forms the product over all
+# corners at once.  Which path is faster depends on the corner count: best
+# of 9x2000 calls (2-vCPU Xeon, numpy 2.4), product / corner gathers, 8
+# corners 8.7 / 21.2 us at 256 values and 43.5 / 33.5 us at 4096; 4 corners
+# 9.3 / 11.7 us at 256 and 17.5 / 14.5 us at 1024; 2 corners 10.3 / 7.4 us
+# at 256.  Rollout reads gather 8 to 96 values.  drift_1d's 966-value
+# continue read solves in 39 ms with this bound and 63-66 ms with 1024.
 _FEW_READS = 256
 _PAIR_BLOCK_READS = 1 << 14  # cap on one continue read, in control-node values
 
@@ -192,39 +193,29 @@ def interpolate_many(values: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np
 
     ``idx``/``wts`` hold stencil corners on their last axis, as
     ``interp_weights`` and ``build_tables`` give them; leading axes of
-    ``values`` broadcast over the queries.  The result is bit-identical to
-    the C-contiguous product ``values[..., idx] * wts`` summed over its last
-    axis.  Small reads (a rollout step, one state) compute exactly that.
-    Large reads (a sweep) gather and weight one corner at a time, from the
-    contiguous corner slices, and add the terms in that sum's order.  This
-    skips the corner-long temporary and its slow short-axis reduction.
+    ``values`` broadcast over the queries.  Every read is the running sum
+    ``((0 + t_0) + t_1) + ... + t_{c-1}`` of the weighted corner terms
+    ``t_c`` in corner order, for any corner count: a CSR matrix-vector
+    product adds a row the same way.  Small reads (a rollout step, one
+    state) accumulate the product ``values[..., idx] * wts`` along its
+    corner axis.  Large reads (a sweep) gather and weight one corner at a
+    time, from the contiguous corner slices, which skips the corner-long
+    temporary.  Which path runs depends on the gathered-value count only.
     """
     values = np.asarray(values, dtype=float)
-    corners = idx.shape[-1]
-    if corners > 128 or values.size // values.shape[-1] * idx.size <= _FEW_READS:
-        return np.ascontiguousarray(values[..., idx] * wts).sum(axis=-1)
-    # numpy adds a contiguous axis of fewer than 8 terms in one running sum,
-    # and of 8 to 128 terms in 8 (terms c, c + 8, ...) joined pairwise;
-    # longer axes (7-D grids and up) it splits first, so they take the
-    # product above
-    sums = 8 if corners >= 8 else 1
-    out = _pairwise_running_sums(values, idx, wts, 0, sums, sums)
-    out += 0.0    # the reduction's identity: an all -0.0 stencil sums to +0.0
+    if values.size // values.shape[-1] * idx.size <= _FEW_READS:
+        out = np.add.accumulate(values[..., idx] * wts, axis=-1)[..., -1]
+    else:
+        out = _gathered_running_sum(values, idx, wts)
+    out += 0.0    # the sum starts from +0.0: an all -0.0 stencil reads +0.0
     return out
 
 
-def _pairwise_running_sums(values: np.ndarray, idx: np.ndarray, wts: np.ndarray,
-                           lo: int, hi: int, stride: int) -> np.ndarray:
-    """Running sums ``lo`` to ``hi - 1`` of the weighted corner terms, joined
-    as a pairwise tree; running sum j adds corners j, j + stride, ..."""
-    if hi - lo > 1:
-        mid = (lo + hi) // 2
-        out = _pairwise_running_sums(values, idx, wts, lo, mid, stride)
-        out += _pairwise_running_sums(values, idx, wts, mid, hi, stride)
-        return out
-    out = values.take(idx[..., lo], axis=-1)
-    out *= wts[..., lo]
-    for c in range(lo + stride, idx.shape[-1], stride):
+def _gathered_running_sum(values: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """The weighted corner terms added in corner order, one gather each."""
+    out = values.take(idx[..., 0], axis=-1)
+    out *= wts[..., 0]
+    for c in range(1, idx.shape[-1]):
         term = values.take(idx[..., c], axis=-1)
         term *= wts[..., c]
         out += term
@@ -259,6 +250,15 @@ def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("matrix exponential overflowed; generator is pathological")
     return out
+
+
+def step_constants(spec: ProblemSpec, dt: float) -> tuple[float, float, np.ndarray]:
+    """One step's discount ``gamma = e^{-lambda dt}``, running-cost weight
+    ``(1 - gamma) / lambda`` and linear factor, for the tables and the
+    rollout alike."""
+    lam = spec.discount
+    gamma = float(np.exp(-lam * dt))
+    return gamma, (1.0 - gamma) / lam, semigroup_step(spec.generator, dt)
 
 
 @dataclass
@@ -329,10 +329,7 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
         dt = default_time_step(spec, grid, f_sup)
     dt = float(dt)
 
-    lam = spec.discount
-    gamma = float(np.exp(-lam * dt))
-    weight = (1.0 - gamma) / lam
-    step_matrix = semigroup_step(spec.generator, dt)
+    gamma, weight, step_matrix = step_constants(spec, dt)
 
     # one stencil per distinct foot (see BellmanTables): equal drift bits give
     # equal feet, so the u1 (2) or u2 (3) axis keeps length 1 where f's bits

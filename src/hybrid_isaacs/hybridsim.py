@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import (GridSpec, default_time_step, interp_weights, interpolate,
-                         interpolate_many, semigroup_step)
+                         interpolate_many, step_constants)
 from .operators import Variant
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
 
@@ -130,9 +130,7 @@ class _Policy:
         self.dt = dt
         self.action_tol = action_tol
         self.variant = variant
-        self.gamma = math.exp(-spec.discount * dt)
-        self.weight = (1.0 - self.gamma) / spec.discount
-        self.step_matrix = semigroup_step(spec.generator, dt)
+        self.gamma, self.weight, self.step_matrix = step_constants(spec, dt)
         # the control grid flattened: pair (a, b) sits at a*nu2 + b
         self.u1 = np.repeat(spec.u1_levels, len(spec.u2_levels))
         self.u2 = np.tile(spec.u2_levels, len(spec.u1_levels))

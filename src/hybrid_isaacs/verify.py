@@ -14,7 +14,7 @@ deterministic report for a given (problem, grid, config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -238,7 +238,7 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
     def run(variant: Variant) -> SolveResult:
         if from_zero and low is not None and low.variant is variant:
             return low
-        return solve(spec, grid, _with(base, variant=variant))
+        return solve(spec, grid, replace(base, variant=variant))
 
     plus, minus = run(Variant.PLUS), run(Variant.MINUS)
     if not (plus.converged and minus.converged):
@@ -257,8 +257,8 @@ def two_sided_uniqueness(spec: ProblemSpec, grid: GridSpec,
     must coincide within 10x the solver tolerance."""
     base = config or SolverConfig()
     if low is None:
-        low = solve(spec, grid, _with(base, init="zero"))
-    high = solve(spec, grid, _with(base, init="upper"))
+        low = solve(spec, grid, replace(base, init="zero"))
+    high = solve(spec, grid, replace(base, init="upper"))
     tol = 10.0 * base.tolerance
     if not (low.converged and high.converged):
         return CheckResult("two-sided-agreement", FAIL,
@@ -353,14 +353,6 @@ def dpp_consistency(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
                        f"(worst ratio {worst_ratio:.3f})", measured, tol)
 
 
-def _with(config: SolverConfig, **overrides) -> SolverConfig:
-    kwargs = dict(dt=config.dt, tolerance=config.tolerance,
-                  max_iterations=config.max_iterations, init=config.init,
-                  variant=config.variant)
-    kwargs.update(overrides)
-    return SolverConfig(**kwargs)
-
-
 def _wanted(suites: set[str] | None, key: str) -> bool:
     return suites is None or key in suites
 
@@ -391,7 +383,7 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     ``suites`` filters by the names in ``SUITES``; None runs everything.
     """
     config = config or SolverConfig()
-    base = solve(spec, grid, _with(config, init="zero"))
+    base = solve(spec, grid, replace(config, init="zero"))
     tables = base.tables
     if not base.converged:
         return VerificationReport([CheckResult(

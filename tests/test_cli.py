@@ -6,9 +6,9 @@ import pytest
 from hybrid_isaacs import cli, discretize, operators, verify
 from hybrid_isaacs.cli import (EXIT_ASSUMPTION, EXIT_MISMATCH, EXIT_NO_CONVERGENCE, EXIT_OK,
                                EXIT_PARSE, EXIT_VERIFY, main, read_value_csv)
-from hybrid_isaacs.problem import load_config, load_spec
+from hybrid_isaacs.problem import load_config, load_spec, save_spec
 
-from conftest import BUNDLED, INVALID
+from conftest import BUNDLED, INVALID, game_2d
 
 
 @pytest.fixture()
@@ -199,6 +199,21 @@ def test_two_dimensional_solve_and_simulate_roundtrip(tmp_path):
                "--start", "0.5,-0.5", "--horizon", "12") == EXIT_OK
     header = (tmp_path / "planar.trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("time,x0,x1,d1,d2,")
+
+
+def test_a_single_point_count_spans_every_axis(tmp_path):
+    """``points = 11`` and ``--grid 11`` on a 2-D spec solve on the grid
+    ``points = [11, 11]`` gives, not on a 1-D grid that does not fit."""
+    csvs = {}
+    for case, points, argv in (("list", [11, 11], ()), ("scalar", 11, ()),
+                               ("flag", [5, 7], ("--grid", "11"))):
+        out = tmp_path / case
+        out.mkdir()
+        cfg = out / "game.toml"
+        save_spec(game_2d(), cfg, grid={"points": points})
+        assert run("solve", cfg, *argv) == EXIT_OK, case
+        csvs[case] = (out / "game.value.csv").read_bytes()
+    assert csvs["scalar"] == csvs["list"] == csvs["flag"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from hybrid_isaacs.discretize import interpolate, make_grid, semigroup_step
-from hybrid_isaacs.hybridsim import (ChatterError, PolicyDecision, decide, evaluate_cost,
-                                     rollout_value_gap, simulate)
+from hybrid_isaacs.discretize import build_tables, interpolate, make_grid, semigroup_step
+from hybrid_isaacs.hybridsim import (DEFAULT_ACTION_TOL, ChatterError, PolicyDecision, _Policy,
+                                     decide, evaluate_cost, rollout_value_gap, simulate)
 from hybrid_isaacs.operators import Variant
 from hybrid_isaacs.problem import eval_dynamics, eval_running_cost
 from hybrid_isaacs.solver import SolverConfig, solve
 
-from conftest import game_2d, toy_spec
+from conftest import BUNDLED, game_2d, load_bundled, toy_spec
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +339,18 @@ def test_rollout_gap_constant(solved_constant):
     spec, grid, values = solved_constant
     report = rollout_value_gap(spec, grid, values, [([0.0], 0, 0)], 40.0, dt=0.5)
     assert report.max_gap <= math.exp(-0.5 * 40.0) * 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_rollout_steps_with_the_tables_constants(name):
+    """The rollout's discount, cost weight and linear factor are the
+    tables' bit for bit.  At dt 0.01, e^{-0.01} from ``math.exp`` is 1 ulp
+    above the tables' ``np.exp``."""
+    spec, grid_cfg, _ = load_bundled(name)
+    grid = make_grid(spec, grid_cfg["points"])
+    values = np.zeros((spec.m1, spec.m2, grid.n_points))
+    policy = _Policy(spec, grid, values, 0.01, DEFAULT_ACTION_TOL, Variant.PLUS)
+    tables = build_tables(spec, grid, 0.01)
+    for attr in ("gamma", "weight", "step_matrix"):
+        assert (np.float64(getattr(policy, attr)).tobytes()
+                == np.float64(getattr(tables, attr)).tobytes()), attr

@@ -1,6 +1,7 @@
-"""Multilinear reads on corner-major tables are bit-identical to numpy's
-``(values[idx] * wts).sum(-1)`` on C-contiguous tables, which every read
-used to be, and to that sum written out term by term."""
+"""Multilinear reads on corner-major tables are bit-identical to the
+running sum of the weighted corner terms in corner order, written out term
+by term, and below 8 corners to numpy's ``(values[idx] * wts).sum(-1)`` on
+C-contiguous tables, which every read used to be."""
 
 import dataclasses
 import gc
@@ -19,29 +20,24 @@ from conftest import game_2d, load_bundled, toy_spec
 
 
 def contiguous_sum(values, idx, wts):
-    """The reference: C-contiguous stencil tables, every corner gathered at
-    once, and numpy's reduction over the corner axis of the C-contiguous
-    product.  (With leading value axes, ``values[..., idx]`` alone is laid
-    out corner-outer, and numpy then sums 8 corners in sequence instead of
-    pairwise.)"""
+    """The cross-check: C-contiguous stencil tables, every corner gathered
+    at once, and numpy's reduction over the corner axis of the C-contiguous
+    product.  numpy adds fewer than 8 terms in one running sum, so below 8
+    corners this is the read's order; from 8 corners on it joins running
+    sums pairwise (see ``assert_read``)."""
     idx, wts = np.ascontiguousarray(idx), np.ascontiguousarray(wts)
     product = np.asarray(values, dtype=float)[..., idx] * wts
     return np.ascontiguousarray(product).sum(axis=-1)
 
 
 def ordered_sum(values, idx, wts):
-    """numpy's summation order for a contiguous corner axis, written out:
-    in sequence below 8 terms, else 8 running sums (the terms at c and
-    c + 8) added as a pairwise tree, all started from the identity +0.0."""
+    """The reference: ``((0 + t_0) + t_1) + ... + t_{c-1}``, the weighted
+    corner terms added in corner order from +0.0, for any corner count."""
     values = np.asarray(values, dtype=float)
-    terms = [values[..., idx[..., c]] * wts[..., c] for c in range(idx.shape[-1])]
-    if len(terms) < 8:
-        total = 0.0
-        for t in terms:
-            total = total + t
-        return total
-    r = [terms[j] + terms[j + 8] if j + 8 < len(terms) else terms[j] for j in range(8)]
-    return 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    total = 0.0
+    for c in range(idx.shape[-1]):
+        total = total + values[..., idx[..., c]] * wts[..., c]
+    return total
 
 
 def assert_same_bits(actual, expected):
@@ -50,9 +46,22 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def assert_read(actual, expected, read, corners, values):
+    """``expected``'s bits, except where ``read`` is numpy's pairwise sum
+    (``contiguous_sum`` from 8 corners on).  There the two orders need only
+    agree within their summation error bounds, ``(c - 1) eps`` times the
+    terms' absolute sum each, which weights summing to 1 keep below the
+    largest ``|value|``."""
+    if read is contiguous_sum and corners >= 8:
+        atol = 2 * corners * np.finfo(float).eps * np.abs(values).max()
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
+    else:
+        assert_same_bits(actual, expected)
+
+
 def game_3d():
-    """2x2 modes on a cube: 8-corner stencils, where the summation order
-    is a pairwise tree rather than sequential."""
+    """2x2 modes on a cube: 8-corner stencils, where numpy's contiguous
+    sum joins running sums pairwise rather than adding in sequence."""
     return toy_spec(
         f={(0, 0): ("0.4*u1", "0.2*x0", "0.1 - 0.1*x1"),
            (0, 1): ("0.4*u1 + 0.1", "0.2*x0*u2", "-0.1*x1"),
@@ -88,7 +97,7 @@ def game(request):
 
 def fields(spec, grid):
     """Mixed-sign values with signed zeros, and an all -0.0 field, whose
-    contiguous sum is +0.0 (numpy's reduction starts from the identity)."""
+    reads are +0.0 (the running sum starts from +0.0)."""
     rng = np.random.default_rng(7)
     shape = (spec.m1, spec.m2, grid.n_points)
     mixed = rng.uniform(-1.0, 3.0, size=shape) * np.exp(rng.uniform(-20.0, 20.0, size=shape))
@@ -220,22 +229,23 @@ def test_continue_blocks_match_pair_by_pair_reads(game, variant, per_block, monk
     assert len(sizes) > 1
     for values in fields(spec, grid):
         assert_same_bits(continue_field(values, tables, variant),
-                         reference_continue(values, tables, variant, contiguous_sum))
+                         reference_continue(values, tables, variant, ordered_sum))
 
 
 @READS
 @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
 def test_sweep_is_bit_identical_to_contiguous_sums(game, variant, read):
     spec, grid, tables = game
+    corners = 1 << spec.dimension
     for values in fields(spec, grid):
         cont = reference_continue(values, tables, variant, read)
         imp = reference_impulse(values, tables, read)
-        assert_same_bits(continue_field(values, tables, variant), cont)
-        assert_same_bits(impulse_field(values, tables), imp)
+        assert_read(continue_field(values, tables, variant), cont, read, corners, values)
+        assert_read(impulse_field(values, tables), imp, read, corners, values)
         expected = np.maximum(switch_upper_field(values, spec),
                               np.minimum(np.minimum(switch_lower_field(values, spec), imp), cont))
-        assert_same_bits(bellman_update(values, spec, grid, variant=variant, tables=tables),
-                         expected)
+        assert_read(bellman_update(values, spec, grid, variant=variant, tables=tables),
+                    expected, read, corners, values)
 
 
 @READS
@@ -248,7 +258,8 @@ def test_interpolate_is_bit_identical_to_contiguous_sum(game, read):
         for x in pts:
             idx, wts = interp_weights(grid, x.reshape(1, -1))
             expected = read(values[0, 0], idx[0], wts[0])
-            assert_same_bits(np.float64(interpolate(values[0, 0], grid, x)), expected)
+            assert_read(np.float64(interpolate(values[0, 0], grid, x)), expected, read,
+                        idx.shape[-1], values[0, 0])
 
 
 @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
@@ -258,8 +269,8 @@ def test_decide_reads_are_bit_identical_to_contiguous_sums(game, variant, monkey
 
     def checked(values, idx, wts):
         out = interpolate_many(values, idx, wts)
-        assert_same_bits(out, contiguous_sum(values, idx, wts))
-        assert_same_bits(out, ordered_sum(values, idx, wts))
+        for read in (contiguous_sum, ordered_sum):
+            assert_read(out, read(values, idx, wts), read, idx.shape[-1], values)
         calls.append(idx.shape)
         return out
 
@@ -277,11 +288,40 @@ def test_decide_reads_are_bit_identical_to_contiguous_sums(game, variant, monkey
                                              len(spec.u1_levels) * len(spec.u2_levels)}
 
 
+def test_csr_products_read_the_same_bits(game):
+    """A CSR matrix over the stored stencils, one row per stencil, gives the
+    reads' bits: scipy adds a row's entries in order from +0.0.  The foot
+    tables index the flattened field; the impulse tables index one slab,
+    applied to the field viewed as (p, m1*m2).  Large and small reads."""
+    sparse = pytest.importorskip("scipy.sparse")
+    spec, grid, tables = game
+
+    def csr(idx, wts, columns):
+        corners = idx.shape[-1]
+        rows = idx.size // corners
+        return sparse.csr_matrix((wts.reshape(-1), idx.reshape(-1),
+                                  np.arange(0, rows * corners + 1, corners)),
+                                 shape=(rows, columns))
+
+    few = (0,) * 4 + (slice(4),)
+    for values in fields(spec, grid):
+        flat = values.reshape(-1)
+        for idx, wts in ((tables.foot_idx, tables.foot_wts),
+                         (tables.foot_idx[few], tables.foot_wts[few])):
+            assert_same_bits((csr(idx, wts, flat.size) @ flat).reshape(idx.shape[:-1]),
+                             interpolate_many(flat, idx, wts))
+        slabs = values.reshape(-1, grid.n_points)
+        imp = csr(tables.imp_idx, tables.imp_wts, grid.n_points) @ slabs.T
+        expected = interpolate_many(values, tables.imp_idx, tables.imp_wts)
+        assert_same_bits(imp.T.reshape(expected.shape), expected)
+
+
 @pytest.mark.parametrize("queries", [(1,), (4, 5), (40, 50)])
 @pytest.mark.parametrize("corners", [2, 4, 8, 16])
 def test_helper_follows_numpy_summation_order(corners, queries):
     """Any corner count, small and large reads, with leading value axes
-    broadcast over the queries."""
+    broadcast over the queries: the corner-order running sum, which is
+    numpy's contiguous sum below 8 corners."""
     rng = np.random.default_rng(corners)
     values = rng.standard_normal((2, 3, 50)) * np.exp(rng.uniform(-30.0, 30.0, size=(2, 3, 50)))
     values[0, 0, :10] = -0.0
@@ -289,25 +329,25 @@ def test_helper_follows_numpy_summation_order(corners, queries):
     wts = np.moveaxis(rng.random((corners,) + queries), 0, -1)
     for vals in (values, values[1, 2], values[0, 0, :10]):
         out = interpolate_many(vals, idx % vals.shape[-1], wts)
-        assert_same_bits(out, contiguous_sum(vals, idx % vals.shape[-1], wts))
-        assert_same_bits(out, ordered_sum(vals, idx % vals.shape[-1], wts))
+        for read in (contiguous_sum, ordered_sum):
+            assert_read(out, read(vals, idx % vals.shape[-1], wts), read, corners, vals)
 
 
 @pytest.mark.parametrize("corners", [1, 2, 4, 8])
 @pytest.mark.parametrize("side", [-1, 0, 1])
 def test_reads_on_both_sides_of_the_small_read_bound(corners, side, monkeypatch):
     """Reads of ``_FEW_READS`` gathered values minus, plus or exactly one
-    stencil take the product at or below the bound and the running sums
-    above it; both give the contiguous sum's bits."""
+    stencil accumulate the product at or below the bound and gather corner
+    by corner above it; both give the corner-order running sum's bits."""
     reads = discretize._FEW_READS + side * corners
     running = []
-    inner = discretize._pairwise_running_sums
+    inner = discretize._gathered_running_sum
 
     def counted(*args):
         running.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(discretize, "_pairwise_running_sums", counted)
+    monkeypatch.setattr(discretize, "_gathered_running_sum", counted)
     rng = np.random.default_rng(corners)
     values = rng.standard_normal(300) * np.exp(rng.uniform(-30.0, 30.0, size=300))
     values[:30] = -0.0
@@ -315,7 +355,7 @@ def test_reads_on_both_sides_of_the_small_read_bound(corners, side, monkeypatch)
     wts = np.moveaxis(rng.random((corners, reads // corners)), 0, -1)
     wts[:5] = -0.0
     assert idx.size == reads
-    assert_same_bits(interpolate_many(values, idx, wts), contiguous_sum(values, idx, wts))
+    assert_same_bits(interpolate_many(values, idx, wts), ordered_sum(values, idx, wts))
     assert bool(running) == (side > 0)
 
 
