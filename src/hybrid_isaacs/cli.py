@@ -7,12 +7,15 @@ Exit codes are a stable contract:
     1  config parse or structural error
     2  cost-assumption violation (rejected before any solve)
     3  no convergence / simulation aborted
-    4  artifact mismatch (value file does not fit the problem or grid)
+    4  artifact mismatch (value file malformed, or does not fit the problem
+       or grid)
     5  verification failure
 
-All numeric output is written with 17 significant digits, so value files
-round-trip exactly; identical inputs and seed produce byte-identical CSVs
-and reports (manifests additionally record wall-clock timings).
+All numeric output is written with 17 significant digits (``%.16e``). The
+CSVs are written and read with numpy's text codec (``savetxt``/``loadtxt``),
+so value files round-trip exactly; identical inputs and seed produce
+byte-identical CSVs and reports (manifests additionally record wall-clock
+timings).
 """
 
 from __future__ import annotations
@@ -21,17 +24,17 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError
 from .discretize import GridSpec, build_tables, interpolate, make_grid
 from .hybridsim import ChatterError, evaluate_cost, simulate
 from .operators import Variant, isaacs_gap
-from .problem import (ProblemSpec, SpecStructureError, check_y1_y2, lipschitz_probe,
-                      load_config, sample_controls, validate_a2)
+from .problem import (ProblemSpec, ValidationReport, check_y1_y2, load_config,
+                      sample_controls, validate_a2)
 from .solver import SolverConfig, solve
 from .verify import SUITES, VerificationReport, check_field, run_all
 
@@ -42,8 +45,11 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 
+FMT = "%.16e"
+
+
 def fmt(x: float) -> str:
-    return f"{x:.16e}"
+    return FMT % x
 
 
 class MismatchError(ValueError):
@@ -51,50 +57,54 @@ class MismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# file formats: rows go through numpy's text codec, every float as ``FMT``
+
+def _write_csv(path: Path, header: str, columns: list, formats: list[str]) -> None:
+    np.savetxt(path, np.column_stack(columns), fmt=formats, delimiter=",",
+               header=header, comments="", encoding="utf-8")
+
 
 def write_value_csv(path: Path, spec: ProblemSpec, grid: GridSpec,
                     values: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# value field\n")
-        fh.write(f"# dimension = {spec.dimension}\n")
-        fh.write(f"# counts = {','.join(str(c) for c in grid.counts)}\n")
-        for d in range(spec.dimension):
-            fh.write(f"# box{d} = {fmt(grid.box[d, 0])},{fmt(grid.box[d, 1])}\n")
-        fh.write(f"# d1_labels = {','.join(spec.d1_labels)}\n")
-        fh.write(f"# d2_labels = {','.join(spec.d2_labels)}\n")
-        fh.write(f"# discount = {fmt(spec.discount)}\n")
-        coords = ",".join(f"x{d}" for d in range(spec.dimension))
-        fh.write(f"d1,d2,{coords},value\n")
-        pts = grid.points
-        for i1 in range(spec.m1):
-            for i2 in range(spec.m2):
-                slab = values[i1, i2]
-                for p in range(grid.n_points):
-                    xs = ",".join(fmt(c) for c in pts[p])
-                    fh.write(f"{i1},{i2},{xs},{fmt(slab[p])}\n")
+    i1, i2, p = np.indices(values.shape).reshape(3, -1)
+    header = [
+        "# value field",
+        f"# dimension = {spec.dimension}",
+        f"# counts = {','.join(str(c) for c in grid.counts)}",
+        *(f"# box{d} = {fmt(lo)},{fmt(hi)}" for d, (lo, hi) in enumerate(grid.box)),
+        f"# d1_labels = {','.join(spec.d1_labels)}",
+        f"# d2_labels = {','.join(spec.d2_labels)}",
+        f"# discount = {fmt(spec.discount)}",
+        "d1,d2," + ",".join(f"x{d}" for d in range(spec.dimension)) + ",value",
+    ]
+    _write_csv(path, "\n".join(header), [i1, i2, grid.points[p], values.reshape(-1)],
+               ["%d", "%d"] + [FMT] * (spec.dimension + 1))
 
 
 def read_value_csv(path: Path, spec: ProblemSpec) -> tuple[GridSpec, np.ndarray]:
     """Read a value file and check it belongs to ``spec``.
 
-    Raises MismatchError when the metadata disagrees with the problem.
+    Raises MismatchError when the metadata disagrees with the problem or a
+    row is malformed, missing or out of order.
     """
     meta: dict[str, str] = {}
-    rows: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    key, _, value = line[1:].partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            rows.append(line)
-    if not rows:
-        raise MismatchError(f"{path}: empty value file")
+            if line and not line.startswith("#"):
+                break    # the column header: value rows follow
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        else:
+            raise MismatchError(f"{path}: empty value file")
+        try:
+            with warnings.catch_warnings():
+                # a header with no rows is reported by the shape check below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise MismatchError(f"{path}: {exc}") from None
 
     try:
         dim = int(meta["dimension"])
@@ -105,6 +115,8 @@ def read_value_csv(path: Path, spec: ProblemSpec) -> tuple[GridSpec, np.ndarray]
                         for d in range(dim)])
     except KeyError as exc:
         raise MismatchError(f"{path}: missing metadata line {exc}") from None
+    except ValueError as exc:
+        raise MismatchError(f"{path}: malformed metadata: {exc}") from None
 
     if dim != spec.dimension:
         raise MismatchError(f"{path}: dimension {dim} != problem dimension {spec.dimension}")
@@ -114,54 +126,45 @@ def read_value_csv(path: Path, spec: ProblemSpec) -> tuple[GridSpec, np.ndarray]
         raise MismatchError(f"{path}: box does not match the problem")
 
     grid = make_grid(spec, counts)
-    expected = spec.m1 * spec.m2 * grid.n_points
-    if len(rows) - 1 != expected:
-        raise MismatchError(f"{path}: expected {expected} value rows, found {len(rows) - 1}")
-
-    values = np.empty((spec.m1, spec.m2, grid.n_points))
-    for ln, line in enumerate(rows[1:]):
-        parts = line.split(",")
-        if len(parts) != 3 + spec.dimension:
-            raise MismatchError(f"{path}: malformed row {ln + 1}")
-        i1, i2 = int(parts[0]), int(parts[1])
-        p = ln % grid.n_points
-        if i1 != ln // (spec.m2 * grid.n_points) or i2 != (ln // grid.n_points) % spec.m2:
-            raise MismatchError(f"{path}: rows out of order at line {ln + 1}")
-        values[i1, i2, p] = float(parts[-1])
-    return grid, values
+    shape = (spec.m1 * spec.m2 * grid.n_points, 3 + spec.dimension)
+    if rows.shape != shape:
+        raise MismatchError(f"{path}: expected {shape[0]} value rows of {shape[1]} columns, "
+                            f"found {rows.shape[0]} of {rows.shape[1]}")
+    i1, i2, _ = np.indices((spec.m1, spec.m2, grid.n_points)).reshape(3, -1)
+    bad = np.flatnonzero((rows[:, 0] != i1) | (rows[:, 1] != i2))
+    if bad.size:
+        raise MismatchError(f"{path}: rows out of order at line {bad[0] + 1}")
+    return grid, np.ascontiguousarray(rows[:, -1]).reshape(spec.m1, spec.m2, grid.n_points)
 
 
 def write_residual_csv(path: Path, history: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,sup_change\n")
-        for i, change in enumerate(history, start=1):
-            fh.write(f"{i},{fmt(change)}\n")
+    _write_csv(path, "iteration,sup_change", [np.arange(1, len(history) + 1), history],
+               ["%d", FMT])
+
+
+def _sums_from_zero(terms: np.ndarray) -> np.ndarray:
+    """``out[j]`` is ``((0.0 + terms[0]) + ...) + terms[j - 1]``, added in order."""
+    return np.cumsum(np.concatenate(([0.0], terms)))
 
 
 def write_trajectory_csv(path: Path, spec: ProblemSpec, traj) -> None:
+    """One row per step; the four ``cum_*`` columns are the discounted cost
+    each term has run up by the row's time, events at that instant included."""
     lam = spec.discount
     w = (1.0 - np.exp(-lam * traj.dt)) / lam
-    with open(path, "w", encoding="utf-8") as fh:
-        coords = ",".join(f"x{d}" for d in range(spec.dimension))
-        fh.write(f"time,{coords},d1,d2,u1,u2,impulses,switches1,switches2,"
-                 "cum_running,cum_switch1,cum_switch2,cum_impulse\n")
-        cum_run = 0.0
-        for n in range(traj.steps):
-            t = traj.times[n]
-            cum_run += np.exp(-lam * t) * w * traj.step_costs[n]
-            cum_s1 = sum(np.exp(-lam * e.time) * e.cost
-                         for e in traj.switch1_events if e.time <= t)
-            cum_s2 = sum(np.exp(-lam * e.time) * e.cost
-                         for e in traj.switch2_events if e.time <= t)
-            cum_imp = sum(np.exp(-lam * e.time) * e.cost
-                          for e in traj.impulse_events if e.time <= t)
-            xs = ",".join(fmt(c) for c in traj.states[n])
-            d1, d2 = traj.modes[n]
-            u1, u2 = traj.controls[n]
-            imp_f, s1_f, s2_f = traj.event_flags[n]
-            fh.write(f"{fmt(t)},{xs},{d1},{d2},{fmt(u1)},{fmt(u2)},"
-                     f"{imp_f},{s1_f},{s2_f},"
-                     f"{fmt(cum_run)},{fmt(cum_s1)},{fmt(cum_s2)},{fmt(cum_imp)}\n")
+    running = _sums_from_zero(np.exp(-lam * traj.times) * w * traj.step_costs)[1:]
+    ledgers = []
+    for events in (traj.switch1_events, traj.switch2_events, traj.impulse_events):
+        at = np.array([e.time for e in events], dtype=float)    # in time order
+        sums = _sums_from_zero(np.exp(-lam * at) * np.array([e.cost for e in events]))
+        ledgers.append(sums[np.searchsorted(at, traj.times, "right")])
+    coords = ",".join(f"x{d}" for d in range(spec.dimension))
+    header = (f"time,{coords},d1,d2,u1,u2,impulses,switches1,switches2,"
+              "cum_running,cum_switch1,cum_switch2,cum_impulse")
+    _write_csv(path, header,
+               [traj.times, traj.states, traj.modes, traj.controls, traj.event_flags,
+                running, *ledgers],
+               [FMT] * (1 + spec.dimension) + ["%d"] * 2 + [FMT] * 2 + ["%d"] * 3 + [FMT] * 4)
 
 
 def write_manifest(path: Path, command: str, inputs: dict, outputs: list[Path],
@@ -225,6 +228,26 @@ def _mode_index(labels: tuple[str, ...], raw: str, player: int) -> int:
 # ---------------------------------------------------------------------------
 # commands
 
+def _write_report(report, out_dir: Path, stem: str, kind: str) -> list[Path]:
+    """Write ``report`` as ``<stem>.<kind>.txt`` and ``.kv`` and to stdout."""
+    txt = out_dir / f"{stem}.{kind}.txt"
+    kv = out_dir / f"{stem}.{kind}.kv"
+    txt.write_text(report.to_text(), encoding="utf-8")
+    kv.write_text(report.to_kv(), encoding="utf-8")
+    sys.stdout.write(report.to_text())
+    return [txt, kv]
+
+
+def _gate(report: ValidationReport) -> int:
+    """EXIT_ASSUMPTION, with each failed check on stderr, when a mandatory
+    cost assumption fails; EXIT_OK otherwise."""
+    if report.mandatory_ok:
+        return EXIT_OK
+    for check in report.failures():
+        sys.stderr.write(f"assumption violated: {check.name}: {check.detail}\n")
+    return EXIT_ASSUMPTION
+
+
 def cmd_validate(args) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
@@ -232,37 +255,19 @@ def cmd_validate(args) -> int:
     report = validate_a2(spec, samples=args.samples, seed=args.seed)
     out_dir = _out_dir(args, config_path)
     stem = config_path.stem
-    txt = out_dir / f"{stem}.validation.txt"
-    kv = out_dir / f"{stem}.validation.kv"
-    txt.write_text(report.to_text(), encoding="utf-8")
-    kv.write_text(report.to_kv(), encoding="utf-8")
-    sys.stdout.write(report.to_text())
+    outputs = _write_report(report, out_dir, stem, "validation")
     write_manifest(out_dir / f"{stem}.validate-manifest.json", "validate",
                    {"config": str(config_path), "samples": args.samples, "seed": args.seed},
-                   [txt, kv], started)
-    if not report.mandatory_ok:
-        for check in report.failures():
-            sys.stderr.write(f"assumption violated: {check.name}: {check.detail}\n")
-        return EXIT_ASSUMPTION
-    return EXIT_OK
-
-
-def _gate(spec: ProblemSpec, samples: int, seed: int) -> int | None:
-    """Run the cost-assumption gate; EXIT_ASSUMPTION on failure."""
-    report = validate_a2(spec, samples=samples, seed=seed)
-    if not report.mandatory_ok:
-        for check in report.failures():
-            sys.stderr.write(f"assumption violated: {check.name}: {check.detail}\n")
-        return EXIT_ASSUMPTION
-    return None
+                   outputs, started)
+    return _gate(report)
 
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
     spec, grid_cfg, solver_cfg = load_config(config_path)
-    gate = _gate(spec, args.samples, args.seed)
-    if gate is not None:
+    gate = _gate(validate_a2(spec, samples=args.samples, seed=args.seed))
+    if gate != EXIT_OK:
         return gate
 
     grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
@@ -355,8 +360,8 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     config_path = Path(args.config)
     spec, grid_cfg, solver_cfg = load_config(config_path)
-    gate = _gate(spec, args.samples, args.seed)
-    if gate is not None:
+    gate = _gate(validate_a2(spec, samples=args.samples, seed=args.seed))
+    if gate != EXIT_OK:
         return gate
 
     config = _solver_config(args, solver_cfg)
@@ -374,18 +379,14 @@ def cmd_verify(args) -> int:
 
     out_dir = _out_dir(args, config_path)
     stem = config_path.stem
-    txt = out_dir / f"{stem}.verification.txt"
-    kv = out_dir / f"{stem}.verification.kv"
-    txt.write_text(report.to_text(), encoding="utf-8")
-    kv.write_text(report.to_kv(), encoding="utf-8")
-    sys.stdout.write(report.to_text())
+    outputs = _write_report(report, out_dir, stem, "verification")
     write_manifest(out_dir / f"{stem}.verify-manifest.json", "verify", {
         "config": str(config_path),
         "values": str(args.values) if args.values else None,
         "suite": sorted(suites) if suites else "all",
         "seed": args.seed,
         "trials": args.trials,
-    }, [txt, kv], started)
+    }, outputs, started)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -397,13 +398,11 @@ def cmd_analyze(args) -> int:
     y = check_y1_y2(spec)
     gap = isaacs_gap(*sample_controls(spec, grid.points), costate_samples=args.costates,
                      seed=args.seed)
-    lip = lipschitz_probe(spec, samples=args.samples, seed=args.seed)
     report = validate_a2(spec, samples=args.samples, seed=args.seed)
 
     sys.stdout.write(y.to_text(spec))
     sys.stdout.write(f"saddle-order gap estimate: {fmt(gap)}"
                      + (" (orders agree on the sample)\n" if gap == 0.0 else "\n"))
-    sys.stdout.write(f"drift Lipschitz estimate: {fmt(lip)}\n")
     for key in sorted(report.estimates):
         sys.stdout.write(f"{key} = {fmt(report.estimates[key])}\n")
     return EXIT_OK
@@ -481,21 +480,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecStructureError) as exc:
+    except (ValueError, FileNotFoundError, ChatterError) as exc:
+        # config, spec-structure and mismatch errors are all ValueErrors
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except MismatchError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_MISMATCH
-    except ChatterError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_CONVERGENCE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        if isinstance(exc, MismatchError):
+            return EXIT_MISMATCH
+        return EXIT_NO_CONVERGENCE if isinstance(exc, ChatterError) else EXIT_PARSE
 
 
 def app() -> None:

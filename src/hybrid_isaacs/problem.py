@@ -34,7 +34,6 @@ __all__ = [
     "save_spec",
     "sample_controls",
     "validate_a2",
-    "lipschitz_probe",
     "check_y1_y2",
 ]
 
@@ -196,7 +195,9 @@ def _spec_from_doc(doc, path: str) -> tuple[ProblemSpec, dict, dict]:
         impulses=tuple(impulses),
         box=_freeze(box),
     )
-    _warn_on_nondissipative_generator(spec)
+    expanding = _expansion_warning(spec)[1]
+    if expanding:
+        warnings.warn(expanding, stacklevel=2)
     return spec, dict(doc.get("grid", {})), dict(doc.get("solver", {}))
 
 
@@ -256,12 +257,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _warn_on_nondissipative_generator(spec: ProblemSpec) -> None:
-    sym = 0.5 * (spec.generator + spec.generator.T)
-    if np.linalg.eigvalsh(sym).min() < -1e-12:
-        warnings.warn(
-            "symmetric part of the generator matrix has a negative eigenvalue; "
-            "the linear one-step factor may expand distances", stacklevel=3)
+def _expansion_warning(spec: ProblemSpec) -> tuple[float, str | None]:
+    """Smallest eigenvalue of the generator's symmetric part, and the warning
+    it earns when negative."""
+    lam_min = float(np.linalg.eigvalsh(0.5 * (spec.generator + spec.generator.T)).min())
+    if lam_min < -1e-12:
+        return lam_min, ("symmetric part of the generator matrix has a negative eigenvalue; "
+                         "the linear one-step factor may expand distances")
+    return lam_min, None
 
 
 def save_spec(spec: ProblemSpec, path, grid: dict | None = None,
@@ -469,12 +472,9 @@ def validate_a2(spec: ProblemSpec, samples: int = 256, seed: int = 0) -> Validat
     checks.append(Check("impulse-cost-coercive", NOT_APPLICABLE,
                         "finite impulse menu; best impulse always attained", mandatory=False))
 
-    sym = 0.5 * (spec.generator + spec.generator.T)
-    lam_min = float(np.linalg.eigvalsh(sym).min())
-    estimates["generator_sym_min_eig"] = lam_min
-    if lam_min < -1e-12:
-        warns.append("symmetric part of the generator matrix has a negative eigenvalue; "
-                     "the linear one-step factor may expand distances")
+    estimates["generator_sym_min_eig"], expanding = _expansion_warning(spec)
+    if expanding:
+        warns.append(expanding)
 
     lip_f, lip_k, f_sup = _lipschitz_estimates(spec, samples, rng)
     estimates["lipschitz_f"] = lip_f
@@ -528,12 +528,6 @@ def _lipschitz_estimates(spec: ProblemSpec, samples: int,
     lip_f = float((np.linalg.norm(fx - fy, axis=-1)[..., keep] / dist[keep]).max())
     lip_k = float((np.abs(kx - ky)[..., keep] / dist[keep]).max())
     return lip_f, lip_k, f_sup
-
-
-def lipschitz_probe(spec: ProblemSpec, samples: int = 512, seed: int = 0) -> float:
-    """Sampled estimate of the Lipschitz constant of the drift in the state."""
-    rng = np.random.default_rng(seed)
-    return _lipschitz_estimates(spec, samples, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,54 @@ def test_simulate_bad_mode_label_exits_4(workdir):
                "--d2", "nonexistent") == EXIT_MISMATCH
 
 
+@pytest.fixture(scope="module")
+def mode_selection_field(tmp_path_factory):
+    """A solved mode_selection config and its value file's lines."""
+    tmp = tmp_path_factory.mktemp("field")
+    cfg = tmp / BUNDLED["mode_selection"].name
+    shutil.copy(BUNDLED["mode_selection"], cfg)
+    assert run("solve", cfg) == EXIT_OK
+    return cfg, (tmp / "mode_selection.value.csv").read_text().splitlines(keepends=True)
+
+
+def _swap_mode_columns(line):
+    d1, d2, rest = line.split(",", 2)
+    return f"{d2},{d1},{rest}"
+
+
+# each case maps the lines of a good value file to a broken one: lines[:8]
+# are the metadata and the column header, lines[30] a row of the first mode pair
+BROKEN_VALUE_FILES = {
+    "empty": lambda lines: [],
+    "missing metadata line": lambda lines: [ln for ln in lines
+                                            if not ln.startswith("# counts")],
+    "non-numeric metadata": lambda lines: [ln.replace("# dimension = 1", "# dimension = one")
+                                           for ln in lines],
+    "label mismatch": lambda lines: [ln.replace("high,low", "low,high") for ln in lines],
+    "truncated": lambda lines: lines[:-5],
+    "header only": lambda lines: lines[:8],
+    "short row": lambda lines: lines[:30] + [lines[30].rsplit(",", 1)[0] + "\n"] + lines[31:],
+    "non-numeric value": lambda lines: (lines[:30] + [lines[30].rsplit(",", 1)[0] + ",abc\n"]
+                                        + lines[31:]),
+    "swapped mode columns": lambda lines: lines[:8] + [_swap_mode_columns(ln)
+                                                       for ln in lines[8:]],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BROKEN_VALUE_FILES))
+def test_malformed_value_file_exits_4_and_names_it(mode_selection_field, tmp_path,
+                                                    capsys, case):
+    cfg, lines = mode_selection_field
+    path = tmp_path / "broken.value.csv"
+    path.write_text("".join(BROKEN_VALUE_FILES[case](lines)))
+    for argv in (("simulate", cfg, path, "--out", tmp_path),
+                 ("verify", cfg, "--values", path, "--out", tmp_path)):
+        assert run(*argv) == EXIT_MISMATCH, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
 TWO_D = """
 [problem]
 dimension = 2

@@ -7,7 +7,7 @@ import pytest
 from hybrid_isaacs import problem
 from hybrid_isaacs.discretize import build_tables, make_grid
 from hybrid_isaacs.problem import (SpecStructureError, check_y1_y2, eval_dynamics,
-                                   eval_running_cost, lipschitz_probe, load_config, load_spec,
+                                   eval_running_cost, load_config, load_spec,
                                    save_spec, subadditivity_gap, validate_a2)
 
 from conftest import BUNDLED, INVALID, game_2d, toy_spec
@@ -250,20 +250,20 @@ def test_expanding_generator_warns_but_loads(tmp_path):
 
 def test_lipschitz_constant_map(tmp_path):
     spec = load_spec(write(tmp_path, MINIMAL))
-    assert lipschitz_probe(spec, samples=64, seed=0) == 0.0
+    assert validate_a2(spec, samples=64, seed=0).estimates["lipschitz_f"] == 0.0
 
 
 def test_lipschitz_linear_slope(tmp_path):
     text = MINIMAL.replace('f = ["0"]', 'f = ["2*x0"]')
     spec = load_spec(write(tmp_path, text))
-    est = lipschitz_probe(spec, samples=256, seed=0)
+    est = validate_a2(spec, samples=256, seed=0).estimates["lipschitz_f"]
     assert est == pytest.approx(2.0, abs=1e-9)
 
 
 def test_lipschitz_sine_bounded_by_one(tmp_path):
     text = MINIMAL.replace('f = ["0"]', 'f = ["sin(x0)"]')
     spec = load_spec(write(tmp_path, text))
-    est = lipschitz_probe(spec, samples=512, seed=0)
+    est = validate_a2(spec, samples=512, seed=0).estimates["lipschitz_f"]
     assert est <= 1.0 + 1e-9
     assert est > 0.5
 
