@@ -105,6 +105,9 @@ def read_value_csv(path: Path, spec: ProblemSpec) -> tuple[GridSpec, np.ndarray]
                 rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
         except ValueError as exc:
             raise MismatchError(f"{path}: {exc}") from None
+        fh.buffer.seek(-1, 2)    # savetxt ends every row, the last included, with a newline
+        if fh.buffer.read(1) != b"\n":
+            raise MismatchError(f"{path}: last row cut short (no final newline)")
 
     try:
         dim = int(meta["dimension"])
@@ -194,8 +197,13 @@ def _parse_grid(text: str | None, grid_cfg: dict):
     return tuple(int(c) for c in points) if isinstance(points, list) else int(points)
 
 
+def _time_step(args, solver_cfg: dict) -> float | None:
+    """``--dt``, else ``[solver] dt``, else None for the command's default."""
+    return args.dt if args.dt is not None else solver_cfg.get("dt")
+
+
 def _solver_config(args, solver_cfg: dict) -> SolverConfig:
-    dt = args.dt if args.dt is not None else solver_cfg.get("dt")
+    dt = _time_step(args, solver_cfg)
     tol = args.tol if args.tol is not None else solver_cfg.get("tolerance", 1e-9)
     iters = (args.max_iters if args.max_iters is not None
              else solver_cfg.get("max_iterations", 100_000))
@@ -319,7 +327,7 @@ def cmd_simulate(args) -> int:
         raise MismatchError(f"--start needs {spec.dimension} coordinate(s)")
 
     traj = simulate(spec, grid, values, start, d1, d2, horizon=args.horizon,
-                    dt=args.dt, action_tol=args.action_tol,
+                    dt=_time_step(args, solver_cfg), action_tol=args.action_tol,
                     variant=Variant.parse(args.variant or solver_cfg.get("variant", "plus")))
 
     out_dir = _out_dir(args, config_path)

@@ -1,118 +1,62 @@
 """Reader/writer for the plain-text problem-definition format.
 
-The format is a small TOML subset, enough for game definitions and nothing
-more: ``[section]`` headers (optionally with one quoted subkey, as in
-``[dynamics."run,on"]``), ``key = value`` lines, ``#`` comments.  Values are
-numbers, double-quoted strings, or (nested) arrays of those.  The writer
-emits a canonical form so that load -> save -> load round-trips byte-stably.
+The format is TOML 1.0, read by the standard library's ``tomllib``.  A game
+definition uses ``[section]`` headers, optionally with one quoted subkey as
+in ``[dynamics."run,on"]``, ``key = value`` lines and ``#`` comments.  Values
+are integers, floats (``inf`` and ``-inf`` included), strings, or (nested)
+arrays of those.  Refused although TOML allows them: booleans, dates and
+times, ``nan``, tables nested below a subkey, and keys outside any
+``[section]``.  The writer emits a canonical form so that load -> save ->
+load round-trips byte-stably.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from typing import Any
 
 __all__ = ["ConfigError", "loads", "dumps", "read_file", "write_file"]
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, line: int | None = None, path: str | None = None):
-        self.line = line
+    def __init__(self, message: str, path: str | None = None):
         self.path = path
-        where = ""
-        if path is not None:
-            where += str(path)
-        if line is not None:
-            where += f":{line}"
-        super().__init__(f"{where}: {message}" if where else message)
-
-
-_SECTION_RE = re.compile(r'^\[([A-Za-z_][A-Za-z_0-9]*)(?:\."([^"]*)")?\]$')
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-_NUM_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[-+]?inf")
+        super().__init__(f"{path}: {message}" if path is not None else message)
 
 
 def loads(text: str, path: str | None = None) -> dict[str, dict[str, Any]]:
     """Parse config text into ``{section: {key: value}}``.
 
-    Section names keep their quoted subkey verbatim: ``dynamics."a,b"``.
+    A subkeyed section is named as its header is written: ``dynamics."a,b"``.
     """
+    try:
+        tables = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc), path) from None
     doc: dict[str, dict[str, Any]] = {}
-    section: dict[str, Any] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            m = _SECTION_RE.match(line)
-            if m is None:
-                raise ConfigError(f"malformed section header {line!r}", lineno, path)
-            name = m.group(1) if m.group(2) is None else f'{m.group(1)}."{m.group(2)}"'
-            if name in doc:
-                raise ConfigError(f"duplicate section [{name}]", lineno, path)
-            section = {}
-            doc[name] = section
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno, path)
-        if section is None:
-            raise ConfigError("key/value pair before any section header", lineno, path)
-        key, _, rest = line.partition("=")
-        key = key.strip()
-        if not _KEY_RE.match(key):
-            raise ConfigError(f"malformed key {key!r}", lineno, path)
-        if key in section:
-            raise ConfigError(f"duplicate key {key!r}", lineno, path)
-        value, tail = _parse_value(rest.strip(), lineno, path)
-        if tail.strip():
-            raise ConfigError(f"trailing text after value: {tail.strip()!r}", lineno, path)
-        section[key] = value
+    for name, table in tables.items():
+        if not isinstance(table, dict):
+            raise ConfigError(f"key {name!r} is outside any [section]", path)
+        subs = {key: value for key, value in table.items() if isinstance(value, dict)}
+        if len(subs) < len(table) or not subs:
+            doc[name] = {key: value for key, value in table.items() if key not in subs}
+        for sub, entries in subs.items():
+            doc[f'{name}."{sub}"'] = entries
+    for name, entries in doc.items():
+        for key, value in entries.items():
+            _check_value(value, f"[{name}] {key}", path)
     return doc
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _parse_value(text: str, lineno: int, path: str | None) -> tuple[Any, str]:
-    if not text:
-        raise ConfigError("missing value", lineno, path)
-    if text[0] == '"':
-        end = text.find('"', 1)
-        if end < 0:
-            raise ConfigError("unterminated string", lineno, path)
-        return text[1:end], text[end + 1:]
-    if text[0] == "[":
-        items: list[Any] = []
-        rest = text[1:].lstrip()
-        if rest.startswith("]"):
-            return items, rest[1:]
-        while True:
-            value, rest = _parse_value(rest, lineno, path)
-            items.append(value)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:].lstrip()
-                continue
-            if rest.startswith("]"):
-                return items, rest[1:]
-            raise ConfigError("expected ',' or ']' in array", lineno, path)
-    m = _NUM_RE.match(text)
-    if m is None:
-        raise ConfigError(f"unparseable value {text!r}", lineno, path)
-    token = m.group()
-    rest = text[m.end():]
-    if re.fullmatch(r"[-+]?\d+", token):
-        return int(token), rest
-    return float(token), rest
+def _check_value(value: Any, where: str, path: str | None) -> None:
+    if isinstance(value, list):
+        for item in value:
+            _check_value(item, where, path)
+    elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{where}: {type(value).__name__} is not a number, string or array",
+                          path)
+    elif value != value:
+        raise ConfigError(f"{where}: nan is not a number the format accepts", path)
 
 
 def dumps(doc: dict[str, dict[str, Any]]) -> str:

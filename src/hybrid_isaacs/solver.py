@@ -1,7 +1,7 @@
 """Fixed-point driver producing the value field.
 
-The iteration is a plain Picard loop ``V <- T[V]`` on double-buffered
-fields.  The stop rule converts the requested ``tolerance`` (a target
+The iteration is a plain Picard loop ``V <- T[V]``; each sweep returns a
+new field and the previous one is dropped.  The stop rule converts the requested ``tolerance`` (a target
 sup-norm distance to the fixed point) into a successive-change threshold
 through the one-step discount factor: for a gamma-contraction,
 ``|V_n - V*| <= gamma/(1-gamma) * |V_n - V_{n-1}|``.

@@ -56,6 +56,43 @@ def test_validate_missing_file_exits_1(tmp_path):
     assert run("validate", tmp_path / "nope.toml") == EXIT_PARSE
 
 
+# each case maps the text of a good spec to a malformed one, and names a
+# piece of the error it must raise
+MALFORMED_SPECS = {
+    "unterminated string": (lambda t: t.replace('k = "2"', 'k = "2'),
+                            "(at line 22, column 7)"),
+    "duplicate key": (lambda t: t.replace("dimension = 1", "dimension = 1\ndimension = 1"),
+                      "(at line 7, column 14)"),
+    "duplicate section": (lambda t: t + "\n[grid]\npoints = [101]\n", "(at line 38, column 6)"),
+    "key before any section": (lambda t: "dimension = 1\n" + t,
+                               "key 'dimension' is outside any [section]"),
+    "boolean": (lambda t: t.replace("dimension = 1", "dimension = true"),
+                "[problem] dimension: bool is not"),
+    "nan": (lambda t: t.replace("discount = 1.0", "discount = nan"), "[problem] discount: nan"),
+    "date": (lambda t: t.replace("discount = 1.0", "discount = 1979-05-27"),
+             "[problem] discount: date is not"),
+    "time": (lambda t: t.replace("discount = 1.0", "discount = 07:32:00"),
+             "[problem] discount: time is not"),
+    "inline table": (lambda t: t.replace('k = "2"', 'k = {x = "2"}'),
+                     '[cost."only,high"] k: dict is not'),
+    "leading point": (lambda t: t.replace("discount = 1.0", "discount = .5"),
+                      "(at line 7, column 12)"),
+    "trailing point": (lambda t: t.replace("discount = 1.0", "discount = 1."),
+                       "(at line 7, column 13)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_exits_1_and_names_it(tmp_path, capsys, case):
+    break_text, needle = MALFORMED_SPECS[case]
+    path = tmp_path / "broken.toml"
+    path.write_text(break_text(BUNDLED["mode_selection"].read_text()))
+    assert run("validate", path) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert needle in err, err
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -146,6 +183,19 @@ def test_simulate_no_event_game_has_empty_flags(workdir):
         assert fields[6] == "0" and fields[7] == "0" and fields[8] == "0"
 
 
+def test_simulate_takes_the_solver_step_from_the_spec(workdir):
+    tmp, copy = workdir
+    cfg = copy("mode_selection")
+    assert run("solve", cfg) == EXIT_OK
+    outputs = []
+    for flags in ((), ("--dt", "0.5")):
+        assert run("simulate", cfg, tmp / "mode_selection.value.csv", "--d2", "high",
+                   "--horizon", "4", *flags) == EXIT_OK
+        outputs.append([(tmp / f"mode_selection.{kind}").read_bytes()
+                        for kind in ("trajectory.csv", "simulation.txt")])
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_grid_mismatch_exits_4(workdir):
     tmp, copy = workdir
     cfg = copy("mode_selection")
@@ -187,6 +237,7 @@ BROKEN_VALUE_FILES = {
                                            for ln in lines],
     "label mismatch": lambda lines: [ln.replace("high,low", "low,high") for ln in lines],
     "truncated": lambda lines: lines[:-5],
+    "cut mid-number": lambda lines: ["".join(lines)[:-12]],
     "header only": lambda lines: lines[:8],
     "short row": lambda lines: lines[:30] + [lines[30].rsplit(",", 1)[0] + "\n"] + lines[31:],
     "non-numeric value": lambda lines: (lines[:30] + [lines[30].rsplit(",", 1)[0] + ",abc\n"]

@@ -91,6 +91,16 @@ def test_bundled_specs_load_and_roundtrip(name, tmp_path):
     assert np.array_equal(respec.switch_cost_2, spec.switch_cost_2)
 
 
+def test_saved_spec_keeps_edge_floats_bit_exact(tmp_path):
+    edges = [-0.0, 5e-324, 1e+16, 1e-05, math.inf, -math.inf]
+    spec = load_spec(write(tmp_path, MINIMAL.replace("u1_levels = [0.0]",
+                                                     f"u1_levels = {edges!r}")))
+    path = tmp_path / "saved.toml"
+    save_spec(spec, path)
+    assert "u1_levels = [-0.0, 5e-324, 1e+16, 1e-05, inf, -inf]" in path.read_text()
+    assert load_spec(path).u1_levels.tobytes() == np.array(edges).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_saved_spec_builds_bit_identical_tables(name, tmp_path):
     spec, grid_cfg, solver_cfg = load_config(BUNDLED[name])
