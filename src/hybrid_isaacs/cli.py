@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import ConfigError
 from .discretize import GridSpec, build_tables, interpolate, make_grid
 from .hybridsim import ChatterError, evaluate_cost, simulate
 from .operators import Variant, isaacs_gap
@@ -197,16 +198,26 @@ def _parse_grid(text: str | None, grid_cfg: dict):
     return tuple(int(c) for c in points) if isinstance(points, list) else int(points)
 
 
-def _time_step(args, solver_cfg: dict) -> float | None:
+def _solver_number(solver_cfg: dict, key: str, path: Path, default=None):
+    """``[solver] <key>``, or ``default`` when it is absent; a ConfigError
+    naming the file and the key when it is not a number."""
+    value = solver_cfg.get(key, default)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"[solver] {key}: {type(value).__name__} is not a number", str(path))
+    return value
+
+
+def _time_step(args, solver_cfg: dict, path: Path) -> float | None:
     """``--dt``, else ``[solver] dt``, else None for the command's default."""
-    return args.dt if args.dt is not None else solver_cfg.get("dt")
+    return args.dt if args.dt is not None else _solver_number(solver_cfg, "dt", path)
 
 
-def _solver_config(args, solver_cfg: dict) -> SolverConfig:
-    dt = _time_step(args, solver_cfg)
-    tol = args.tol if args.tol is not None else solver_cfg.get("tolerance", 1e-9)
+def _solver_config(args, solver_cfg: dict, path: Path) -> SolverConfig:
+    dt = _time_step(args, solver_cfg, path)
+    tol = (args.tol if args.tol is not None
+           else _solver_number(solver_cfg, "tolerance", path, 1e-9))
     iters = (args.max_iters if args.max_iters is not None
-             else solver_cfg.get("max_iterations", 100_000))
+             else _solver_number(solver_cfg, "max_iterations", path, 100_000))
     init = args.init if getattr(args, "init", None) else solver_cfg.get("init", "zero")
     variant = Variant.parse(args.variant if getattr(args, "variant", None)
                             else solver_cfg.get("variant", "plus"))
@@ -279,7 +290,7 @@ def cmd_solve(args) -> int:
         return gate
 
     grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
-    config = _solver_config(args, solver_cfg)
+    config = _solver_config(args, solver_cfg, config_path)
     result = solve(spec, grid, config)
 
     out_dir = _out_dir(args, config_path)
@@ -299,6 +310,7 @@ def cmd_solve(args) -> int:
         "seed": args.seed,
         "iterations": result.iterations,
         "converged": result.converged,
+        "table_bytes": result.tables.nbytes,
     }, [value_path, residual_path], started)
 
     status = "converged" if result.converged else "NOT CONVERGED"
@@ -327,7 +339,7 @@ def cmd_simulate(args) -> int:
         raise MismatchError(f"--start needs {spec.dimension} coordinate(s)")
 
     traj = simulate(spec, grid, values, start, d1, d2, horizon=args.horizon,
-                    dt=_time_step(args, solver_cfg), action_tol=args.action_tol,
+                    dt=_time_step(args, solver_cfg, config_path), action_tol=args.action_tol,
                     variant=Variant.parse(args.variant or solver_cfg.get("variant", "plus")))
 
     out_dir = _out_dir(args, config_path)
@@ -372,7 +384,7 @@ def cmd_verify(args) -> int:
     if gate != EXIT_OK:
         return gate
 
-    config = _solver_config(args, solver_cfg)
+    config = _solver_config(args, solver_cfg, config_path)
     suites = set(args.suite) if args.suite else None
 
     if args.values:

@@ -21,6 +21,7 @@ __all__ = [
     "make_grid",
     "interpolate",
     "interpolate_many",
+    "read_stencils",
     "interp_weights",
     "semigroup_step",
     "step_constants",
@@ -66,10 +67,13 @@ class GridSpec:
     @cached_property
     def strides(self) -> np.ndarray:
         # row-major: last dimension varies fastest
-        strides = np.ones(self.dimension, dtype=np.int64)
-        for d in range(self.dimension - 2, -1, -1):
-            strides[d] = strides[d + 1] * self.counts[d + 1]
-        return strides
+        return np.cumprod((1,) + self.counts[:0:-1], dtype=np.int64)[::-1].copy()
+
+    @cached_property
+    def corner_offsets(self) -> np.ndarray:
+        """Flat offset of stencil corner c from its base: the strides of c's bits."""
+        bits = np.arange(1 << self.dimension)[:, None] >> np.arange(self.dimension) & 1
+        return bits @ self.strides
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -99,21 +103,12 @@ class GridSpec:
         return int(np.dot(np.asarray(multi, dtype=np.int64), self.strides))
 
     def multi_index(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for d in range(self.dimension):
-            out.append(int(flat // self.strides[d]))
-            flat = int(flat % self.strides[d])
-        return tuple(out)
+        return tuple(int(i) for i in np.unravel_index(flat, self.counts))
 
     def interior_mask(self) -> np.ndarray:
         """Boolean (n_points,) mask of points not on any box face."""
-        mask = np.ones(self.counts, dtype=bool)
-        for d in range(self.dimension):
-            sl = [slice(None)] * self.dimension
-            sl[d] = 0
-            mask[tuple(sl)] = False
-            sl[d] = -1
-            mask[tuple(sl)] = False
+        mask = np.zeros(self.counts, dtype=bool)
+        mask[(slice(1, -1),) * self.dimension] = True
         return mask.reshape(-1)
 
 
@@ -134,11 +129,11 @@ def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     Shapes: (m, 2**n) each, stored corner-major (each ``[:, c]`` column is
     contiguous).
 
-    Cells and fractions are found on an (n, m) copy of the points.  Corners
-    are built by doubling: dimension d copies corners ``[0, 2**d)`` to
-    ``[2**d, 2**(d+1))`` with stride d added and weight ``frac_d``, then
-    weights the originals by ``1 - frac_d``.  So bit d of c picks the upper
-    node along d, and each weight is ``((1*g_0)*g_1)*...`` in dimension order.
+    Cells and fractions are found on an (n, m) copy of the points.  Corner
+    c is the cell's base node plus ``grid.corner_offsets[c]``.  Weights are
+    built by doubling: dimension d copies corners ``[0, 2**d)`` to
+    ``[2**d, 2**(d+1))`` with weight ``frac_d``, then weights the originals
+    by ``1 - frac_d``, so each is ``((1*g_0)*g_1)*...`` in dimension order.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m, n = pts.shape
@@ -152,24 +147,18 @@ def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     cell = np.minimum(np.floor(t), last_cell)
     frac = t - cell
     comp = 1.0 - frac
-    corners = 1 << n
-    idx = np.empty((corners, m), dtype=np.int64)
-    wts = np.empty((corners, m))
-    np.matmul(grid.strides, cell.astype(np.int64), out=idx[0])
+    wts = np.empty((1 << n, m))
     wts[0] = 1.0
     for d in range(n):
         half = 1 << d
-        np.add(idx[:half], grid.strides[d], out=idx[half:2 * half])
         np.multiply(wts[:half], frac[d], out=wts[half:2 * half])
         wts[:half] *= comp[d]
-    return idx.T, wts.T
+    return np.add.outer(grid.corner_offsets, grid.strides @ cell.astype(np.int64)).T, wts.T
 
 
 def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
-    """Multilinear interpolation of a flat nodal array at state ``x``.
-
-    Out-of-box states are clamped to the box face, making the map total.
-    """
+    """Multilinear interpolation of a flat nodal array at state ``x``, clamped
+    to the box: the map is total."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise ValueError("values must be a flat nodal array for this grid")
@@ -177,13 +166,11 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
     return float(interpolate_many(values, idx, wts)[0])
 
 
-# at most this many gathered values, a read forms the product over all
-# corners at once.  Which path is faster depends on the corner count: best
-# of 9x2000 calls (2-vCPU Xeon, numpy 2.4), product / corner gathers, 8
-# corners 8.7 / 21.2 us at 256 values and 43.5 / 33.5 us at 4096; 4 corners
-# 9.3 / 11.7 us at 256 and 17.5 / 14.5 us at 1024; 2 corners 10.3 / 7.4 us
-# at 256.  Rollout reads gather 8 to 96 values.  drift_1d's 966-value
-# continue read solves in 39 ms with this bound and 63-66 ms with 1024.
+# at most this many gathered values, ``interpolate_many`` forms the product
+# over all corners at once: best of 9x2000 calls (2-vCPU Xeon, numpy 2.4),
+# product / corner gathers, 8 corners 8.7 / 21.2 us at 256 values and 43.5 /
+# 33.5 us at 4096; 2 corners 10.3 / 7.4 us at 256.  Rollout reads gather 8
+# to 96 values; sweeps read through ``read_stencils`` and never come here.
 _FEW_READS = 256
 _PAIR_BLOCK_READS = 1 << 14  # cap on one continue read, in control-node values
 
@@ -192,33 +179,40 @@ def interpolate_many(values: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np
     """Multilinear reads ``sum_c values[..., idx[..., c]] * wts[..., c]``.
 
     ``idx``/``wts`` hold stencil corners on their last axis, as
-    ``interp_weights`` and ``build_tables`` give them; leading axes of
-    ``values`` broadcast over the queries.  Every read is the running sum
-    ``((0 + t_0) + t_1) + ... + t_{c-1}`` of the weighted corner terms
-    ``t_c`` in corner order, for any corner count: a CSR matrix-vector
-    product adds a row the same way.  Small reads (a rollout step, one
-    state) accumulate the product ``values[..., idx] * wts`` along its
-    corner axis.  Large reads (a sweep) gather and weight one corner at a
-    time, from the contiguous corner slices, which skips the corner-long
-    temporary.  Which path runs depends on the gathered-value count only.
+    ``interp_weights`` gives them; leading axes of ``values`` broadcast over
+    the queries.  Every read is the running sum ``((0 + t_0) + t_1) + ...
+    + t_{c-1}`` of the weighted corner terms ``t_c`` in corner order, for
+    any corner count: a CSR matrix-vector product adds a row the same
+    way.  Small reads accumulate the product ``values[..., idx] * wts``
+    along its corner axis; large ones gather and weight one corner at a
+    time, which skips the corner-long temporary.
     """
     values = np.asarray(values, dtype=float)
-    if values.size // values.shape[-1] * idx.size <= _FEW_READS:
-        out = np.add.accumulate(values[..., idx] * wts, axis=-1)[..., -1]
-    else:
-        out = _gathered_running_sum(values, idx, wts)
+    if values.size // values.shape[-1] * idx.size > _FEW_READS:
+        return _gathered_running_sum(lambda c: values.take(idx[..., c], axis=-1), wts)
+    out = np.add.accumulate(values[..., idx] * wts, axis=-1)[..., -1]
     out += 0.0    # the sum starts from +0.0: an all -0.0 stencil reads +0.0
     return out
 
 
-def _gathered_running_sum(values: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """The weighted corner terms added in corner order, one gather each."""
-    out = values.take(idx[..., 0], axis=-1)
+def read_stencils(values: np.ndarray, base: np.ndarray, wts: np.ndarray,
+                  grid: GridSpec) -> np.ndarray:
+    """``interpolate_many``'s large read, with its bits, of compact tables
+    (see BellmanTables): corner c is gathered at ``base`` from the view of
+    ``values`` that starts at ``grid.corner_offsets[c]``, with no index add."""
+    offsets = grid.corner_offsets
+    return _gathered_running_sum(lambda c: values[..., offsets[c]:].take(base, axis=-1), wts)
+
+
+def _gathered_running_sum(gather, wts: np.ndarray) -> np.ndarray:
+    """The weighted corner terms ``gather(c) * wts[..., c]``, summed in order from +0.0."""
+    out = gather(0)
     out *= wts[..., 0]
-    for c in range(1, idx.shape[-1]):
-        term = values.take(idx[..., c], axis=-1)
+    for c in range(1, wts.shape[-1]):
+        term = gather(c)
         term *= wts[..., c]
         out += term
+    out += 0.0
     return out
 
 
@@ -268,9 +262,11 @@ class BellmanTables:
     Index conventions: mode pairs (i1, i2), control indices (a, b) into the
     level lists, flat grid points p, stencil corners c.
 
-    The stencil tables are stored corner-major: the corner axis is last in
-    the shapes below but outermost in memory, so every ``foot_idx[..., c]``
-    slice is one contiguous block that ``interpolate_many`` gathers from.
+    The stencil tables hold one base index per stencil; corner c is at
+    ``base + grid.corner_offsets[c]``.  Weights are stored corner-major:
+    the corner axis is last in the shapes below but outermost in memory.
+    A table whose stencils each have one nonzero weight, 1.0, is one-hot:
+    a base at that corner and one unit weight per stencil.
 
     ``foot_idx`` indexes the flattened field ``values.reshape(-1)``, pair
     offset ``(i1*m2 + i2)*p`` included: one read covers several mode pairs
@@ -289,13 +285,18 @@ class BellmanTables:
     step_matrix: np.ndarray      # one-step linear factor
     k: np.ndarray                # (m1, m2, nu1, nu2, p)
     f: np.ndarray                # (m1, m2, nu1, nu2, p, n)
-    foot_idx: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p, c)
-    foot_wts: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p, c)
-    imp_idx: np.ndarray          # (n_imp, p, c)
-    imp_wts: np.ndarray          # (n_imp, p, c)
+    foot_idx: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p)
+    foot_wts: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p, c), c = 1 if one-hot
+    imp_idx: np.ndarray          # (n_imp, p)
+    imp_wts: np.ndarray          # (n_imp, p, c), c = 1 if one-hot
     imp_costs: np.ndarray        # (n_imp,)
     k_sup: float                 # max running cost over nodes and controls
     f_sup: float                 # max drift norm over nodes and controls
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the tables' arrays."""
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
 
     @property
     def upper_bound(self) -> float:
@@ -318,10 +319,24 @@ def default_time_step(spec: ProblemSpec, grid: GridSpec, f_sup: float) -> float:
     return 0.5 * float(grid.spacing.min()) / max(1.0, f_sup)
 
 
+def _stencil_table(grid: GridSpec, shape: tuple, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Compact tables (see BellmanTables) of the point sets ``targets``
+    yields, one per ``shape[:-1]`` index in order."""
+    base = np.empty(shape, dtype=np.int64)
+    wts = np.moveaxis(np.empty((1 << grid.dimension,) + shape), 0, -1)
+    for i, pts in zip(np.ndindex(shape[:-1]), targets):
+        idx, wts[i] = interp_weights(grid, pts)
+        base[i] = idx[:, 0]
+    hot = wts != 0.0
+    if (hot.sum(axis=-1) == 1).all() and (wts[hot] == 1.0).all():
+        return base + grid.corner_offsets[hot.argmax(axis=-1)], np.ones(shape + (1,))
+    return base, wts
+
+
 def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> BellmanTables:
     pts = grid.points
     f, k = sample_controls(spec, pts)
-    m1, m2, _, _, npts, n = f.shape
+    m1, m2, _, _, npts, _ = f.shape
 
     f_sup = float(np.linalg.norm(f, axis=-1).max())
     k_sup = float(k.max())
@@ -338,27 +353,15 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     drift = f[(slice(None),) * 2 + tuple(
         slice(1) if (bits == bits.take([0], axis=ax)).all() else slice(None) for ax in (2, 3))]
 
-    # corner-major buffers behind (..., p, c) views: see BellmanTables
-    corners = 1 << n
-    foot_idx = np.moveaxis(np.empty((corners,) + drift.shape[:-1], dtype=np.int64), 0, -1)
-    foot_wts = np.moveaxis(np.empty((corners,) + drift.shape[:-1]), 0, -1)
     linear_part = pts @ step_matrix.T
-    for i in np.ndindex(drift.shape[:-2]):
-        foot_idx[i], foot_wts[i] = interp_weights(grid, grid.clamp(linear_part + dt * drift[i]))
-    foot_idx += (np.arange(m1 * m2) * npts).reshape(m1, m2, 1, 1, 1, 1)  # see BellmanTables
-
-    n_imp = len(spec.impulses)
-    imp_idx = np.moveaxis(np.empty((corners, n_imp, npts), dtype=np.int64), 0, -1)
-    imp_wts = np.moveaxis(np.empty((corners, n_imp, npts)), 0, -1)
-    imp_costs = np.array([imp.cost for imp in spec.impulses])
-    for j, imp in enumerate(spec.impulses):
-        targets = grid.clamp(pts + imp.vector)
-        imp_idx[j], imp_wts[j] = interp_weights(grid, targets)
-
+    foot_idx, foot_wts = _stencil_table(grid, drift.shape[:-1], (
+        grid.clamp(linear_part + dt * drift[i]) for i in np.ndindex(drift.shape[:-2])))
+    foot_idx += (np.arange(m1 * m2) * npts).reshape(m1, m2, 1, 1, 1)  # see BellmanTables
+    imp_idx, imp_wts = _stencil_table(grid, (len(spec.impulses), npts), (
+        grid.clamp(pts + imp.vector) for imp in spec.impulses))
     return BellmanTables(
         spec=spec, grid=grid, dt=dt, gamma=gamma, weight=weight,
-        step_matrix=step_matrix, k=k, f=f,
-        foot_idx=foot_idx, foot_wts=foot_wts,
-        imp_idx=imp_idx, imp_wts=imp_wts, imp_costs=imp_costs,
+        step_matrix=step_matrix, k=k, f=f, foot_idx=foot_idx, foot_wts=foot_wts,
+        imp_idx=imp_idx, imp_wts=imp_wts, imp_costs=np.array([i.cost for i in spec.impulses]),
         k_sup=k_sup, f_sup=f_sup,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import BellmanTables, GridSpec, build_tables, interpolate_many
+from .discretize import BellmanTables, GridSpec, build_tables, read_stencils
 from .problem import ProblemSpec
 
 __all__ = [
@@ -75,12 +75,8 @@ def isaacs_gap(f: np.ndarray, k: np.ndarray, costate_samples: int = 16,
     """
     rng = np.random.default_rng(seed)
     n = f.shape[-1]
-    canonical = [np.zeros(n)]
-    for d in range(n):
-        e = np.zeros(n)
-        e[d] = 1.0
-        canonical.extend([e.copy(), -e])
-    costates = np.array(canonical + list(rng.standard_normal((costate_samples, n))))
+    units = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(-1, n)  # e_0, -e_0, e_1, ...
+    costates = np.vstack([np.zeros((1, n)), units, rng.standard_normal((costate_samples, n))])
 
     gap = 0.0
     for pair in np.ndindex(k.shape[:2]):
@@ -125,7 +121,8 @@ def switch_upper_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
 def impulse_candidates(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
     """V[d1,d2](clamped x + xi) + cost for every pair and jump: (m1, m2, n_imp, p)."""
-    return interpolate_many(values, tables.imp_idx, tables.imp_wts) + tables.imp_costs[:, None]
+    read = read_stencils(values, tables.imp_idx, tables.imp_wts, tables.grid)
+    return read + tables.imp_costs[:, None]
 
 
 def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
@@ -153,7 +150,7 @@ def continue_field(values: np.ndarray, tables: BellmanTables, variant: Variant) 
     out = np.empty_like(values)
     out_pairs = out.reshape(-1, values.shape[-1])
     for pairs, idx, wts, k in tables.pair_blocks:
-        q = tables.weight * k + tables.gamma * interpolate_many(flat, idx, wts)
+        q = tables.weight * k + tables.gamma * read_stencils(flat, idx, wts, tables.grid)
         if variant is Variant.PLUS:
             out_pairs[pairs] = q.min(axis=2).max(axis=1)  # max over u1 of min over u2
         else:

@@ -1,10 +1,11 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybrid_isaacs.exprlang import parse
-from hybrid_isaacs.problem import Impulse, ProblemSpec, load_config
+from hybrid_isaacs.problem import Impulse, ProblemSpec, load_config, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -86,6 +87,18 @@ def spec_dir():
 
 def load_bundled(name):
     return load_config(BUNDLED[name])
+
+
+def gen2d(seed, points, directory):
+    """The benchmark's seeded 2-D game (``perfbench/gen.py``) at ``points``
+    per side, written to ``directory`` and read back."""
+    source = importlib.util.spec_from_file_location("perfbench_gen",
+                                                    SPEC_DIR.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(source)
+    source.loader.exec_module(gen)
+    path = directory / f"gen{seed}_{points}.toml"
+    path.write_text(gen.grid2d_spec_text(seed, points))
+    return load_spec(path)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import numpy as np
@@ -138,6 +139,51 @@ def test_solve_outputs_are_deterministic(workdir):
     assert run("solve", cfg, "--seed", "3") == EXIT_OK
     assert (tmp / "mode_selection.value.csv").read_bytes() == first
     assert (tmp / "mode_selection.residuals.csv").read_bytes() == first_res
+
+
+# each case swaps mode_selection's ``[solver]`` lines for one of the wrong type
+BAD_SOLVER_VALUES = {
+    "tolerance list": ("tolerance = [1]", "[solver] tolerance: list is not a number"),
+    "dt string": ('dt = "fast"', "[solver] dt: str is not a number"),
+    "iterations string": ('max_iterations = "many"', "[solver] max_iterations: str is not"),
+    "iterations list": ("max_iterations = [10]", "[solver] max_iterations: list is not"),
+    "tolerance bool": ("tolerance = true", "[solver] tolerance: bool is not"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("case", sorted(BAD_SOLVER_VALUES))
+def test_solver_value_of_the_wrong_type_exits_1_and_names_it(tmp_path, capsys, case, command):
+    line, needle = BAD_SOLVER_VALUES[case]
+    text = BUNDLED["mode_selection"].read_text()
+    assert text.endswith("[solver]\ndt = 0.5\ntolerance = 1e-10\n")
+    path = tmp_path / "typed.toml"
+    path.write_text(text.replace("dt = 0.5\ntolerance = 1e-10", line))
+    assert run(command, path) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {needle}") and err.count("\n") == 1, err
+    assert not (tmp_path / "typed.value.csv").exists()
+
+
+def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):
+    tmp, copy = workdir
+    cfg = copy("mode_selection")
+    assert run("solve", cfg) == EXIT_OK
+    cfg.write_text(cfg.read_text().replace("dt = 0.5", 'dt = "fast"'))
+    assert run("simulate", cfg, tmp / "mode_selection.value.csv") == EXIT_PARSE
+    assert f"error: {cfg}: [solver] dt: str is not a number" in capsys.readouterr().err
+
+
+def test_solve_manifest_records_the_table_bytes(workdir):
+    tmp, copy = workdir
+    for name in ("drift_1d", "impulse_toy"):
+        cfg = copy(name)
+        assert run("solve", cfg, "--grid", "41") == EXIT_OK
+        manifest = json.loads((tmp / f"{name}.solve-manifest.json").read_text())
+        spec, _, solver_cfg = load_config(cfg)
+        tables = discretize.build_tables(spec, discretize.make_grid(spec, 41),
+                                         solver_cfg.get("dt"))
+        assert manifest["inputs"]["table_bytes"] == tables.nbytes > 0, name
 
 
 def test_solve_iteration_cap_exits_3_with_partial_field(workdir, capsys):

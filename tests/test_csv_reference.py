@@ -3,7 +3,6 @@
 kept below as the reference: every file must match them byte for byte, and
 a value file must read back bit for bit."""
 
-import importlib.util
 import itertools
 import tempfile
 from pathlib import Path
@@ -17,12 +16,9 @@ from hypothesis.extra.numpy import arrays
 from hybrid_isaacs import cli
 from hybrid_isaacs.discretize import make_grid
 from hybrid_isaacs.hybridsim import simulate
-from hybrid_isaacs.problem import load_spec
 from hybrid_isaacs.solver import SolverConfig, solve
 
-from conftest import game_2d, toy_spec
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import game_2d, gen2d, toy_spec
 
 
 def fmt(x):
@@ -137,23 +133,12 @@ def test_value_fields_round_trip_bit_for_bit(key, data):
 # ---------------------------------------------------------------------------
 # trajectory files
 
-def gen2d(seed, directory):
-    """The benchmark's seeded 2-D game at 21x21."""
-    source = importlib.util.spec_from_file_location("perfbench_gen",
-                                                    ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(source)
-    source.loader.exec_module(gen)
-    path = directory / f"gen{seed}.toml"
-    path.write_text(gen.grid2d_spec_text(seed, 21))
-    return load_spec(path)
-
-
 @pytest.fixture(scope="module")
 def rollouts(tmp_path_factory):
     """Rollouts from a 3x3 grid of starts in every mode pair, and one at
     horizon 0, on game_2d and on gen2d seed 1."""
     out = []
-    for spec in (game_2d(), gen2d(1, tmp_path_factory.mktemp("gen2d"))):
+    for spec in (game_2d(), gen2d(1, 21, tmp_path_factory.mktemp("gen2d"))):
         grid = make_grid(spec, 21)
         values = solve(spec, grid, SolverConfig(tolerance=1e-9)).values
         for x in itertools.product(*(np.linspace(lo, hi, 3) for lo, hi in spec.box)):

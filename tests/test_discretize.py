@@ -158,7 +158,9 @@ def test_tables_feet_respect_linear_factor():
     grid = make_grid(spec, 3)
     tables = build_tables(spec, grid, dt=0.2)
     values = grid.points[:, 0].copy()   # identity function on nodes
-    foot_values = (values[tables.foot_idx[0, 0, 0, 0]] * tables.foot_wts[0, 0, 0, 0]).sum(-1)
+    wts = tables.foot_wts[0, 0, 0, 0]
+    corners = tables.foot_idx[0, 0, 0, 0][:, None] + grid.corner_offsets[:wts.shape[-1]]
+    foot_values = (values[corners] * wts).sum(-1)
     np.testing.assert_allclose(foot_values, math.exp(-0.1) * grid.points[:, 0], atol=1e-12)
 
 

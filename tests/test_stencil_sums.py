@@ -1,7 +1,9 @@
 """Multilinear reads on corner-major tables are bit-identical to the
 running sum of the weighted corner terms in corner order, written out term
 by term, and below 8 corners to numpy's ``(values[idx] * wts).sum(-1)`` on
-C-contiguous tables, which every read used to be."""
+C-contiguous tables, which every read used to be.  The sweep's compact
+tables (one base index per stencil, one unit corner when one-hot) read the
+bits of the full tables they replace."""
 
 import dataclasses
 import gc
@@ -12,11 +14,12 @@ import pytest
 
 from hybrid_isaacs import discretize, hybridsim
 from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate,
-                                      interpolate_many, make_grid)
-from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, impulse_field,
-                                     switch_lower_field, switch_upper_field)
+                                      interpolate_many, make_grid, read_stencils)
+from hybrid_isaacs.operators import (Variant, bellman_update, continue_field,
+                                     impulse_candidates, impulse_field, switch_lower_field,
+                                     switch_upper_field)
 
-from conftest import game_2d, load_bundled, toy_spec
+from conftest import BUNDLED, game_2d, gen2d, load_bundled, toy_spec
 
 
 def contiguous_sum(values, idx, wts):
@@ -38,6 +41,12 @@ def ordered_sum(values, idx, wts):
     for c in range(idx.shape[-1]):
         total = total + values[..., idx[..., c]] * wts[..., c]
     return total
+
+
+def corners_of(base, wts, grid):
+    """A compact table's corner indices written out, ``base + offset`` on
+    the last axis, beside its weights: the form ``interpolate_many`` reads."""
+    return base[..., None] + grid.corner_offsets[:wts.shape[-1]], wts
 
 
 def assert_same_bits(actual, expected):
@@ -77,9 +86,13 @@ def game_3d():
         impulses=(([-0.3, 0.0, 0.1], 0.5), ([0.0, 0.25, -0.25], 0.7)))
 
 
-def _balanced_loop():
-    spec, grid_cfg, _ = load_bundled("balanced_loop")
+def _bundled(name):
+    spec, grid_cfg, _ = load_bundled(name)
     return spec, make_grid(spec, grid_cfg["points"])
+
+
+def _balanced_loop():
+    return _bundled("balanced_loop")
 
 
 GAMES = {
@@ -113,7 +126,8 @@ def reference_continue(values, tables, variant, read):
     out = np.empty_like(values)
     for (i1, i2) in tables.spec.mode_pairs():
         q = (tables.weight * tables.k[i1, i2] + tables.gamma * read(
-            values.reshape(-1), tables.foot_idx[i1, i2], tables.foot_wts[i1, i2]))
+            values.reshape(-1), *corners_of(tables.foot_idx[i1, i2], tables.foot_wts[i1, i2],
+                                            tables.grid)))
         if variant is Variant.PLUS:
             out[i1, i2] = q.min(axis=1).max(axis=0)
         else:
@@ -125,7 +139,8 @@ def reference_impulse(values, tables, read):
     out = np.full_like(values, np.inf)
     for j, cost in enumerate(tables.imp_costs):
         for (i1, i2) in tables.spec.mode_pairs():
-            cand = read(values[i1, i2], tables.imp_idx[j], tables.imp_wts[j]) + cost
+            cand = read(values[i1, i2], *corners_of(tables.imp_idx[j], tables.imp_wts[j],
+                                                    tables.grid)) + cost
             out[i1, i2] = np.minimum(out[i1, i2], cand)
     return out
 
@@ -134,18 +149,28 @@ def reference_impulse(values, tables, read):
 FOOT_CONTROLS = {"balanced_loop": (2, 1), "game_2d": (3, 1), "game_3d": (3, 2)}
 
 
+# games whose impulse tables are one-hot: every jump lands on a node
+ONE_HOT_IMPULSES = {"balanced_loop": True, "game_2d": True, "game_3d": False}
+
+
 def test_tables_keep_their_shapes_and_store_corners_contiguously(game, request):
+    """One int64 base index per stencil; corner-major weights, with one
+    unit corner in a one-hot table."""
     spec, grid, tables = game
+    name = request.node.callspec.params["game"]
     corners = 1 << spec.dimension
-    stencil = FOOT_CONTROLS[request.node.callspec.params["game"]] + (grid.n_points, corners)
-    tabs = {"foot_idx": (spec.m1, spec.m2) + stencil, "foot_wts": (spec.m1, spec.m2) + stencil,
-            "imp_idx": (len(spec.impulses), grid.n_points, corners),
-            "imp_wts": (len(spec.impulses), grid.n_points, corners)}
+    stencils = (spec.m1, spec.m2) + FOOT_CONTROLS[name] + (grid.n_points,)
+    jumps = (len(spec.impulses), grid.n_points)
+    tabs = {"foot_idx": stencils, "foot_wts": stencils + (corners,), "imp_idx": jumps,
+            "imp_wts": jumps + (1 if ONE_HOT_IMPULSES[name] else corners,)}
     for name, shape in tabs.items():
         table = getattr(tables, name)
         assert table.shape == shape, name
         assert table.nbytes == table.size * 8
-        assert all(table[..., c].flags.c_contiguous for c in range(corners)), name
+        if name.endswith("idx"):
+            assert table.dtype == np.int64 and table.flags.c_contiguous, name
+        else:
+            assert all(table[..., c].flags.c_contiguous for c in range(table.shape[-1])), name
     idx, wts = interp_weights(grid, grid.points[:5])
     assert idx.shape == wts.shape == (5, corners)
     assert all(idx[:, c].flags.c_contiguous and wts[:, c].flags.c_contiguous
@@ -157,9 +182,10 @@ def test_feet_index_the_flattened_field(game):
     and the pair blocks are views of the one table, not offset copies."""
     spec, grid, tables = game
     for (i1, i2) in spec.mode_pairs():
-        assert (tables.foot_idx[i1, i2] // grid.n_points == i1 * spec.m2 + i2).all()
+        idx, _ = corners_of(tables.foot_idx[i1, i2], tables.foot_wts[i1, i2], grid)
+        assert (idx // grid.n_points == i1 * spec.m2 + i2).all()
     for _, idx, wts, k in tables.pair_blocks:
-        assert idx.base is tables.foot_idx.base and wts.base is tables.foot_wts.base
+        assert np.shares_memory(idx, tables.foot_idx) and np.shares_memory(wts, tables.foot_wts)
         assert np.shares_memory(k, tables.k)
 
 
@@ -180,14 +206,27 @@ def test_foot_axes_collapse_exactly_where_the_drift_bits_are_constant(name, spec
 
 def full_shape(tables):
     """The tables with one stencil per (u1, u2) pair, broadcast from the
-    stored ones and copied corner-major."""
-    shape = tables.k.shape + (tables.foot_idx.shape[-1],)
+    stored ones and copied, the weights corner-major."""
+    shape = tables.k.shape + (tables.foot_wts.shape[-1],)
 
     def spread(a):
         return np.moveaxis(np.moveaxis(np.broadcast_to(a, shape), -1, 0).copy(), 0, -1)
 
-    return dataclasses.replace(tables, foot_idx=spread(tables.foot_idx),
-                               foot_wts=spread(tables.foot_wts))
+    return dataclasses.replace(tables, foot_wts=spread(tables.foot_wts),
+                               foot_idx=np.broadcast_to(tables.foot_idx, shape[:-1]).copy())
+
+
+def compact(idx, wts, grid, corners):
+    """``interp_weights``' stencils as a table of ``corners`` corners
+    stores them: every index is the base plus its corner's offset, and a
+    one-hot table keeps the index and weight of the single nonzero one."""
+    assert_same_bits(np.ascontiguousarray(idx), idx[:, :1] + grid.corner_offsets)
+    if corners == 1:
+        hot = wts != 0.0
+        assert (hot.sum(axis=-1) == 1).all()
+        rows, hot = np.arange(len(idx)), hot.argmax(axis=-1)
+        return idx[rows, hot], wts[rows, hot][:, None]
+    return idx[:, 0], wts
 
 
 @pytest.mark.parametrize("name", ["balanced_loop", "drift_1d", "game_2d"])
@@ -204,7 +243,8 @@ def test_collapsed_tables_read_bit_identically_to_full_ones(name):
     for i in np.ndindex(tables.k.shape[:-1]):
         idx, wts = interp_weights(grid, grid.clamp(linear_part + tables.dt * tables.f[i]))
         pair = (i[0] * spec.m2 + i[1]) * grid.n_points
-        assert_same_bits(full.foot_idx[i], idx + pair)
+        base, wts = compact(idx + pair, wts, grid, full.foot_wts.shape[-1])
+        assert_same_bits(full.foot_idx[i], base)
         assert_same_bits(full.foot_wts[i], wts)
     for values in fields(spec, grid):
         for variant in (Variant.PLUS, Variant.MINUS):
@@ -236,12 +276,13 @@ def test_continue_blocks_match_pair_by_pair_reads(game, variant, per_block, monk
 @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
 def test_sweep_is_bit_identical_to_contiguous_sums(game, variant, read):
     spec, grid, tables = game
-    corners = 1 << spec.dimension
+    corners = max(tables.foot_wts.shape[-1], tables.imp_wts.shape[-1])
     for values in fields(spec, grid):
         cont = reference_continue(values, tables, variant, read)
         imp = reference_impulse(values, tables, read)
-        assert_read(continue_field(values, tables, variant), cont, read, corners, values)
-        assert_read(impulse_field(values, tables), imp, read, corners, values)
+        assert_read(continue_field(values, tables, variant), cont, read,
+                    tables.foot_wts.shape[-1], values)
+        assert_read(impulse_field(values, tables), imp, read, tables.imp_wts.shape[-1], values)
         expected = np.maximum(switch_upper_field(values, spec),
                               np.minimum(np.minimum(switch_lower_field(values, spec), imp), cont))
         assert_read(bellman_update(values, spec, grid, variant=variant, tables=tables),
@@ -306,14 +347,18 @@ def test_csr_products_read_the_same_bits(game):
     few = (0,) * 4 + (slice(4),)
     for values in fields(spec, grid):
         flat = values.reshape(-1)
-        for idx, wts in ((tables.foot_idx, tables.foot_wts),
-                         (tables.foot_idx[few], tables.foot_wts[few])):
-            assert_same_bits((csr(idx, wts, flat.size) @ flat).reshape(idx.shape[:-1]),
-                             interpolate_many(flat, idx, wts))
+        for base, wts in ((tables.foot_idx, tables.foot_wts),
+                          (tables.foot_idx[few], tables.foot_wts[few])):
+            idx, wts = corners_of(base, wts, grid)
+            product = (csr(idx, wts, flat.size) @ flat).reshape(idx.shape[:-1])
+            assert_same_bits(product, interpolate_many(flat, idx, wts))
+            assert_same_bits(product, read_stencils(flat, base, wts, grid))
         slabs = values.reshape(-1, grid.n_points)
-        imp = csr(tables.imp_idx, tables.imp_wts, grid.n_points) @ slabs.T
-        expected = interpolate_many(values, tables.imp_idx, tables.imp_wts)
+        idx, wts = corners_of(tables.imp_idx, tables.imp_wts, grid)
+        imp = csr(idx, wts, grid.n_points) @ slabs.T
+        expected = interpolate_many(values, idx, wts)
         assert_same_bits(imp.T.reshape(expected.shape), expected)
+        assert_same_bits(expected, read_stencils(values, tables.imp_idx, wts, grid))
 
 
 @pytest.mark.parametrize("queries", [(1,), (4, 5), (40, 50)])
@@ -369,9 +414,147 @@ def test_sweeps_leave_no_reference_cycle_holding_the_tables():
     gc.disable()
     try:
         tables = build_tables(spec, grid)
-        buffers = [weakref.ref(tables.foot_idx.base), weakref.ref(tables.imp_wts.base)]
+        buffers = [weakref.ref(a if a.base is None else a.base) for a in
+                   (tables.foot_idx, tables.foot_wts, tables.imp_idx, tables.imp_wts)]
         bellman_update(values, spec, grid, tables=tables)
         del tables
         assert all(ref() is None for ref in buffers)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# compact tables against the full layout they replace
+
+def full_layout(tables):
+    """Every stencil's ``2**n`` corner indices and weights from
+    ``interp_weights``, in the (..., p, c) corner-major layout of the full
+    tables: foot indices with their pair offsets, foot weights, then the
+    impulses'."""
+    grid, spec = tables.grid, tables.spec
+    linear_part = grid.points @ tables.step_matrix.T
+
+    def table(shape, targets):
+        idx, wts = (np.moveaxis(np.empty((1 << spec.dimension,) + shape, dtype), 0, -1)
+                    for dtype in (np.int64, float))
+        for i in np.ndindex(shape[:-1]):
+            idx[i], wts[i] = interp_weights(grid, targets(i))
+        return idx, wts
+
+    foot_idx, foot_wts = table(tables.foot_idx.shape,
+                               lambda i: grid.clamp(linear_part + tables.dt * tables.f[i]))
+    pairs = np.arange(spec.m1 * spec.m2) * grid.n_points
+    foot_idx += pairs.reshape(spec.m1, spec.m2, 1, 1, 1, 1)
+    imp_idx, imp_wts = table(tables.imp_idx.shape,
+                             lambda i: grid.clamp(grid.points + spec.impulses[i[0]].vector))
+    return foot_idx, foot_wts, imp_idx, imp_wts
+
+
+def full_update(values, tables, variant):
+    """The sweep as it was before the compact tables: ``interpolate_many``
+    over every corner of the full layout."""
+    foot_idx, foot_wts, imp_idx, imp_wts = full_layout(tables)
+    spec = tables.spec
+    q = tables.weight * tables.k + tables.gamma * interpolate_many(
+        values.reshape(-1), foot_idx, foot_wts)
+    if variant is Variant.PLUS:
+        out = q.min(axis=3).max(axis=2)
+    else:
+        out = q.max(axis=2).min(axis=2)
+    if spec.impulses:
+        imp = interpolate_many(values, imp_idx, imp_wts) + tables.imp_costs[:, None]
+        out = np.minimum(imp.min(axis=2), out)
+    if spec.m2 > 1:
+        out = np.minimum(switch_lower_field(values, spec), out)
+    if spec.m1 > 1:
+        out = np.maximum(switch_upper_field(values, spec), out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def layout_games(tmp_path_factory):
+    games = {name: _bundled(name) for name in sorted(BUNDLED)}
+    games["game_2d"] = (game_2d(), make_grid(game_2d(), 11))
+    games["game_3d"] = (game_3d(), make_grid(game_3d(), 6))
+    spec = gen2d(1, 21, tmp_path_factory.mktemp("gen2d"))
+    games["gen2d_1"] = (spec, make_grid(spec, 21))
+    return games
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "game_3d", "gen2d_1"])
+def test_sweep_reads_the_bits_of_the_full_tables(layout_games, name):
+    """On finite fields, one-hot and full compact tables alike, both orders."""
+    spec, grid = layout_games[name]
+    tables = build_tables(spec, grid)
+    rng = np.random.default_rng(3)
+    positive = rng.uniform(0.0, 2.0, size=(spec.m1, spec.m2, grid.n_points))
+    for values in fields(spec, grid) + [positive]:
+        for variant in (Variant.PLUS, Variant.MINUS):
+            assert_same_bits(bellman_update(values, spec, grid, variant=variant, tables=tables),
+                             full_update(values, tables, variant))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_node_aligned_jumps_make_one_hot_impulse_tables(seed, tmp_path):
+    """Each stencil of the benchmark game's jumps is its landing node."""
+    spec = gen2d(seed, 41, tmp_path)
+    grid = make_grid(spec, 41)
+    tables = build_tables(spec, grid)
+    assert tables.imp_idx.shape == (3, grid.n_points)
+    assert tables.imp_wts.shape == (3, grid.n_points, 1)
+    assert (tables.imp_wts == 1.0).all()
+    for j, imp in enumerate(spec.impulses):
+        landed = grid.points[tables.imp_idx[j]]
+        np.testing.assert_allclose(landed, grid.clamp(grid.points + imp.vector), atol=1e-12)
+    assert tables.foot_wts.shape[-1] == 4
+
+
+def test_one_hot_tables_are_the_ones_with_a_single_unit_weight():
+    """balanced_loop's jumps and impulse_toy's feet land on nodes;
+    drift_1d's feet do not; a half-cell jump keeps its two-corner table."""
+    assert build_tables(*_bundled("balanced_loop")).imp_wts.shape[-1] == 1
+    toy = build_tables(*_bundled("impulse_toy"))
+    assert toy.foot_wts.shape[-1] == 1 and (toy.foot_wts == 1.0).all()
+    assert build_tables(*_bundled("drift_1d")).foot_wts.shape[-1] == 2
+    spec = toy_spec(impulses=(([0.25], 0.5),))
+    grid = make_grid(spec, 5)    # spacing 0.5: interior jumps land mid-cell
+    tables = build_tables(spec, grid)
+    assert tables.imp_wts.shape == (1, 5, 2)
+    assert tables.imp_wts[0].tolist() == [[0.5, 0.5]] * 4 + [[0.0, 1.0]]
+    assert tables.imp_idx.tolist() == [[0, 1, 2, 3, 3]]
+
+
+def test_one_hot_reads_take_the_landing_node_of_any_field():
+    """A one-hot read is the landing node's value, also where a node the
+    full stencil weighted by 0 holds inf or nan (0*inf gave nan there)."""
+    spec, grid = _bundled("balanced_loop")
+    tables = build_tables(spec, grid)
+    values = fields(spec, grid)[0]
+    values[..., ::7] = np.inf
+    values[..., 3::11] = np.nan
+    assert_same_bits(impulse_candidates(values, tables),
+                     values[..., tables.imp_idx] + tables.imp_costs[:, None])
+
+
+@pytest.mark.parametrize("name", ["balanced_loop", "game_2d", "game_3d"])
+def test_table_bytes_sum_the_arrays(name):
+    spec, grid = GAMES[name]()
+    tables = build_tables(spec, grid)
+    arrays = [getattr(tables, f.name) for f in dataclasses.fields(tables)]
+    assert tables.nbytes == sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    corners = 1 << spec.dimension
+    for idx, wts in ((tables.foot_idx, tables.foot_wts), (tables.imp_idx, tables.imp_wts)):
+        per_stencil = 16 if wts.shape[-1] == 1 else 8 + 8 * corners
+        assert idx.nbytes + wts.nbytes == idx.size * per_stencil
+
+
+def test_compact_tables_cut_the_3d_table_bytes():
+    """game_3d at 21 points per side: at least 30% fewer bytes than the
+    full layout, whose stencil tables held 16 bytes per corner."""
+    spec = game_3d()
+    tables = build_tables(spec, make_grid(spec, 21))
+    compact = sum(a.nbytes for a in (tables.foot_idx, tables.foot_wts,
+                                     tables.imp_idx, tables.imp_wts))
+    full = tables.nbytes - compact + sum(a.nbytes for a in full_layout(tables))
+    assert full == tables.nbytes - compact + 16 * 8 * (tables.foot_idx.size + tables.imp_idx.size)
+    assert tables.nbytes <= 0.7 * full
