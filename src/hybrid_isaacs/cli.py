@@ -36,7 +36,7 @@ from .hybridsim import ChatterError, evaluate_cost, simulate
 from .operators import Variant, isaacs_gap
 from .problem import (ProblemSpec, ValidationReport, check_y1_y2, load_config,
                       sample_controls, validate_a2)
-from .solver import SolverConfig, solve
+from .solver import INIT_UPPER, INIT_ZERO, SolverConfig, solve
 from .verify import SUITES, VerificationReport, check_field, run_all
 
 EXIT_OK = 0
@@ -188,14 +188,21 @@ def write_manifest(path: Path, command: str, inputs: dict, outputs: list[Path],
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_grid(text: str | None, grid_cfg: dict):
+INITS = (INIT_ZERO, INIT_UPPER)
+VARIANTS = tuple(v.value for v in Variant)
+
+
+def _parse_grid(text: str | None, grid_cfg: dict, path: Path):
     """Point counts for ``make_grid``: a single count (``--grid 11`` or
     ``points = 11``) stays an int, which ``make_grid`` gives every axis."""
     if text:
         counts = tuple(int(c) for c in text.split(","))
         return counts[0] if len(counts) == 1 else counts
     points = grid_cfg.get("points", 101)
-    return tuple(int(c) for c in points) if isinstance(points, list) else int(points)
+    counts = points if isinstance(points, list) else [points]
+    if not all(isinstance(c, int) for c in counts):
+        raise ConfigError(f"[grid] points: {points!r} is not an int or a list of ints", str(path))
+    return tuple(counts) if isinstance(points, list) else points
 
 
 def _solver_number(solver_cfg: dict, key: str, path: Path, default=None):
@@ -205,6 +212,21 @@ def _solver_number(solver_cfg: dict, key: str, path: Path, default=None):
     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(f"[solver] {key}: {type(value).__name__} is not a number", str(path))
     return value
+
+
+def _solver_choice(solver_cfg: dict, key: str, path: Path, choices: tuple[str, ...]) -> str:
+    """``[solver] <key>``, or ``choices[0]`` when it is absent; a ConfigError
+    naming the file and the key when it is not one of ``choices``."""
+    value = solver_cfg.get(key, choices[0])
+    if value not in choices:
+        raise ConfigError(f"[solver] {key}: {value!r} is not one of {', '.join(choices)}",
+                          str(path))
+    return value
+
+
+def _variant(args, solver_cfg: dict, path: Path) -> Variant:
+    """``--variant``, else ``[solver] variant``, else plus."""
+    return Variant(args.variant or _solver_choice(solver_cfg, "variant", path, VARIANTS))
 
 
 def _time_step(args, solver_cfg: dict, path: Path) -> float | None:
@@ -218,11 +240,9 @@ def _solver_config(args, solver_cfg: dict, path: Path) -> SolverConfig:
            else _solver_number(solver_cfg, "tolerance", path, 1e-9))
     iters = (args.max_iters if args.max_iters is not None
              else _solver_number(solver_cfg, "max_iterations", path, 100_000))
-    init = args.init if getattr(args, "init", None) else solver_cfg.get("init", "zero")
-    variant = Variant.parse(args.variant if getattr(args, "variant", None)
-                            else solver_cfg.get("variant", "plus"))
+    init = getattr(args, "init", None) or _solver_choice(solver_cfg, "init", path, INITS)
     return SolverConfig(dt=dt, tolerance=float(tol), max_iterations=int(iters),
-                        init=init, variant=variant)
+                        init=init, variant=_variant(args, solver_cfg, path))
 
 
 def _out_dir(args, config_path: Path) -> Path:
@@ -289,7 +309,7 @@ def cmd_solve(args) -> int:
     if gate != EXIT_OK:
         return gate
 
-    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
+    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, config_path))
     config = _solver_config(args, solver_cfg, config_path)
     result = solve(spec, grid, config)
 
@@ -340,7 +360,7 @@ def cmd_simulate(args) -> int:
 
     traj = simulate(spec, grid, values, start, d1, d2, horizon=args.horizon,
                     dt=_time_step(args, solver_cfg, config_path), action_tol=args.action_tol,
-                    variant=Variant.parse(args.variant or solver_cfg.get("variant", "plus")))
+                    variant=_variant(args, solver_cfg, config_path))
 
     out_dir = _out_dir(args, config_path)
     stem = config_path.stem
@@ -393,7 +413,7 @@ def cmd_verify(args) -> int:
         report = VerificationReport(check_field(values, spec, grid, config, tables, suites),
                                     args.seed)
     else:
-        grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
+        grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, config_path))
         report = run_all(spec, grid, config, seed=args.seed, trials=args.trials,
                          suites=suites)
 
@@ -413,7 +433,7 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     config_path = Path(args.config)
     spec, grid_cfg, _ = load_config(config_path)
-    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg))
+    grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, config_path))
 
     y = check_y1_y2(spec)
     gap = isaacs_gap(*sample_controls(spec, grid.points), costate_samples=args.costates,
@@ -456,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--init", choices=["zero", "upper"])
-    p.add_argument("--variant", choices=["plus", "minus"])
+    p.add_argument("--init", choices=INITS)
+    p.add_argument("--variant", choices=VARIANTS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="roll out the feedback policy")
@@ -470,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--action-tol", type=float, default=1e-8, dest="action_tol")
-    p.add_argument("--variant", choices=["plus", "minus"])
+    p.add_argument("--variant", choices=VARIANTS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the structural property checks")
@@ -479,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--variant", choices=["plus", "minus"])
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--suite", action="append", choices=SUITES,
                    help="restrict to named checks (repeatable)")
     p.add_argument("--trials", type=int, default=100)

@@ -1,24 +1,24 @@
 """Tiny arithmetic expression language for dynamics and running-cost entries.
 
-Grammar (standard precedence, `^` binds tightest and associates right):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?
-    atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
-
-Identifiers are either variables (``x0`` .. ``x{n-1}``, ``u1``, ``u2``;
-which names are legal is decided by the caller, not the grammar) or one of
-the built-in functions ``sin cos tanh exp sqrt abs min max``.  Parsed trees
-are immutable and safe to evaluate concurrently; ``compile_expr`` turns one
-into nested closures, so repeated evaluation walks no tree.  Evaluation is
-strict about domains: division by zero, square roots of negatives and
-fractional powers of negatives raise instead of producing NaN.
+An expression is Python arithmetic with ``^`` for ``**``, read by Python's
+own parser: numbers, identifiers, ``+ - * /``, unary ``-``, ``^`` (binds
+tightest, above unary minus, and associates right), parentheses, and calls
+of the built-ins ``sin cos tanh exp sqrt abs min max``.  A number is digits
+with an optional point and exponent (``01``, ``1.``, ``.5`` too), finite as
+a float.  Refused: any other character or construct (unary ``+``, ``**``,
+Python keywords, literals other than numbers, ...) and trees nested deeper
+than 200 levels.  Which variables (``x0`` .. ``x{n-1}``, ``u1``, ``u2``) are
+legal is the caller's choice.  Parsed trees are immutable and safe to
+evaluate concurrently; ``compile_expr`` turns one into nested closures, so
+repeated evaluation walks no tree.  Evaluation is strict about domains:
+division by zero, square roots of negatives and fractional powers of
+negatives raise instead of producing NaN.
 """
 
 from __future__ import annotations
 
+import ast
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -66,8 +66,9 @@ class ExprError(ValueError):
 class ExprSyntaxError(ExprError):
     """Malformed expression text.
 
-    ``offset`` is the character offset of the offending token and
-    ``expected`` a short hint of what would have been legal there.
+    ``offset`` is the character offset of the offending token (the end of
+    the text if input ran out) and ``expected`` a hint of what was legal
+    there.  Python's parser's messages ("invalid syntax") pass through.
     """
 
     def __init__(self, message: str, offset: int, expected: str = ""):
@@ -150,111 +151,65 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(f"found {value!r}" if value else "unexpected end of input",
-                                  offset, expected=repr(op))
-        return self.advance()
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"trailing input {value!r}", offset, expected="end of expression")
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            # right associative; exponent may carry a unary minus
-            return BinOp("^", node, self.factor())
-        return node
-
-    def atom(self) -> Expr:
-        kind, value, offset = self.advance()
-        if kind == "num":
-            return Num(float(value))
-        if kind == "ident":
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "(":
-                if value not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function '{value}'", offset,
-                                          expected="one of " + " ".join(sorted(FUNCTIONS)))
-                self.advance()
-                args = [self.expr()]
-                while True:
-                    k, v, _ = self.peek()
-                    if k == "op" and v == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
-                self.expect_op(")")
-                arity = FUNCTIONS[value]
-                if len(args) != arity:
-                    raise ExprSyntaxError(
-                        f"function '{value}' takes {arity} argument(s), got {len(args)}", offset)
-                return Call(value, tuple(args))
-            return Var(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "end":
-            raise ExprSyntaxError("unexpected end of input", offset, expected="an operand")
-        raise ExprSyntaxError(f"found {value!r}", offset, expected="an operand")
+_MAX_DEPTH = 200    # as deep as Python's parser nests parentheses
+_AST_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` into an expression tree.
+    """Parse ``text`` into an expression tree, or raise ExprSyntaxError.
 
-    Raises ExprSyntaxError carrying the character offset of the problem.
+    ``ast.parse`` reads the tokens as Python source, ``^`` written ``**`` and
+    each number ``0``, whose value is ``float`` of its text; the walk keeps
+    only the grammar's node types.
     """
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    pieces, origin, numbers = [], [], {}    # origin[i]: text offset of source[i]
+    for (kind, value, offset), (_, following, next_offset) in zip(tokens, tokens[1:]):
+        if kind == "num":
+            numbers[len(origin)] = number = float(value)
+            if not math.isfinite(number):
+                raise ExprSyntaxError(f"number {value!r} is too large", offset)
+        elif value == "," and following == ")":    # the tree cannot show this comma
+            raise ExprSyntaxError("found ')'", next_offset, expected="an operand")
+        pieces.append("0" if kind == "num" else value.replace("^", "**"))
+        origin += [offset] * len(pieces[-1]) + [next_offset]
+    source = " ".join(pieces)
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:    # offset is 1-based, and 0 at the end of input
+        at = origin[exc.offset - 1] if exc.offset else len(text)
+        raise ExprSyntaxError(exc.msg, at) from None
+    except (RecursionError, MemoryError):    # CPython gives up thousands of levels deep
+        raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels", 0) from None
+
+    def build(node, depth=1) -> Expr:
+        offset = origin[node.col_offset]
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels", offset)
+        if isinstance(node, ast.Constant) and node.col_offset in numbers:
+            return Num(numbers[node.col_offset])
+        if isinstance(node, ast.Name):
+            return Var(node.id)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(build(node.operand, depth + 1))
+        if isinstance(node, ast.BinOp) and type(node.op) in _AST_OPS:
+            return BinOp(_AST_OPS[type(node.op)], build(node.left, depth + 1),
+                         build(node.right, depth + 1))
+        # neither ``(sin)(x0)`` nor ``sin(^x0)``, which reads as ``sin(**x0)``
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+                and source.startswith(" (", node.func.end_col_offset)):
+            name = node.func.id
+            if name not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown function '{name}'", offset,
+                                      expected="one of " + " ".join(sorted(FUNCTIONS)))
+            if len(node.args) != FUNCTIONS[name]:
+                raise ExprSyntaxError(f"function '{name}' takes {FUNCTIONS[name]} "
+                                      f"argument(s), got {len(node.args)}", offset)
+            return Call(name, tuple(build(arg, depth + 1) for arg in node.args))
+        raise ExprSyntaxError(f"unsupported syntax ({type(getattr(node, 'op', node)).__name__})",
+                              offset)
+
+    return build(tree.body)
 
 
 # ---------------------------------------------------------------------------

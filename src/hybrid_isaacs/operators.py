@@ -43,13 +43,6 @@ class Variant(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
-    @classmethod
-    def parse(cls, name: str) -> "Variant":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown variant {name!r}; use 'plus' or 'minus'") from None
-
 
 # ---------------------------------------------------------------------------
 # Hamiltonians

@@ -96,9 +96,14 @@ class ProblemSpec:
 # loading / saving
 
 def load_config(path) -> tuple[ProblemSpec, dict[str, Any], dict[str, Any]]:
-    """Load a config file; returns (spec, grid defaults, solver defaults)."""
+    """Load a config file; returns (spec, grid defaults, solver defaults).
+
+    A SpecStructureError names the file."""
     doc = config.read_file(path)
-    return _spec_from_doc(doc, path=str(path))
+    try:
+        return _spec_from_doc(doc)
+    except SpecStructureError as exc:
+        raise SpecStructureError(f"{path}: {exc}") from None
 
 
 def load_spec(path) -> ProblemSpec:
@@ -112,9 +117,9 @@ def _req(section: dict, key: str, where: str):
     return section[key]
 
 
-def _spec_from_doc(doc, path: str) -> tuple[ProblemSpec, dict, dict]:
+def _spec_from_doc(doc) -> tuple[ProblemSpec, dict, dict]:
     if "problem" not in doc:
-        raise SpecStructureError(f"{path}: missing [problem] section")
+        raise SpecStructureError("missing [problem] section")
     prob = doc["problem"]
 
     dimension = _req(prob, "dimension", "[problem]")

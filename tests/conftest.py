@@ -79,6 +79,10 @@ INVALID = {
     "syntax_error": SPEC_DIR / "invalid" / "syntax_error.toml",
 }
 
+# every spec file the project ships, the invalid ones and test data included
+SHIPPED_SPECS = sorted(path for folder in ("specs", "specs/invalid", "tests/data")
+                       for path in (SPEC_DIR.parent / folder).glob("*.toml"))
+
 
 @pytest.fixture(scope="session")
 def spec_dir():
@@ -89,15 +93,20 @@ def load_bundled(name):
     return load_config(BUNDLED[name])
 
 
-def gen2d(seed, points, directory):
-    """The benchmark's seeded 2-D game (``perfbench/gen.py``) at ``points``
-    per side, written to ``directory`` and read back."""
+def benchmark_generator():
+    """The benchmark's spec generator module, ``perfbench/gen.py``."""
     source = importlib.util.spec_from_file_location("perfbench_gen",
                                                     SPEC_DIR.parent / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(source)
     source.loader.exec_module(gen)
+    return gen
+
+
+def gen2d(seed, points, directory):
+    """The benchmark's seeded 2-D game at ``points`` per side, written to
+    ``directory`` and read back."""
     path = directory / f"gen{seed}_{points}.toml"
-    path.write_text(gen.grid2d_spec_text(seed, points))
+    path.write_text(benchmark_generator().grid2d_spec_text(seed, points))
     return load_spec(path)
 
 

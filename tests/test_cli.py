@@ -80,6 +80,12 @@ MALFORMED_SPECS = {
                       "(at line 7, column 12)"),
     "trailing point": (lambda t: t.replace("discount = 1.0", "discount = 1."),
                        "(at line 7, column 13)"),
+    "deep sum": (lambda t: t.replace('k = "2"', 'k = "%s"' % " + ".join(["x0^2"] * 3000)),
+                 'cost."only,high": expression nested deeper than 200 levels'),
+    "deep negation": (lambda t: t.replace('k = "2"', 'k = "%s2"' % ("-" * 1200)),
+                      'cost."only,high": expression nested deeper than 200 levels'),
+    "overflowing number": (lambda t: t.replace('k = "2"', 'k = "min(x0^2, 1e400)"'),
+                           "cost.\"only,high\": number '1e400' is too large at offset 10"),
 }
 
 
@@ -148,6 +154,11 @@ BAD_SOLVER_VALUES = {
     "iterations string": ('max_iterations = "many"', "[solver] max_iterations: str is not"),
     "iterations list": ("max_iterations = [10]", "[solver] max_iterations: list is not"),
     "tolerance bool": ("tolerance = true", "[solver] tolerance: bool is not"),
+    "variant int": ("variant = 1", "[solver] variant: 1 is not one of plus, minus"),
+    "variant unknown": ('variant = "sideways"', "[solver] variant: 'sideways' is not one of"),
+    "init int": ("init = 5", "[solver] init: 5 is not one of zero, upper"),
+    "init list": ("init = [1.0]", "[solver] init: [1.0] is not one of zero, upper"),
+    "init unknown": ('init = "sideways"', "[solver] init: 'sideways' is not one of"),
 }
 
 
@@ -165,6 +176,25 @@ def test_solver_value_of_the_wrong_type_exits_1_and_names_it(tmp_path, capsys, c
     assert not (tmp_path / "typed.value.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "analyze"])
+@pytest.mark.parametrize("points, needle", [
+    ("21.7", "21.7 is not an int or a list of ints"),
+    ("[21.5]", "[21.5] is not an int or a list of ints"),
+    ("[[21]]", "[[21]] is not an int or a list of ints"),
+    ('"abc"', "'abc' is not an int or a list of ints"),
+    ("true", "bool is not a number"),
+])
+def test_grid_points_of_the_wrong_type_exit_1_and_name_it(tmp_path, capsys, command, points,
+                                                           needle):
+    path = tmp_path / "typed.toml"
+    path.write_text(BUNDLED["mode_selection"].read_text().replace(
+        "points = [101]", f"points = {points}"))
+    assert run(command, path) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: [grid] points: {needle}") and err.count("\n") == 1
+    assert not (tmp_path / "typed.value.csv").exists()
+
+
 def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):
     tmp, copy = workdir
     cfg = copy("mode_selection")
@@ -172,6 +202,17 @@ def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):
     cfg.write_text(cfg.read_text().replace("dt = 0.5", 'dt = "fast"'))
     assert run("simulate", cfg, tmp / "mode_selection.value.csv") == EXIT_PARSE
     assert f"error: {cfg}: [solver] dt: str is not a number" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_variant_of_the_wrong_type(workdir, capsys):
+    tmp, copy = workdir
+    cfg = copy("mode_selection")
+    assert run("solve", cfg) == EXIT_OK
+    for line, needle in [("variant = 1", "1 is not"), ('variant = "sideways"', "'sideways' is not")]:
+        cfg.write_text(BUNDLED["mode_selection"].read_text() + line + "\n")
+        assert run("simulate", cfg, tmp / "mode_selection.value.csv") == EXIT_PARSE
+        assert (capsys.readouterr().err
+                == f"error: {cfg}: [solver] variant: {needle} one of plus, minus\n")
 
 
 def test_solve_manifest_records_the_table_bytes(workdir):

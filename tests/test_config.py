@@ -3,13 +3,14 @@ hand-written parser it replaced, kept below as the reference: every spec the
 project ships or generates must read to an equal document with equal value
 types."""
 
-import importlib.util
 import re
 from pathlib import Path
 
 import pytest
 
 from hybrid_isaacs import config
+
+from conftest import SHIPPED_SPECS, benchmark_generator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,19 +107,7 @@ def typed(value):
     return type(value).__name__, repr(value)
 
 
-def _benchmark_generator():
-    source = importlib.util.spec_from_file_location("perfbench_gen",
-                                                    ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(source)
-    source.loader.exec_module(gen)
-    return gen
-
-
-SPEC_FILES = sorted(path for folder in ("specs", "specs/invalid", "tests/data")
-                    for path in (ROOT / folder).glob("*.toml"))
-
-
-@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", SHIPPED_SPECS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_shipped_specs_read_as_the_reference_reads_them(path):
     text = path.read_text(encoding="utf-8")
     assert typed(config.loads(text)) == typed(reference_loads(text))
@@ -126,7 +115,7 @@ def test_shipped_specs_read_as_the_reference_reads_them(path):
 
 @pytest.mark.parametrize("points", [21, 41, 81])
 def test_generated_specs_read_as_the_reference_reads_them(points):
-    gen = _benchmark_generator()
+    gen = benchmark_generator()
     for seed in range(1, 21):
         text = gen.grid2d_spec_text(seed, points)
         assert typed(config.loads(text)) == typed(reference_loads(text)), seed

@@ -1,13 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybrid_isaacs.exprlang import (BinOp, Call, ExprDomainError, ExprSyntaxError, Neg, Num,
-                                    UnboundVariableError, Var, compile_expr, evaluate,
-                                    free_vars, parse, to_str)
+from hybrid_isaacs import config
+from hybrid_isaacs.exprlang import (FUNCTIONS, BinOp, Call, ExprDomainError, ExprSyntaxError,
+                                    Neg, Num, UnboundVariableError, Var, _tokenize, compile_expr,
+                                    evaluate, free_vars, parse, to_str)
+
+from conftest import SHIPPED_SPECS, benchmark_generator
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def ev(text, **env):
@@ -297,3 +303,252 @@ def test_statically_safe_operands_are_not_checked():
     assert evaluate(parse("x0/4"), {"x0": x}).tobytes() == (x / 4.0).tobytes()
     assert evaluate(parse("(-8)^3"), {}) == -512.0
     assert isinstance(evaluate(parse("2^3"), {}), float)
+
+
+# ---------------------------------------------------------------------------
+# ``parse`` against the recursive-descent parser it replaced, kept as the
+# reference over the same tokens
+
+class ReferenceParser:
+    """Grammar (standard precedence, ``^`` binds tightest and associates right):
+
+        expr   := term (('+' | '-') term)*
+        term   := factor (('*' | '/') factor)*
+        factor := '-' factor | power
+        power  := atom ('^' factor)?
+        atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
+    """
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, value, offset = self.peek()
+        if kind != "op" or value != op:
+            raise ExprSyntaxError(f"found {value!r}" if value else "unexpected end of input",
+                                  offset, expected=repr(op))
+        return self.advance()
+
+    def parse(self):
+        node = self.expr()
+        kind, value, offset = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"trailing input {value!r}", offset, expected="end of expression")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                node = BinOp(value, node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "*/":
+                self.advance()
+                node = BinOp(value, node, self.factor())
+            else:
+                return node
+
+    def factor(self):
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return Neg(self.factor())
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            # right associative; exponent may carry a unary minus
+            return BinOp("^", node, self.factor())
+        return node
+
+    def atom(self):
+        kind, value, offset = self.advance()
+        if kind == "num":
+            return Num(float(value))
+        if kind == "ident":
+            nkind, nvalue, _ = self.peek()
+            if nkind == "op" and nvalue == "(":
+                if value not in FUNCTIONS:
+                    raise ExprSyntaxError(f"unknown function '{value}'", offset,
+                                          expected="one of " + " ".join(sorted(FUNCTIONS)))
+                self.advance()
+                args = [self.expr()]
+                while True:
+                    k, v, _ = self.peek()
+                    if k == "op" and v == ",":
+                        self.advance()
+                        args.append(self.expr())
+                    else:
+                        break
+                self.expect_op(")")
+                arity = FUNCTIONS[value]
+                if len(args) != arity:
+                    raise ExprSyntaxError(
+                        f"function '{value}' takes {arity} argument(s), got {len(args)}", offset)
+                return Call(value, tuple(args))
+            return Var(value)
+        if kind == "op" and value == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        if kind == "end":
+            raise ExprSyntaxError("unexpected end of input", offset, expected="an operand")
+        raise ExprSyntaxError(f"found {value!r}", offset, expected="an operand")
+
+
+def reference_parse(text):
+    return ReferenceParser(text).parse()
+
+
+def parsed(parser, text):
+    """The tree ``parser`` reads from ``text``, or None when it refuses."""
+    try:
+        return parser(text)
+    except ExprSyntaxError:
+        return None
+
+
+def spec_expressions(text):
+    """Every drift component and running cost in a spec file's text."""
+    for name, section in config.loads(text).items():
+        if name.startswith("dynamics."):
+            yield from section["f"]
+        elif name.startswith("cost."):
+            yield section["k"]
+
+
+@pytest.mark.parametrize("path", SHIPPED_SPECS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_expressions_parse_as_the_reference_parses_them(path):
+    for text in spec_expressions(path.read_text(encoding="utf-8")):
+        assert parsed(parse, text) == parsed(reference_parse, text), text
+        assert parsed(parse, text) is not None or path.name == "syntax_error.toml", text
+
+
+@pytest.mark.parametrize("points", [21, 41, 81])
+def test_generated_expressions_parse_as_the_reference_parses_them(points):
+    gen = benchmark_generator()
+    for seed in range(1, 21):
+        for text in spec_expressions(gen.grid2d_spec_text(seed, points)):
+            assert parse(text) == reference_parse(text), (seed, text)
+
+
+# the grammar's alphabet without Python keywords; joined with or without a
+# space, so neighbours also fuse into new numbers and names ("1" ".5", "x0" "1")
+_ALPHABET = ["0", "1", "2.5", "01", "1.", ".5", "3e2", "1E-3", "x0", "u1", "u2", "foo",
+             "sin", "min", "max", "sqrt", "+", "-", "*", "/", "^", "(", ")", ","]
+_token_texts = st.lists(st.tuples(st.sampled_from(_ALPHABET), st.sampled_from(["", " "])),
+                        max_size=16).map(lambda pairs: "".join(t + sep for t, sep in pairs))
+
+
+def _mutate(args):
+    """``text`` with one token replaced by ``token`` (deleted when it is "")
+    or, with ``insert``, with ``token`` put before it."""
+    text, at, token, insert = args
+    tokens = [value for _, value, _ in _tokenize(text)][:-1]
+    at %= len(tokens)
+    tokens[at:at + (not insert)] = [token]
+    return " ".join(tokens)
+
+
+# a printed tree one token away from valid finds what short random strings miss
+_mutated_texts = st.tuples(_exprs.map(to_str), st.integers(0, 99),
+                           st.sampled_from(["", "x0", "+", "-", "*", "^", "(", ")", ","]),
+                           st.booleans()).map(_mutate)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_token_texts, _exprs.map(to_str), _mutated_texts))
+@example("(sin)(x0)")
+@example("2(x0)")
+@example("min(x0, u1,)")
+@example("x0 (u1)")
+@example("1 2")
+@example("3e2101 ")
+@example("sin(^x0)")
+@example("min(x0, ^u1)")
+def test_token_strings_parse_as_the_reference_parses_them(text):
+    """Both parsers refuse, or both read the same tree; a number that
+    overflows a float, which the reference read as ``inf``, is refused."""
+    expected = parsed(reference_parse, text)
+    if expected is not None and any(kind == "num" and math.isinf(float(value))
+                                    for kind, value, _ in _tokenize(text)):
+        expected = None
+    assert parsed(parse, text) == expected
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("-x0^2", Neg(BinOp("^", Var("x0"), Num(2.0)))),
+    ("2^-x0^2", BinOp("^", Num(2.0), Neg(BinOp("^", Var("x0"), Num(2.0))))),
+    ("x0^u1^u2", BinOp("^", Var("x0"), BinOp("^", Var("u1"), Var("u2")))),
+    ("--x0", Neg(Neg(Var("x0")))),
+    ("x0 - -u1", BinOp("-", Var("x0"), Neg(Var("u1")))),
+    ("8/4/2", BinOp("/", BinOp("/", Num(8.0), Num(4.0)), Num(2.0))),
+    ("-x0*u1", BinOp("*", Neg(Var("x0")), Var("u1"))),
+    ("01 + .5*1.", BinOp("+", Num(1.0), BinOp("*", Num(0.5), Num(1.0)))),
+])
+def test_precedence_is_pinned(text, tree):
+    assert parse(text) == tree == reference_parse(text)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("**", 0), ("x0 ** 2", 4), ("+x0", 0), ("1j", 1), ("0x10", 1), ("1_0", 1), ("#", 0),
+    ("\\", 0), ("min(x0, u1,)", 11), ("sin()", 0), ("sin(x=1)", 5), ("sin(*x0)", 4),
+    ("x0 < u1", 3), ("x0 % 2", 3), ("x0 // 2", 4), ("x0 @ u1", 3), ("~x0", 0), ("x0[0]", 2),
+    ("x0.real", 2), ("(x0, u1)", 0), ("[x0]", 0), ("True", 0), ("not x0", 0),
+    ("x0 if u1 else u2", 0), ("(sin)(x0)", 0), ("2(x0)", 0), ("(x0 + 1", 0), ("x0)", 2),
+    ("min(x0 u1)", 4), ("x0 + ", 5), ("", 0), ("sin(^x0)", 0),
+])
+def test_refusals_name_an_offset_in_the_text(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert err.value.offset == offset and 0 <= offset <= len(text)
+    assert f"at offset {offset}" in str(err.value)
+
+
+def test_a_number_that_overflows_a_float_is_refused():
+    """``1e400`` would be saved as ``inf``, which reads back as a variable."""
+    with pytest.raises(ExprSyntaxError, match="number '1e400' is too large at offset 8"):
+        parse("min(x0, 1e400)")
+    assert parse("1e-400") == Num(0.0)
+    assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("deep", [
+    "-" * 200 + "x0",
+    "x0" + "^x0" * 200,
+    " + ".join(["x0^2"] * 201),
+    "-" * 1200 + "x0",
+    " + ".join(["x0^2"] * 3000),
+    "x0" + "^x0" * 3000,
+])
+def test_trees_deeper_than_200_levels_are_refused(deep):
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 200 levels"):
+        parse(deep)
+
+
+def test_a_tree_200_levels_deep_is_read_printed_and_evaluated():
+    chain = parse("x0" + "^x0" * 199)
+    assert parse(to_str(chain)) == chain
+    assert free_vars(chain) == {"x0"}
+    assert evaluate(chain, {"x0": 1.0}) == 1.0
+    assert evaluate(parse("-" * 199 + "x0"), {"x0": 2.0}) == -2.0
