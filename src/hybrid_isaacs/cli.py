@@ -196,7 +196,11 @@ def _parse_grid(text: str | None, grid_cfg: dict, path: Path):
     """Point counts for ``make_grid``: a single count (``--grid 11`` or
     ``points = 11``) stays an int, which ``make_grid`` gives every axis."""
     if text:
-        counts = tuple(int(c) for c in text.split(","))
+        try:
+            counts = tuple(int(c) for c in text.split(","))
+        except ValueError:
+            raise ConfigError(f"--grid: {text!r} is not an int or a comma-separated list "
+                              "of ints") from None
         return counts[0] if len(counts) == 1 else counts
     points = grid_cfg.get("points", 101)
     counts = points if isinstance(points, list) else [points]

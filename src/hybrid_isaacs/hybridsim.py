@@ -3,8 +3,8 @@ discounted cost accounting.
 
 The policy at a state checks the obstacles in a fixed priority order
 (impulse, then player-2 switch, then player-1 switch) and otherwise plays
-the saddle of the one-step continue values over the control grids, with at
-most two stencil builds and one pass over each expression per decision.
+the saddle of the one-step continue values over the control grids, with one
+pass over each expression, one stencil build and one read per decision.
 Events are instantaneous, and a cascade of them at one instant may neither
 return to a (modes, state) it held (the policy is deterministic, so it
 would chatter forever) nor exceed ``m1*m2*(1 + n_impulses)`` events.
@@ -113,12 +113,13 @@ class HybridTrajectory:
 class _Policy:
     """Batched decision kernel for a fixed (field, grid, step) context.
 
-    Obstacles first: one stencil build on ``[x; clamp(x + xi_j)]`` yields the
-    local value and every switch and impulse candidate.  Only if none binds
-    are the mode pair's dynamics and running cost evaluated, once over the
-    whole control grid (the expressions a pointwise walk evaluates, so
-    ExprDomainError is raised where it was), and one stencil build covers
-    all the feet.  ``continue`` returns the chosen pair's cost and foot,
+    Controls first: the mode pair's dynamics and running cost are evaluated
+    once over the whole control grid (the expressions a pointwise walk
+    evaluates, so ExprDomainError is raised at every state the policy sees,
+    also where an obstacle binds).  Then one stencil build on
+    ``[x; clamp(x + xi_j); feet]`` and one read over every mode pair yield
+    the local value, every switch and impulse candidate and every continue
+    foot's value.  ``continue`` returns the chosen pair's cost and foot,
     which is the next state.
     """
 
@@ -136,45 +137,47 @@ class _Policy:
         self.u2 = np.tile(spec.u2_levels, len(spec.u1_levels))
         self.jumps = np.reshape([imp.vector for imp in spec.impulses], (-1, spec.dimension))
         self.jump_costs = np.array([imp.cost for imp in spec.impulses])
+        # rows of x and its jump landings, read only when an obstacle can bind
+        binds = spec.impulses or spec.m1 > 1 or spec.m2 > 1
+        self.obstacles = 1 + len(self.jumps) if binds else 0
 
     def decide(self, x: np.ndarray, d1: int, d2: int):
         """(decision, running cost, next state); the last two are None
         unless the decision is ``continue``."""
-        spec, tol = self.spec, self.action_tol
-        if spec.impulses or spec.m1 > 1 or spec.m2 > 1:
-            pts = np.empty((1 + len(self.jumps), len(x)))
-            pts[0] = x
-            pts[1:] = self.grid.clamp(x + self.jumps)
-            idx, wts = interp_weights(self.grid, pts)
-            v = interpolate_many(self.values, idx, wts)    # (m1, m2, 1 + n_imp)
-            here = v[d1, d2, 0]
-            if spec.impulses:
-                cands = self.jump_costs + v[d1, d2, 1:]
-                j = int(np.argmin(cands))
-                if cands[j] <= here + tol:
-                    return PolicyDecision(IMPULSE, impulse_index=j), None, None
-            if spec.m2 > 1:
-                cands2 = spec.switch_cost_2[d2] + v[d1, :, 0]
-                cands2[d2] = math.inf
-                o2 = int(np.argmin(cands2))
-                if cands2[o2] <= here + tol:
-                    return PolicyDecision(SWITCH2, target=o2), None, None
-            if spec.m1 > 1:
-                cands1 = v[:, d2, 0] - spec.switch_cost_1[d1]
-                cands1[d1] = -math.inf
-                o1 = int(np.argmax(cands1))
-                if cands1[o1] >= here - tol:
-                    return PolicyDecision(SWITCH1, target=o1), None, None
-
+        spec, tol, obs = self.spec, self.action_tol, self.obstacles
         # x over the control grid as contiguous arrays: a broadcast
         # (stride-0) input may take another SIMD loop and round differently
         xs = np.empty((len(x), len(self.u1))).T
         xs[...] = x
         f = eval_dynamics(spec, d1, d2, xs, self.u1, self.u2)
         k = eval_running_cost(spec, d1, d2, xs, self.u1, self.u2)
-        feet = self.grid.clamp(self.step_matrix @ x + self.dt * f)
-        idx, wts = interp_weights(self.grid, feet)
-        q = self.weight * k + self.gamma * interpolate_many(self.values[d1, d2], idx, wts)
+        pts = np.empty((obs + len(k), len(x)))
+        pts[:obs] = x
+        pts[1:obs] += self.jumps
+        pts[obs:] = self.step_matrix @ x + self.dt * f
+        pts = self.grid.clamp(pts)
+        idx, wts = interp_weights(self.grid, pts)
+        v = interpolate_many(self.values, idx, wts)    # (m1, m2, obs + nu1*nu2)
+        here = v[d1, d2, 0]
+        if spec.impulses:
+            cands = self.jump_costs + v[d1, d2, 1:obs]
+            j = int(np.argmin(cands))
+            if cands[j] <= here + tol:
+                return PolicyDecision(IMPULSE, impulse_index=j), None, None
+        if spec.m2 > 1:
+            cands2 = spec.switch_cost_2[d2] + v[d1, :, 0]
+            cands2[d2] = math.inf
+            o2 = int(np.argmin(cands2))
+            if cands2[o2] <= here + tol:
+                return PolicyDecision(SWITCH2, target=o2), None, None
+        if spec.m1 > 1:
+            cands1 = v[:, d2, 0] - spec.switch_cost_1[d1]
+            cands1[d1] = -math.inf
+            o1 = int(np.argmax(cands1))
+            if cands1[o1] >= here - tol:
+                return PolicyDecision(SWITCH1, target=o1), None, None
+
+        q = self.weight * k + self.gamma * v[d1, d2, obs:]
         q = q.reshape(len(spec.u1_levels), -1)
         if self.variant is Variant.PLUS:
             a = int(q.min(axis=1).argmax())    # player 1 commits first
@@ -184,7 +187,7 @@ class _Policy:
             a = int(q[:, b].argmax())
         pair = a * len(spec.u2_levels) + b
         return (PolicyDecision(CONTINUE, u1=float(self.u1[pair]), u2=float(self.u2[pair])),
-                float(k[pair]), feet[pair])
+                float(k[pair]), pts[obs + pair])
 
 
 def decide(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x, d1: int, d2: int,
@@ -195,7 +198,10 @@ def decide(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x, d1: int, d2
     Obstacles are checked in the order impulse, player-2 switch, player-1
     switch, each binding when within ``action_tol`` of the local value; ties
     inside a category resolve to the lowest index.  Otherwise the saddle
-    controls of the one-step continue table are returned.
+    controls of the one-step continue table are returned.  The mode pair's
+    dynamics and running cost are evaluated over the control grid before
+    any obstacle is checked, so a state where they leave their domain
+    raises ExprDomainError even where an event would fire.
     """
     policy = _Policy(spec, grid, values, dt, action_tol, variant)
     return policy.decide(np.asarray(x, dtype=float), d1, d2)[0]
@@ -212,6 +218,8 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
     that returns to a (d1, d2, x) it already held would repeat forever, and
     one longer than ``m1*m2*(1 + n_impulses)`` events is taken for the same;
     both raise ChatterError, which indicates ``action_tol`` is too coarse.
+    Each decision evaluates the mode pair's expressions first, so any state
+    visited where they leave their domain raises ExprDomainError.
     """
     if dt is None:
         dt = _default_sim_step(spec, grid)

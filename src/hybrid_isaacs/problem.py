@@ -125,7 +125,7 @@ def _spec_from_doc(doc) -> tuple[ProblemSpec, dict, dict]:
     dimension = _req(prob, "dimension", "[problem]")
     if not isinstance(dimension, int) or dimension < 1:
         raise SpecStructureError("[problem]: dimension must be an integer >= 1")
-    discount = float(_req(prob, "discount", "[problem]"))
+    discount = _scalar(_req(prob, "discount", "[problem]"), "[problem] discount")
     if not discount > 0:
         raise SpecStructureError("[problem]: discount must be > 0")
 
@@ -183,7 +183,7 @@ def _spec_from_doc(doc) -> tuple[ProblemSpec, dict, dict]:
             if v.shape != (dimension,):
                 raise SpecStructureError(
                     f"impulses.vectors[{i}]: expected {dimension} component(s), got {v.size}")
-            impulses.append(Impulse(_freeze(v), float(cost)))
+            impulses.append(Impulse(_freeze(v), _scalar(cost, f"impulses.costs[{i}]")))
 
     spec = ProblemSpec(
         dimension=dimension,
@@ -217,6 +217,13 @@ def _labels(value, name: str) -> list[str]:
     if len(set(out)) != len(out):
         raise SpecStructureError(f"[problem]: duplicate labels in {name}")
     return out
+
+
+def _scalar(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SpecStructureError(f"{name}: expected a number, got {value!r}") from None
 
 
 def _vector(value, name: str) -> np.ndarray:

@@ -64,6 +64,25 @@ def game_2d():
         impulses=(([-0.6, 0.0], 0.4), ([0.4, -0.4], 0.5)))
 
 
+def game_3d():
+    """A small 3-D game with 2x2 modes, 3x2 controls and a 2-jump menu:
+    8-corner stencils, where numpy's contiguous sum joins running sums
+    pairwise rather than adding in sequence."""
+    return toy_spec(
+        f={(0, 0): ("0.4*u1", "0.2*x0", "0.1 - 0.1*x1"),
+           (0, 1): ("0.4*u1 + 0.1", "0.2*x0*u2", "-0.1*x1"),
+           (1, 0): ("0.3*u1", "-0.2*x2", "0.1*x0 + 0.05*u2"),
+           (1, 1): ("0.3*u1 - 0.1", "-0.2*x2", "0.1*x0")},
+        k={(0, 0): "x0^2 + 0.5*x1^2 + 0.3*x2^2 + 0.1*u2 + 0.2",
+           (0, 1): "(x0 - 0.3)^2 + x1^2 + 0.2 + 0.1*u2",
+           (1, 0): "0.5*x0^2 + (x1 + 0.2)^2 + x2^2 + 0.3",
+           (1, 1): "x0^2 + x2^2 + 0.4 - 0.1*u2"},
+        u1=(-1.0, 0.0, 1.0), u2=(0.0, 1.0), lam=1.5, box=((-1.0, 1.0),) * 3,
+        A=np.diag([0.2, 0.1, 0.3]), d1=("a", "b"), d2=("c", "d"),
+        c1=[[0.0, 0.4], [0.5, 0.0]], c2=[[0.0, 0.3], [0.6, 0.0]],
+        impulses=(([-0.3, 0.0, 0.1], 0.5), ([0.0, 0.25, -0.25], 0.7)))
+
+
 BUNDLED = {
     "constant_cost": SPEC_DIR / "constant_cost.toml",
     "mode_selection": SPEC_DIR / "mode_selection.toml",

@@ -100,6 +100,28 @@ def test_malformed_spec_exits_1_and_names_it(tmp_path, capsys, case):
     assert needle in err, err
 
 
+# each case maps impulse_toy's text to one with a scalar that is no number
+NON_NUMERIC_SCALARS = {
+    "discount": (("discount = 1.0", 'discount = "abc"'),
+                 "[problem] discount: expected a number, got 'abc'"),
+    "impulse cost": (("costs = [1.0, 1.5]", 'costs = ["abc", 1.0]'),
+                     "impulses.costs[0]: expected a number, got 'abc'"),
+    "discount list": (("discount = 1.0", "discount = [1.0]"),
+                      "[problem] discount: expected a number, got [1.0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC_SCALARS))
+def test_non_numeric_spec_scalar_exits_1_and_names_file_and_key(tmp_path, capsys, case):
+    (old, new), needle = NON_NUMERIC_SCALARS[case]
+    text = BUNDLED["impulse_toy"].read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "scalar.toml"
+    path.write_text(text.replace(old, new))
+    assert run("validate", path) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {path}: {needle}\n"
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -193,6 +215,16 @@ def test_grid_points_of_the_wrong_type_exit_1_and_name_it(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: [grid] points: {needle}") and err.count("\n") == 1
     assert not (tmp_path / "typed.value.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["abc", "1.5", "11,"])
+def test_grid_flag_that_is_no_count_exits_1_and_names_it(workdir, capsys, grid):
+    tmp, copy = workdir
+    cfg = copy("drift_1d")
+    assert run("solve", cfg, "--grid", grid) == EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: --grid: {grid!r} is not an int or a "
+                                       "comma-separated list of ints\n")
+    assert not (tmp / "drift_1d.value.csv").exists()
 
 
 def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from hybrid_isaacs.discretize import build_tables, interpolate, make_grid, semigroup_step
+from hybrid_isaacs import hybridsim
+from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate,
+                                      interpolate_many, make_grid, semigroup_step)
+from hybrid_isaacs.exprlang import ExprDomainError
 from hybrid_isaacs.hybridsim import (DEFAULT_ACTION_TOL, ChatterError, PolicyDecision, _Policy,
                                      decide, evaluate_cost, rollout_value_gap, simulate)
 from hybrid_isaacs.operators import Variant
 from hybrid_isaacs.problem import eval_dynamics, eval_running_cost
 from hybrid_isaacs.solver import SolverConfig, solve
 
-from conftest import BUNDLED, game_2d, load_bundled, toy_spec
+from conftest import BUNDLED, game_2d, game_3d, load_bundled, toy_spec
 
 
 @pytest.fixture(scope="module")
@@ -354,3 +357,140 @@ def test_rollout_steps_with_the_tables_constants(name):
     for attr in ("gamma", "weight", "step_matrix"):
         assert (np.float64(getattr(policy, attr)).tobytes()
                 == np.float64(getattr(tables, attr)).tobytes()), attr
+
+
+# ---------------------------------------------------------------------------
+# the fused decision kernel against the two-build kernel it replaced
+
+def two_build_decide(self, x, d1, d2):
+    """The reference kernel: obstacles first, on one stencil build of
+    ``[x; clamp(x + xi_j)]`` and one read over every mode pair; only if
+    none binds are the expressions evaluated over the control grid, with a
+    second build and read on the feet."""
+    spec, tol = self.spec, self.action_tol
+    if spec.impulses or spec.m1 > 1 or spec.m2 > 1:
+        pts = np.empty((1 + len(self.jumps), len(x)))
+        pts[0] = x
+        pts[1:] = self.grid.clamp(x + self.jumps)
+        idx, wts = interp_weights(self.grid, pts)
+        v = interpolate_many(self.values, idx, wts)    # (m1, m2, 1 + n_imp)
+        here = v[d1, d2, 0]
+        if spec.impulses:
+            cands = self.jump_costs + v[d1, d2, 1:]
+            j = int(np.argmin(cands))
+            if cands[j] <= here + tol:
+                return PolicyDecision("impulse", impulse_index=j), None, None
+        if spec.m2 > 1:
+            cands2 = spec.switch_cost_2[d2] + v[d1, :, 0]
+            cands2[d2] = math.inf
+            o2 = int(np.argmin(cands2))
+            if cands2[o2] <= here + tol:
+                return PolicyDecision("switch2", target=o2), None, None
+        if spec.m1 > 1:
+            cands1 = v[:, d2, 0] - spec.switch_cost_1[d1]
+            cands1[d1] = -math.inf
+            o1 = int(np.argmax(cands1))
+            if cands1[o1] >= here - tol:
+                return PolicyDecision("switch1", target=o1), None, None
+
+    xs = np.empty((len(x), len(self.u1))).T
+    xs[...] = x
+    f = eval_dynamics(spec, d1, d2, xs, self.u1, self.u2)
+    k = eval_running_cost(spec, d1, d2, xs, self.u1, self.u2)
+    feet = self.grid.clamp(self.step_matrix @ x + self.dt * f)
+    idx, wts = interp_weights(self.grid, feet)
+    q = self.weight * k + self.gamma * interpolate_many(self.values[d1, d2], idx, wts)
+    q = q.reshape(len(spec.u1_levels), -1)
+    if self.variant is Variant.PLUS:
+        a = int(q.min(axis=1).argmax())
+        b = int(q[a].argmin())
+    else:
+        b = int(q.max(axis=0).argmin())
+        a = int(q[:, b].argmax())
+    pair = a * len(spec.u2_levels) + b
+    return (PolicyDecision("continue", u1=float(self.u1[pair]), u2=float(self.u2[pair])),
+            float(k[pair]), feet[pair])
+
+
+def _bundled_game(name):
+    spec, grid_cfg, solver_cfg = load_bundled(name)
+    return spec, make_grid(spec, grid_cfg["points"]), solver_cfg.get("dt"), solver_cfg["tolerance"]
+
+
+PARITY_GAMES = {
+    "balanced_loop": lambda: _bundled_game("balanced_loop"),
+    "impulse_toy": lambda: _bundled_game("impulse_toy"),
+    "mode_selection": lambda: _bundled_game("mode_selection"),
+    "game_2d": lambda: (game_2d(), make_grid(game_2d(), 11), None, 1e-9),
+    "game_3d": lambda: (game_3d(), make_grid(game_3d(), 7), None, 1e-9),
+}
+
+
+def trajectory_bytes(traj):
+    """The recorded rollout: times, states, modes, controls, step costs,
+    event flags and the four discounted totals."""
+    totals = np.array([traj.running_total, traj.switch1_total, traj.switch2_total,
+                       traj.impulse_total])
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in (
+        traj.times, traj.states, traj.modes, traj.controls, traj.step_costs,
+        traj.event_flags, totals))
+
+
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+def test_rollouts_match_the_two_build_kernel_byte_for_byte(variant, monkeypatch):
+    events = np.zeros(3, dtype=int)
+    for name, make in PARITY_GAMES.items():
+        spec, grid, dt, tol = make()
+        result = solve(spec, grid, SolverConfig(dt=dt, tolerance=tol, variant=variant))
+        rng = np.random.default_rng(1)
+        for i in range(8):
+            x0 = rng.uniform(grid.box[:, 0], grid.box[:, 1])
+            d1, d2 = i % spec.m1, i // spec.m1 % spec.m2
+            args = (spec, grid, result.values, x0, d1, d2, 40 * result.dt)
+            fused = simulate(*args, dt=result.dt, variant=variant)
+            with monkeypatch.context() as patch:
+                patch.setattr(_Policy, "decide", two_build_decide)
+                reference = simulate(*args, dt=result.dt, variant=variant)
+            assert trajectory_bytes(fused) == trajectory_bytes(reference), (name, i)
+            events += fused.event_flags.sum(axis=0)
+    # impulses, player-1 switches and player-2 switches all fire somewhere
+    assert (events > 0).all(), events
+
+
+@pytest.mark.parametrize("game", ["solved_2d", "solved_balanced_loop", "solved_constant"])
+def test_each_decision_builds_and_reads_one_stencil_set(game, request, monkeypatch):
+    spec, grid, values, *rest = request.getfixturevalue(game)
+    dt = rest[0] if rest else 0.5
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(hybridsim, "interp_weights", counted("build", interp_weights))
+    monkeypatch.setattr(hybridsim, "interpolate_many", counted("read", interpolate_many))
+    policy = _Policy(spec, grid, values, dt, DEFAULT_ACTION_TOL, Variant.PLUS)
+    kinds = set()
+    for x in sample_states(grid, np.random.default_rng(4)):
+        for d1 in range(spec.m1):
+            for d2 in range(spec.m2):
+                calls.clear()
+                kinds.add(policy.decide(x, d1, d2)[0].kind)
+                assert calls == ["build", "read"], (x, d1, d2)
+    assert "continue" in kinds and (len(kinds) > 1) == (policy.obstacles > 0)
+
+
+def test_expressions_leave_their_domain_before_an_impulse_fires():
+    """The controls are evaluated before the obstacles: a state where the
+    running cost leaves its domain raises, though the impulse binds there
+    (the two-build kernel returned the impulse)."""
+    spec = toy_spec(k="sqrt(x0 + 0.5)", impulses=(([1.0], 0.1),))
+    grid = make_grid(spec, 21)
+    values = -5.0 * grid.points[:, 0].reshape(1, 1, -1)    # dear on the left
+    x = np.array([-0.9])    # 0.1 + V(0.1) = -0.4 undercuts V(-0.9) = 4.5
+    policy = _Policy(spec, grid, values, 0.1, DEFAULT_ACTION_TOL, Variant.PLUS)
+    assert two_build_decide(policy, x, 0, 0)[0] == PolicyDecision("impulse", impulse_index=0)
+    with pytest.raises(ExprDomainError, match="sqrt of a negative value"):
+        decide(spec, grid, values, x, 0, 0, dt=0.1)

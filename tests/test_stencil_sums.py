@@ -19,7 +19,7 @@ from hybrid_isaacs.operators import (Variant, bellman_update, continue_field,
                                      impulse_candidates, impulse_field, switch_lower_field,
                                      switch_upper_field)
 
-from conftest import BUNDLED, game_2d, gen2d, load_bundled, toy_spec
+from conftest import BUNDLED, game_2d, game_3d, gen2d, load_bundled, toy_spec
 
 
 def contiguous_sum(values, idx, wts):
@@ -66,24 +66,6 @@ def assert_read(actual, expected, read, corners, values):
         np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
     else:
         assert_same_bits(actual, expected)
-
-
-def game_3d():
-    """2x2 modes on a cube: 8-corner stencils, where numpy's contiguous
-    sum joins running sums pairwise rather than adding in sequence."""
-    return toy_spec(
-        f={(0, 0): ("0.4*u1", "0.2*x0", "0.1 - 0.1*x1"),
-           (0, 1): ("0.4*u1 + 0.1", "0.2*x0*u2", "-0.1*x1"),
-           (1, 0): ("0.3*u1", "-0.2*x2", "0.1*x0 + 0.05*u2"),
-           (1, 1): ("0.3*u1 - 0.1", "-0.2*x2", "0.1*x0")},
-        k={(0, 0): "x0^2 + 0.5*x1^2 + 0.3*x2^2 + 0.1*u2 + 0.2",
-           (0, 1): "(x0 - 0.3)^2 + x1^2 + 0.2 + 0.1*u2",
-           (1, 0): "0.5*x0^2 + (x1 + 0.2)^2 + x2^2 + 0.3",
-           (1, 1): "x0^2 + x2^2 + 0.4 - 0.1*u2"},
-        u1=(-1.0, 0.0, 1.0), u2=(0.0, 1.0), lam=1.5, box=((-1.0, 1.0),) * 3,
-        A=np.diag([0.2, 0.1, 0.3]), d1=("a", "b"), d2=("c", "d"),
-        c1=[[0.0, 0.4], [0.5, 0.0]], c2=[[0.0, 0.3], [0.6, 0.0]],
-        impulses=(([-0.3, 0.0, 0.1], 0.5), ([0.0, 0.25, -0.25], 0.7)))
 
 
 def _bundled(name):
@@ -324,9 +306,9 @@ def test_decide_reads_are_bit_identical_to_contiguous_sums(game, variant, monkey
                 for d2 in range(spec.m2):
                     hybridsim.decide(spec, grid, values, x, d1, d2, dt=tables.dt,
                                      variant=variant)
-    # both reads: the obstacle candidates and the continue feet
-    assert {shape[0] for shape in calls} >= {1 + len(spec.impulses),
-                                             len(spec.u1_levels) * len(spec.u2_levels)}
+    # one read per decision: the state, its jump landings and the continue feet
+    assert {shape[0] for shape in calls} == {1 + len(spec.impulses)
+                                             + len(spec.u1_levels) * len(spec.u2_levels)}
 
 
 def test_csr_products_read_the_same_bits(game):
