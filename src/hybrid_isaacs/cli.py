@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError
 from .discretize import GridSpec, build_tables, interpolate, make_grid
-from .hybridsim import ChatterError, evaluate_cost, simulate
+from .hybridsim import DEFAULT_ACTION_TOL, ChatterError, evaluate_cost, simulate
 from .operators import Variant, isaacs_gap
 from .problem import (ProblemSpec, ValidationReport, check_y1_y2, load_config,
                       sample_controls, validate_a2)
@@ -209,12 +210,17 @@ def _parse_grid(text: str | None, grid_cfg: dict, path: Path):
     return tuple(counts) if isinstance(points, list) else points
 
 
-def _solver_number(solver_cfg: dict, key: str, path: Path, default=None):
-    """``[solver] <key>``, or ``default`` when it is absent; a ConfigError
-    naming the file and the key when it is not a number."""
-    value = solver_cfg.get(key, default)
+def _solver_number(flag_value, flag: str, solver_cfg: dict, key: str, path: Path,
+                   default, need: str, works):
+    """``flag_value``, else ``[solver] <key>``, else ``default``.  A value
+    other than None that is no number, or for which ``works`` is false (it
+    must be ``need``), is a ConfigError naming the flag, or the file and key."""
+    where, source = (flag, None) if flag_value is not None else (f"[solver] {key}", str(path))
+    value = solver_cfg.get(key, default) if flag_value is None else flag_value
     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"[solver] {key}: {type(value).__name__} is not a number", str(path))
+        raise ConfigError(f"{where}: {type(value).__name__} is not a number", source)
+    if value is not None and not works(value):
+        raise ConfigError(f"{where}: {value!r} is not {need}", source)
     return value
 
 
@@ -235,15 +241,17 @@ def _variant(args, solver_cfg: dict, path: Path) -> Variant:
 
 def _time_step(args, solver_cfg: dict, path: Path) -> float | None:
     """``--dt``, else ``[solver] dt``, else None for the command's default."""
-    return args.dt if args.dt is not None else _solver_number(solver_cfg, "dt", path)
+    return _solver_number(args.dt, "--dt", solver_cfg, "dt", path, None,
+                          "a positive finite number", lambda dt: 0 < dt < math.inf)
 
 
 def _solver_config(args, solver_cfg: dict, path: Path) -> SolverConfig:
     dt = _time_step(args, solver_cfg, path)
-    tol = (args.tol if args.tol is not None
-           else _solver_number(solver_cfg, "tolerance", path, 1e-9))
-    iters = (args.max_iters if args.max_iters is not None
-             else _solver_number(solver_cfg, "max_iterations", path, 100_000))
+    tol = _solver_number(args.tol, "--tol", solver_cfg, "tolerance", path,
+                         SolverConfig.tolerance, "a number >= 0", lambda tol: tol >= 0)
+    iters = _solver_number(args.max_iters, "--max-iters", solver_cfg, "max_iterations", path,
+                           SolverConfig.max_iterations, "a whole number >= 1",
+                           lambda n: n >= 1 and float(n).is_integer())
     init = getattr(args, "init", None) or _solver_choice(solver_cfg, "init", path, INITS)
     return SolverConfig(dt=dt, tolerance=float(tol), max_iterations=int(iters),
                         init=init, variant=_variant(args, solver_cfg, path))
@@ -253,6 +261,18 @@ def _out_dir(args, config_path: Path) -> Path:
     out = Path(args.out) if args.out else config_path.parent
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _start(text: str) -> np.ndarray:
+    """``--start``'s state; a ConfigError naming the flag when a coordinate
+    is no number (nan included)."""
+    try:
+        start = np.array([float(v) for v in text.split(",")])
+        if not np.isnan(start).any():
+            return start
+    except ValueError:
+        pass
+    raise ConfigError(f"--start: {text!r} is not a comma-separated list of numbers")
 
 
 def _mode_index(labels: tuple[str, ...], raw: str, player: int) -> int:
@@ -357,8 +377,9 @@ def cmd_simulate(args) -> int:
 
     d1 = _mode_index(spec.d1_labels, args.d1, 1)
     d2 = _mode_index(spec.d2_labels, args.d2, 2)
-    start = np.array([float(v) for v in args.start.split(",")]) if args.start \
-        else grid.box.mean(axis=1)
+    if not 0 <= args.horizon < math.inf:
+        raise ConfigError(f"--horizon: {args.horizon!r} is not a finite number >= 0")
+    start = _start(args.start) if args.start else grid.box.mean(axis=1)
     if start.size != spec.dimension:
         raise MismatchError(f"--start needs {spec.dimension} coordinate(s)")
 
@@ -462,11 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p):
         p.add_argument("config", help="problem definition file")
         p.add_argument("--out", help="output directory (default: beside the config)")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=256,
                        help="sample count for the cost-assumption gate")
 
@@ -488,12 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("values", help="value CSV produced by solve")
     p.add_argument("--out")
-    p.add_argument("--start", help="comma-separated start state")
+    p.add_argument("--start", help="comma-separated start state; write a negative first "
+                   "coordinate as --start=-1.8,-1.9")
     p.add_argument("--d1", default="0", help="starting player-1 mode (label or index)")
     p.add_argument("--d2", default="0", help="starting player-2 mode (label or index)")
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--action-tol", type=float, default=1e-8, dest="action_tol")
+    p.add_argument("--action-tol", type=float, default=DEFAULT_ACTION_TOL, dest="action_tol")
     p.add_argument("--variant", choices=VARIANTS)
     p.set_defaults(func=cmd_simulate)
 
@@ -534,3 +555,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

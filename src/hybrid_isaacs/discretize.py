@@ -20,7 +20,6 @@ __all__ = [
     "GridSpec",
     "make_grid",
     "interpolate",
-    "interpolate_many",
     "read_stencils",
     "interp_weights",
     "semigroup_step",
@@ -122,16 +121,15 @@ def make_grid(spec: ProblemSpec, counts) -> GridSpec:
 
 
 def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multilinear stencil for each point: (flat corner indices, weights).
+    """Multilinear stencil for each point: (base index, weights).
 
     Points are clamped to the box first, so the map is total.  Queries that
     sit on a node (up to a relative snap tolerance) reproduce it exactly.
-    Shapes: (m, 2**n) each, stored corner-major (each ``[:, c]`` column is
-    contiguous).
+    Shapes: (m,) and (m, 2**n), the weights corner-major (each ``[:, c]``
+    column is contiguous); corner c is at ``base + grid.corner_offsets[c]``.
 
-    Cells and fractions are found on an (n, m) copy of the points.  Corner
-    c is the cell's base node plus ``grid.corner_offsets[c]``.  Weights are
-    built by doubling: dimension d copies corners ``[0, 2**d)`` to
+    Cells and fractions are found on an (n, m) copy of the points.  Weights
+    are built by doubling: dimension d copies corners ``[0, 2**d)`` to
     ``[2**d, 2**(d+1))`` with weight ``frac_d``, then weights the originals
     by ``1 - frac_d``, so each is ``((1*g_0)*g_1)*...`` in dimension order.
     """
@@ -153,7 +151,7 @@ def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
         half = 1 << d
         np.multiply(wts[:half], frac[d], out=wts[half:2 * half])
         wts[:half] *= comp[d]
-    return np.add.outer(grid.corner_offsets, grid.strides @ cell.astype(np.int64)).T, wts.T
+    return grid.strides @ cell.astype(np.int64), wts.T
 
 
 def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
@@ -162,46 +160,43 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise ValueError("values must be a flat nodal array for this grid")
-    idx, wts = interp_weights(grid, np.asarray(x, dtype=float).reshape(1, -1))
-    return float(interpolate_many(values, idx, wts)[0])
+    base, wts = interp_weights(grid, np.asarray(x, dtype=float).reshape(1, -1))
+    return float(read_stencils(values, base, wts, grid)[0])
 
 
-# at most this many gathered values, ``interpolate_many`` forms the product
-# over all corners at once: best of 9x2000 calls (2-vCPU Xeon, numpy 2.4),
-# product / corner gathers, 8 corners 8.7 / 21.2 us at 256 values and 43.5 /
-# 33.5 us at 4096; 2 corners 10.3 / 7.4 us at 256.  Rollout reads gather 8
-# to 96 values; sweeps read through ``read_stencils`` and never come here.
+# at most this many gathered values, a read of several corners forms the
+# product over all of them at once: best of 9x2000 calls (2-vCPU Xeon, numpy
+# 2.4), product / corner gathers, 8 corners 8.7 / 21.2 us at 256 values and
+# 43.5 / 33.5 us at 4096; 2 corners 10.3 / 7.4 us at 256.  Rollout reads of
+# the bundled specs and gen2d gather 18 to 208 values, game_3d's 288.
 _FEW_READS = 256
 _PAIR_BLOCK_READS = 1 << 14  # cap on one continue read, in control-node values
 
 
-def interpolate_many(values: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Multilinear reads ``sum_c values[..., idx[..., c]] * wts[..., c]``.
-
-    ``idx``/``wts`` hold stencil corners on their last axis, as
-    ``interp_weights`` gives them; leading axes of ``values`` broadcast over
-    the queries.  Every read is the running sum ``((0 + t_0) + t_1) + ...
-    + t_{c-1}`` of the weighted corner terms ``t_c`` in corner order, for
-    any corner count: a CSR matrix-vector product adds a row the same
-    way.  Small reads accumulate the product ``values[..., idx] * wts``
-    along its corner axis; large ones gather and weight one corner at a
-    time, which skips the corner-long temporary.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size // values.shape[-1] * idx.size > _FEW_READS:
-        return _gathered_running_sum(lambda c: values.take(idx[..., c], axis=-1), wts)
-    out = np.add.accumulate(values[..., idx] * wts, axis=-1)[..., -1]
-    out += 0.0    # the sum starts from +0.0: an all -0.0 stencil reads +0.0
-    return out
-
-
 def read_stencils(values: np.ndarray, base: np.ndarray, wts: np.ndarray,
                   grid: GridSpec) -> np.ndarray:
-    """``interpolate_many``'s large read, with its bits, of compact tables
-    (see BellmanTables): corner c is gathered at ``base`` from the view of
-    ``values`` that starts at ``grid.corner_offsets[c]``, with no index add."""
+    """Multilinear reads ``sum_c values[..., base + off[c]] * wts[..., c]``,
+    ``off = grid.corner_offsets``, of stencils as ``interp_weights`` gives
+    them or compact tables store them (see BellmanTables); leading axes of
+    ``values`` broadcast over the queries.  Every read is the running sum
+    ``((0 + t_0) + t_1) + ... + t_{c-1}`` of the weighted corner terms in
+    corner order, as a CSR matrix-vector product adds a row.  A read of
+    several corners that gathers at most ``_FEW_READS`` values accumulates
+    their product along its corner axis.  Any other gathers one corner at a
+    time, which skips the corner-long temporary: corner c at ``base`` from
+    the view of ``values`` that starts at ``off[c]``, with no index add."""
     offsets = grid.corner_offsets
-    return _gathered_running_sum(lambda c: values[..., offsets[c]:].take(base, axis=-1), wts)
+    corners = wts.shape[-1]
+    if corners > 1 and values.size // values.shape[-1] * base.size * corners <= _FEW_READS:
+        product = values[..., base[..., None] + offsets] * wts
+        # the sum starts from +0.0: an all -0.0 stencil reads +0.0
+        return np.add.accumulate(product, axis=-1)[..., -1] + 0.0
+    if values.ndim == 1 or corners == 1:
+        return _gathered_running_sum(lambda c: values[..., offsets[c]:].take(base, axis=-1), wts)
+    # leading axes make the views past offset 0 strided, and take copies a
+    # strided view whole (20x the read at 41^3): gather at indices formed in one add
+    idx = np.add.outer(offsets[:corners], base)
+    return _gathered_running_sum(lambda c: values.take(idx[c], axis=-1), wts)
 
 
 def _gathered_running_sum(gather, wts: np.ndarray) -> np.ndarray:
@@ -226,8 +221,8 @@ def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("generator must be a square matrix")
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt!r}")
     M = -dt * A
     norm = float(np.abs(M).sum(axis=0).max())
     if norm == 0.0:
@@ -262,11 +257,12 @@ class BellmanTables:
     Index conventions: mode pairs (i1, i2), control indices (a, b) into the
     level lists, flat grid points p, stencil corners c.
 
-    The stencil tables hold one base index per stencil; corner c is at
-    ``base + grid.corner_offsets[c]``.  Weights are stored corner-major:
-    the corner axis is last in the shapes below but outermost in memory.
-    A table whose stencils each have one nonzero weight, 1.0, is one-hot:
-    a base at that corner and one unit weight per stencil.
+    The stencil tables hold ``interp_weights``' format, which
+    ``read_stencils`` reads: one base index per stencil, corner c at ``base
+    + grid.corner_offsets[c]``.  Weights are stored corner-major: the
+    corner axis is last in the shapes below but outermost in memory.  A
+    table whose stencils each have one nonzero weight, 1.0, is one-hot: a
+    base at that corner and one unit weight per stencil.
 
     ``foot_idx`` indexes the flattened field ``values.reshape(-1)``, pair
     offset ``(i1*m2 + i2)*p`` included: one read covers several mode pairs
@@ -325,8 +321,7 @@ def _stencil_table(grid: GridSpec, shape: tuple, targets) -> tuple[np.ndarray, n
     base = np.empty(shape, dtype=np.int64)
     wts = np.moveaxis(np.empty((1 << grid.dimension,) + shape), 0, -1)
     for i, pts in zip(np.ndindex(shape[:-1]), targets):
-        idx, wts[i] = interp_weights(grid, pts)
-        base[i] = idx[:, 0]
+        base[i], wts[i] = interp_weights(grid, pts)
     hot = wts != 0.0
     if (hot.sum(axis=-1) == 1).all() and (wts[hot] == 1.0).all():
         return base + grid.corner_offsets[hot.argmax(axis=-1)], np.ones(shape + (1,))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import (GridSpec, default_time_step, interp_weights, interpolate,
-                         interpolate_many, step_constants)
+                         read_stencils, step_constants)
 from .operators import Variant
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
 
@@ -127,7 +127,7 @@ class _Policy:
                  dt: float, action_tol: float, variant: Variant):
         self.spec = spec
         self.grid = grid
-        self.values = values
+        self.values = np.asarray(values, dtype=float)
         self.dt = dt
         self.action_tol = action_tol
         self.variant = variant
@@ -156,8 +156,8 @@ class _Policy:
         pts[1:obs] += self.jumps
         pts[obs:] = self.step_matrix @ x + self.dt * f
         pts = self.grid.clamp(pts)
-        idx, wts = interp_weights(self.grid, pts)
-        v = interpolate_many(self.values, idx, wts)    # (m1, m2, obs + nu1*nu2)
+        base, wts = interp_weights(self.grid, pts)
+        v = read_stencils(self.values, base, wts, self.grid)    # (m1, m2, obs + nu1*nu2)
         here = v[d1, d2, 0]
         if spec.impulses:
             cands = self.jump_costs + v[d1, d2, 1:obs]

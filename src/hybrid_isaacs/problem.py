@@ -176,6 +176,9 @@ def _spec_from_doc(doc) -> tuple[ProblemSpec, dict, dict]:
     if imp_sec is not None:
         vectors = imp_sec.get("vectors", [])
         costs = imp_sec.get("costs", [])
+        for key, value in (("vectors", vectors), ("costs", costs)):
+            if not isinstance(value, list):
+                raise SpecStructureError(f"[impulses] {key}: expected a list, got {value!r}")
         if len(vectors) != len(costs):
             raise SpecStructureError("[impulses]: vectors and costs must have equal length")
         for i, (vec, cost) in enumerate(zip(vectors, costs)):

@@ -21,7 +21,8 @@ import numpy as np
 from .discretize import BellmanTables, GridSpec, build_tables, interpolate
 from .operators import (Variant, bellman_update, impulse_candidates, impulse_field, isaacs_gap,
                         switch_lower_field, switch_upper_field)
-from .problem import ProblemSpec, _subadditivity_gaps, sample_controls
+from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps,
+                      sample_controls)
 from .solver import SolverConfig, SolveResult, solve
 
 __all__ = [
@@ -38,10 +39,7 @@ __all__ = [
     "SUITES",
 ]
 
-PASS = "pass"
-FAIL = "fail"
 SKIPPED = "skipped"
-NOT_APPLICABLE = "not-applicable"
 
 # check names ``run_all`` and ``check_field`` filter by
 SUITES = ("chain", "impulse", "dpp", "isaacs", "uniqueness", "probes")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hybrid_isaacs import discretize
 from hybrid_isaacs.exprlang import parse
 from hybrid_isaacs.problem import Impulse, ProblemSpec, load_config, load_spec
 
@@ -45,6 +46,37 @@ def toy_spec(f="0", k="1", u1=(0.0,), u2=(0.0,), lam=1.0, box=((-1.0, 1.0),),
         impulses=tuple(Impulse(np.asarray(v, dtype=float), float(c)) for v, c in impulses),
         box=np.asarray(box, dtype=float),
     )
+
+
+def full_stencils(grid, pts):
+    """``interp_weights``' stencils with every corner's index written out,
+    ``base + grid.corner_offsets[c]`` in column c: what ``interpolate_many``
+    reads."""
+    base, wts = discretize.interp_weights(grid, pts)
+    return base[:, None] + grid.corner_offsets, wts
+
+
+def interpolate_many(values, idx, wts):
+    """The reference read over full corner indices, as the program read
+    rollouts before ``read_stencils`` was its only read:
+    ``sum_c values[..., idx[..., c]] * wts[..., c]``, leading axes of
+    ``values`` broadcast over the queries, added in corner order from +0.0.
+    Reads of at most ``_FEW_READS`` gathered values accumulate the product
+    ``values[..., idx] * wts`` along its corner axis; larger ones gather and
+    weight one corner at a time."""
+    values = np.asarray(values, dtype=float)
+    if values.size // values.shape[-1] * idx.size <= discretize._FEW_READS:
+        out = np.add.accumulate(values[..., idx] * wts, axis=-1)[..., -1]
+        out += 0.0    # the sum starts from +0.0: an all -0.0 stencil reads +0.0
+        return out
+    out = values.take(idx[..., 0], axis=-1)
+    out *= wts[..., 0]
+    for c in range(1, idx.shape[-1]):
+        term = values.take(idx[..., c], axis=-1)
+        term *= wts[..., c]
+        out += term
+    out += 0.0
+    return out
 
 
 def game_2d():

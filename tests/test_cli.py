@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from hybrid_isaacs.cli import (EXIT_ASSUMPTION, EXIT_MISMATCH, EXIT_NO_CONVERGEN
 from hybrid_isaacs.problem import load_config, load_spec, save_spec
 
 from conftest import BUNDLED, INVALID, game_2d
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -86,6 +92,10 @@ MALFORMED_SPECS = {
                       'cost."only,high": expression nested deeper than 200 levels'),
     "overflowing number": (lambda t: t.replace('k = "2"', 'k = "min(x0^2, 1e400)"'),
                            "cost.\"only,high\": number '1e400' is too large at offset 10"),
+    "scalar impulse costs": (lambda t: t + "\n[impulses]\nvectors = [[1.0]]\ncosts = 1.0\n",
+                             "[impulses] costs: expected a list, got 1.0"),
+    "scalar impulse vectors": (lambda t: t + "\n[impulses]\nvectors = 1.0\ncosts = [1.0]\n",
+                               "[impulses] vectors: expected a list, got 1.0"),
 }
 
 
@@ -169,8 +179,15 @@ def test_solve_outputs_are_deterministic(workdir):
     assert (tmp / "mode_selection.residuals.csv").read_bytes() == first_res
 
 
-# each case swaps mode_selection's ``[solver]`` lines for one of the wrong type
+# each case swaps mode_selection's ``[solver]`` lines for one of the wrong
+# type, or for a number no solve can use
 BAD_SOLVER_VALUES = {
+    "dt inf": ("dt = inf", "[solver] dt: inf is not a positive finite number"),
+    "dt zero": ("dt = 0.0", "[solver] dt: 0.0 is not a positive finite number"),
+    "tolerance negative": ("tolerance = -1e-9", "[solver] tolerance: -1e-09 is not a number >= 0"),
+    "iterations zero": ("max_iterations = 0", "[solver] max_iterations: 0 is not a whole number"),
+    "iterations inf": ("max_iterations = inf", "[solver] max_iterations: inf is not a whole"),
+    "iterations fraction": ("max_iterations = 2.5", "[solver] max_iterations: 2.5 is not a whole"),
     "tolerance list": ("tolerance = [1]", "[solver] tolerance: list is not a number"),
     "dt string": ('dt = "fast"', "[solver] dt: str is not a number"),
     "iterations string": ('max_iterations = "many"', "[solver] max_iterations: str is not"),
@@ -225,6 +242,88 @@ def test_grid_flag_that_is_no_count_exits_1_and_names_it(workdir, capsys, grid):
     assert capsys.readouterr().err == (f"error: --grid: {grid!r} is not an int or a "
                                        "comma-separated list of ints\n")
     assert not (tmp / "drift_1d.value.csv").exists()
+
+
+# each case is a command, its flags and the error that names the flag
+UNWORKABLE_FLAGS = {
+    "solve dt inf": ("solve", ("--dt", "inf"), "--dt: inf is not a positive finite number"),
+    "solve dt nan": ("solve", ("--dt", "nan"), "--dt: nan is not a positive finite number"),
+    "solve dt negative": ("solve", ("--dt", "-0.5"),
+                          "--dt: -0.5 is not a positive finite number"),
+    "solve tol negative": ("solve", ("--tol", "-1"), "--tol: -1.0 is not a number >= 0"),
+    "solve tol nan": ("solve", ("--tol", "nan"), "--tol: nan is not a number >= 0"),
+    "solve iterations": ("solve", ("--max-iters", "-5"),
+                         "--max-iters: -5 is not a whole number >= 1"),
+    "verify dt inf": ("verify", ("--dt", "inf"), "--dt: inf is not a positive finite number"),
+    "verify tol nan": ("verify", ("--tol", "nan"), "--tol: nan is not a number >= 0"),
+    "simulate dt inf": ("simulate", ("--dt", "inf"), "--dt: inf is not a positive finite number"),
+    "horizon inf": ("simulate", ("--horizon", "inf"),
+                    "--horizon: inf is not a finite number >= 0"),
+    "horizon nan": ("simulate", ("--horizon", "nan"),
+                    "--horizon: nan is not a finite number >= 0"),
+    "horizon negative": ("simulate", ("--horizon", "-1"),
+                         "--horizon: -1.0 is not a finite number >= 0"),
+    "start word": ("simulate", ("--start", "abc"),
+                   "--start: 'abc' is not a comma-separated list of numbers"),
+    "start nan": ("simulate", ("--start", "nan"),
+                  "--start: 'nan' is not a comma-separated list of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWORKABLE_FLAGS))
+def test_unworkable_number_flag_exits_1_and_names_it(mode_selection_field, tmp_path, capsys,
+                                                     monkeypatch, case):
+    """Refused before any solve or rollout starts: an infinite horizon
+    would never return, and a NaN tolerance would sweep to the cap."""
+    command, flags, needle = UNWORKABLE_FLAGS[case]
+    cfg, _ = mode_selection_field
+
+    def unreached(*args, **kwargs):
+        raise AssertionError(f"{case} reached the solver or the rollout")
+
+    for name in ("solve", "simulate", "run_all", "check_field"):
+        monkeypatch.setattr(cli, name, unreached)
+    values = (cfg.parent / "mode_selection.value.csv",) if command == "simulate" else ()
+    assert run(command, cfg, *values, "--out", tmp_path, *flags) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_zero_horizon_and_a_negative_start_are_valid(tmp_path, capsys, monkeypatch):
+    """``--horizon 0`` writes a trajectory of no steps; a start whose first
+    coordinate is negative is written ``--start=-0.5,-0.25``, since argparse
+    takes ``-0.5,-0.25`` after a space for an option; the help text and the
+    README show that form."""
+    cfg = tmp_path / "planar.toml"
+    cfg.write_text(TWO_D)
+    assert run("solve", cfg) == EXIT_OK
+    assert run("simulate", cfg, tmp_path / "planar.value.csv", "--horizon", "0") == EXIT_OK
+    assert "trajectory: 0 step(s)" in capsys.readouterr().out
+    assert run("simulate", cfg, tmp_path / "planar.value.csv", "--start=-0.5,-0.25",
+               "--horizon", "1") == EXIT_OK
+    row = (tmp_path / "planar.trajectory.csv").read_text().splitlines()[1].split(",")
+    assert [float(v) for v in row[1:3]] == [-0.5, -0.25]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        run("simulate", cfg, tmp_path / "planar.value.csv", "--start", "-0.5,-0.25")
+    assert "expected one argument" in capsys.readouterr().err
+    monkeypatch.setenv("COLUMNS", "200")    # help lines wrap at hyphens when narrow
+    with pytest.raises(SystemExit):
+        run("simulate", "--help")
+    assert "--start=-1.8,-1.9" in " ".join(capsys.readouterr().out.split())
+    assert "--start=-1.8,-1.9" in (ROOT / "README.md").read_text()
+
+
+def test_module_entry_point_returns_the_exit_code(tmp_path):
+    """``python -m hybrid_isaacs.cli`` runs the command and exits with its code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "hybrid_isaacs.cli", "solve",
+                           str(INVALID["negative_cost"]), "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_ASSUMPTION, done.stderr
+    assert done.stderr.startswith("assumption violated: "), done.stderr
+    assert not (tmp_path / "negative_cost.value.csv").exists()
 
 
 def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):

@@ -81,9 +81,10 @@ def test_interp_weights_partition_of_unity():
     grid = make_grid(spec, (6, 4))
     rng = np.random.default_rng(1)
     pts = rng.uniform([-2, -1], [2, 3], size=(50, 2))
-    idx, wts = interp_weights(grid, pts)
+    base, wts = interp_weights(grid, pts)
     np.testing.assert_allclose(wts.sum(axis=1), 1.0, atol=1e-14)
     assert (wts >= 0).all()
+    idx = base[:, None] + grid.corner_offsets
     assert idx.min() >= 0 and idx.max() < grid.n_points
 
 

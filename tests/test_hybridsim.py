@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hybrid_isaacs import hybridsim
-from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate,
-                                      interpolate_many, make_grid, semigroup_step)
+from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate, make_grid,
+                                      read_stencils, semigroup_step)
 from hybrid_isaacs.exprlang import ExprDomainError
 from hybrid_isaacs.hybridsim import (DEFAULT_ACTION_TOL, ChatterError, PolicyDecision, _Policy,
                                      decide, evaluate_cost, rollout_value_gap, simulate)
@@ -14,7 +14,8 @@ from hybrid_isaacs.operators import Variant
 from hybrid_isaacs.problem import eval_dynamics, eval_running_cost
 from hybrid_isaacs.solver import SolverConfig, solve
 
-from conftest import BUNDLED, game_2d, game_3d, load_bundled, toy_spec
+from conftest import (BUNDLED, full_stencils, game_2d, game_3d, interpolate_many,
+                      load_bundled, toy_spec)
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +373,7 @@ def two_build_decide(self, x, d1, d2):
         pts = np.empty((1 + len(self.jumps), len(x)))
         pts[0] = x
         pts[1:] = self.grid.clamp(x + self.jumps)
-        idx, wts = interp_weights(self.grid, pts)
+        idx, wts = full_stencils(self.grid, pts)
         v = interpolate_many(self.values, idx, wts)    # (m1, m2, 1 + n_imp)
         here = v[d1, d2, 0]
         if spec.impulses:
@@ -398,7 +399,7 @@ def two_build_decide(self, x, d1, d2):
     f = eval_dynamics(spec, d1, d2, xs, self.u1, self.u2)
     k = eval_running_cost(spec, d1, d2, xs, self.u1, self.u2)
     feet = self.grid.clamp(self.step_matrix @ x + self.dt * f)
-    idx, wts = interp_weights(self.grid, feet)
+    idx, wts = full_stencils(self.grid, feet)
     q = self.weight * k + self.gamma * interpolate_many(self.values[d1, d2], idx, wts)
     q = q.reshape(len(spec.u1_levels), -1)
     if self.variant is Variant.PLUS:
@@ -470,7 +471,7 @@ def test_each_decision_builds_and_reads_one_stencil_set(game, request, monkeypat
         return wrapper
 
     monkeypatch.setattr(hybridsim, "interp_weights", counted("build", interp_weights))
-    monkeypatch.setattr(hybridsim, "interpolate_many", counted("read", interpolate_many))
+    monkeypatch.setattr(hybridsim, "read_stencils", counted("read", read_stencils))
     policy = _Policy(spec, grid, values, dt, DEFAULT_ACTION_TOL, Variant.PLUS)
     kinds = set()
     for x in sample_states(grid, np.random.default_rng(4)):

@@ -1,7 +1,9 @@
-"""``interp_weights`` builds its stencils by corner doubling.  These tests
-hold it to the per-corner loop it replaced, kept below as the reference:
-indices and weights must match byte for byte, in the same corner-major
-layout, and so must every table ``build_tables`` makes from them."""
+"""``interp_weights`` builds its stencils by corner doubling, one base index
+per point.  These tests hold it to the per-corner loop it replaced, kept
+below as the reference: every corner's index, ``base +
+grid.corner_offsets[c]``, and every weight must match byte for byte, the
+weights in the same corner-major layout, and so must every table
+``build_tables`` makes from them."""
 
 import numpy as np
 import pytest
@@ -40,10 +42,24 @@ def reference_interp_weights(grid, pts):
     return idx.T, wts.T
 
 
-def assert_same_stencils(actual, expected, what=""):
-    for a, e in zip(actual, expected):
-        assert a.shape == e.shape and a.dtype == e.dtype and a.strides == e.strides, what
-        assert a.tobytes(order="A") == e.tobytes(order="A"), what
+def reference_stencils(grid, pts):
+    """The reference loop's stencils in ``interp_weights``' format: corner
+    0's index is the base."""
+    idx, wts = reference_interp_weights(grid, pts)
+    return idx[:, 0], wts
+
+
+def assert_same_stencils(grid, actual, expected, what=""):
+    """``actual`` is ``interp_weights``' (base, weights), ``expected`` the
+    reference loop's full (indices, weights)."""
+    (base, wts), (idx, ref_wts) = actual, expected
+    assert base.shape == idx.shape[:1] and base.dtype == idx.dtype, what
+    assert base.flags.c_contiguous, what
+    full = base[:, None] + grid.corner_offsets
+    assert full.tobytes() == np.ascontiguousarray(idx).tobytes(), what
+    assert wts.shape == ref_wts.shape and wts.dtype == ref_wts.dtype, what
+    assert wts.strides == ref_wts.strides, what
+    assert wts.tobytes(order="A") == ref_wts.tobytes(order="A"), what
 
 
 GRIDS = {
@@ -88,15 +104,17 @@ def test_interp_weights_match_reference_loop(dim, m):
     rng = np.random.default_rng(100 * dim + m)
     kinds = query_kinds(grid, rng, m)
     for kind, pts in kinds:
-        assert_same_stencils(interp_weights(grid, pts), reference_interp_weights(grid, pts), kind)
+        assert_same_stencils(grid, interp_weights(grid, pts),
+                             reference_interp_weights(grid, pts), kind)
     mixed = np.concatenate([pts for _, pts in kinds])[rng.permutation(len(kinds) * m)][:m]
-    assert_same_stencils(interp_weights(grid, mixed), reference_interp_weights(grid, mixed))
+    assert_same_stencils(grid, interp_weights(grid, mixed),
+                         reference_interp_weights(grid, mixed))
 
 
 def test_single_state_query():
     grid = grid_of(3)
     x = np.array([0.3, 1.7, 0.05])
-    assert_same_stencils(interp_weights(grid, x), reference_interp_weights(grid, x))
+    assert_same_stencils(grid, interp_weights(grid, x), reference_interp_weights(grid, x))
 
 
 def _bundled(name):
@@ -125,7 +143,7 @@ TABLE_GAMES = {
 def test_tables_match_reference_stencils(name, monkeypatch):
     spec, grid = TABLE_GAMES[name]()
     tables = build_tables(spec, grid)
-    monkeypatch.setattr(discretize, "interp_weights", reference_interp_weights)
+    monkeypatch.setattr(discretize, "interp_weights", reference_stencils)
     reference = build_tables(spec, grid)
     for field in ("foot_idx", "foot_wts", "imp_idx", "imp_wts", "k", "f"):
         actual, expected = getattr(tables, field), getattr(reference, field)

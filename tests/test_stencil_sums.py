@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from hybrid_isaacs import discretize, hybridsim
-from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate,
-                                      interpolate_many, make_grid, read_stencils)
+from hybrid_isaacs.discretize import (GridSpec, build_tables, interp_weights, interpolate,
+                                      make_grid, read_stencils)
 from hybrid_isaacs.operators import (Variant, bellman_update, continue_field,
                                      impulse_candidates, impulse_field, switch_lower_field,
                                      switch_upper_field)
 
-from conftest import BUNDLED, game_2d, game_3d, gen2d, load_bundled, toy_spec
+from conftest import (BUNDLED, full_stencils, game_2d, game_3d, gen2d, interpolate_many,
+                      load_bundled, toy_spec)
 
 
 def contiguous_sum(values, idx, wts):
@@ -153,10 +154,10 @@ def test_tables_keep_their_shapes_and_store_corners_contiguously(game, request):
             assert table.dtype == np.int64 and table.flags.c_contiguous, name
         else:
             assert all(table[..., c].flags.c_contiguous for c in range(table.shape[-1])), name
-    idx, wts = interp_weights(grid, grid.points[:5])
-    assert idx.shape == wts.shape == (5, corners)
-    assert all(idx[:, c].flags.c_contiguous and wts[:, c].flags.c_contiguous
-               for c in range(corners))
+    base, wts = interp_weights(grid, grid.points[:5])
+    assert base.shape == (5,) and wts.shape == (5, corners)
+    assert base.dtype == np.int64 and base.flags.c_contiguous
+    assert all(wts[:, c].flags.c_contiguous for c in range(corners))
 
 
 def test_feet_index_the_flattened_field(game):
@@ -198,17 +199,17 @@ def full_shape(tables):
                                foot_idx=np.broadcast_to(tables.foot_idx, shape[:-1]).copy())
 
 
-def compact(idx, wts, grid, corners):
+def compact(base, wts, grid, corners):
     """``interp_weights``' stencils as a table of ``corners`` corners
-    stores them: every index is the base plus its corner's offset, and a
-    one-hot table keeps the index and weight of the single nonzero one."""
-    assert_same_bits(np.ascontiguousarray(idx), idx[:, :1] + grid.corner_offsets)
+    stores them: the base and the weights, or in a one-hot table the index
+    and weight of the single nonzero corner."""
+    assert base.shape == wts.shape[:1] and wts.shape[-1] == len(grid.corner_offsets)
     if corners == 1:
         hot = wts != 0.0
         assert (hot.sum(axis=-1) == 1).all()
-        rows, hot = np.arange(len(idx)), hot.argmax(axis=-1)
-        return idx[rows, hot], wts[rows, hot][:, None]
-    return idx[:, 0], wts
+        rows, hot = np.arange(len(base)), hot.argmax(axis=-1)
+        return base + grid.corner_offsets[hot], wts[rows, hot][:, None]
+    return base, wts
 
 
 @pytest.mark.parametrize("name", ["balanced_loop", "drift_1d", "game_2d"])
@@ -223,9 +224,9 @@ def test_collapsed_tables_read_bit_identically_to_full_ones(name):
     full = full_shape(tables)
     linear_part = grid.points @ tables.step_matrix.T
     for i in np.ndindex(tables.k.shape[:-1]):
-        idx, wts = interp_weights(grid, grid.clamp(linear_part + tables.dt * tables.f[i]))
+        base, wts = interp_weights(grid, grid.clamp(linear_part + tables.dt * tables.f[i]))
         pair = (i[0] * spec.m2 + i[1]) * grid.n_points
-        base, wts = compact(idx + pair, wts, grid, full.foot_wts.shape[-1])
+        base, wts = compact(base + pair, wts, grid, full.foot_wts.shape[-1])
         assert_same_bits(full.foot_idx[i], base)
         assert_same_bits(full.foot_wts[i], wts)
     for values in fields(spec, grid):
@@ -279,7 +280,7 @@ def test_interpolate_is_bit_identical_to_contiguous_sum(game, read):
                                  size=(20, spec.dimension)), grid.points[:3]])
     for values in fields(spec, grid):
         for x in pts:
-            idx, wts = interp_weights(grid, x.reshape(1, -1))
+            idx, wts = full_stencils(grid, x.reshape(1, -1))
             expected = read(values[0, 0], idx[0], wts[0])
             assert_read(np.float64(interpolate(values[0, 0], grid, x)), expected, read,
                         idx.shape[-1], values[0, 0])
@@ -290,14 +291,15 @@ def test_decide_reads_are_bit_identical_to_contiguous_sums(game, variant, monkey
     spec, grid, tables = game
     calls = []
 
-    def checked(values, idx, wts):
-        out = interpolate_many(values, idx, wts)
-        for read in (contiguous_sum, ordered_sum):
+    def checked(values, base, wts, grid):
+        out = read_stencils(values, base, wts, grid)
+        idx = base[..., None] + grid.corner_offsets
+        for read in (contiguous_sum, ordered_sum, interpolate_many):
             assert_read(out, read(values, idx, wts), read, idx.shape[-1], values)
         calls.append(idx.shape)
         return out
 
-    monkeypatch.setattr(hybridsim, "interpolate_many", checked)
+    monkeypatch.setattr(hybridsim, "read_stencils", checked)
     rng = np.random.default_rng(9)
     states = rng.uniform(grid.box[:, 0], grid.box[:, 1], size=(8, spec.dimension))
     for values in fields(spec, grid):
@@ -343,21 +345,32 @@ def test_csr_products_read_the_same_bits(game):
         assert_same_bits(expected, read_stencils(values, tables.imp_idx, wts, grid))
 
 
+def corner_grid(corners):
+    """A grid of one cell whose stencils have ``corners`` corners (two for
+    one corner, a one-hot read uses only the first): only its corner
+    offsets matter to a read."""
+    dim = max(1, corners.bit_length() - 1)
+    return GridSpec(counts=(2,) * dim, box=np.array([[0.0, 1.0]] * dim))
+
+
 @pytest.mark.parametrize("queries", [(1,), (4, 5), (40, 50)])
 @pytest.mark.parametrize("corners", [2, 4, 8, 16])
 def test_helper_follows_numpy_summation_order(corners, queries):
     """Any corner count, small and large reads, with leading value axes
     broadcast over the queries: the corner-order running sum, which is
-    numpy's contiguous sum below 8 corners."""
+    numpy's contiguous sum below 8 corners and the reference read's bits."""
     rng = np.random.default_rng(corners)
+    grid = corner_grid(corners)
     values = rng.standard_normal((2, 3, 50)) * np.exp(rng.uniform(-30.0, 30.0, size=(2, 3, 50)))
-    values[0, 0, :10] = -0.0
-    idx = np.moveaxis(rng.integers(0, 50, size=(corners,) + queries), 0, -1)
+    values[0, 0, :20] = -0.0
+    base = rng.integers(0, 50, size=queries)
     wts = np.moveaxis(rng.random((corners,) + queries), 0, -1)
-    for vals in (values, values[1, 2], values[0, 0, :10]):
-        out = interpolate_many(vals, idx % vals.shape[-1], wts)
-        for read in (contiguous_sum, ordered_sum):
-            assert_read(out, read(vals, idx % vals.shape[-1], wts), read, corners, vals)
+    for vals in (values, values[1, 2], values[0, 0, :20]):
+        at = base % (vals.shape[-1] - grid.corner_offsets.max())
+        out = read_stencils(vals, at, wts, grid)
+        idx = at[..., None] + grid.corner_offsets
+        for read in (contiguous_sum, ordered_sum, interpolate_many):
+            assert_read(out, read(vals, idx, wts), read, corners, vals)
 
 
 @pytest.mark.parametrize("corners", [1, 2, 4, 8])
@@ -365,7 +378,8 @@ def test_helper_follows_numpy_summation_order(corners, queries):
 def test_reads_on_both_sides_of_the_small_read_bound(corners, side, monkeypatch):
     """Reads of ``_FEW_READS`` gathered values minus, plus or exactly one
     stencil accumulate the product at or below the bound and gather corner
-    by corner above it; both give the corner-order running sum's bits."""
+    by corner above it, as one-hot reads do on both sides; both kernels
+    give the corner-order running sum's bits."""
     reads = discretize._FEW_READS + side * corners
     running = []
     inner = discretize._gathered_running_sum
@@ -376,14 +390,17 @@ def test_reads_on_both_sides_of_the_small_read_bound(corners, side, monkeypatch)
 
     monkeypatch.setattr(discretize, "_gathered_running_sum", counted)
     rng = np.random.default_rng(corners)
+    grid = corner_grid(corners)
+    offsets = grid.corner_offsets[:corners]
     values = rng.standard_normal(300) * np.exp(rng.uniform(-30.0, 30.0, size=300))
     values[:30] = -0.0
-    idx = np.moveaxis(rng.integers(0, 300, size=(corners, reads // corners)), 0, -1)
+    base = rng.integers(0, 300 - offsets.max(), size=reads // corners)
     wts = np.moveaxis(rng.random((corners, reads // corners)), 0, -1)
     wts[:5] = -0.0
+    idx = base[:, None] + offsets
     assert idx.size == reads
-    assert_same_bits(interpolate_many(values, idx, wts), ordered_sum(values, idx, wts))
-    assert bool(running) == (side > 0)
+    assert_same_bits(read_stencils(values, base, wts, grid), ordered_sum(values, idx, wts))
+    assert bool(running) == (side > 0 or corners == 1)
 
 
 def test_sweeps_leave_no_reference_cycle_holding_the_tables():
@@ -420,7 +437,7 @@ def full_layout(tables):
         idx, wts = (np.moveaxis(np.empty((1 << spec.dimension,) + shape, dtype), 0, -1)
                     for dtype in (np.int64, float))
         for i in np.ndindex(shape[:-1]):
-            idx[i], wts[i] = interp_weights(grid, targets(i))
+            idx[i], wts[i] = full_stencils(grid, targets(i))
         return idx, wts
 
     foot_idx, foot_wts = table(tables.foot_idx.shape,
