@@ -248,7 +248,8 @@ def _time_step(args, solver_cfg: dict, path: Path) -> float | None:
 def _solver_config(args, solver_cfg: dict, path: Path) -> SolverConfig:
     dt = _time_step(args, solver_cfg, path)
     tol = _solver_number(args.tol, "--tol", solver_cfg, "tolerance", path,
-                         SolverConfig.tolerance, "a number >= 0", lambda tol: tol >= 0)
+                         SolverConfig.tolerance, "a finite number >= 0",
+                         lambda tol: 0 <= tol < math.inf)
     iters = _solver_number(args.max_iters, "--max-iters", solver_cfg, "max_iterations", path,
                            SolverConfig.max_iterations, "a whole number >= 1",
                            lambda n: n >= 1 and float(n).is_integer())
@@ -261,6 +262,12 @@ def _out_dir(args, config_path: Path) -> Path:
     out = Path(args.out) if args.out else config_path.parent
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _finite_flag(value: float, flag: str) -> None:
+    """A ConfigError naming ``flag`` when ``value`` is negative, nan or infinite."""
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{flag}: {value!r} is not a finite number >= 0")
 
 
 def _start(text: str) -> np.ndarray:
@@ -377,8 +384,8 @@ def cmd_simulate(args) -> int:
 
     d1 = _mode_index(spec.d1_labels, args.d1, 1)
     d2 = _mode_index(spec.d2_labels, args.d2, 2)
-    if not 0 <= args.horizon < math.inf:
-        raise ConfigError(f"--horizon: {args.horizon!r} is not a finite number >= 0")
+    _finite_flag(args.horizon, "--horizon")
+    _finite_flag(args.action_tol, "--action-tol")
     start = _start(args.start) if args.start else grid.box.mean(axis=1)
     if start.size != spec.dimension:
         raise MismatchError(f"--start needs {spec.dimension} coordinate(s)")
@@ -430,6 +437,8 @@ def cmd_verify(args) -> int:
         return gate
 
     config = _solver_config(args, solver_cfg, config_path)
+    if args.trials < 1:
+        raise ConfigError(f"--trials: {args.trials!r} is not a whole number >= 1")
     suites = set(args.suite) if args.suite else None
 
     if args.values:

@@ -9,8 +9,10 @@ each sweep reduces to numpy gathers and one weighted sum per stencil corner.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import takewhile
 
 import numpy as np
 
@@ -170,7 +172,10 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
 # 43.5 / 33.5 us at 4096; 2 corners 10.3 / 7.4 us at 256.  Rollout reads of
 # the bundled specs and gen2d gather 18 to 208 values, game_3d's 288.
 _FEW_READS = 256
-_PAIR_BLOCK_READS = 1 << 14  # cap on one continue read, in control-node values
+# cap on one continue read, in k's control-node values; a collapsed cost
+# table (see BellmanTables.saddle_cost) makes the block's q smaller than
+# that, and the cap has not been measured again since
+_PAIR_BLOCK_READS = 1 << 14
 
 
 def read_stencils(values: np.ndarray, base: np.ndarray, wts: np.ndarray,
@@ -270,7 +275,13 @@ class BellmanTables:
 
     A control axis that the drift ignores (``f`` bit-identical along it) has
     length 1 in ``foot_idx``/``foot_wts``: its feet are all equal, and the
-    continue read broadcasts the one stencil against ``k``'s full axis.
+    continue read broadcasts the one stencil against the cost table's axis.
+
+    The continue branch reads ``saddle_cost``, ``weight * k`` with the
+    saddle's reductions over such axes already taken, built on first use
+    per commitment order.  ``k`` and ``f`` stay for the residuals and the
+    saddle-order gap.  ``nbytes`` counts the arrays built with the tables,
+    not the cost tables a sweep adds.
     """
 
     spec: ProblemSpec
@@ -291,7 +302,8 @@ class BellmanTables:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the tables' arrays."""
+        """Bytes held by the arrays built with the tables; cost tables
+        that ``saddle_cost`` adds later are not counted."""
         return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
 
     @property
@@ -300,14 +312,52 @@ class BellmanTables:
         return self.k_sup / self.spec.discount
 
     @cached_property
-    def pair_blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-        """``(pairs, foot_idx, foot_wts, k)`` views of each block of the continue branch."""
+    def _saddle_costs(self) -> dict:
+        """``saddle_cost``'s tables by saddle, built on first use."""
+        return {}
+
+    @cached_property
+    def pair_blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+        """``(pairs, foot_idx, foot_wts)`` views of each block of the continue branch."""
         pairs = self.spec.m1 * self.spec.m2
         size = max(1, _PAIR_BLOCK_READS // self.k[0, 0].size)
-        idx, wts, k = (a.reshape((pairs,) + a.shape[2:])
-                       for a in (self.foot_idx, self.foot_wts, self.k))
-        return [(slice(lo, lo + size), idx[lo:lo + size], wts[lo:lo + size], k[lo:lo + size])
+        idx, wts = (a.reshape((pairs,) + a.shape[2:]) for a in (self.foot_idx, self.foot_wts))
+        return [(slice(lo, lo + size), idx[lo:lo + size], wts[lo:lo + size])
                 for lo in range(0, pairs, size)]
+
+    def saddle_cost(self, saddle: tuple[tuple[int, Callable], ...]) -> np.ndarray:
+        """``weight * k`` for a continue saddle that reduces ``k``'s
+        control axes by ``saddle``, ``(axis, np.min or np.max)`` pairs with
+        axis 2 for u1 and 3 for u2, inner first; mode pairs flattened:
+        (m1*m2, nu1 or 1, nu2 or 1, p).
+
+        Leading reductions are taken here while ``foot_idx`` has length 1
+        along their axis.  There the discounted read ``g`` is constant, and
+        rounding is monotone, so ``min_b fl(wk[b] + g) == fl(min_b wk[b] +
+        g)`` bit for bit, and likewise for max: the saddle of ``cost + g``
+        is the saddle of ``weight * k + g``.  An infinite ``weight * k``
+        keeps every axis, since ``inf + -inf`` is nan in one term and not
+        in the reduced sum.  Built once per ``saddle``, one mode pair at a
+        time.
+        """
+        cost = self._saddle_costs.get(saddle)
+        if cost is not None:
+            return cost
+        k = self.k.reshape((-1,) + self.k.shape[2:])
+        taken = list(takewhile(lambda r: self.foot_idx.shape[r[0]] == 1, saddle))
+        if taken and any(np.isinf(self.weight * pair).any() for pair in k):
+            taken = []
+        shape = list(k.shape)
+        for axis, _ in taken:
+            shape[axis - 1] = 1
+        cost = np.empty(shape)
+        for out, pair in zip(cost, k):
+            wk = self.weight * pair
+            for axis, reduce in taken:
+                wk = reduce(wk, axis=axis - 2, keepdims=True)
+            out[...] = wk
+        self._saddle_costs[saddle] = cost
+        return cost
 
 
 def default_time_step(spec: ProblemSpec, grid: GridSpec, f_sup: float) -> float:

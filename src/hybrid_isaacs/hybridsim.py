@@ -125,6 +125,8 @@ class _Policy:
 
     def __init__(self, spec: ProblemSpec, grid: GridSpec, values: np.ndarray,
                  dt: float, action_tol: float, variant: Variant):
+        if not 0 <= action_tol < math.inf:
+            raise ValueError(f"action_tol must be a finite number >= 0, got {action_tol!r}")
         self.spec = spec
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
@@ -201,7 +203,8 @@ def decide(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x, d1: int, d2
     controls of the one-step continue table are returned.  The mode pair's
     dynamics and running cost are evaluated over the control grid before
     any obstacle is checked, so a state where they leave their domain
-    raises ExprDomainError even where an event would fire.
+    raises ExprDomainError even where an event would fire.  An
+    ``action_tol`` that is negative, nan or infinite is a ValueError.
     """
     policy = _Policy(spec, grid, values, dt, action_tol, variant)
     return policy.decide(np.asarray(x, dtype=float), d1, d2)[0]
@@ -219,8 +222,12 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
     one longer than ``m1*m2*(1 + n_impulses)`` events is taken for the same;
     both raise ChatterError, which indicates ``action_tol`` is too coarse.
     Each decision evaluates the mode pair's expressions first, so any state
-    visited where they leave their domain raises ExprDomainError.
+    visited where they leave their domain raises ExprDomainError.  A
+    ``horizon`` or ``action_tol`` that is negative, nan or infinite is a
+    ValueError.
     """
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be a finite number >= 0, got {horizon!r}")
     if dt is None:
         dt = _default_sim_step(spec, grid)
     policy = _Policy(spec, grid, values, dt, action_tol, variant)

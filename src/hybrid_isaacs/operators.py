@@ -131,19 +131,31 @@ def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-step update
 
+# each variant's continue saddle over the tables' (m1, m2, nu1, nu2, p)
+# axes, inner reduction first: player 1 maximizes over u1 (axis 2),
+# player 2 minimizes over u2 (axis 3)
+_SADDLE = {Variant.PLUS: ((3, np.min), (2, np.max)),
+           Variant.MINUS: ((2, np.max), (3, np.min))}
+
+
 def continue_field(values: np.ndarray, tables: BellmanTables, variant: Variant) -> np.ndarray:
     """Saddle over the control grids of quadrature cost plus discounted
     interpolated value at the propagated foot.
 
-    Mode pairs are read in the blocks of ``tables.pair_blocks``, one read
-    of the flattened field each, up to 2**14 control-node values: larger
-    fused reads ran no faster, and 4 pairs of 81² ran 1.1-1.2x slower.
+    The quadrature cost is ``tables.saddle_cost``: ``weight * k``, already
+    reduced over each control axis whose feet are all equal, which gives
+    the bits of the saddle of ``weight * k + gamma * read`` with fewer
+    terms.  Mode pairs are read in the blocks of ``tables.pair_blocks``,
+    one read of the flattened field each, up to 2**14 control-node values
+    of ``k``: larger fused reads ran no faster, and 4 pairs of 81² ran
+    1.1-1.2x slower.
     """
     flat = values.reshape(-1)
     out = np.empty_like(values)
     out_pairs = out.reshape(-1, values.shape[-1])
-    for pairs, idx, wts, k in tables.pair_blocks:
-        q = tables.weight * k + tables.gamma * read_stencils(flat, idx, wts, tables.grid)
+    cost = tables.saddle_cost(_SADDLE[variant])
+    for pairs, idx, wts in tables.pair_blocks:
+        q = cost[pairs] + tables.gamma * read_stencils(flat, idx, wts, tables.grid)
         if variant is Variant.PLUS:
             out_pairs[pairs] = q.min(axis=2).max(axis=1)  # max over u1 of min over u2
         else:

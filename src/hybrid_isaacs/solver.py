@@ -9,6 +9,7 @@ through the one-step discount factor: for a gamma-contraction,
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -85,10 +86,13 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
 
     Returns the field together with diagnostics even when the iteration cap
     is hit (``converged=False``); callers decide whether a partial field is
-    usable.
+    usable.  A tolerance that is negative, nan or infinite is a ValueError:
+    an infinite one would stop after one sweep, a nan one never.
     """
     if config is None:
         config = SolverConfig()
+    if not 0 <= config.tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {config.tolerance!r}")
     tables = build_tables(spec, grid, config.dt)
 
     diameter = float(np.linalg.norm(spec.box[:, 1] - spec.box[:, 0]))

@@ -184,7 +184,9 @@ def test_solve_outputs_are_deterministic(workdir):
 BAD_SOLVER_VALUES = {
     "dt inf": ("dt = inf", "[solver] dt: inf is not a positive finite number"),
     "dt zero": ("dt = 0.0", "[solver] dt: 0.0 is not a positive finite number"),
-    "tolerance negative": ("tolerance = -1e-9", "[solver] tolerance: -1e-09 is not a number >= 0"),
+    "tolerance negative": ("tolerance = -1e-9",
+                           "[solver] tolerance: -1e-09 is not a finite number >= 0"),
+    "tolerance inf": ("tolerance = inf", "[solver] tolerance: inf is not a finite number >= 0"),
     "iterations zero": ("max_iterations = 0", "[solver] max_iterations: 0 is not a whole number"),
     "iterations inf": ("max_iterations = inf", "[solver] max_iterations: inf is not a whole"),
     "iterations fraction": ("max_iterations = 2.5", "[solver] max_iterations: 2.5 is not a whole"),
@@ -250,12 +252,17 @@ UNWORKABLE_FLAGS = {
     "solve dt nan": ("solve", ("--dt", "nan"), "--dt: nan is not a positive finite number"),
     "solve dt negative": ("solve", ("--dt", "-0.5"),
                           "--dt: -0.5 is not a positive finite number"),
-    "solve tol negative": ("solve", ("--tol", "-1"), "--tol: -1.0 is not a number >= 0"),
-    "solve tol nan": ("solve", ("--tol", "nan"), "--tol: nan is not a number >= 0"),
+    "solve tol negative": ("solve", ("--tol", "-1"), "--tol: -1.0 is not a finite number >= 0"),
+    "solve tol nan": ("solve", ("--tol", "nan"), "--tol: nan is not a finite number >= 0"),
+    "solve tol inf": ("solve", ("--tol", "inf"), "--tol: inf is not a finite number >= 0"),
     "solve iterations": ("solve", ("--max-iters", "-5"),
                          "--max-iters: -5 is not a whole number >= 1"),
     "verify dt inf": ("verify", ("--dt", "inf"), "--dt: inf is not a positive finite number"),
-    "verify tol nan": ("verify", ("--tol", "nan"), "--tol: nan is not a number >= 0"),
+    "verify tol nan": ("verify", ("--tol", "nan"), "--tol: nan is not a finite number >= 0"),
+    "verify tol inf": ("verify", ("--tol", "inf"), "--tol: inf is not a finite number >= 0"),
+    "verify trials negative": ("verify", ("--trials", "-5"),
+                               "--trials: -5 is not a whole number >= 1"),
+    "verify trials zero": ("verify", ("--trials", "0"), "--trials: 0 is not a whole number >= 1"),
     "simulate dt inf": ("simulate", ("--dt", "inf"), "--dt: inf is not a positive finite number"),
     "horizon inf": ("simulate", ("--horizon", "inf"),
                     "--horizon: inf is not a finite number >= 0"),
@@ -263,6 +270,12 @@ UNWORKABLE_FLAGS = {
                     "--horizon: nan is not a finite number >= 0"),
     "horizon negative": ("simulate", ("--horizon", "-1"),
                          "--horizon: -1.0 is not a finite number >= 0"),
+    "action tol nan": ("simulate", ("--action-tol", "nan"),
+                       "--action-tol: nan is not a finite number >= 0"),
+    "action tol negative": ("simulate", ("--action-tol", "-1"),
+                            "--action-tol: -1.0 is not a finite number >= 0"),
+    "action tol inf": ("simulate", ("--action-tol", "inf"),
+                       "--action-tol: inf is not a finite number >= 0"),
     "start word": ("simulate", ("--start", "abc"),
                    "--start: 'abc' is not a comma-separated list of numbers"),
     "start nan": ("simulate", ("--start", "nan"),
@@ -274,7 +287,10 @@ UNWORKABLE_FLAGS = {
 def test_unworkable_number_flag_exits_1_and_names_it(mode_selection_field, tmp_path, capsys,
                                                      monkeypatch, case):
     """Refused before any solve or rollout starts: an infinite horizon
-    would never return, and a NaN tolerance would sweep to the cap."""
+    would never return, a NaN tolerance would sweep to the cap and an
+    infinite one stop after one sweep; a NaN or negative action tolerance
+    would never let an obstacle bind, and no probe trial pass verify
+    without a probe."""
     command, flags, needle = UNWORKABLE_FLAGS[case]
     cfg, _ = mode_selection_field
 

@@ -269,6 +269,26 @@ def test_chatter_guard_raises_for_huge_tolerance(solved_impulse_toy):
         simulate(spec, grid, values, [4.0], 0, 0, 2.0, dt=0.5, action_tol=10.0)
 
 
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
+def test_unworkable_horizon_rejected(solved_constant, horizon):
+    """A negative or nan horizon rolled out no step, an infinite one never
+    returned."""
+    spec, grid, values = solved_constant
+    with pytest.raises(ValueError, match="horizon must be a finite number >= 0"):
+        simulate(spec, grid, values, [0.0], 0, 0, horizon, dt=0.5)
+
+
+@pytest.mark.parametrize("action_tol", [-1.0, math.nan, math.inf])
+def test_unworkable_action_tolerance_rejected(solved_mode_selection, action_tol):
+    """A negative or nan tolerance let no obstacle bind: mode_selection's
+    dear mode never switched out."""
+    spec, grid, values = solved_mode_selection
+    with pytest.raises(ValueError, match="action_tol must be a finite number >= 0"):
+        decide(spec, grid, values, [0.0], 0, 0, dt=0.5, action_tol=action_tol)
+    with pytest.raises(ValueError, match="action_tol must be a finite number >= 0"):
+        simulate(spec, grid, values, [0.0], 0, 0, 1.0, dt=0.5, action_tol=action_tol)
+
+
 def _two_by_two_game(field, impulses=()):
     """Four constant value planes (values by mode pair) with unit switch
     costs, no dynamics and unit running cost."""

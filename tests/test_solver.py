@@ -213,6 +213,16 @@ def test_bad_custom_init_rejected():
         solve(spec, grid, SolverConfig(init=np.zeros((2, 2, 5))))
 
 
+@pytest.mark.parametrize("tolerance", [-1e-9, math.nan, math.inf])
+def test_unworkable_tolerance_rejected(tolerance):
+    """An infinite tolerance stopped after one sweep with a field one sweep
+    from zero, reported converged; a nan one swept to the cap."""
+    spec = toy_spec()
+    grid = make_grid(spec, 5)
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        solve(spec, grid, SolverConfig(tolerance=tolerance))
+
+
 def test_large_time_step_warns():
     spec = toy_spec(f="2", box=((-1.0, 1.0),))
     grid = make_grid(spec, 5)

@@ -167,9 +167,8 @@ def test_feet_index_the_flattened_field(game):
     for (i1, i2) in spec.mode_pairs():
         idx, _ = corners_of(tables.foot_idx[i1, i2], tables.foot_wts[i1, i2], grid)
         assert (idx // grid.n_points == i1 * spec.m2 + i2).all()
-    for _, idx, wts, k in tables.pair_blocks:
+    for _, idx, wts in tables.pair_blocks:
         assert np.shares_memory(idx, tables.foot_idx) and np.shares_memory(wts, tables.foot_wts)
-        assert np.shares_memory(k, tables.k)
 
 
 @pytest.mark.parametrize("name, spec, controls", [
@@ -247,12 +246,86 @@ def test_continue_blocks_match_pair_by_pair_reads(game, variant, per_block, monk
     monkeypatch.setattr(discretize, "_PAIR_BLOCK_READS", per_block * per_pair + 1)
     tables = build_tables(spec, grid)
     full, rest = divmod(spec.m1 * spec.m2, per_block)
-    sizes = [idx.shape[0] for _, idx, _, _ in tables.pair_blocks]
+    sizes = [idx.shape[0] for _, idx, _ in tables.pair_blocks]
     assert sizes == [per_block] * full + [rest] * (rest > 0)
     assert len(sizes) > 1
     for values in fields(spec, grid):
         assert_same_bits(continue_field(values, tables, variant),
                          reference_continue(values, tables, variant, ordered_sum))
+
+
+# ---------------------------------------------------------------------------
+# cost tables: weight * k reduced over the control axes whose feet are equal
+
+def steered_by(control):
+    """game_2d with its drift steered by ``control``: "u2", or "0" for
+    neither player.  Its costs depend on u1 and u2 in every mode pair."""
+    base = game_2d()
+    drift = toy_spec(f={(i1, i2): (f"{0.3 + 0.1 * i1}*{control} - 0.2*x0",
+                                   f"{0.4 - 0.1 * i2}*{control}*tanh(x0) - 0.1*x1")
+                        for (i1, i2) in base.mode_pairs()},
+                     d1=base.d1_labels, d2=base.d2_labels, box=base.box)
+    return dataclasses.replace(base, dynamics=drift.dynamics)
+
+
+# each variant's saddle: (axis, reduction) of the tables' (m1, m2, nu1, nu2,
+# p) layout, inner first; player 1 maximizes over u1, player 2 minimizes over u2
+SADDLE = {Variant.PLUS: ((3, np.min), (2, np.max)), Variant.MINUS: ((2, np.max), (3, np.min))}
+
+# each drift pattern's game, and the (u1, u2) lengths of its cost table by
+# variant: an axis collapses where the feet ignore it and, for the outer
+# axis, the inner one collapsed too
+DRIFTS = {
+    "player 1": (lambda: (game_2d(), 11), {Variant.PLUS: (3, 1), Variant.MINUS: (3, 3)}),
+    "player 2": (lambda: (steered_by("u2"), 11), {Variant.PLUS: (3, 3), Variant.MINUS: (1, 3)}),
+    "both": (lambda: (game_3d(), 6), {Variant.PLUS: (3, 2), Variant.MINUS: (3, 2)}),
+    "neither": (lambda: (steered_by("0"), 11), {Variant.PLUS: (1, 1), Variant.MINUS: (1, 1)}),
+}
+
+
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_cost_saddle_gives_the_bits_of_the_full_saddle(drift, variant):
+    """The continue branch on the cost table reads the bits of
+    ``weight * k + gamma * read`` and its saddle over every control pair.
+    The table is ``weight * k`` reduced by the saddle's own max over u1 and
+    min over u2, and has length 1 exactly on the collapsed axes."""
+    make, lengths = DRIFTS[drift]
+    spec, points = make()
+    grid = make_grid(spec, points)
+    tables = build_tables(spec, grid)
+    if drift == "neither":
+        assert (np.diff(tables.k, axis=2) != 0).any() and (np.diff(tables.k, axis=3) != 0).any()
+    for values in fields(spec, grid):
+        assert_same_bits(continue_field(values, tables, variant),
+                         reference_continue(values, tables, variant, ordered_sum))
+    cost = tables.saddle_cost(SADDLE[variant])
+    expected = tables.weight * tables.k
+    for axis, reduce in SADDLE[variant]:
+        if lengths[variant][axis - 2] > 1:
+            break
+        expected = reduce(expected, axis=axis, keepdims=True)
+    assert cost.shape == (spec.m1 * spec.m2,) + lengths[variant] + (grid.n_points,)
+    assert_same_bits(cost, expected.reshape(cost.shape))
+    assert tables.saddle_cost(SADDLE[variant]) is cost
+
+
+def test_an_infinite_running_cost_keeps_every_control_axis():
+    """``exp(800)`` overflows: the feet ignore u2, but where u2 = 1 the cost
+    is inf, and on a -inf read ``inf + -inf`` is nan in that term alone, so
+    the min over u2 must see it."""
+    spec = toy_spec(f="0.5*u1", k="exp(800*u2)", u1=(-1.0, 1.0), u2=(0.0, 1.0))
+    grid = make_grid(spec, 5)
+    with np.errstate(over="ignore"):
+        tables = build_tables(spec, grid)
+    assert tables.foot_idx.shape[2:4] == (2, 1) and np.isinf(tables.k).any()
+    infinite = [np.full((1, 1, 5), -np.inf), np.full((1, 1, 5), np.inf)]
+    for values in fields(spec, grid) + infinite:
+        for variant in (Variant.PLUS, Variant.MINUS):
+            with np.errstate(invalid="ignore"):
+                assert_same_bits(continue_field(values, tables, variant),
+                                 reference_continue(values, tables, variant, ordered_sum))
+            assert tables.saddle_cost(SADDLE[variant]).shape == (1, 2, 2, 5)
 
 
 @READS
@@ -405,19 +478,21 @@ def test_reads_on_both_sides_of_the_small_read_bound(corners, side, monkeypatch)
 
 def test_sweeps_leave_no_reference_cycle_holding_the_tables():
     """Tables are freed as soon as they are dropped, not at the next cyclic
-    garbage collection: a sweep must not tie them into a cycle."""
-    spec = game_3d()
-    grid = make_grid(spec, 6)
-    values = fields(spec, grid)[0]
+    garbage collection: a sweep must not tie them into a cycle, nor the
+    cost tables it builds, collapsed (game_2d) or full (game_3d)."""
     gc.collect()
     gc.disable()
     try:
-        tables = build_tables(spec, grid)
-        buffers = [weakref.ref(a if a.base is None else a.base) for a in
-                   (tables.foot_idx, tables.foot_wts, tables.imp_idx, tables.imp_wts)]
-        bellman_update(values, spec, grid, tables=tables)
-        del tables
-        assert all(ref() is None for ref in buffers)
+        for spec, grid in (GAMES["game_2d"](), GAMES["game_3d"]()):
+            values = fields(spec, grid)[0]
+            tables = build_tables(spec, grid)
+            buffers = [weakref.ref(a if a.base is None else a.base) for a in
+                       (tables.foot_idx, tables.foot_wts, tables.imp_idx, tables.imp_wts)]
+            for variant in (Variant.PLUS, Variant.MINUS):
+                bellman_update(values, spec, grid, variant=variant, tables=tables)
+            buffers += [weakref.ref(tables.saddle_cost(saddle)) for saddle in SADDLE.values()]
+            del tables
+            assert all(ref() is None for ref in buffers)
     finally:
         gc.enable()
 
@@ -541,6 +616,11 @@ def test_table_bytes_sum_the_arrays(name):
     tables = build_tables(spec, grid)
     arrays = [getattr(tables, f.name) for f in dataclasses.fields(tables)]
     assert tables.nbytes == sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    # the cost tables a sweep builds are not counted
+    before = tables.nbytes
+    for variant in (Variant.PLUS, Variant.MINUS):
+        bellman_update(fields(spec, grid)[0], spec, grid, variant=variant, tables=tables)
+    assert tables.nbytes == before
     corners = 1 << spec.dimension
     for idx, wts in ((tables.foot_idx, tables.foot_wts), (tables.imp_idx, tables.imp_wts)):
         per_stencil = 16 if wts.shape[-1] == 1 else 8 + 8 * corners
