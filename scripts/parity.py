@@ -2,10 +2,12 @@
 
     python scripts/parity.py [--src PATH] [--work DIR] [CASE ...]
 
-Runs ``validate`` and ``analyze``, then ``solve``, ``verify``, ``verify
---values`` and ``simulate`` in each variant, on every case: the bundled
-specs, the benchmark's seeded 2-D game (seeds 1 to 3 at 41x41) and a 3-D
-game at 9x9x9.  Each command runs in a fresh interpreter that imports the
+Runs ``validate`` and ``analyze``, then ``solve``, ``verify``, ``verify``
+from an upper init, ``verify --values`` and ``simulate`` in each variant,
+on every case: the bundled specs, the benchmark's seeded 2-D game (seeds 1
+to 3 at 41x41) and a 3-D game at 9x9x9.  ``verify`` has no ``--init``
+flag, so the upper-init run reads a copy of the case's spec whose
+``[solver]`` table sets ``init = "upper"``.  Each command runs in a fresh interpreter that imports the
 program from ``--src`` (default: this checkout's ``src``), with relative
 paths inside a per-case directory, so its output does not depend on where
 it ran.  One line is printed per digest: case, command, then ``exit``,
@@ -112,10 +114,18 @@ def commands(name: str) -> list[tuple[str, list[str]]]:
         runs += [
             (f"{v}-solve", ["solve", spec, "--variant", v]),
             (f"{v}-verify", ["verify", spec, "--variant", v]),
+            (f"{v}-verify-upper", ["verify", f"{name}-upper.toml", "--variant", v]),
             (f"{v}-verify-values", ["verify", spec, "--variant", v, "--values", field]),
             (f"{v}-simulate", ["simulate", spec, field, "--variant", v]),
         ]
     return [(label, args + ["--out", label]) for label, args in runs]
+
+
+def upper_init(text: str) -> str:
+    """Spec text with ``init = "upper"`` in its ``[solver]`` table."""
+    if "\n[solver]\n" not in text:
+        return text + '\n[solver]\ninit = "upper"\n'
+    return text.replace("\n[solver]\n", '\n[solver]\ninit = "upper"\n', 1)
 
 
 def sha(data: bytes) -> str:
@@ -136,6 +146,7 @@ def run_case(name: str, text: str, src: Path, work: Path) -> list[str]:
     folder = work / name
     folder.mkdir(parents=True)
     (folder / f"{name}.toml").write_text(text, encoding="utf-8")
+    (folder / f"{name}-upper.toml").write_text(upper_init(text), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))
     lines = []
     for label, args in commands(name):

@@ -172,9 +172,14 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
 # 43.5 / 33.5 us at 4096; 2 corners 10.3 / 7.4 us at 256.  Rollout reads of
 # the bundled specs and gen2d gather 18 to 208 values, game_3d's 288.
 _FEW_READS = 256
-# cap on one continue read, in k's control-node values; a collapsed cost
-# table (see BellmanTables.saddle_cost) makes the block's q smaller than
-# that, and the cap has not been measured again since
+# cap on one continue read, in k's control-node values over the block's
+# members and mode pairs; a collapsed cost table (see
+# BellmanTables.saddle_cost) makes the block's q smaller than that.  Median
+# continue branch over caps 2^12 to 2^18 (2-vCPU Xeon, numpy 2.4, two runs):
+# a 200-field stack of balanced_loop took 1.9-2.6 ms at 2^14 and 2^15, 3.2
+# at 2^16, 4.4-5.2 at 2^12 and 4.7-4.8 at 2^18; one or three fields of the
+# gen2d game at 41^2 and 81^2 were within the host's noise at every cap but
+# 2^18, 1.7-1.8x slower for three fields at 41^2
 _PAIR_BLOCK_READS = 1 << 14
 
 
@@ -317,13 +322,32 @@ class BellmanTables:
         return {}
 
     @cached_property
-    def pair_blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-        """``(pairs, foot_idx, foot_wts)`` views of each block of the continue branch."""
+    def _pair_blocks(self) -> dict:
+        """``pair_blocks``' lists by member count, built on first use."""
+        return {}
+
+    def pair_blocks(self, members: int = 1) -> list[tuple[int | slice, slice, np.ndarray,
+                                                          np.ndarray]]:
+        """``(members, pairs, foot_idx, foot_wts)`` of each block of the
+        continue branch over a stack of ``members`` fields: the member
+        index, or a slice where the block holds several; the pair slice;
+        views of the pairs' tables.  A block spans at most
+        ``_PAIR_BLOCK_READS`` of k's control-node values over its members
+        and pairs, and at least one member-pair: every member and as many
+        pairs as fit, or else one pair and as many members as fit."""
+        blocks = self._pair_blocks.get(members)
+        if blocks is not None:
+            return blocks
         pairs = self.spec.m1 * self.spec.m2
-        size = max(1, _PAIR_BLOCK_READS // self.k[0, 0].size)
+        budget = max(1, _PAIR_BLOCK_READS // self.k[0, 0].size)
+        size = max(1, budget // members)
+        rows = max(1, min(members, budget // size))
         idx, wts = (a.reshape((pairs,) + a.shape[2:]) for a in (self.foot_idx, self.foot_wts))
-        return [(slice(lo, lo + size), idx[lo:lo + size], wts[lo:lo + size])
-                for lo in range(0, pairs, size)]
+        blocks = [(m if rows == 1 else slice(m, min(m + rows, members)), slice(lo, lo + size),
+                   idx[lo:lo + size], wts[lo:lo + size])
+                  for m in range(0, members, rows) for lo in range(0, pairs, size)]
+        self._pair_blocks[members] = blocks
+        return blocks
 
     def saddle_cost(self, saddle: tuple[tuple[int, Callable], ...]) -> np.ndarray:
         """``weight * k`` for a continue saddle that reduces ``k``'s

@@ -1,7 +1,9 @@
-"""Hamiltonians, switching/impulse obstacles, the one-step value update, and
-pointwise residuals of the double-obstacle system.
+"""Hamiltonians, switching/impulse obstacles and the one-step value update
+of the double-obstacle system.
 
-Value fields are plain arrays of shape ``(m1, m2, n_points)``.  Conventions:
+Value fields are plain arrays of shape ``(m1, m2, n_points)``; every
+branch and the update also take a stack of them, ``(..., m1, m2,
+n_points)``, and treat each member as on its own.  Conventions:
 
 * ``Variant.PLUS``: player 1 commits first in the continue branch
   (max over u1 of min over u2); the matching Hamiltonian ordering is
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,8 +35,6 @@ __all__ = [
     "impulse_field",
     "continue_field",
     "bellman_update",
-    "ResidualField",
-    "sqvi_residual",
 ]
 
 
@@ -98,7 +99,7 @@ def switch_lower_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     if spec.m2 == 1:
         return np.full_like(values, np.inf)
     rows, others = _other_modes(spec.m2)
-    return (values[:, others] + spec.switch_cost_2[rows, others][:, :, None]).min(axis=2)
+    return (values[..., others, :] + spec.switch_cost_2[rows, others][:, :, None]).min(axis=-2)
 
 
 def switch_upper_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -109,11 +110,12 @@ def switch_upper_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     if spec.m1 == 1:
         return np.full_like(values, -np.inf)
     rows, others = _other_modes(spec.m1)
-    return (values[others] - spec.switch_cost_1[rows, others][:, :, None, None]).max(axis=1)
+    return (values[..., others, :, :]
+            - spec.switch_cost_1[rows, others][:, :, None, None]).max(axis=-3)
 
 
 def impulse_candidates(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
-    """V[d1,d2](clamped x + xi) + cost for every pair and jump: (m1, m2, n_imp, p)."""
+    """V[d1,d2](clamped x + xi) + cost for every pair and jump: (..., m1, m2, n_imp, p)."""
     read = read_stencils(values, tables.imp_idx, tables.imp_wts, tables.grid)
     return read + tables.imp_costs[:, None]
 
@@ -125,7 +127,7 @@ def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
     """
     if tables.imp_costs.size == 0:
         return np.full_like(values, np.inf)
-    return impulse_candidates(values, tables).min(axis=2)
+    return impulse_candidates(values, tables).min(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -138,38 +140,89 @@ _SADDLE = {Variant.PLUS: ((3, np.min), (2, np.max)),
            Variant.MINUS: ((2, np.max), (3, np.min))}
 
 
-def continue_field(values: np.ndarray, tables: BellmanTables, variant: Variant) -> np.ndarray:
+def _variant_runs(variant: Variant | Sequence[Variant], members: int) -> list[tuple]:
+    """``(variant, start, stop)`` of each run of equal variants over a
+    stack of ``members`` given one variant per member."""
+    variants = list(variant)
+    if len(variants) != members:
+        raise ValueError(f"{len(variants)} variants for a stack of {members} fields")
+    starts = [i for i in range(members) if i == 0 or variants[i] is not variants[i - 1]]
+    return [(variants[a], a, b) for a, b in zip(starts, starts[1:] + [members])]
+
+
+def _saddle(q: np.ndarray, variant: Variant) -> np.ndarray:
+    """The saddle of ``q`` over its (..., nu1, nu2, p) control axes."""
+    if variant is Variant.PLUS:
+        return q.min(axis=-2).max(axis=-2)  # max over u1 of min over u2
+    return q.max(axis=-3).min(axis=-2)      # min over u2 of max over u1
+
+
+def continue_field(values: np.ndarray, tables: BellmanTables,
+                   variant: Variant | Sequence[Variant]) -> np.ndarray:
     """Saddle over the control grids of quadrature cost plus discounted
     interpolated value at the propagated foot.
 
     The quadrature cost is ``tables.saddle_cost``: ``weight * k``, already
     reduced over each control axis whose feet are all equal, which gives
     the bits of the saddle of ``weight * k + gamma * read`` with fewer
-    terms.  Mode pairs are read in the blocks of ``tables.pair_blocks``,
-    one read of the flattened field each, up to 2**14 control-node values
-    of ``k``: larger fused reads ran no faster, and 4 pairs of 81² ran
-    1.1-1.2x slower.
+    terms.  A stack of fields, ``(..., m1, m2, p)``, is read in the blocks
+    of ``tables.pair_blocks``, one read of the flattened fields of
+    consecutive members and mode pairs each.  ``variant`` is one Variant
+    for the whole stack or one per member, in flattened order: the read is
+    shared, and only the saddle is taken per run of equal variants.  One
+    field with one variant takes the same reads without a member axis.
     """
-    flat = values.reshape(-1)
+    if values.ndim == 3 and isinstance(variant, Variant):
+        # one field: the stack's bookkeeping cost a 1-D solve about 1 us a sweep
+        flat = values.reshape(-1)
+        out = np.empty_like(values)
+        out_pairs = out.reshape(-1, values.shape[-1])
+        cost = tables.saddle_cost(_SADDLE[variant])
+        for _, pairs, idx, wts in tables.pair_blocks():
+            read = read_stencils(flat, idx, wts, tables.grid)
+            read *= tables.gamma
+            q = cost[pairs] + read
+            if variant is Variant.PLUS:
+                out_pairs[pairs] = q.min(axis=2).max(axis=1)  # max over u1 of min over u2
+            else:
+                out_pairs[pairs] = q.max(axis=1).min(axis=1)  # min over u2 of max over u1
+        return out
+    count = math.prod(values.shape[:-3])
+    rows = values.reshape(count, -1)
     out = np.empty_like(values)
-    out_pairs = out.reshape(-1, values.shape[-1])
-    cost = tables.saddle_cost(_SADDLE[variant])
-    for pairs, idx, wts in tables.pair_blocks:
-        q = cost[pairs] + tables.gamma * read_stencils(flat, idx, wts, tables.grid)
-        if variant is Variant.PLUS:
-            out_pairs[pairs] = q.min(axis=2).max(axis=1)  # max over u1 of min over u2
-        else:
-            out_pairs[pairs] = q.max(axis=1).min(axis=1)  # min over u2 of max over u1
+    out_pairs = out.reshape(count, -1, values.shape[-1])
+    if isinstance(variant, Variant):
+        runs = [(variant, tables.saddle_cost(_SADDLE[variant]), 0, count)]
+    else:
+        runs = [(v, tables.saddle_cost(_SADDLE[v]), start, stop)
+                for v, start, stop in _variant_runs(variant, count)]
+    split = len(runs) > 1
+    for members, pairs, idx, wts in tables.pair_blocks(count):
+        read = read_stencils(rows[members], idx, wts, tables.grid)
+        read *= tables.gamma
+        for v, cost, start, stop in runs:
+            part, into = read, members
+            if split:  # the block's members in this run, if any
+                first = members if isinstance(members, int) else members.start
+                part = read.reshape((-1,) + idx.shape)
+                lo, hi = max(start, first), min(stop, first + len(part))
+                if lo >= hi:
+                    continue
+                part, into = part[lo - first:hi - first], slice(lo, hi)
+            out_pairs[into, pairs] = _saddle(cost[pairs] + part, v)
     return out
 
 
 def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                   dt: float | None = None, variant: Variant = Variant.PLUS,
+                   dt: float | None = None, variant: Variant | Sequence[Variant] = Variant.PLUS,
                    tables: BellmanTables | None = None) -> np.ndarray:
     """One sweep of the double-obstacle dynamic-programming operator.
 
     Reads only the previous field (Jacobi update): every point is computed
     from the same input array, so the result is independent of sweep order.
+    A stack of fields, ``(..., m1, m2, p)``, is swept at once, each member
+    with the bits of its own sweep; ``variant`` is as ``continue_field``
+    takes it.
     Branches that cannot bind (a single-mode player's switch, an empty
     menu) are skipped.  np.minimum returns the later operand of a tie and
     the earlier of two NaNs, so min with +inf, max with -inf and
@@ -185,77 +238,3 @@ def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     if spec.m1 > 1:
         out = np.maximum(switch_upper_field(values, spec), out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# residuals
-
-@dataclass
-class ResidualField:
-    """Pointwise diagnostics for a candidate value field.
-
-    ``pde`` is ``lambda*V + <Ax, DV> + H(x, DV)`` with central-difference
-    gradients (one-sided on the box faces; face values are informational
-    only).  ``hji1``/``hji2`` are the two double-obstacle compositions whose
-    common root characterizes the solution; ``fixed_point`` is ``|T[V]-V|``.
-    Obstacle gaps are signed so that nonnegative means feasible.
-    """
-
-    pde: np.ndarray          # (m1, m2, npts)
-    hji1: np.ndarray
-    hji2: np.ndarray
-    fixed_point: np.ndarray
-    gap_upper: np.ndarray    # V - upper_switch  (>= 0 wanted)
-    gap_lower: np.ndarray    # lower_switch - V  (>= 0 wanted)
-    gap_impulse: np.ndarray  # impulse - V       (>= 0 wanted)
-    interior: np.ndarray     # (npts,) bool
-
-
-def _gradient(values_slab: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Central differences inside, one-sided on faces; shape (npts, n)."""
-    shaped = values_slab.reshape(grid.counts)
-    grads = []
-    for d in range(grid.dimension):
-        grads.append(np.gradient(shaped, grid.spacing[d], axis=d, edge_order=1).reshape(-1))
-    return np.stack(grads, axis=-1)
-
-
-def sqvi_residual(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                  dt: float | None = None, variant: Variant = Variant.PLUS,
-                  tables: BellmanTables | None = None) -> ResidualField:
-    if tables is None:
-        tables = build_tables(spec, grid, dt)
-    lam = spec.discount
-    pts = grid.points
-    ax = pts @ spec.generator.T  # rows A @ x
-
-    m1, m2, npts = values.shape
-    pde = np.empty_like(values)
-    for (i1, i2) in spec.mode_pairs():
-        dv = _gradient(values[i1, i2], grid)
-        table = -np.einsum("abpn,pn->abp", tables.f[i1, i2], dv) - tables.k[i1, i2]
-        pde[i1, i2] = (lam * values[i1, i2] + np.einsum("pn,pn->p", ax, dv)
-                       + hamiltonian(table, variant))
-
-    lower = switch_lower_field(values, spec)
-    upper = switch_upper_field(values, spec)
-    imp = impulse_field(values, tables)
-
-    v_minus_lower = values - lower    # -inf where inactive
-    v_minus_imp = values - imp
-    v_minus_upper = values - upper    # +inf where inactive
-
-    hji1 = np.minimum(np.maximum(np.maximum(pde, v_minus_lower), v_minus_imp), v_minus_upper)
-    hji2 = np.maximum(np.maximum(np.minimum(pde, v_minus_upper), v_minus_lower), v_minus_imp)
-
-    updated = bellman_update(values, spec, grid, variant=variant, tables=tables)
-    return ResidualField(
-        pde=pde,
-        hji1=hji1,
-        hji2=hji2,
-        fixed_point=np.abs(updated - values),
-        gap_upper=values - upper,
-        gap_lower=lower - values,
-        gap_impulse=imp - values,
-        interior=grid.interior_mask(),
-    )

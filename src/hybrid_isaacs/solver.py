@@ -1,7 +1,9 @@
 """Fixed-point driver producing the value field.
 
 The iteration is a plain Picard loop ``V <- T[V]``; each sweep returns a
-new field and the previous one is dropped.  The stop rule converts the requested ``tolerance`` (a target
+new field and the previous one is dropped.  ``solve_many`` runs the loop
+over a stack of fields on one table build, and ``solve`` is that loop with
+one member.  The stop rule converts the requested ``tolerance`` (a target
 sup-norm distance to the fixed point) into a successive-change threshold
 through the one-step discount factor: for a gamma-contraction,
 ``|V_n - V*| <= gamma/(1-gamma) * |V_n - V_{n-1}|``.
@@ -27,6 +29,7 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "solve",
+    "solve_many",
 ]
 
 INIT_ZERO = "zero"
@@ -89,11 +92,61 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
     usable.  A tolerance that is negative, nan or infinite is a ValueError:
     an infinite one would stop after one sweep, a nan one never.
     """
-    if config is None:
-        config = SolverConfig()
-    if not 0 <= config.tolerance < math.inf:
-        raise ValueError(f"tolerance must be a finite number >= 0, got {config.tolerance!r}")
-    tables = build_tables(spec, grid, config.dt)
+    return solve_many(spec, grid, [config or SolverConfig()])[0]
+
+
+class _Member:
+    """One field of a lock-step solve: its config, stop rule and
+    diagnostics, and its result once it stops.  A plain class: a dataclass
+    costs about 1 ms of import time."""
+
+    __slots__ = ("config", "stop", "monotone", "history", "converged", "result")
+
+    def __init__(self, config: SolverConfig, stop: float, monotone: bool | None):
+        self.config, self.stop, self.monotone = config, stop, monotone
+        self.history: list[float] = []
+        self.converged = False
+        self.result: SolveResult | None = None
+
+    def record(self, low: float, high: float) -> bool:
+        """Take one sweep's least and largest change; True if it converged."""
+        change = abs(max(high, -low))  # |diff|.max(), +0.0 when all zero
+        self.history.append(change)
+        if self.monotone:
+            self.monotone = low >= 0.0  # updated >= values, on finite fields
+        self.converged = converged = change <= self.stop
+        return converged
+
+    def finish(self, values: np.ndarray, iterations: int, tables: BellmanTables) -> None:
+        self.result = SolveResult(
+            values=values, iterations=iterations, change_history=np.asarray(self.history),
+            converged=self.converged, monotone=self.monotone, stop_threshold=self.stop,
+            dt=tables.dt, variant=self.config.variant, tables=tables)
+
+
+def solve_many(spec: ProblemSpec, grid: GridSpec, configs,
+               tables: BellmanTables | None = None) -> list[SolveResult]:
+    """``solve`` of each config, in lock-step over one table build.
+
+    The configs must share ``dt``; ``tables``, if given, must be built for
+    ``spec``, ``grid`` and that ``dt``.  Every member has its own initial
+    field, variant, stop rule, cap, history and monotone flag.  Each sweep
+    updates the stack of the members still running at once, and a member
+    leaves it when it stops, so its result has the bits of its own
+    ``solve``.  Configs with the same init string, variant, tolerance and
+    cap are one member, iterated once, and share one result.
+    """
+    configs = list(configs)
+    for config in configs:
+        if not 0 <= config.tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite number >= 0, got {config.tolerance!r}")
+    if len({config.dt for config in configs}) > 1:
+        raise ValueError("lock-step solves must share dt, got "
+                         + ", ".join(sorted({repr(config.dt) for config in configs})))
+    if not configs:
+        return []
+    if tables is None:
+        tables = build_tables(spec, grid, configs[0].dt)
 
     diameter = float(np.linalg.norm(spec.box[:, 1] - spec.box[:, 0]))
     if tables.f_sup > 0 and tables.dt > diameter / tables.f_sup:
@@ -102,38 +155,54 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
             f"{diameter / tables.f_sup:.3g}; feet may clamp to the box faces",
             stacklevel=2)
 
-    shape = (spec.m1, spec.m2, grid.n_points)
-    values, track_monotone = _initial_field(config, tables, shape)
-
     # successive-change cutoff delivering the requested fixed-point accuracy
     gamma = tables.gamma
-    stop = config.tolerance * min(1.0, (1.0 - gamma) / gamma)
+    shape = (spec.m1, spec.m2, grid.n_points)
+    keys = [(c.init, c.variant, c.tolerance, c.max_iterations) if isinstance(c.init, str) else i
+            for i, c in enumerate(configs)]
+    members: dict[object, _Member] = {}
+    fields = {}
+    for key, config in zip(keys, configs):
+        if key not in members:
+            fields[key], track_monotone = _initial_field(config, tables, shape)
+            members[key] = _Member(config, config.tolerance * min(1.0, (1.0 - gamma) / gamma),
+                                   True if track_monotone else None)
+    # PLUS members first: each variant's members are one run of the stack
+    order = sorted(members, key=lambda key: members[key].config.variant is not Variant.PLUS)
+    running = [members[key] for key in order]
+    values = np.stack([fields.pop(key) for key in order])
 
-    history: list[float] = []
-    monotone: bool | None = True if track_monotone else None
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        updated = bellman_update(values, spec, grid, variant=config.variant, tables=tables)
+    sweep = 0
+    stopping = True  # some member may stop: at the start, and after a member converges
+    while True:
+        if stopping or sweep >= cap:
+            stack = values.reshape((len(running),) + shape)
+            done = [m.converged or sweep >= m.config.max_iterations for m in running]
+            for m, final, stopped in zip(running, stack, done):
+                if stopped:
+                    m.finish(final.copy() if len(running) > 1 else final, sweep, tables)
+            keep = [i for i, stopped in enumerate(done) if not stopped]
+            if not keep:
+                break
+            if len(keep) < len(running):
+                running = [running[i] for i in keep]
+                stack = stack[keep]
+            lone = len(running) == 1
+            record = running[0].record
+            values = stack[0] if lone else stack  # a lone member sweeps unstacked
+            variants = [m.config.variant for m in running]
+            variant = variants if len(set(variants)) > 1 else variants[0]
+            cap = min(m.config.max_iterations for m in running)
+            stopping = False
+        sweep += 1
+        updated = bellman_update(values, spec, grid, variant=variant, tables=tables)
         diff = updated - values
-        low = float(diff.min())
-        change = abs(max(float(diff.max()), -low))  # |diff|.max(), +0.0 when all zero
-        history.append(change)
-        if track_monotone and monotone:
-            monotone = low >= 0.0  # updated >= values, on finite fields
+        if lone:
+            stopping = record(float(diff.min()), float(diff.max()))
+        else:
+            diff = diff.reshape(len(running), -1)
+            for m, low, high in zip(running, diff.min(axis=1).tolist(),
+                                    diff.max(axis=1).tolist()):
+                stopping = m.record(low, high) or stopping
         values = updated
-        if change <= stop:
-            converged = True
-            break
-
-    return SolveResult(
-        values=values,
-        iterations=iterations,
-        change_history=np.asarray(history),
-        converged=converged,
-        monotone=monotone,
-        stop_threshold=stop,
-        dt=tables.dt,
-        variant=config.variant,
-        tables=tables,
-    )
+    return [members[key].result for key in keys]

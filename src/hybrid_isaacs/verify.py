@@ -8,12 +8,15 @@ Each check returns a CheckResult with a machine-readable status:
 * ``skipped``: a precondition failed, with the measurement that failed it
   reported (a nonzero saddle-order gap skips the order-equality check).
 
-``run_all`` solves once and drives every applicable check, producing a
-deterministic report for a given (problem, grid, config, seed).
+``run_all`` builds the update tables once, makes every solve its checks
+need in one lock-step call (``solver.solve_many``) and drives every
+applicable check, producing a deterministic report for a given (problem,
+grid, config, seed).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,13 +24,15 @@ import numpy as np
 from .discretize import BellmanTables, GridSpec, build_tables, interpolate
 from .operators import (Variant, bellman_update, impulse_candidates, impulse_field, isaacs_gap,
                         switch_lower_field, switch_upper_field)
-from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps,
-                      sample_controls)
-from .solver import SolverConfig, SolveResult, solve
+from .problem import FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps
+# ``solve`` is not called here: the name stays for perfbench's traced runs,
+# which patch ``verify.solve`` by name
+from .solver import SolverConfig, SolveResult, solve, solve_many  # noqa: F401
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
+    "SharedSolves",
     "obstacle_chain_check",
     "post_impulse_strictness",
     "isaacs_value_equality",
@@ -47,6 +52,13 @@ SUITES = ("chain", "impulse", "dpp", "isaacs", "uniqueness", "probes")
 # relative guard for comparisons that are exact in real arithmetic but
 # re-round once on the obstacle branches
 _ULP_GUARD = 1e-13
+
+# cap on one probe sweep's stack, in field values.  The branch temporaries
+# grow with the stack, and past this cap cost more than the calls a larger
+# stack saves: 100 trials on each bundled spec (2-vCPU Xeon, numpy 2.4)
+# took 59 ms one trial at a time, 21 ms at 2^13 and 25 ms at 2^17, and
+# raised peak memory by 0.5 and 7 MB over one at a time
+_PROBE_STACK_VALUES = 1 << 13
 
 
 @dataclass
@@ -90,6 +102,45 @@ class VerificationReport:
             for key, value in c.measured.items():
                 rows[f"check.{c.name}.{key}"] = f"{value:.16e}"
         return "".join(f"{k} = {rows[k]}\n" for k in sorted(rows))
+
+
+# a plain class: a dataclass costs about 1 ms of import time
+class SharedSolves:
+    """Solves of one configuration that share one table build.
+
+    ``gap`` is the saddle-order gap of the tables' control samples,
+    measured with the saddle-order check's ``costate_samples`` and
+    ``seed``, or None until measured.  ``results`` holds the solves made
+    on the tables, by init and variant (see ``solved``).  ``run_all`` makes
+    every solve its checks need in one lock-step call and hands them this.
+    """
+
+    def __init__(self, tables: BellmanTables, gap: float | None = None,
+                 results: dict | None = None):
+        self.tables, self.gap = tables, gap
+        self.results = {} if results is None else results
+
+    def solved(self, spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
+               members: list[tuple[object, Variant]]) -> list[SolveResult]:
+        """The solves of ``config`` from each ``(init, variant)`` of
+        ``members``; those not made yet are made in one lock-step call.  An
+        init array is matched by identity."""
+        keys = [_member_key(init, variant) for init, variant in members]
+        todo = {key: replace(config, init=init, variant=variant)
+                for key, (init, variant) in zip(keys, members) if key not in self.results}
+        if todo:
+            self.results.update(zip(todo, solve_many(spec, grid, todo.values(), self.tables)))
+        return [self.results[key] for key in keys]
+
+
+def _member_key(init, variant: Variant) -> tuple:
+    """``SharedSolves.results``' key: an init string, or an init array by identity."""
+    return (init if isinstance(init, str) else id(init)), variant
+
+
+def _require_trials(trials) -> None:
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a whole number >= 1, got {trials!r}")
 
 
 def _where(spec: ProblemSpec, grid: GridSpec, flat: tuple) -> str:
@@ -206,14 +257,15 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
                           config: SolverConfig | None = None,
                           costate_samples: int = 16, seed: int = 0,
                           tol: float = 1e-12,
-                          low: SolveResult | None = None) -> CheckResult:
+                          shared: SharedSolves | None = None) -> CheckResult:
     """When both saddle orders agree on sampled costates, the two solve
     variants must produce the same field.
 
-    ``low``, if given, is the solve of ``config`` from a zero init, as
-    ``two_sided_uniqueness`` takes it.  Its tables give the control samples
-    of the gap, and it stands in for the solve of its own variant only when
-    ``config`` starts from zero too.
+    The gap is read from the control samples of the update tables, and
+    both variants from ``config``'s init are solved in one lock-step call
+    on them.  ``shared``, if given, supplies the tables, the gap if
+    measured, and any solve already made; otherwise the tables are built
+    here.
 
     Caveat: the costate-level gap is linear in the drift, but the discrete
     continue value feeds the drift through a piecewise-linear interpolant.
@@ -222,23 +274,18 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
     measured gap is zero; with the drift controlled by one player (costs may
     involve both, additively) the orders provably coincide bit for bit.
     """
-    f, k = (low.tables.f, low.tables.k) if low is not None else sample_controls(spec, grid.points)
-    gap = isaacs_gap(f, k, costate_samples=costate_samples, seed=seed)
-    del f, k  # free fresh samples before the solves build their tables
+    base = config or SolverConfig()
+    if shared is None:
+        shared = SharedSolves(build_tables(spec, grid, base.dt))
+    gap = shared.gap
+    if gap is None:
+        gap = isaacs_gap(shared.tables.f, shared.tables.k, costate_samples=costate_samples,
+                         seed=seed)
     if gap > 0:
         return CheckResult("saddle-order-equality", SKIPPED,
                            f"saddle-order gap {gap:.3e} > 0; orders differ by design",
                            {"order_gap": gap}, tol)
-    base = config or SolverConfig()
-
-    from_zero = isinstance(base.init, str) and base.init == "zero"
-
-    def run(variant: Variant) -> SolveResult:
-        if from_zero and low is not None and low.variant is variant:
-            return low
-        return solve(spec, grid, replace(base, variant=variant))
-
-    plus, minus = run(Variant.PLUS), run(Variant.MINUS)
+    plus, minus = shared.solved(spec, grid, base, [(base.init, v) for v in Variant])
     if not (plus.converged and minus.converged):
         return CheckResult("saddle-order-equality", FAIL, "a variant solve did not converge",
                            {"order_gap": gap}, tol)
@@ -250,13 +297,22 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
 
 def two_sided_uniqueness(spec: ProblemSpec, grid: GridSpec,
                          config: SolverConfig | None = None,
-                         low: SolveResult | None = None) -> CheckResult:
+                         low: SolveResult | None = None,
+                         shared: SharedSolves | None = None) -> CheckResult:
     """Fixed points reached from below (zero) and above (the cost bound)
-    must coincide within 10x the solver tolerance."""
+    must coincide within 10x the solver tolerance.
+
+    Both are solved in one lock-step call on one table build.  ``low``, if
+    given, is the solve from zero, whose tables the upper start reuses;
+    ``shared``, if given, supplies the tables and any solve already made.
+    """
     base = config or SolverConfig()
-    if low is None:
-        low = solve(spec, grid, replace(base, init="zero"))
-    high = solve(spec, grid, replace(base, init="upper"))
+    if shared is None:
+        if low is None:
+            shared = SharedSolves(build_tables(spec, grid, base.dt))
+        else:
+            shared = SharedSolves(low.tables, results={_member_key("zero", low.variant): low})
+    low, high = shared.solved(spec, grid, base, [("zero", base.variant), ("upper", base.variant)])
     tol = 10.0 * base.tolerance
     if not (low.converged and high.converged):
         return CheckResult("two-sided-agreement", FAIL,
@@ -274,36 +330,52 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
                     tables: BellmanTables | None = None) -> CheckResult:
     """Random-field probes of the one-step operator of ``variant``: order
     preservation, nonexpansiveness, and (without obstacles) the discount
-    contraction and constant-shift identity."""
+    contraction and constant-shift identity.
+
+    Each trial draws a field ``v``, a field ``w >= v`` and, without
+    obstacles, a shift ``c``, in that order.  The trials' fields are swept
+    as stacks of at most ``_PROBE_STACK_VALUES`` values, each field with
+    the bits of its own sweep.  ``trials`` below 1 is a ValueError: no
+    probe would pass.
+    """
+    _require_trials(trials)
     if tables is None:
         tables = build_tables(spec, grid, dt)
     rng = np.random.default_rng(seed)
     shape = (spec.m1, spec.m2, grid.n_points)
     scale = max(1.0, tables.upper_bound)
+    obstacle_free = not spec.impulses and spec.m1 == 1 and spec.m2 == 1
+    fields = 3 if obstacle_free else 2  # v, w and v + c per trial
+    per_stack = max(1, _PROBE_STACK_VALUES // (fields * int(np.prod(shape))))
 
     monotone_violations = 0
     nonexpansive_violations = 0
     contraction_violations = 0
     shift_error = 0.0
-    obstacle_free = not spec.impulses and spec.m1 == 1 and spec.m2 == 1
 
-    for _ in range(trials):
-        v = rng.uniform(0.0, scale, size=shape)
-        w = v + rng.uniform(0.0, scale, size=shape)
-        tv = bellman_update(v, spec, grid, tables=tables, variant=variant)
-        tw = bellman_update(w, spec, grid, tables=tables, variant=variant)
-        monotone_violations += int((tv > tw).any())
-        norm_in = float(np.abs(v - w).max())
-        norm_out = float(np.abs(tv - tw).max())
-        if norm_out > norm_in * (1.0 + _ULP_GUARD):
-            nonexpansive_violations += 1
-        if obstacle_free:
-            if norm_out > tables.gamma * norm_in * (1.0 + _ULP_GUARD):
+    for done in range(0, trials, per_stack):
+        count = min(per_stack, trials - done)
+        v, w, c = np.empty((count,) + shape), np.empty((count,) + shape), np.empty(count)
+        for i in range(count):
+            v[i] = rng.uniform(0.0, scale, size=shape)
+            w[i] = v[i] + rng.uniform(0.0, scale, size=shape)
+            if obstacle_free:
+                c[i] = rng.uniform(0.1, 2.0)
+        stack = [v, w] + ([v + c[:, None, None, None]] if obstacle_free else [])
+        swept = bellman_update(np.concatenate(stack), spec, grid, tables=tables,
+                               variant=variant).reshape((fields, count, -1))
+        tv, tw = swept[0], swept[1]
+        monotone_violations += int((tv > tw).any(axis=1).sum())
+        norms_in = np.abs(v - w).reshape(count, -1).max(axis=1).tolist()
+        norms_out = np.abs(tv - tw).max(axis=1).tolist()
+        for norm_in, norm_out in zip(norms_in, norms_out):
+            if norm_out > norm_in * (1.0 + _ULP_GUARD):
+                nonexpansive_violations += 1
+            if obstacle_free and norm_out > tables.gamma * norm_in * (1.0 + _ULP_GUARD):
                 contraction_violations += 1
-            c = float(rng.uniform(0.1, 2.0))
-            shifted = bellman_update(v + c, spec, grid, tables=tables, variant=variant)
-            shift_error = max(shift_error, float(
-                np.abs(shifted - (tv + tables.gamma * c)).max()))
+        if obstacle_free:
+            shifts = np.abs(swept[2] - (tv + tables.gamma * c[:, None])).max(axis=1).tolist()
+            shift_error = max(shift_error, *shifts)
 
     measured = {
         "monotone_violations": float(monotone_violations),
@@ -376,23 +448,36 @@ def check_field(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, config: S
 def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None,
             seed: int = 0, trials: int = 100,
             suites: set[str] | None = None) -> VerificationReport:
-    """Solve once from zero and run every applicable check.
+    """Build the update tables once, make every solve the checks need in
+    one lock-step call on them, and run every applicable check.
 
-    ``suites`` filters by the names in ``SUITES``; None runs everything.
+    The solves are the base solve from zero, which is the checked field;
+    both variants from ``config``'s init when the saddle-order gap, read
+    from the tables, is zero; and the start from the upper bound.  A solve
+    two checks share is made once.  ``suites`` filters by the names in
+    ``SUITES``; None runs everything.  ``trials`` below 1 is a ValueError.
     """
     config = config or SolverConfig()
-    base = solve(spec, grid, replace(config, init="zero"))
-    tables = base.tables
+    _require_trials(trials)
+    shared = SharedSolves(build_tables(spec, grid, config.dt))
+    members = [("zero", config.variant)]
+    if _wanted(suites, "isaacs"):
+        shared.gap = isaacs_gap(shared.tables.f, shared.tables.k, seed=seed)
+        if not shared.gap > 0:
+            members += [(config.init, v) for v in Variant]
+    if _wanted(suites, "uniqueness"):
+        members.append(("upper", config.variant))
+    base = shared.solved(spec, grid, config, members)[0]
     if not base.converged:
         return VerificationReport([CheckResult(
             "base-solve", FAIL, f"no convergence in {base.iterations} iterations")], seed)
 
-    checks = check_field(base.values, spec, grid, config, tables, suites)
+    checks = check_field(base.values, spec, grid, config, shared.tables, suites)
     if _wanted(suites, "isaacs"):
-        checks.append(isaacs_value_equality(spec, grid, config, seed=seed, low=base))
+        checks.append(isaacs_value_equality(spec, grid, config, seed=seed, shared=shared))
     if _wanted(suites, "uniqueness"):
-        checks.append(two_sided_uniqueness(spec, grid, config, low=base))
+        checks.append(two_sided_uniqueness(spec, grid, config, shared=shared))
     if _wanted(suites, "probes"):
         checks.append(operator_probes(spec, grid, trials=trials, seed=seed,
-                                      variant=config.variant, tables=tables))
+                                      variant=config.variant, tables=shared.tables))
     return VerificationReport(checks, seed)

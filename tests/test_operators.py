@@ -5,8 +5,8 @@ import pytest
 
 from hybrid_isaacs.discretize import build_tables, make_grid
 from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, hamiltonian,
-                                     impulse_field, isaacs_gap, sqvi_residual,
-                                     switch_lower_field, switch_upper_field)
+                                     impulse_field, isaacs_gap, switch_lower_field,
+                                     switch_upper_field)
 from hybrid_isaacs.problem import sample_controls
 
 from conftest import toy_spec
@@ -342,31 +342,24 @@ def test_plus_minus_updates_coincide_when_gap_is_zero(drift_1d):
 
 
 # ---------------------------------------------------------------------------
-# residuals
-
-def test_pde_residual_constant_cost():
-    spec = toy_spec(f="0", k="1", lam=0.5)
-    grid = make_grid(spec, 11)
-    res = sqvi_residual(np.zeros((1, 1, 11)), spec, grid, dt=0.1)
-    interior = res.interior
-    np.testing.assert_allclose(res.pde[0, 0, interior], -1.0, atol=1e-12)
-
+# fixed-point residuals |T[V] - V|
 
 def test_residual_zero_when_upper_switch_binds():
+    """Where V sits exactly on player 1's switch obstacle, above the
+    continue value, the update returns V: the fixed-point residual is 0."""
     spec = toy_spec(k="0.5", d1=("a", "b"), c1=[[0.0, 0.3], [0.3, 0.0]])
     grid = make_grid(spec, 7)
     values = np.zeros((2, 1, 7))
     values[1, 0, :] = 1.0
     values[0, 0, :] = 0.7    # exactly the switch target: V = M_plus
-    res = sqvi_residual(values, spec, grid, dt=0.2)
-    np.testing.assert_array_equal(res.hji1[0, 0], 0.0)
-    np.testing.assert_array_equal(res.gap_upper[0, 0], 0.0)
+    np.testing.assert_array_equal(values[0, 0] - switch_upper_field(values, spec)[0, 0], 0.0)
+    np.testing.assert_array_equal(bellman_update(values, spec, grid, dt=0.2)[0, 0], 0.7)
 
 
 def test_fixed_point_residual_reports_update_distance():
     spec = toy_spec(f="0", k="1", lam=0.5)
     grid = make_grid(spec, 5)
     values = np.zeros((1, 1, 5))
-    res = sqvi_residual(values, spec, grid, dt=0.1)
+    residual = np.abs(bellman_update(values, spec, grid, dt=0.1) - values)
     expected = (1.0 - math.exp(-0.05)) / 0.5
-    np.testing.assert_allclose(res.fixed_point, expected, rtol=1e-15)
+    np.testing.assert_allclose(residual, expected, rtol=1e-15)

@@ -20,10 +20,11 @@ def test_two_runs_of_one_tree_print_the_same_digests():
     commands = {row[1] for row in rows}
     assert commands == {"validate", "analyze"} | {
         f"{variant}-{command}" for variant in ("plus", "minus")
-        for command in ("solve", "verify", "verify-values", "simulate")}
+        for command in ("solve", "verify", "verify-upper", "verify-values", "simulate")}
     for command in commands:
         assert {"exit", "stdout", "stderr"} <= {row[2] for row in rows if row[1] == command}
     outputs = {(row[1], row[2]) for row in rows}
     assert {("plus-solve", f"{CASE}.value.csv"), ("plus-solve", f"{CASE}.solve-manifest.json"),
             ("minus-verify-values", f"{CASE}.verification.txt"),
+            ("plus-verify-upper", f"{CASE}-upper.verification.txt"),
             ("minus-simulate", f"{CASE}.trajectory.csv")} <= outputs

@@ -167,7 +167,7 @@ def test_feet_index_the_flattened_field(game):
     for (i1, i2) in spec.mode_pairs():
         idx, _ = corners_of(tables.foot_idx[i1, i2], tables.foot_wts[i1, i2], grid)
         assert (idx // grid.n_points == i1 * spec.m2 + i2).all()
-    for _, idx, wts in tables.pair_blocks:
+    for _, _, idx, wts in tables.pair_blocks():
         assert np.shares_memory(idx, tables.foot_idx) and np.shares_memory(wts, tables.foot_wts)
 
 
@@ -246,7 +246,7 @@ def test_continue_blocks_match_pair_by_pair_reads(game, variant, per_block, monk
     monkeypatch.setattr(discretize, "_PAIR_BLOCK_READS", per_block * per_pair + 1)
     tables = build_tables(spec, grid)
     full, rest = divmod(spec.m1 * spec.m2, per_block)
-    sizes = [idx.shape[0] for _, idx, _ in tables.pair_blocks]
+    sizes = [idx.shape[0] for _, _, idx, _ in tables.pair_blocks()]
     assert sizes == [per_block] * full + [rest] * (rest > 0)
     assert len(sizes) > 1
     for values in fields(spec, grid):

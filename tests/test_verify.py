@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybrid_isaacs import verify
-from hybrid_isaacs.discretize import make_grid
-from hybrid_isaacs.operators import Variant, bellman_update
+from hybrid_isaacs import solver, verify
+from hybrid_isaacs.discretize import build_tables, make_grid
+from hybrid_isaacs.operators import Variant, bellman_update, isaacs_gap
 from hybrid_isaacs.problem import load_config
-from hybrid_isaacs.solver import SolverConfig, solve
+from hybrid_isaacs.solver import SolverConfig, solve, solve_many
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
                                   two_sided_uniqueness)
@@ -262,70 +262,149 @@ def test_report_serialization_is_diff_stable(constant_cost):
     assert kv_lines == sorted(kv_lines)
 
 
+def counted_lock_steps(monkeypatch):
+    """The members of every lock-step call ``verify`` makes, as (init,
+    variant) lists, and the update tables of every table build it makes."""
+    calls, builds = [], []
+
+    def counting_solve_many(spec, grid, configs, tables=None):
+        configs = list(configs)
+        calls.append([(c.init, c.variant) for c in configs])
+        return solve_many(spec, grid, configs, tables)
+
+    def counting_build(*args, **kwargs):
+        builds.append(build_tables(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(verify, "solve_many", counting_solve_many)
+    monkeypatch.setattr(verify, "build_tables", counting_build)
+    monkeypatch.setattr(solver, "build_tables", counting_build)
+    return calls, builds
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_run_all_reuses_its_base_solve(name, monkeypatch):
     """From a zero init the base solve is the saddle-order check's solve of
-    the configured variant, and its tables give the gap's control samples:
-    three solves in all, and the same check result as a fresh run of the
-    check."""
+    the configured variant, and the gap's control samples come from the one
+    table build: three distinct solves in one lock-step call, and the same
+    check result as a fresh run of the check."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
     config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
-    calls = []
+    calls, builds = counted_lock_steps(monkeypatch)
+    gap_samples = []
 
-    def counting_solve(*args, **kwargs):
-        calls.append((args[2].init, args[2].variant))
-        return solve(*args, **kwargs)
+    def recording_gap(f, k, **kwargs):
+        gap_samples.append((f, k))
+        return isaacs_gap(f, k, **kwargs)
 
-    def no_resample(*args):
-        raise AssertionError("the saddle-order check sampled the controls again")
-
-    monkeypatch.setattr(verify, "solve", counting_solve)
     with monkeypatch.context() as patched:
-        patched.setattr(verify, "sample_controls", no_resample)
+        patched.setattr(verify, "isaacs_gap", recording_gap)
         report = run_all(spec, grid, config, suites={"isaacs", "uniqueness"})
     check = report.checks[0]
     assert check.name == "saddle-order-equality" and check.status == "pass"
-    assert calls == [("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]
+    assert calls == [[("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]]
+    [tables] = builds
+    assert len(gap_samples) == 1
+    assert gap_samples[0][0] is tables.f and gap_samples[0][1] is tables.k
     assert check == isaacs_value_equality(spec, grid, config)
 
 
 def test_run_all_solves_again_from_an_upper_init(constant_cost, monkeypatch):
+    """An upper init adds both variants from the upper bound."""
     spec, grid_cfg, solver_cfg = constant_cost
     grid = make_grid(spec, 21)
-    calls = []
-
-    def counting_solve(*args, **kwargs):
-        calls.append(args[2].init)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "solve", counting_solve)
-    report = run_all(spec, grid, SolverConfig(dt=0.5, tolerance=1e-9, init="upper"),
-                     suites={"isaacs"})
+    calls, builds = counted_lock_steps(monkeypatch)
+    config = SolverConfig(dt=0.5, tolerance=1e-9, init="upper")
+    report = run_all(spec, grid, config, suites={"isaacs"})
     assert report.checks[0].status == "pass"
-    assert calls == ["zero", "upper", "upper"]
+    assert calls == [[("zero", Variant.PLUS), ("upper", Variant.PLUS), ("upper", Variant.MINUS)]]
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("init", ["zero", "upper"])
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+def test_run_all_builds_the_tables_once(balanced_loop, init, variant, monkeypatch):
+    """Every suite: one table build and three distinct members in one
+    lock-step call; from an upper init, the upper start of two-sided
+    agreement is saddle-order equality's solve of the configured variant."""
+    spec, grid_cfg, solver_cfg = balanced_loop
+    grid = make_grid(spec, 41)
+    calls, builds = counted_lock_steps(monkeypatch)
+    config = SolverConfig(tolerance=solver_cfg["tolerance"], init=init, variant=variant)
+    report = run_all(spec, grid, config, trials=3)
+    assert report.passed, report.to_text()
+    assert len(builds) == 1 and len(calls) == 1
+    assert len(calls[0]) == 3
+    assert set(calls[0]) == {("zero", variant), (init, Variant.PLUS), (init, Variant.MINUS),
+                             ("upper", variant)}
+
+
+def test_standalone_checks_solve_in_one_lock_step(drift_1d, monkeypatch):
+    """Called on their own, the saddle-order and two-sided checks each build
+    the tables once and make their two solves in one lock-step call."""
+    spec, grid_cfg, solver_cfg = drift_1d
+    grid = make_grid(spec, 41)
+    config = SolverConfig(tolerance=1e-9)
+    calls, builds = counted_lock_steps(monkeypatch)
+    assert isaacs_value_equality(spec, grid, config).status == "pass"
+    assert two_sided_uniqueness(spec, grid, config).status == "pass"
+    assert calls == [[("zero", Variant.PLUS), ("zero", Variant.MINUS)],
+                     [("zero", Variant.PLUS), ("upper", Variant.PLUS)]]
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2.5, True])
+def test_probes_refuse_trials_below_one(balanced_loop, trials):
+    spec, _, _ = balanced_loop
+    grid = make_grid(spec, 41)
+    with pytest.raises(ValueError, match="trials"):
+        operator_probes(spec, grid, trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        run_all(spec, grid, SolverConfig(tolerance=1e-6), trials=trials)
+
+
+def test_probes_sweep_in_stacks_as_one_at_a_time(balanced_loop, monkeypatch):
+    """Stacks of at most ``_PROBE_STACK_VALUES`` field values, here one or
+    two trials' fields, give the report of one large stack."""
+    spec, _, _ = balanced_loop
+    grid = make_grid(spec, 11)
+    whole = operator_probes(spec, grid, trials=5, seed=4)
+    monkeypatch.setattr(verify, "_PROBE_STACK_VALUES", 4 * spec.m1 * spec.m2 * grid.n_points)
+    assert operator_probes(spec, grid, trials=5, seed=4) == whole
+    obstacle_free = toy_spec(f="0.5*u1 - 0.5*u2", k="x0^2 + 0.1*(1 + u1)",
+                             u1=(-1.0, 1.0), u2=(-1.0, 1.0))
+    grid = make_grid(obstacle_free, 5)
+    whole = operator_probes(obstacle_free, grid, trials=5, seed=4)
+    monkeypatch.setattr(verify, "_PROBE_STACK_VALUES", 1)
+    assert operator_probes(obstacle_free, grid, trials=5, seed=4) == whole
 
 
 def test_run_all_probes_the_configured_variant(balanced_loop, monkeypatch):
     """A MINUS verification probes the MINUS operator, on the base solve's
-    tables."""
+    tables, with every trial's two fields in one stack."""
     spec, _, solver_cfg = balanced_loop
     grid = make_grid(spec, 21)
-    variants = []
+    variants, fields = [], []
 
     def recording(*args, **kwargs):
         bound = inspect.signature(bellman_update).bind(*args, **kwargs)
         bound.apply_defaults()
         variants.append(bound.arguments["variant"])
+        fields.append(len(bound.arguments["values"]))
         return bellman_update(*args, **kwargs)
 
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("operator_probes rebuilt the tables")
+    builds = []
+
+    def build_once(*args, **kwargs):
+        assert not builds, "operator_probes rebuilt the tables"
+        builds.append(build_tables(*args, **kwargs))
+        return builds[-1]
 
     monkeypatch.setattr(verify, "bellman_update", recording)
-    monkeypatch.setattr(verify, "build_tables", no_rebuild)
+    monkeypatch.setattr(verify, "build_tables", build_once)
     config = SolverConfig(tolerance=solver_cfg["tolerance"], variant=Variant.MINUS)
     report = run_all(spec, grid, config, trials=5, suites={"probes"})
     assert [c.name for c in report.checks] == ["operator-probes"]
     assert report.checks[0].status == "pass"
-    assert variants == [Variant.MINUS] * 10
+    assert variants == [Variant.MINUS] and fields == [10]
