@@ -270,6 +270,12 @@ def _finite_flag(value: float, flag: str) -> None:
         raise ConfigError(f"{flag}: {value!r} is not a finite number >= 0")
 
 
+def _count_flag(value: int, flag: str, least: int) -> None:
+    """A ConfigError naming ``flag`` when ``value`` is below ``least``."""
+    if value < least:
+        raise ConfigError(f"{flag}: {value!r} is not a whole number >= {least}")
+
+
 def _start(text: str) -> np.ndarray:
     """``--start``'s state; a ConfigError naming the flag when a coordinate
     is no number (nan included)."""
@@ -320,6 +326,7 @@ def _gate(report: ValidationReport) -> int:
 
 def cmd_validate(args) -> int:
     started = time.perf_counter()
+    _count_flag(args.samples, "--samples", 1)
     config_path = Path(args.config)
     spec, _, _ = load_config(config_path)
     report = validate_a2(spec, samples=args.samples, seed=args.seed)
@@ -334,6 +341,7 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
+    _count_flag(args.samples, "--samples", 1)
     config_path = Path(args.config)
     spec, grid_cfg, solver_cfg = load_config(config_path)
     gate = _gate(validate_a2(spec, samples=args.samples, seed=args.seed))
@@ -430,6 +438,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    _count_flag(args.samples, "--samples", 1)
     config_path = Path(args.config)
     spec, grid_cfg, solver_cfg = load_config(config_path)
     gate = _gate(validate_a2(spec, samples=args.samples, seed=args.seed))
@@ -437,8 +446,7 @@ def cmd_verify(args) -> int:
         return gate
 
     config = _solver_config(args, solver_cfg, config_path)
-    if args.trials < 1:
-        raise ConfigError(f"--trials: {args.trials!r} is not a whole number >= 1")
+    _count_flag(args.trials, "--trials", 1)
     suites = set(args.suite) if args.suite else None
 
     if args.values:
@@ -465,6 +473,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _count_flag(args.samples, "--samples", 1)
+    _count_flag(args.costates, "--costates", 0)
     config_path = Path(args.config)
     spec, grid_cfg, _ = load_config(config_path)
     grid = make_grid(spec, _parse_grid(args.grid, grid_cfg, config_path))

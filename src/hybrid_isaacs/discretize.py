@@ -265,7 +265,9 @@ class BellmanTables:
     """Static data for one (problem, grid, time step) discretization.
 
     Index conventions: mode pairs (i1, i2), control indices (a, b) into the
-    level lists, flat grid points p, stencil corners c.
+    level lists, flat grid points p, stencil corners c.  Control axes are
+    counted from the end, as the commitment orders name them: u1 is -3 and
+    u2 is -2 in ``k``, ``foot_idx`` and the cost tables.
 
     The stencil tables hold ``interp_weights``' format, which
     ``read_stencils`` reads: one base index per stencil, corner c at ``base
@@ -279,14 +281,11 @@ class BellmanTables:
     (``pair_blocks``) without an offset copy.  ``imp_idx`` indexes a slab.
 
     A control axis that the drift ignores (``f`` bit-identical along it) has
-    length 1 in ``foot_idx``/``foot_wts``: its feet are all equal, and the
-    continue read broadcasts the one stencil against the cost table's axis.
-
-    The continue branch reads ``saddle_cost``, ``weight * k`` with the
-    saddle's reductions over such axes already taken, built on first use
-    per commitment order.  ``k`` and ``f`` stay for the residuals and the
-    saddle-order gap.  ``nbytes`` counts the arrays built with the tables,
-    not the cost tables a sweep adds.
+    length 1 in ``foot_idx``/``foot_wts``: its feet are all equal.  The
+    continue branch reads ``saddle_cost``, ``weight * k`` with the saddle's
+    reductions over such axes already taken, built on first use per
+    commitment order; ``nbytes`` leaves these cost tables out.  ``f`` stays
+    for the saddle-order gap.
     """
 
     spec: ProblemSpec
@@ -323,36 +322,35 @@ class BellmanTables:
 
     @cached_property
     def _pair_blocks(self) -> dict:
-        """``pair_blocks``' lists by member count, built on first use."""
+        """``pair_blocks``' lists by member range, built on first use."""
         return {}
 
-    def pair_blocks(self, members: int = 1) -> list[tuple[int | slice, slice, np.ndarray,
-                                                          np.ndarray]]:
+    def pair_blocks(self, start: int = 0, stop: int = 1) -> list[tuple]:
         """``(members, pairs, foot_idx, foot_wts)`` of each block of the
-        continue branch over a stack of ``members`` fields: the member
-        index, or a slice where the block holds several; the pair slice;
-        views of the pairs' tables.  A block spans at most
+        continue branch over members ``start`` to ``stop`` of a stack of
+        fields: the member index, or a slice where the block holds several;
+        the pair slice; views of the pairs' tables.  A block spans at most
         ``_PAIR_BLOCK_READS`` of k's control-node values over its members
         and pairs, and at least one member-pair: every member and as many
         pairs as fit, or else one pair and as many members as fit."""
-        blocks = self._pair_blocks.get(members)
+        blocks = self._pair_blocks.get((start, stop))
         if blocks is not None:
             return blocks
-        pairs = self.spec.m1 * self.spec.m2
+        pairs, members = self.spec.m1 * self.spec.m2, stop - start
         budget = max(1, _PAIR_BLOCK_READS // self.k[0, 0].size)
         size = max(1, budget // members)
         rows = max(1, min(members, budget // size))
         idx, wts = (a.reshape((pairs,) + a.shape[2:]) for a in (self.foot_idx, self.foot_wts))
-        blocks = [(m if rows == 1 else slice(m, min(m + rows, members)), slice(lo, lo + size),
+        blocks = [(m if rows == 1 else slice(m, min(m + rows, stop)), slice(lo, lo + size),
                    idx[lo:lo + size], wts[lo:lo + size])
-                  for m in range(0, members, rows) for lo in range(0, pairs, size)]
-        self._pair_blocks[members] = blocks
+                  for m in range(start, stop, rows) for lo in range(0, pairs, size)]
+        self._pair_blocks[start, stop] = blocks
         return blocks
 
     def saddle_cost(self, saddle: tuple[tuple[int, Callable], ...]) -> np.ndarray:
-        """``weight * k`` for a continue saddle that reduces ``k``'s
-        control axes by ``saddle``, ``(axis, np.min or np.max)`` pairs with
-        axis 2 for u1 and 3 for u2, inner first; mode pairs flattened:
+        """``weight * k`` for a continue saddle that reduces the control
+        axes by ``saddle``, ``(axis, reduction)`` pairs, inner first, with
+        end-relative axes: -3 for u1 and -2 for u2; mode pairs flattened:
         (m1*m2, nu1 or 1, nu2 or 1, p).
 
         Leading reductions are taken here while ``foot_idx`` has length 1
@@ -373,12 +371,12 @@ class BellmanTables:
             taken = []
         shape = list(k.shape)
         for axis, _ in taken:
-            shape[axis - 1] = 1
+            shape[axis] = 1
         cost = np.empty(shape)
         for out, pair in zip(cost, k):
             wk = self.weight * pair
             for axis, reduce in taken:
-                wk = reduce(wk, axis=axis - 2, keepdims=True)
+                wk = reduce(wk, axis=axis, keepdims=True)
             out[...] = wk
         self._saddle_costs[saddle] = cost
         return cost

@@ -5,10 +5,9 @@ Value fields are plain arrays of shape ``(m1, m2, n_points)``; every
 branch and the update also take a stack of them, ``(..., m1, m2,
 n_points)``, and treat each member as on its own.  Conventions:
 
-* ``Variant.PLUS``: player 1 commits first in the continue branch
-  (max over u1 of min over u2); the matching Hamiltonian ordering is
-  min over u1 of max over u2 of ``<-p, f> - k``.
-* ``Variant.MINUS``: the swapped-and-reversed ordering.
+* The commitment order is written once, in ``_SADDLE``.  ``Variant.PLUS``:
+  player 1 commits first (max over u1 of min over u2 of the continue
+  table); ``Variant.MINUS``: player 2 does (min over u2 of max over u1).
 * Missing obstacles are +/- infinity and drop out of the projection
   ``T[V] = max(upper_switch, min(lower_switch, impulse, continue))``.
 """
@@ -27,7 +26,6 @@ from .problem import ProblemSpec
 
 __all__ = [
     "Variant",
-    "hamiltonian",
     "isaacs_gap",
     "impulse_candidates",
     "switch_lower_field",
@@ -46,14 +44,20 @@ class Variant(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonians
+# the commitment order
 
-def hamiltonian(table: np.ndarray, variant: Variant) -> np.ndarray:
-    """Saddle of a ``<-p, f> - k`` table over its leading (nu1, nu2) axes, in
-    the order of ``variant``."""
-    if variant is Variant.PLUS:
-        return table.max(axis=1).min(axis=0)  # min over u1 of max over u2
-    return table.min(axis=0).max(axis=0)      # max over u2 of min over u1
+# each variant's saddle over the control axes of any (..., nu1, nu2, p)
+# table, inner reduction first: player 1 maximizes over u1 (axis -3),
+# player 2 minimizes over u2 (axis -2)
+_SADDLE = {Variant.PLUS: ((-2, np.minimum.reduce), (-3, np.maximum.reduce)),
+           Variant.MINUS: ((-3, np.maximum.reduce), (-2, np.minimum.reduce))}
+
+
+def _saddle(q: np.ndarray, saddle: tuple) -> np.ndarray:
+    """The saddle of ``q`` over its (..., nu1, nu2, p) control axes by one
+    of ``_SADDLE``'s orders."""
+    (axis, inner), (_, outer) = saddle
+    return outer(inner(q, axis=axis), axis=-2)  # the other control axis is now -2
 
 
 def isaacs_gap(f: np.ndarray, k: np.ndarray, costate_samples: int = 16,
@@ -65,19 +69,22 @@ def isaacs_gap(f: np.ndarray, k: np.ndarray, costate_samples: int = 16,
     vector and +/- unit vectors; ``costate_samples`` additional
     standard-normal draws are seeded for reproducibility.  A measured gap of
     zero certifies that both orderings of the control saddle agree on the
-    sampled set.
+    sampled set.  The saddles are taken of ``<p, f> + k``, whose exact
+    negation is the Hamiltonians' table: the gap has the same bits.
     """
+    if costate_samples < 0:
+        raise ValueError(f"costate_samples must be a whole number >= 0, got {costate_samples!r}")
     rng = np.random.default_rng(seed)
     n = f.shape[-1]
     units = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(-1, n)  # e_0, -e_0, e_1, ...
     costates = np.vstack([np.zeros((1, n)), units, rng.standard_normal((costate_samples, n))])
 
+    plus, minus = _SADDLE[Variant.PLUS], _SADDLE[Variant.MINUS]
     gap = 0.0
     for pair in np.ndindex(k.shape[:2]):
         for p in costates:
-            table = -(f[pair] @ p) - k[pair]  # (nu1, nu2, npts)
-            plus, minus = hamiltonian(table, Variant.PLUS), hamiltonian(table, Variant.MINUS)
-            gap = max(gap, float(np.abs(plus - minus).max()))
+            table = f[pair] @ p + k[pair]  # (nu1, nu2, npts)
+            gap = max(gap, float(np.abs(_saddle(table, plus) - _saddle(table, minus)).max()))
     return gap
 
 
@@ -117,7 +124,8 @@ def switch_upper_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 def impulse_candidates(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
     """V[d1,d2](clamped x + xi) + cost for every pair and jump: (..., m1, m2, n_imp, p)."""
     read = read_stencils(values, tables.imp_idx, tables.imp_wts, tables.grid)
-    return read + tables.imp_costs[:, None]
+    read += tables.imp_costs[:, None]  # a fresh array: one candidate-sized temporary
+    return read
 
 
 def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
@@ -133,83 +141,40 @@ def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-step update
 
-# each variant's continue saddle over the tables' (m1, m2, nu1, nu2, p)
-# axes, inner reduction first: player 1 maximizes over u1 (axis 2),
-# player 2 minimizes over u2 (axis 3)
-_SADDLE = {Variant.PLUS: ((3, np.min), (2, np.max)),
-           Variant.MINUS: ((2, np.max), (3, np.min))}
-
-
-def _variant_runs(variant: Variant | Sequence[Variant], members: int) -> list[tuple]:
+def _variant_runs(variant: Variant | Sequence[Variant], members: int) -> tuple[tuple, ...]:
     """``(variant, start, stop)`` of each run of equal variants over a
-    stack of ``members`` given one variant per member."""
+    stack of ``members`` fields, given one Variant or one per member."""
+    if isinstance(variant, Variant):
+        return ((variant, 0, members),)
     variants = list(variant)
     if len(variants) != members:
         raise ValueError(f"{len(variants)} variants for a stack of {members} fields")
     starts = [i for i in range(members) if i == 0 or variants[i] is not variants[i - 1]]
-    return [(variants[a], a, b) for a, b in zip(starts, starts[1:] + [members])]
-
-
-def _saddle(q: np.ndarray, variant: Variant) -> np.ndarray:
-    """The saddle of ``q`` over its (..., nu1, nu2, p) control axes."""
-    if variant is Variant.PLUS:
-        return q.min(axis=-2).max(axis=-2)  # max over u1 of min over u2
-    return q.max(axis=-3).min(axis=-2)      # min over u2 of max over u1
+    return tuple((variants[a], a, b) for a, b in zip(starts, starts[1:] + [members]))
 
 
 def continue_field(values: np.ndarray, tables: BellmanTables,
                    variant: Variant | Sequence[Variant]) -> np.ndarray:
     """Saddle over the control grids of quadrature cost plus discounted
-    interpolated value at the propagated foot.
+    interpolated value at the propagated foot, of one field or a stack
+    ``(..., m1, m2, p)``; ``variant`` is one Variant or one per member.
 
-    The quadrature cost is ``tables.saddle_cost``: ``weight * k``, already
-    reduced over each control axis whose feet are all equal, which gives
-    the bits of the saddle of ``weight * k + gamma * read`` with fewer
-    terms.  A stack of fields, ``(..., m1, m2, p)``, is read in the blocks
-    of ``tables.pair_blocks``, one read of the flattened fields of
-    consecutive members and mode pairs each.  ``variant`` is one Variant
-    for the whole stack or one per member, in flattened order: the read is
-    shared, and only the saddle is taken per run of equal variants.  One
-    field with one variant takes the same reads without a member axis.
+    The cost is ``tables.saddle_cost``, ``weight * k`` already reduced over
+    each control axis whose feet are all equal: the bits of the full saddle
+    from fewer terms.  Each run of equal variants is read in the blocks of
+    ``tables.pair_blocks``; a block of one member reads its flat field.
     """
-    if values.ndim == 3 and isinstance(variant, Variant):
-        # one field: the stack's bookkeeping cost a 1-D solve about 1 us a sweep
-        flat = values.reshape(-1)
-        out = np.empty_like(values)
-        out_pairs = out.reshape(-1, values.shape[-1])
-        cost = tables.saddle_cost(_SADDLE[variant])
-        for _, pairs, idx, wts in tables.pair_blocks():
-            read = read_stencils(flat, idx, wts, tables.grid)
-            read *= tables.gamma
-            q = cost[pairs] + read
-            if variant is Variant.PLUS:
-                out_pairs[pairs] = q.min(axis=2).max(axis=1)  # max over u1 of min over u2
-            else:
-                out_pairs[pairs] = q.max(axis=1).min(axis=1)  # min over u2 of max over u1
-        return out
     count = math.prod(values.shape[:-3])
     rows = values.reshape(count, -1)
     out = np.empty_like(values)
     out_pairs = out.reshape(count, -1, values.shape[-1])
-    if isinstance(variant, Variant):
-        runs = [(variant, tables.saddle_cost(_SADDLE[variant]), 0, count)]
-    else:
-        runs = [(v, tables.saddle_cost(_SADDLE[v]), start, stop)
-                for v, start, stop in _variant_runs(variant, count)]
-    split = len(runs) > 1
-    for members, pairs, idx, wts in tables.pair_blocks(count):
-        read = read_stencils(rows[members], idx, wts, tables.grid)
-        read *= tables.gamma
-        for v, cost, start, stop in runs:
-            part, into = read, members
-            if split:  # the block's members in this run, if any
-                first = members if isinstance(members, int) else members.start
-                part = read.reshape((-1,) + idx.shape)
-                lo, hi = max(start, first), min(stop, first + len(part))
-                if lo >= hi:
-                    continue
-                part, into = part[lo - first:hi - first], slice(lo, hi)
-            out_pairs[into, pairs] = _saddle(cost[pairs] + part, v)
+    for v, start, stop in _variant_runs(variant, count):
+        saddle = _SADDLE[v]
+        cost = tables.saddle_cost(saddle)
+        for members, pairs, idx, wts in tables.pair_blocks(start, stop):
+            read = read_stencils(rows[members], idx, wts, tables.grid)
+            read *= tables.gamma
+            out_pairs[members, pairs] = _saddle(cost[pairs] + read, saddle)
     return out
 
 

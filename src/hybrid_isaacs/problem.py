@@ -424,7 +424,9 @@ def sample_controls(spec: ProblemSpec, pts: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def validate_a2(spec: ProblemSpec, samples: int = 256, seed: int = 0) -> ValidationReport:
-    """Sampled cost-assumption checks; failures are reported, never raised."""
+    """Sampled cost-assumption checks, reported and never raised; ``samples`` < 1 is a ValueError."""
+    if samples < 1:
+        raise ValueError(f"samples must be a whole number >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     warns: list[str] = []

@@ -187,22 +187,17 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, configs,
             if len(keep) < len(running):
                 running = [running[i] for i in keep]
                 stack = stack[keep]
-            lone = len(running) == 1
-            record = running[0].record
-            values = stack[0] if lone else stack  # a lone member sweeps unstacked
+            # a lone member sweeps its own field: a stack of one cost 1-D solves ~5%
+            values = stack[0] if len(running) == 1 else stack
             variants = [m.config.variant for m in running]
             variant = variants if len(set(variants)) > 1 else variants[0]
             cap = min(m.config.max_iterations for m in running)
             stopping = False
         sweep += 1
         updated = bellman_update(values, spec, grid, variant=variant, tables=tables)
-        diff = updated - values
-        if lone:
-            stopping = record(float(diff.min()), float(diff.max()))
-        else:
-            diff = diff.reshape(len(running), -1)
-            for m, low, high in zip(running, diff.min(axis=1).tolist(),
-                                    diff.max(axis=1).tolist()):
-                stopping = m.record(low, high) or stopping
+        diff = (updated - values).reshape(len(running), -1)
+        for m, low, high in zip(running, np.minimum.reduce(diff, axis=1).tolist(),
+                                np.maximum.reduce(diff, axis=1).tolist()):
+            stopping = m.record(low, high) or stopping
         values = updated
     return [members[key].result for key in keys]

@@ -1,0 +1,23 @@
+"""The A/B timer, ``scripts/abtime.py``, run on this tree against itself."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_timing_a_tree_against_itself_prints_one_row_per_case():
+    src = str(ROOT / "src")
+    run = subprocess.run([sys.executable, "scripts/abtime.py", src, src, "solve",
+                          "constant_cost", "--rounds", "3"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
+    title, header, row = run.stdout.splitlines()
+    assert title == "solve, 3 rounds, s; ratio is change / parent"
+    assert header.split() == ["case", "parent", "change", "ratio", "q1", "q3", "wins"]
+    name, parent, change, ratio, q1, q3, wins = row.split()
+    assert name == "constant_cost"
+    assert min(float(parent), float(change)) > 0
+    assert 0 < float(q1) <= float(ratio) <= float(q3)
+    assert wins.endswith("/3") and 0 <= int(wins[:-2]) <= 3

@@ -263,6 +263,15 @@ UNWORKABLE_FLAGS = {
     "verify trials negative": ("verify", ("--trials", "-5"),
                                "--trials: -5 is not a whole number >= 1"),
     "verify trials zero": ("verify", ("--trials", "0"), "--trials: 0 is not a whole number >= 1"),
+    "validate samples zero": ("validate", ("--samples", "0"),
+                              "--samples: 0 is not a whole number >= 1"),
+    "solve samples zero": ("solve", ("--samples", "0"), "--samples: 0 is not a whole number >= 1"),
+    "verify samples negative": ("verify", ("--samples", "-3"),
+                                "--samples: -3 is not a whole number >= 1"),
+    "analyze samples zero": ("analyze", ("--samples", "0"),
+                             "--samples: 0 is not a whole number >= 1"),
+    "analyze costates negative": ("analyze", ("--costates", "-1"),
+                                  "--costates: -1 is not a whole number >= 0"),
     "simulate dt inf": ("simulate", ("--dt", "inf"), "--dt: inf is not a positive finite number"),
     "horizon inf": ("simulate", ("--horizon", "inf"),
                     "--horizon: inf is not a finite number >= 0"),
@@ -661,3 +670,11 @@ def test_analyze_mode_selection_vacuous_loop_condition(workdir, capsys):
     assert run("analyze", cfg) == EXIT_OK
     out = capsys.readouterr().out
     assert "nonzero-loop condition: holds" in out
+
+
+def test_analyze_takes_the_least_counts(workdir, capsys):
+    """One sample and no costate draws beyond the canonical ones are valid."""
+    tmp, copy = workdir
+    cfg = copy("drift_1d")
+    assert run("analyze", cfg, "--grid", "11", "--samples", "1", "--costates", "0") == EXIT_OK
+    assert "orders agree on the sample" in capsys.readouterr().out

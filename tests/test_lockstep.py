@@ -116,16 +116,22 @@ def test_lock_step_builds_the_tables_once_or_not_at_all(monkeypatch):
     assert len(builds) == 1 and results[0].tables is tables
 
 
+@pytest.mark.parametrize("per_block", [None, 1, 3])
 @pytest.mark.parametrize("name", GAMES)
-def test_stacked_sweeps_match_single_sweeps(name):
+def test_stacked_sweeps_match_single_sweeps(name, per_block, monkeypatch):
     """One sweep of a stack, one variant for all or one per member, gives
-    each member the bits of its own sweep."""
+    each member the bits of its own sweep: at the default block budget, and
+    at budgets of 1 and 3 member-pairs, where runs of interleaved variants
+    end inside what one block of the whole stack would read."""
     spec, grid, config = load_game(name)
+    if per_block is not None:
+        per_pair = len(spec.u1_levels) * len(spec.u2_levels) * grid.n_points
+        monkeypatch.setattr(discretize, "_PAIR_BLOCK_READS", per_block * per_pair)
     tables = build_tables(spec, grid, config.dt)
     rng = np.random.default_rng(9)
     stack = rng.uniform(0.0, 2.0, (6, spec.m1, spec.m2, grid.n_points))
-    variants = [Variant.PLUS] * 2 + [Variant.MINUS] * 3 + [Variant.PLUS]
-    for variant in (Variant.PLUS, Variant.MINUS, variants):
+    P, M = Variant.PLUS, Variant.MINUS
+    for variant in (P, M, [P, P, M, M, M, P], [P, M, M, P, M, P], [M, P, P, P, P, M]):
         swept = bellman_update(stack, spec, grid, variant=variant, tables=tables)
         each = variant if isinstance(variant, list) else [variant] * len(stack)
         for values, out, v in zip(stack, swept, each):
@@ -143,26 +149,29 @@ def test_stacked_sweep_refuses_a_variant_list_of_the_wrong_length():
         bellman_update(stack, spec, grid, dt=config.dt, variant=[Variant.PLUS] * 2)
 
 
-@pytest.mark.parametrize("budget, members, blocks", [
-    (1, 3, [(1, 1)] * 12),       # one member-pair per block, as one member reads
-    (4, 1, [(1, 4)]),            # one member: every pair in one block
-    (4, 2, [(2, 2)] * 2),        # two members share a block of two pairs
-    (4, 3, [(3, 1)] * 4),        # three members, pair by pair
-    (4, 5, [(4, 1)] * 4 + [(1, 1)] * 4),
+@pytest.mark.parametrize("budget, start, stop, blocks", [
+    (1, 0, 3, [(1, 1)] * 12),       # one member-pair per block, as one member reads
+    (4, 0, 1, [(1, 4)]),            # one member: every pair in one block
+    (4, 0, 2, [(2, 2)] * 2),        # two members share a block of two pairs
+    (4, 0, 3, [(3, 1)] * 4),        # three members, pair by pair
+    (4, 0, 5, [(4, 1)] * 4 + [(1, 1)] * 4),
+    (4, 2, 7, [(4, 1)] * 4 + [(1, 1)] * 4),  # a run that starts past member 0
+    (4, 3, 4, [(1, 4)]),
 ])
-def test_pair_blocks_count_members(budget, members, blocks, monkeypatch):
+def test_pair_blocks_count_members(budget, start, stop, blocks, monkeypatch):
     """A block spans at most the budget of member-pairs: ``(members in the
-    block, pairs in the block)`` per block; a lone member is an index."""
+    block, pairs in the block)`` per block; a lone member is an index.
+    Members are numbered in the whole stack, from ``start``."""
     spec, grid, _ = load_game("game_2d")
     per_pair = len(spec.u1_levels) * len(spec.u2_levels) * grid.n_points
     monkeypatch.setattr(discretize, "_PAIR_BLOCK_READS", budget * per_pair)
     tables = build_tables(spec, grid)
-    got = tables.pair_blocks(members)
+    got = tables.pair_blocks(start, stop)
     shape = [(1 if isinstance(m, int) else m.stop - m.start, idx.shape[0])
              for m, _, idx, _ in got]
     assert shape == blocks
     covered = sorted((m, p) for rows, pairs, _, _ in got
                      for m in ([rows] if isinstance(rows, int) else range(rows.start, rows.stop))
                      for p in range(4)[pairs])
-    assert covered == [(m, p) for m in range(members) for p in range(4)]
-    assert tables.pair_blocks(members) is got
+    assert covered == [(m, p) for m in range(start, stop) for p in range(4)]
+    assert tables.pair_blocks(start, stop) is got

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from hybrid_isaacs.discretize import build_tables, make_grid
-from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, hamiltonian,
-                                     impulse_field, isaacs_gap, switch_lower_field,
-                                     switch_upper_field)
+from hybrid_isaacs.operators import (Variant, bellman_update, continue_field, impulse_field,
+                                     isaacs_gap, switch_lower_field, switch_upper_field)
 from hybrid_isaacs.problem import sample_controls
 
-from conftest import toy_spec
+from conftest import BUNDLED, game_2d, game_3d, load_bundled, toy_spec
 
 
 def saddle_oracle(spec, d1, d2, x, p, order):
@@ -32,6 +31,29 @@ def saddle_oracle(spec, d1, d2, x, p, order):
 
 # ---------------------------------------------------------------------------
 # Hamiltonians
+
+def hamiltonian(table, variant):
+    """The reference: the saddle of a ``<-p, f> - k`` table over its leading
+    (nu1, nu2) axes, each order written out."""
+    if variant is Variant.PLUS:
+        return table.max(axis=1).min(axis=0)  # min over u1 of max over u2
+    return table.min(axis=0).max(axis=0)      # max over u2 of min over u1
+
+
+def reference_gap(f, k, costate_samples, seed):
+    """``isaacs_gap`` from the Hamiltonians of ``<-p, f> - k`` themselves."""
+    rng = np.random.default_rng(seed)
+    n = f.shape[-1]
+    units = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(-1, n)
+    costates = np.vstack([np.zeros((1, n)), units, rng.standard_normal((costate_samples, n))])
+    gap = 0.0
+    for pair in np.ndindex(k.shape[:2]):
+        for p in costates:
+            table = -(f[pair] @ p) - k[pair]
+            plus, minus = hamiltonian(table, Variant.PLUS), hamiltonian(table, Variant.MINUS)
+            gap = max(gap, float(np.abs(plus - minus).max()))
+    return gap
+
 
 def saddles(spec, x, p):
     """Both orders of the Hamiltonian at state ``x``, from ``sample_controls``."""
@@ -89,6 +111,30 @@ def test_isaacs_gap_two_for_multiplicative_controls():
     spec = toy_spec(f={(0, 0): "u1", (0, 1): "u1*u2"}, k="0", u1=(-1.0, 1.0), u2=(-1.0, 1.0),
                     d2=("a", "b"), c2=[[0.0, 1.0], [1.0, 0.0]])
     assert isaacs_gap(*sample_controls(spec, grid.points), costate_samples=0, seed=0) == 2.0
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "game_3d"])
+def test_isaacs_gap_has_the_bits_of_the_hamiltonians(name):
+    """The saddles of ``<p, f> + k`` give the bits of the Hamiltonians' gap."""
+    if name in BUNDLED:
+        spec, grid_cfg, _ = load_bundled(name)
+        grid = make_grid(spec, grid_cfg["points"])
+    else:
+        spec = game_2d() if name == "game_2d" else game_3d()
+        grid = make_grid(spec, 9 if name == "game_2d" else 5)
+    f, k = sample_controls(spec, grid.points)
+    for samples, seed in ((0, 0), (16, 0), (8, 3)):
+        gap = isaacs_gap(f, k, costate_samples=samples, seed=seed)
+        assert np.float64(gap).tobytes() == np.float64(
+            reference_gap(f, k, samples, seed)).tobytes(), (samples, seed)
+
+
+def test_isaacs_gap_refuses_a_negative_costate_count():
+    spec = toy_spec(f="u1*u2", k="0", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
+    f, k = sample_controls(spec, make_grid(spec, 5).points)
+    with pytest.raises(ValueError, match="costate_samples"):
+        isaacs_gap(f, k, costate_samples=-1)
+    assert isaacs_gap(f, k, costate_samples=0) == 2.0
 
 
 def test_isaacs_gap_zero_for_singleton_controls():

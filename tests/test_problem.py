@@ -126,6 +126,14 @@ def test_validate_passes_on_bundled(balanced_loop):
     assert report.estimates["subadd_gap"] == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_validate_refuses_fewer_than_one_sample(balanced_loop, samples):
+    spec, _, _ = balanced_loop
+    with pytest.raises(ValueError, match=f"samples must be a whole number >= 1, got {samples}"):
+        validate_a2(spec, samples=samples)
+    assert validate_a2(spec, samples=1).estimates
+
+
 def test_zero_switch_cost_fails_check():
     spec = load_spec(INVALID["zero_switch_cost"])
     report = validate_a2(spec, samples=32, seed=0)

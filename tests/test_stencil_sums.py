@@ -7,6 +7,7 @@ bits of the full tables they replace."""
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hybrid_isaacs import discretize, hybridsim
 from hybrid_isaacs.discretize import (GridSpec, build_tables, interp_weights, interpolate,
                                       make_grid, read_stencils)
-from hybrid_isaacs.operators import (Variant, bellman_update, continue_field,
+from hybrid_isaacs.operators import (_SADDLE as SADDLE, Variant, bellman_update, continue_field,
                                      impulse_candidates, impulse_field, switch_lower_field,
                                      switch_upper_field)
 
@@ -268,10 +269,6 @@ def steered_by(control):
     return dataclasses.replace(base, dynamics=drift.dynamics)
 
 
-# each variant's saddle: (axis, reduction) of the tables' (m1, m2, nu1, nu2,
-# p) layout, inner first; player 1 maximizes over u1, player 2 minimizes over u2
-SADDLE = {Variant.PLUS: ((3, np.min), (2, np.max)), Variant.MINUS: ((2, np.max), (3, np.min))}
-
 # each drift pattern's game, and the (u1, u2) lengths of its cost table by
 # variant: an axis collapses where the feet ignore it and, for the outer
 # axis, the inner one collapsed too
@@ -302,7 +299,7 @@ def test_cost_saddle_gives_the_bits_of_the_full_saddle(drift, variant):
     cost = tables.saddle_cost(SADDLE[variant])
     expected = tables.weight * tables.k
     for axis, reduce in SADDLE[variant]:
-        if lengths[variant][axis - 2] > 1:
+        if lengths[variant][axis + 3] > 1:  # u1 is axis -3, u2 axis -2
             break
         expected = reduce(expected, axis=axis, keepdims=True)
     assert cost.shape == (spec.m1 * spec.m2,) + lengths[variant] + (grid.n_points,)
@@ -608,6 +605,28 @@ def test_one_hot_reads_take_the_landing_node_of_any_field():
     values[..., 3::11] = np.nan
     assert_same_bits(impulse_candidates(values, tables),
                      values[..., tables.imp_idx] + tables.imp_costs[:, None])
+
+
+@pytest.mark.parametrize("name", ["balanced_loop", "impulse_toy"])
+def test_impulse_field_holds_one_candidate_sized_temporary(name):
+    """On one-hot jump tables, a 50-field stack's best impulse has the bits
+    of the candidates read, costed and reduced apart, and its traced peak
+    is one array of candidates beside the output: the costs are added in
+    place to the fresh read."""
+    spec, grid = _bundled(name)
+    tables = build_tables(spec, grid)
+    assert tables.imp_wts.shape[-1] == 1
+    stack = np.random.default_rng(3).uniform(-1.0, 3.0, (50, spec.m1, spec.m2, grid.n_points))
+    candidates = (read_stencils(stack, tables.imp_idx, tables.imp_wts, grid)
+                  + tables.imp_costs[:, None])
+    assert_same_bits(impulse_field(stack, tables), candidates.min(axis=-2))
+    tracemalloc.start()
+    try:
+        out = impulse_field(stack, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= candidates.nbytes * 5 // 4 + out.nbytes, (peak, candidates.nbytes)
 
 
 @pytest.mark.parametrize("name", ["balanced_loop", "game_2d", "game_3d"])
