@@ -14,6 +14,13 @@ it ran.  One line is printed per digest: case, command, then ``exit``,
 ``stdout``, ``stderr`` or an output file name, and the sha256.  Manifests
 are digested without their ``wall_seconds``.
 
+``solve`` runs policy iteration wherever it can certify the field, while
+``verify``'s solves run the Picard loop (``solver.solve_many``).  After
+each ``solve``, the script runs that Picard loop on the same arguments and
+compares its field with the one ``solve`` wrote.  The exit code is 1 when
+a solve's field is missing or lies more than twice the solve tolerance
+from Picard's; standard error names the case and variant.
+
 The inputs always come from this checkout.  To compare two source trees,
 run this script against each and diff the two listings:
 
@@ -38,6 +45,22 @@ BUNDLED = ("balanced_loop", "constant_cost", "drift_1d", "impulse_toy", "mode_se
 GEN2D_SEEDS = (1, 2, 3)
 GEN2D_POINTS = 41
 VARIANTS = ("plus", "minus")
+
+# run with a ``solve`` command's arguments in the case's directory: prints
+# the largest distance of the field that ``solve`` wrote from the field of
+# the Picard loop that ``verify`` runs, and the solve tolerance
+PICARD_GAP = """\
+import sys
+from pathlib import Path
+from hybrid_isaacs import cli, problem, solver
+args = cli.build_parser().parse_args(sys.argv[1:])
+path = Path(args.config)
+spec, grid_cfg, solver_cfg = problem.load_config(path)
+grid, values = cli.read_value_csv(Path(args.out) / f"{path.stem}.value.csv", spec)
+config = cli._solver_config(args, solver_cfg, path)
+picard = solver.solve_many(spec, grid, [config])[0].values
+print(float(abs(picard - values).max()), config.tolerance)
+"""
 
 # the 3-D game of the test suite (tests/conftest.py: game_3d) at 9 points per side
 GAME_3D = """\
@@ -141,14 +164,29 @@ def file_digest(path: Path) -> str:
     return sha(data)
 
 
-def run_case(name: str, text: str, src: Path, work: Path) -> list[str]:
-    """Digest lines of every command on one case, run inside ``work/name``."""
+def picard_gap(name: str, label: str, args: list[str], folder: Path, env: dict) -> str | None:
+    """None if the field of the ``solve`` run with ``args`` lies within
+    twice its tolerance of the Picard loop's field, else what is wrong."""
+    done = subprocess.run([sys.executable, "-c", PICARD_GAP, *args], cwd=folder, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        return f"{name} {label}: no field to compare ({done.stderr.strip().splitlines()[-1]})"
+    gap, tolerance = map(float, done.stdout.split())
+    if not gap <= 2 * tolerance:
+        return (f"{name} {label}: field {gap:.3e} from the Picard loop's, above twice the "
+                f"tolerance {tolerance:.1e}")
+    return None
+
+
+def run_case(name: str, text: str, src: Path, work: Path) -> tuple[list[str], list[str]]:
+    """Digest lines of every command on one case, run inside ``work/name``,
+    and a line for each ``solve`` whose ``picard_gap`` is not None."""
     folder = work / name
     folder.mkdir(parents=True)
     (folder / f"{name}.toml").write_text(text, encoding="utf-8")
     (folder / f"{name}-upper.toml").write_text(upper_init(text), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))
-    lines = []
+    lines, gaps = [], []
     for label, args in commands(name):
         done = subprocess.run([sys.executable, "-m", "hybrid_isaacs.cli", *args], cwd=folder,
                               env=env, capture_output=True)
@@ -159,7 +197,9 @@ def run_case(name: str, text: str, src: Path, work: Path) -> list[str]:
         if out.is_dir():
             lines += [f"{name} {label} {path.name} {file_digest(path)}"
                       for path in sorted(out.iterdir())]
-    return lines
+        if args[0] == "solve":
+            gaps.append(picard_gap(name, label, args, folder, env))
+    return lines, [gap for gap in gaps if gap is not None]
 
 
 def main(argv=None) -> int:
@@ -175,12 +215,17 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown case(s) {', '.join(unknown)}; choose from {', '.join(texts)}")
     names = args.cases or list(texts)
+    gaps = []
     with tempfile.TemporaryDirectory() as scratch:
         work = args.work or Path(scratch)
         for name in names:
-            for line in run_case(name, texts[name], args.src.resolve(), work):
+            lines, case_gaps = run_case(name, texts[name], args.src.resolve(), work)
+            for line in lines:
                 print(line, flush=True)
-    return 0
+            gaps += case_gaps
+    for gap in gaps:
+        sys.stderr.write(f"parity: {gap}\n")
+    return 1 if gaps else 0
 
 
 if __name__ == "__main__":

@@ -370,6 +370,12 @@ def cmd_solve(args) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "table_bytes": result.tables.nbytes,
+        "method": result.method,
+        "outer_steps": result.outer_steps,
+        "krylov_iterations": result.krylov_iterations,
+        "fallbacks": result.fallbacks,
+        "certificate": result.certificate,
+        "uncertified": result.uncertified,
     }, [value_path, residual_path], started)
 
     status = "converged" if result.converged else "NOT CONVERGED"

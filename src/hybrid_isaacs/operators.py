@@ -33,6 +33,11 @@ __all__ = [
     "impulse_field",
     "continue_field",
     "bellman_update",
+    "policy_sweep",
+    "CONTINUE",
+    "IMPULSE",
+    "SWITCH_LOWER",
+    "SWITCH_UPPER",
 ]
 
 
@@ -51,6 +56,9 @@ class Variant(enum.Enum):
 # player 2 minimizes over u2 (axis -2)
 _SADDLE = {Variant.PLUS: ((-2, np.minimum.reduce), (-3, np.maximum.reduce)),
            Variant.MINUS: ((-3, np.maximum.reduce), (-2, np.minimum.reduce))}
+# each reduction's arg-opt, found by equality: every attribute access makes
+# a new bound method, so ``np.minimum.reduce is np.minimum.reduce`` is False
+_ARGS = {np.minimum.reduce: np.argmin, np.maximum.reduce: np.argmax}
 
 
 def _saddle(q: np.ndarray, saddle: tuple) -> np.ndarray:
@@ -98,6 +106,18 @@ def _other_modes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(m - 1) + (np.arange(m - 1) >= rows)
 
 
+def _lower_candidates(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """V[d1, d2'] + c2(d2, d2') over the other d2' ascending: (..., m1, m2, m2-1, p)."""
+    rows, others = _other_modes(spec.m2)
+    return values[..., others, :] + spec.switch_cost_2[rows, others][:, :, None]
+
+
+def _upper_candidates(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """V[d1', d2] - c1(d1, d1') over the other d1' ascending: (..., m1, m1-1, m2, p)."""
+    rows, others = _other_modes(spec.m1)
+    return values[..., others, :, :] - spec.switch_cost_1[rows, others][:, :, None, None]
+
+
 def switch_lower_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Best player-2 switch: min over other d2 of V[d1, d2'] + c2(d2, d2').
 
@@ -105,8 +125,7 @@ def switch_lower_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """
     if spec.m2 == 1:
         return np.full_like(values, np.inf)
-    rows, others = _other_modes(spec.m2)
-    return (values[..., others, :] + spec.switch_cost_2[rows, others][:, :, None]).min(axis=-2)
+    return _lower_candidates(values, spec).min(axis=-2)
 
 
 def switch_upper_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -116,9 +135,7 @@ def switch_upper_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """
     if spec.m1 == 1:
         return np.full_like(values, -np.inf)
-    rows, others = _other_modes(spec.m1)
-    return (values[..., others, :, :]
-            - spec.switch_cost_1[rows, others][:, :, None, None]).max(axis=-3)
+    return _upper_candidates(values, spec).max(axis=-3)
 
 
 def impulse_candidates(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
@@ -143,9 +160,10 @@ def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
 
 def _variant_runs(variant: Variant | Sequence[Variant], members: int) -> tuple[tuple, ...]:
     """``(variant, start, stop)`` of each run of equal variants over a
-    stack of ``members`` fields, given one Variant or one per member."""
+    stack of ``members`` fields, given one Variant or one per member; none
+    for an empty stack."""
     if isinstance(variant, Variant):
-        return ((variant, 0, members),)
+        return ((variant, 0, members),) if members else ()
     variants = list(variant)
     if len(variants) != members:
         raise ValueError(f"{len(variants)} variants for a stack of {members} fields")
@@ -165,9 +183,10 @@ def continue_field(values: np.ndarray, tables: BellmanTables,
     ``tables.pair_blocks``; a block of one member reads its flat field.
     """
     count = math.prod(values.shape[:-3])
-    rows = values.reshape(count, -1)
+    pairs, points = math.prod(values.shape[-3:-1]), values.shape[-1]
+    rows = values.reshape(count, pairs * points)  # sizes spelled out: count may be 0
     out = np.empty_like(values)
-    out_pairs = out.reshape(count, -1, values.shape[-1])
+    out_pairs = out.reshape(count, pairs, points)
     for v, start, stop in _variant_runs(variant, count):
         saddle = _SADDLE[v]
         cost = tables.saddle_cost(saddle)
@@ -203,3 +222,65 @@ def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     if spec.m1 > 1:
         out = np.maximum(switch_upper_field(values, spec), out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the sweep with its arg-opts
+
+# each node's binding branch in ``policy_sweep``
+CONTINUE, IMPULSE, SWITCH_LOWER, SWITCH_UPPER = range(4)
+
+
+def policy_sweep(values: np.ndarray, tables: BellmanTables,
+                 variant: Variant = Variant.PLUS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``bellman_update`` of one field ``(m1, m2, p)`` with its arg-opts:
+    ``(T[V], branch, arg)``.  ``T[V]`` has the sweep's bits, from the same
+    reductions; each arg-opt is the first of its reduction's ties.
+
+    ``branch`` (int8) is the branch that binds at each node: a later branch
+    of the projection binds only where it changes the value, so ties go to
+    the continue branch.  ``arg`` is the continue branch's control pair
+    ``a * B + b`` on the (A, B) control grid of the cost table and the feet
+    broadcast together (an axis of length 1 stands for every control the
+    feet ignore; see ``BellmanTables.saddle_cost``), the impulse's menu
+    entry, or the switch's target mode.
+    """
+    spec, saddle = tables.spec, _SADDLE[variant]
+    (axis, inner), (_, outer) = saddle
+    cost = tables.saddle_cost(saddle)
+    out = np.empty_like(values)
+    arg = np.empty(values.shape, dtype=np.intp)
+    out_pairs, arg_pairs = (a.reshape(-1, values.shape[-1]) for a in (out, arg))
+    flat = values.reshape(-1)
+    for _, pairs, idx, wts in tables.pair_blocks():
+        read = read_stencils(flat, idx, wts, tables.grid)
+        read *= tables.gamma
+        q = cost[pairs] + read
+        reduced = inner(q, axis=axis)
+        out_pairs[pairs] = outer(reduced, axis=-2)
+        pick_out = _ARGS[outer](reduced, axis=-2)[:, None]
+        pick_in = np.take_along_axis(_ARGS[inner](q, axis=axis), pick_out, -2)[:, 0]
+        a, b = (pick_out[:, 0], pick_in) if axis == -2 else (pick_in, pick_out[:, 0])
+        arg_pairs[pairs] = a * q.shape[-2] + b
+    branch = np.full(values.shape, CONTINUE, dtype=np.int8)
+
+    def bind(code, cands, axis, better, pick):
+        """Project ``out`` onto one obstacle, the ``better`` (np.minimum or
+        np.maximum) of ``cands`` along ``axis``; ``pick`` maps the arg-opt."""
+        wins = better.reduce(cands, axis=axis)
+        won = better(wins, out) != out
+        np.copyto(arg, pick(_ARGS[better.reduce](cands, axis=axis)), where=won)
+        branch[won] = code
+        better(wins, out, out=out)
+
+    if tables.imp_costs.size:
+        bind(IMPULSE, impulse_candidates(values, tables), -2, np.minimum, lambda j: j)
+    if spec.m2 > 1:
+        rows, others = _other_modes(spec.m2)
+        bind(SWITCH_LOWER, _lower_candidates(values, spec), -2, np.minimum,
+             lambda j: others[rows, j])
+    if spec.m1 > 1:
+        rows, others = _other_modes(spec.m1)
+        bind(SWITCH_UPPER, _upper_candidates(values, spec), -3, np.maximum,
+             lambda j: others[rows[:, :, None], j])
+    return out, branch, arg

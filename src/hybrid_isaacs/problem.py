@@ -554,7 +554,9 @@ def _lipschitz_estimates(spec: ProblemSpec, samples: int,
 class Y1Y2Report:
     """Status of the two classical switching-cost conditions.
 
-    Both are informational: the solver does not require either to hold.
+    Validation requires neither.  ``solver.solve`` certifies a field, and
+    runs policy iteration, only where ``y2_holds`` is True: a loop whose
+    costs cancel can leave the fixed point free along it.
     y1_holds: cheapest player-2 switch is strictly cheaper than any impulse.
     y2_holds: every closed alternating mode loop (one player switches per
     step, both players switch somewhere, length <= m1*m2) has a nonzero
@@ -580,15 +582,17 @@ class Y1Y2Report:
         elif self.y2_holds:
             lines.append(f"nonzero-loop condition: holds ({self.loop_count} loop(s) checked)")
         else:
-            loop = self.zero_loops[0]
-            if spec is not None:
-                pretty = " -> ".join(
-                    f"({spec.d1_labels[a]},{spec.d2_labels[b]})" for a, b in loop + [loop[0]])
-            else:
-                pretty = " -> ".join(str(p) for p in loop + [loop[0]])
-            lines.append(f"nonzero-loop condition: fails "
-                         f"({self.loop_count} loop(s) checked; zero-cost loop {pretty})")
+            lines.append(f"nonzero-loop condition: fails ({self.loop_count} loop(s) checked; "
+                         f"zero-cost loop {self.loop_text(spec)})")
         return "\n".join(lines) + "\n"
+
+    def loop_text(self, spec: ProblemSpec | None = None) -> str:
+        """The first zero-cost loop, closed, by mode labels when ``spec`` is given."""
+        loop = self.zero_loops[0]
+        if spec is not None:
+            return " -> ".join(
+                f"({spec.d1_labels[a]},{spec.d2_labels[b]})" for a, b in loop + [loop[0]])
+        return " -> ".join(str(p) for p in loop + [loop[0]])
 
 
 def check_y1_y2(spec: ProblemSpec, walk_budget: int = 20_000_000) -> Y1Y2Report:

@@ -145,9 +145,10 @@ def test_solve_constant_cost_writes_field(workdir):
     assert np.abs(values - 2.0).max() <= 1e-9
     residuals = (tmp / "constant_cost.residuals.csv").read_text().splitlines()
     assert residuals[0] == "iteration,sup_change"
-    assert len(residuals) > 10
     manifest = (tmp / "constant_cost.solve-manifest.json").read_text()
     assert '"converged": true' in manifest
+    # policy iteration: one residual row per field whose residual was taken
+    assert len(residuals) == 1 + json.loads(manifest)["inputs"]["iterations"] > 1
 
 
 def test_solve_gate_rejects_invalid_before_solving(workdir):
@@ -381,6 +382,32 @@ def test_solve_manifest_records_the_table_bytes(workdir):
         tables = discretize.build_tables(spec, discretize.make_grid(spec, 41),
                                          solver_cfg.get("dt"))
         assert manifest["inputs"]["table_bytes"] == tables.nbytes > 0, name
+
+
+def test_solve_manifest_records_the_method_and_the_certificate(workdir, capsys):
+    """drift_1d meets the nonzero-loop condition and is solved by policy
+    iteration with a certificate; balanced_loop has a zero-cost loop, so it
+    is solved by Picard iteration, one residual row per sweep, and its
+    manifest names the loop in place of a certificate."""
+    tmp, copy = workdir
+    cfg = copy("drift_1d")
+    assert run("solve", cfg, "--grid", "41") == EXIT_OK
+    inputs = json.loads((tmp / "drift_1d.solve-manifest.json").read_text())["inputs"]
+    assert (inputs["method"], inputs["uncertified"]) == ("policy", None)
+    assert inputs["outer_steps"] > 0 and inputs["krylov_iterations"] > 0
+    assert inputs["fallbacks"] >= 0 and 0 <= inputs["certificate"] <= inputs["tolerance"]
+    residuals = (tmp / "drift_1d.residuals.csv").read_text().splitlines()
+    assert len(residuals) == 1 + inputs["iterations"]
+
+    cfg = copy("balanced_loop")
+    assert run("solve", cfg, "--grid", "41") == EXIT_OK
+    assert capsys.readouterr().err == ""
+    inputs = json.loads((tmp / "balanced_loop.solve-manifest.json").read_text())["inputs"]
+    assert (inputs["method"], inputs["certificate"]) == ("picard", None)
+    assert inputs["uncertified"].startswith("zero-cost switching loop (")
+    assert (inputs["outer_steps"], inputs["krylov_iterations"], inputs["fallbacks"]) == (0, 0, 0)
+    residuals = (tmp / "balanced_loop.residuals.csv").read_text().splitlines()
+    assert len(residuals) == 1 + inputs["iterations"] > 10
 
 
 def test_solve_iteration_cap_exits_3_with_partial_field(workdir, capsys):

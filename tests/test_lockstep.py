@@ -1,6 +1,7 @@
 """Stacked sweeps and lock-step solves: every member of a stack has the bits
 of its own sweep, and every member of ``solve_many`` the bits, sweep count
-and history of its own ``solve``."""
+and history of its own Picard solve, a ``solve_many`` of that config
+alone."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hybrid_isaacs import discretize
 from hybrid_isaacs.discretize import build_tables, make_grid
 from hybrid_isaacs.operators import Variant, bellman_update
-from hybrid_isaacs.solver import SolverConfig, solve, solve_many
+from hybrid_isaacs.solver import SolverConfig, solve_many
 
 from conftest import BUNDLED, game_2d, game_3d, load_bundled
 
@@ -27,6 +28,11 @@ def load_game(name):
     spec, grid_cfg, solver_cfg = load_bundled(name)
     return (spec, make_grid(spec, grid_cfg["points"]),
             SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"]))
+
+
+def picard_solve(spec, grid, config):
+    """The Picard solve of ``config`` alone."""
+    return solve_many(spec, grid, [config])[0]
 
 
 def assert_same_solve(result, alone):
@@ -57,7 +63,7 @@ def test_lock_step_members_match_their_own_solves(name):
                             variant=Variant.MINUS)]
     results = solve_many(spec, grid, configs)
     for config, result in zip(configs, results):
-        assert_same_solve(result, solve(spec, grid, config))
+        assert_same_solve(result, picard_solve(spec, grid, config))
     assert len({r.iterations for r in results}) >= 3
     assert results[-1].iterations == 7 and not results[-1].converged
     assert all(r.tables is results[0].tables for r in results)
@@ -67,9 +73,9 @@ def test_lock_step_members_stop_at_zero_sweeps():
     spec, grid, config = load_game("constant_cost")
     capped = SolverConfig(dt=config.dt, tolerance=config.tolerance, max_iterations=0)
     results = solve_many(spec, grid, [capped, config])
-    assert_same_solve(results[0], solve(spec, grid, capped))
+    assert_same_solve(results[0], picard_solve(spec, grid, capped))
     assert results[0].iterations == 0 and not results[0].converged
-    assert_same_solve(results[1], solve(spec, grid, config))
+    assert_same_solve(results[1], picard_solve(spec, grid, config))
 
 
 def test_equal_configs_are_one_member(monkeypatch):

@@ -409,3 +409,22 @@ def test_fixed_point_residual_reports_update_distance():
     residual = np.abs(bellman_update(values, spec, grid, dt=0.1) - values)
     expected = (1.0 - math.exp(-0.05)) / 0.5
     np.testing.assert_allclose(residual, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "game_3d"])
+def test_an_empty_stack_sweeps_to_an_empty_stack(name):
+    """A stack of no fields once failed to reshape to ``(0, -1)`` in the
+    continue branch; it sweeps to an empty stack of its shape, with one
+    variant or a list of none."""
+    if name in BUNDLED:
+        spec, grid_cfg, _ = load_bundled(name)
+        grid = make_grid(spec, grid_cfg["points"])
+    else:
+        spec = game_2d() if name == "game_2d" else game_3d()
+        grid = make_grid(spec, 5)
+    field = (spec.m1, spec.m2, grid.n_points)
+    for stack, variant in [((0,), Variant.PLUS), ((0,), []), ((0, 2), Variant.MINUS),
+                           ((2, 0), Variant.PLUS)]:
+        empty = np.zeros(stack + field)
+        out = bellman_update(empty, spec, grid, variant=variant)
+        assert out.shape == empty.shape and out.dtype == empty.dtype

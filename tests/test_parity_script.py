@@ -1,7 +1,10 @@
 """The byte-parity harness, ``scripts/parity.py``: its digests are a
 function of the source tree and the inputs alone, so two runs of one tree
-print the same listing, wall-clock manifest fields left out."""
+print the same listing, wall-clock manifest fields left out; and each
+solve's field is checked against the Picard loop that ``verify`` runs."""
 
+import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +31,25 @@ def test_two_runs_of_one_tree_print_the_same_digests():
             ("minus-verify-values", f"{CASE}.verification.txt"),
             ("plus-verify-upper", f"{CASE}-upper.verification.txt"),
             ("minus-simulate", f"{CASE}.trajectory.csv")} <= outputs
+
+
+def test_a_solve_field_off_the_picard_loop_is_named(tmp_path):
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    (tmp_path / f"{CASE}.toml").write_text((ROOT / "specs" / f"{CASE}.toml").read_text())
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["solve", f"{CASE}.toml", "--variant", "minus", "--out", "minus-solve"]
+    subprocess.run([sys.executable, "-m", "hybrid_isaacs.cli", *args], cwd=tmp_path, env=env,
+                   check=True, capture_output=True, timeout=600)
+    assert parity.picard_gap(CASE, "minus-solve", args, tmp_path, env) is None
+    field = tmp_path / "minus-solve" / f"{CASE}.value.csv"
+    *rows, last = field.read_text().splitlines()
+    head, value = last.rsplit(",", 1)
+    field.write_text("\n".join(rows + [f"{head},{float(value) + 1e-6!r}"]) + "\n")
+    assert parity.picard_gap(CASE, "minus-solve", args, tmp_path, env) == (
+        f"{CASE} minus-solve: field 1.000e-06 from the Picard loop's, above twice the "
+        "tolerance 1.0e-10")
+    field.unlink()
+    assert parity.picard_gap(CASE, "minus-solve", args, tmp_path, env).startswith(
+        f"{CASE} minus-solve: no field to compare (")

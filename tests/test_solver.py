@@ -6,9 +6,15 @@ import pytest
 from hybrid_isaacs.discretize import make_grid
 from hybrid_isaacs.operators import Variant, bellman_update, isaacs_gap
 from hybrid_isaacs.problem import sample_controls
-from hybrid_isaacs.solver import SolverConfig, solve
+from hybrid_isaacs.solver import SolverConfig, solve, solve_many
 
 from conftest import toy_spec
+
+
+def picard(spec, grid, config):
+    """The Picard loop's result, which ``solve_many`` runs; ``solve`` runs
+    policy iteration on the specs here that it can certify."""
+    return solve_many(spec, grid, [config])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +80,8 @@ def test_mode_game_oracle_matches_closed_form():
 def test_constant_cost_solves_to_ratio(constant_cost):
     spec, grid_cfg, solver_cfg = constant_cost
     grid = make_grid(spec, grid_cfg["points"])
-    result = solve(spec, grid, SolverConfig(dt=solver_cfg["dt"],
-                                            tolerance=solver_cfg["tolerance"]))
+    result = picard(spec, grid, SolverConfig(dt=solver_cfg["dt"],
+                                             tolerance=solver_cfg["tolerance"]))
     assert result.converged
     assert result.iterations < 2000
     assert np.abs(result.values - 2.0).max() <= 1e-9
@@ -182,7 +188,7 @@ def test_refinement_shrinks_error_on_smooth_problem(drift_1d):
 def test_nonconvergence_returns_partial_field():
     spec = toy_spec(f="0", k="1", lam=0.5)
     grid = make_grid(spec, 5)
-    result = solve(spec, grid, SolverConfig(dt=0.1, tolerance=1e-12, max_iterations=3))
+    result = picard(spec, grid, SolverConfig(dt=0.1, tolerance=1e-12, max_iterations=3))
     assert not result.converged
     assert result.iterations == 3
     assert result.change_history.shape == (3,)
@@ -192,7 +198,7 @@ def test_nonconvergence_returns_partial_field():
 def test_monotone_iterates_from_zero(impulse_toy):
     spec, _, _ = impulse_toy
     grid = make_grid(spec, 41)
-    result = solve(spec, grid, SolverConfig(dt=0.5, tolerance=1e-8))
+    result = picard(spec, grid, SolverConfig(dt=0.5, tolerance=1e-8))
     assert result.monotone is True
 
 
@@ -230,6 +236,27 @@ def test_large_time_step_warns():
         solve(spec, grid, SolverConfig(dt=5.0, tolerance=1e-6))
 
 
+@pytest.mark.parametrize("method, run", [("policy", solve), ("picard", picard)],
+                         ids=["policy", "picard"])
+def test_refusals_and_the_time_step_warning_hold_under_each_method(method, run):
+    """The three tests above call ``solve``, which runs policy iteration on
+    the toy spec; the Picard loop refuses the same inputs and warns of the
+    same step."""
+    spec = toy_spec()
+    grid = make_grid(spec, 5)
+    with pytest.raises(ValueError, match="shape"):
+        run(spec, grid, SolverConfig(init=np.zeros((2, 2, 5))))
+    with pytest.raises(ValueError, match="unknown init 'sideways'"):
+        run(spec, grid, SolverConfig(init="sideways"))
+    for tolerance in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            run(spec, grid, SolverConfig(tolerance=tolerance))
+    spec = toy_spec(f="2", box=((-1.0, 1.0),))
+    with pytest.warns(UserWarning, match="time step"):
+        result = run(spec, grid, SolverConfig(dt=5.0, tolerance=1e-6))
+    assert result.method == method
+
+
 def test_two_dimensional_constant_cost():
     spec = toy_spec(f="0", k="2", lam=0.5, box=((-1.0, 1.0), (0.0, 2.0)),
                     A=[[0.1, 0.0], [0.0, 0.2]])
@@ -248,11 +275,13 @@ def test_two_dimensional_rotation_game():
                     box=((-1.5, 1.5), (-1.5, 1.5)),
                     d2=("a", "b"), c2=[[0.0, 0.7], [0.7, 0.0]])
     grid = make_grid(spec, (25, 25))
-    low = solve(spec, grid, SolverConfig(tolerance=1e-8))
-    high = solve(spec, grid, SolverConfig(tolerance=1e-8, init="upper"))
-    assert low.converged and high.converged
-    assert low.monotone is True
+    low = picard(spec, grid, SolverConfig(tolerance=1e-8))
+    high = picard(spec, grid, SolverConfig(tolerance=1e-8, init="upper"))
+    policy = solve(spec, grid, SolverConfig(tolerance=1e-8, init="upper"))
+    assert low.converged and high.converged and policy.converged
+    assert low.monotone is True and policy.method == "policy"
     assert np.abs(low.values - high.values).max() <= 1e-7
+    assert np.abs(low.values - policy.values).max() <= 1e-7
     assert low.values.min() >= -1e-8
     assert low.values.max() <= low.tables.upper_bound + 1e-8
 
