@@ -1,6 +1,7 @@
 """Interleaved in-process A/B timing of two source trees.
 
-    python scripts/abtime.py PARENT_SRC CHANGE_SRC {solve,verify,sweep} [CASE ...] [--rounds N]
+    python scripts/abtime.py PARENT_SRC CHANGE_SRC {solve,verify,sweep,simulate} [CASE ...]
+        [--rounds N]
 
 Each tree's ``hybrid_isaacs`` package is copied into a temporary directory
 under its own name (``ab_parent``, ``ab_change``) and imported from there,
@@ -12,7 +13,10 @@ settings.  Workloads:
 * ``solve``: one ``solve`` per case and round, in seconds;
 * ``verify``: one ``verify.run_all`` at the command line's defaults, in seconds;
 * ``sweep``: ``bellman_update`` on the solved field, in microseconds per call
-  (the median of 50 calls).
+  (the median of 50 calls);
+* ``simulate``: one ``simulate`` on the solved field from the box centre in
+  the first mode pair, 200 steps of the solve's time step, in microseconds
+  per rollout step.
 
 Every round times each case once per tree, and the rounds alternate which
 tree goes first; one untimed round warms both.  Per case, and for the sum
@@ -42,6 +46,7 @@ from parity import BUNDLED, case_texts  # noqa: E402
 
 TREES = ("parent", "change")
 SWEEP_CALLS = 50
+SIM_STEPS = 200
 
 
 def load_tree(src: Path, name: str, folder: Path) -> dict:
@@ -49,7 +54,8 @@ def load_tree(src: Path, name: str, folder: Path) -> dict:
     shutil.copytree(src / "hybrid_isaacs", folder / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {module: importlib.import_module(f"{name}.{module}")
-            for module in ("discretize", "operators", "problem", "solver", "verify")}
+            for module in ("discretize", "hybridsim", "operators", "problem", "solver",
+                           "verify")}
 
 
 class Case:
@@ -61,12 +67,12 @@ class Case:
         self.grid = tree["discretize"].make_grid(spec, grid_cfg["points"])
         kwargs = {key: solver_cfg[key] for key in ("dt", "tolerance", "init") if key in solver_cfg}
         self.config = tree["solver"].SolverConfig(**kwargs)
-        if workload == "sweep":
+        if workload in ("sweep", "simulate"):
             result = tree["solver"].solve(spec, self.grid, self.config)
             self.values, self.tables = result.values, result.tables
 
     def run(self) -> float:
-        """One timed run: seconds, or microseconds per sweep."""
+        """One timed run: seconds, or microseconds per sweep or per step."""
         gc.collect()
         if self.workload == "sweep":
             update = self.tree["operators"].bellman_update
@@ -76,6 +82,12 @@ class Case:
                 update(self.values, self.spec, self.grid, tables=self.tables)
                 times.append(time.perf_counter() - start)
             return 1e6 * statistics.median(times)
+        if self.workload == "simulate":
+            centre, dt = self.grid.box.mean(axis=1), self.tables.dt
+            start = time.perf_counter()
+            traj = self.tree["hybridsim"].simulate(self.spec, self.grid, self.values, centre,
+                                                   0, 0, SIM_STEPS * dt, dt=dt)
+            return 1e6 * (time.perf_counter() - start) / traj.steps
         start = time.perf_counter()
         if self.workload == "solve":
             self.tree["solver"].solve(self.spec, self.grid, self.config)
@@ -96,7 +108,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent's src directory")
     parser.add_argument("change", type=Path, help="the change's src directory")
-    parser.add_argument("workload", choices=("solve", "verify", "sweep"))
+    parser.add_argument("workload", choices=("solve", "verify", "sweep", "simulate"))
     parser.add_argument("cases", nargs="*", help="cases to time (default: the bundled specs)")
     parser.add_argument("--rounds", type=int, default=11, help="timed rounds (default: 11)")
     args = parser.parse_args(argv)
@@ -129,7 +141,7 @@ def main(argv=None) -> int:
                     if round_:
                         times[name, tree].append(took)
 
-    unit = "us/sweep" if args.workload == "sweep" else "s"
+    unit = {"sweep": "us/sweep", "simulate": "us/step"}.get(args.workload, "s")
     print(f"{args.workload}, {args.rounds} rounds, {unit}; ratio is change / parent")
     print(f"{'case':<16} {'parent':>12} {'change':>12} {'ratio':>7} {'q1':>7} {'q3':>7} wins")
     for name in names:

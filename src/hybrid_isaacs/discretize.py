@@ -100,18 +100,6 @@ class GridSpec:
         low, high = self._bounds
         return np.minimum(np.maximum(x, low), high)
 
-    def flat_index(self, multi: tuple[int, ...]) -> int:
-        return int(np.dot(np.asarray(multi, dtype=np.int64), self.strides))
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(flat, self.counts))
-
-    def interior_mask(self) -> np.ndarray:
-        """Boolean (n_points,) mask of points not on any box face."""
-        mask = np.zeros(self.counts, dtype=bool)
-        mask[(slice(1, -1),) * self.dimension] = True
-        return mask.reshape(-1)
-
 
 def make_grid(spec: ProblemSpec, counts) -> GridSpec:
     if isinstance(counts, int):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretize import (GridSpec, default_time_step, interp_weights, interpolate,
                          read_stencils, step_constants)
-from .operators import Variant
+from .operators import _ARGS, _SADDLE, Variant
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
 
 __all__ = [
@@ -132,7 +132,7 @@ class _Policy:
         self.values = np.asarray(values, dtype=float)
         self.dt = dt
         self.action_tol = action_tol
-        self.variant = variant
+        self.variant, self.saddle = variant, _SADDLE[variant]
         self.gamma, self.weight, self.step_matrix = step_constants(spec, dt)
         # the control grid flattened: pair (a, b) sits at a*nu2 + b
         self.u1 = np.repeat(spec.u1_levels, len(spec.u2_levels))
@@ -181,12 +181,13 @@ class _Policy:
 
         q = self.weight * k + self.gamma * v[d1, d2, obs:]
         q = q.reshape(len(spec.u1_levels), -1)
-        if self.variant is Variant.PLUS:
-            a = int(q.min(axis=1).argmax())    # player 1 commits first
-            b = int(q[a].argmin())
-        else:
-            b = int(q.max(axis=0).argmin())    # player 2 commits first
-            a = int(q[:, b].argmax())
+        # _SADDLE's axes -3 (u1) and -2 (u2) are q's -2 and -1; ``rows`` has the
+        # outer player's control first, and the inner player replies to it
+        (axis, inner), (_, outer) = self.saddle
+        rows = q if axis == -2 else q.T
+        o = int(_ARGS[outer](inner(rows, axis=-1)))
+        i = int(_ARGS[inner](rows[o]))
+        a, b = (o, i) if axis == -2 else (i, o)
         pair = a * len(spec.u2_levels) + b
         return (PolicyDecision(CONTINUE, u1=float(self.u1[pair]), u2=float(self.u2[pair])),
                 float(k[pair]), pts[obs + pair])

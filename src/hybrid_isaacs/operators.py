@@ -5,11 +5,14 @@ Value fields are plain arrays of shape ``(m1, m2, n_points)``; every
 branch and the update also take a stack of them, ``(..., m1, m2,
 n_points)``, and treat each member as on its own.  Conventions:
 
-* The commitment order is written once, in ``_SADDLE``.  ``Variant.PLUS``:
-  player 1 commits first (max over u1 of min over u2 of the continue
-  table); ``Variant.MINUS``: player 2 does (min over u2 of max over u1).
-* Missing obstacles are +/- infinity and drop out of the projection
-  ``T[V] = max(upper_switch, min(lower_switch, impulse, continue))``.
+* The commitment order is written once, in ``_SADDLE``, which the rollout
+  policy reads too.  ``Variant.PLUS``: player 1 commits first (max over u1
+  of min over u2 of the continue table); ``Variant.MINUS``: player 2 does
+  (min over u2 of max over u1).
+* The projection order, ``T[V] = max(upper_switch, min(lower_switch,
+  impulse, continue))`` less the obstacles that cannot bind, is written
+  once, in ``_obstacles``, and the continue read loop once, in
+  ``_continue_blocks``: the sweep and ``policy_sweep`` read both.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ class Variant(enum.Enum):
 _SADDLE = {Variant.PLUS: ((-2, np.minimum.reduce), (-3, np.maximum.reduce)),
            Variant.MINUS: ((-3, np.maximum.reduce), (-2, np.minimum.reduce))}
 # each reduction's arg-opt, found by equality: every attribute access makes
-# a new bound method, so ``np.minimum.reduce is np.minimum.reduce`` is False
-_ARGS = {np.minimum.reduce: np.argmin, np.maximum.reduce: np.argmax}
+# a new bound method, so ``np.minimum.reduce is np.minimum.reduce`` is False;
+# array methods, as np.argmin's wrapper costs a rollout step about 1 us
+_ARGS = {np.minimum.reduce: np.ndarray.argmin, np.maximum.reduce: np.ndarray.argmax}
 
 
 def _saddle(q: np.ndarray, saddle: tuple) -> np.ndarray:
@@ -171,6 +175,21 @@ def _variant_runs(variant: Variant | Sequence[Variant], members: int) -> tuple[t
     return tuple((variants[a], a, b) for a, b in zip(starts, starts[1:] + [members]))
 
 
+def _continue_blocks(rows: np.ndarray, tables: BellmanTables,
+                     variant: Variant | Sequence[Variant]):
+    """``(members, pairs, q, saddle)`` of each ``tables.pair_blocks`` block
+    of flat fields ``rows``, ``(count, m1*m2*p)``: its index in a ``(count,
+    m1*m2, p)`` stack, its continue table ``cost[pairs] + gamma * read`` and
+    its ``_SADDLE`` order.  A block of one member reads its flat field."""
+    for v, start, stop in _variant_runs(variant, len(rows)):
+        saddle = _SADDLE[v]
+        cost = tables.saddle_cost(saddle)
+        for members, pairs, idx, wts in tables.pair_blocks(start, stop):
+            read = read_stencils(rows[members], idx, wts, tables.grid)
+            read *= tables.gamma
+            yield members, pairs, cost[pairs] + read, saddle
+
+
 def continue_field(values: np.ndarray, tables: BellmanTables,
                    variant: Variant | Sequence[Variant]) -> np.ndarray:
     """Saddle over the control grids of quadrature cost plus discounted
@@ -180,21 +199,37 @@ def continue_field(values: np.ndarray, tables: BellmanTables,
     The cost is ``tables.saddle_cost``, ``weight * k`` already reduced over
     each control axis whose feet are all equal: the bits of the full saddle
     from fewer terms.  Each run of equal variants is read in the blocks of
-    ``tables.pair_blocks``; a block of one member reads its flat field.
+    ``tables.pair_blocks``.
     """
     count = math.prod(values.shape[:-3])
     pairs, points = math.prod(values.shape[-3:-1]), values.shape[-1]
     rows = values.reshape(count, pairs * points)  # sizes spelled out: count may be 0
     out = np.empty_like(values)
     out_pairs = out.reshape(count, pairs, points)
-    for v, start, stop in _variant_runs(variant, count):
-        saddle = _SADDLE[v]
-        cost = tables.saddle_cost(saddle)
-        for members, pairs, idx, wts in tables.pair_blocks(start, stop):
-            read = read_stencils(rows[members], idx, wts, tables.grid)
-            read *= tables.gamma
-            out_pairs[members, pairs] = _saddle(cost[pairs] + read, saddle)
+    for members, pairs, q, saddle in _continue_blocks(rows, tables, variant):
+        out_pairs[members, pairs] = _saddle(q, saddle)
     return out
+
+
+# each node's binding branch, in ``_obstacles`` and ``policy_sweep``
+CONTINUE, IMPULSE, SWITCH_LOWER, SWITCH_UPPER = range(4)
+
+
+def _obstacles(values: np.ndarray, spec: ProblemSpec, tables: BellmanTables):
+    """``(branch, candidates, axis, better, pick)`` of each obstacle that can
+    bind, in projection order: the obstacle is ``better.reduce(candidates,
+    axis=axis)``, np.minimum's above the field and np.maximum's below, and
+    ``pick`` maps its arg-opt to the menu entry or target mode."""
+    if tables.imp_costs.size:
+        yield IMPULSE, impulse_candidates(values, tables), -2, np.minimum, lambda j: j
+    if spec.m2 > 1:
+        rows2, others2 = _other_modes(spec.m2)
+        yield (SWITCH_LOWER, _lower_candidates(values, spec), -2, np.minimum,
+               lambda j: others2[rows2, j])
+    if spec.m1 > 1:
+        rows1, others1 = _other_modes(spec.m1)
+        yield (SWITCH_UPPER, _upper_candidates(values, spec), -3, np.maximum,
+               lambda j: others1[rows1[:, :, None], j])
 
 
 def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
@@ -206,36 +241,27 @@ def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     from the same input array, so the result is independent of sweep order.
     A stack of fields, ``(..., m1, m2, p)``, is swept at once, each member
     with the bits of its own sweep; ``variant`` is as ``continue_field``
-    takes it.
-    Branches that cannot bind (a single-mode player's switch, an empty
-    menu) are skipped.  np.minimum returns the later operand of a tie and
-    the earlier of two NaNs, so min with +inf, max with -inf and
-    ``min(L, min(I, C))`` for ``min(min(L, I), C)`` change no bit.
+    takes it.  np.minimum returns the later operand of a tie and the
+    earlier of two NaNs, so ``min(L, min(I, C))`` for ``min(min(L, I), C)``
+    changes no bit.
     """
     if tables is None:
         tables = build_tables(spec, grid, dt)
     out = continue_field(values, tables, variant)
-    if tables.imp_costs.size:
-        out = np.minimum(impulse_field(values, tables), out)
-    if spec.m2 > 1:
-        out = np.minimum(switch_lower_field(values, spec), out)
-    if spec.m1 > 1:
-        out = np.maximum(switch_upper_field(values, spec), out)
+    for _, cands, axis, better, _ in _obstacles(values, spec, tables):
+        better(better.reduce(cands, axis=axis), out, out=out)
+        del cands  # freed before the next obstacle's candidates are built
     return out
 
 
 # ---------------------------------------------------------------------------
 # the sweep with its arg-opts
 
-# each node's binding branch in ``policy_sweep``
-CONTINUE, IMPULSE, SWITCH_LOWER, SWITCH_UPPER = range(4)
-
-
 def policy_sweep(values: np.ndarray, tables: BellmanTables,
                  variant: Variant = Variant.PLUS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``bellman_update`` of one field ``(m1, m2, p)`` with its arg-opts:
     ``(T[V], branch, arg)``.  ``T[V]`` has the sweep's bits, from the same
-    reductions; each arg-opt is the first of its reduction's ties.
+    blocks and obstacles; each arg-opt is the first of its reduction's ties.
 
     ``branch`` (int8) is the branch that binds at each node: a later branch
     of the projection binds only where it changes the value, so ties go to
@@ -245,42 +271,23 @@ def policy_sweep(values: np.ndarray, tables: BellmanTables,
     feet ignore; see ``BellmanTables.saddle_cost``), the impulse's menu
     entry, or the switch's target mode.
     """
-    spec, saddle = tables.spec, _SADDLE[variant]
-    (axis, inner), (_, outer) = saddle
-    cost = tables.saddle_cost(saddle)
     out = np.empty_like(values)
     arg = np.empty(values.shape, dtype=np.intp)
-    out_pairs, arg_pairs = (a.reshape(-1, values.shape[-1]) for a in (out, arg))
-    flat = values.reshape(-1)
-    for _, pairs, idx, wts in tables.pair_blocks():
-        read = read_stencils(flat, idx, wts, tables.grid)
-        read *= tables.gamma
-        q = cost[pairs] + read
+    out_pairs, arg_pairs = (a.reshape((1, -1, values.shape[-1])) for a in (out, arg))
+    for members, pairs, q, saddle in _continue_blocks(values.reshape(1, -1), tables, variant):
+        (axis, inner), (_, outer) = saddle
         reduced = inner(q, axis=axis)
-        out_pairs[pairs] = outer(reduced, axis=-2)
+        out_pairs[members, pairs] = outer(reduced, axis=-2)
         pick_out = _ARGS[outer](reduced, axis=-2)[:, None]
         pick_in = np.take_along_axis(_ARGS[inner](q, axis=axis), pick_out, -2)[:, 0]
         a, b = (pick_out[:, 0], pick_in) if axis == -2 else (pick_in, pick_out[:, 0])
-        arg_pairs[pairs] = a * q.shape[-2] + b
+        arg_pairs[members, pairs] = a * q.shape[-2] + b
     branch = np.full(values.shape, CONTINUE, dtype=np.int8)
-
-    def bind(code, cands, axis, better, pick):
-        """Project ``out`` onto one obstacle, the ``better`` (np.minimum or
-        np.maximum) of ``cands`` along ``axis``; ``pick`` maps the arg-opt."""
+    for code, cands, axis, better, pick in _obstacles(values, tables.spec, tables):
         wins = better.reduce(cands, axis=axis)
         won = better(wins, out) != out
         np.copyto(arg, pick(_ARGS[better.reduce](cands, axis=axis)), where=won)
         branch[won] = code
         better(wins, out, out=out)
-
-    if tables.imp_costs.size:
-        bind(IMPULSE, impulse_candidates(values, tables), -2, np.minimum, lambda j: j)
-    if spec.m2 > 1:
-        rows, others = _other_modes(spec.m2)
-        bind(SWITCH_LOWER, _lower_candidates(values, spec), -2, np.minimum,
-             lambda j: others[rows, j])
-    if spec.m1 > 1:
-        rows, others = _other_modes(spec.m1)
-        bind(SWITCH_UPPER, _upper_candidates(values, spec), -3, np.maximum,
-             lambda j: others[rows[:, :, None], j])
+        del cands
     return out, branch, arg

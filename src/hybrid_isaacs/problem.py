@@ -568,17 +568,14 @@ class Y1Y2Report:
     y2_holds: bool | None
     zero_loops: list[list[tuple[int, int]]]
     loop_count: int
-    y2_skipped: bool = False
 
     def to_text(self, spec: ProblemSpec | None = None) -> str:
         lines = [
             f"cheaper-switching condition: {'holds' if self.y1_holds else 'fails'} "
             f"(min player-2 switch cost {self.c2_min:.6g}, min impulse cost {self.l_min:.6g})",
         ]
-        if self.y2_skipped:
+        if self.y2_holds is None:
             lines.append("nonzero-loop condition: skipped (mode graph too large to enumerate)")
-        elif self.y2_holds is None:
-            lines.append("nonzero-loop condition: undetermined")
         elif self.y2_holds:
             lines.append(f"nonzero-loop condition: holds ({self.loop_count} loop(s) checked)")
         else:
@@ -619,7 +616,7 @@ def check_y1_y2(spec: ProblemSpec, walk_budget: int = 20_000_000) -> Y1Y2Report:
     n_pairs = spec.m1 * spec.m2
     branching = (spec.m1 - 1) + (spec.m2 - 1)
     if n_pairs * branching ** n_pairs > walk_budget:
-        return Y1Y2Report(y1, c2_min, l_min, None, [], 0, y2_skipped=True)
+        return Y1Y2Report(y1, c2_min, l_min, None, [], 0)
 
     zero_loops: list[list[tuple[int, int]]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()

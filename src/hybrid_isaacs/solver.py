@@ -169,7 +169,7 @@ def _uncertified(spec: ProblemSpec) -> str | None:
     ``check_y1_y2`` finds the nonzero-loop condition within
     ``_LOOP_WALKS`` walks."""
     report = check_y1_y2(spec, walk_budget=_LOOP_WALKS)
-    if report.y2_skipped:
+    if report.y2_holds is None:
         return "switching loops not enumerated (mode graph too large)"
     if not report.y2_holds:
         return f"zero-cost switching loop {report.loop_text(spec)}"
@@ -235,9 +235,7 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, configs,
     updates the stack of the members still running at once, and a member
     leaves it when it stops, so its result has the bits of its own
     ``solve_many`` of one config, which is ``solve`` on a spec it cannot
-    certify.  Configs
-    with the same init string, variant, tolerance and cap are one member,
-    iterated once, and share one result.
+    certify.
     """
     configs = list(configs)
     for config in configs:
@@ -255,19 +253,13 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, configs,
     # successive-change cutoff delivering the requested fixed-point accuracy
     gamma = tables.gamma
     shape = (spec.m1, spec.m2, grid.n_points)
-    keys = [(c.init, c.variant, c.tolerance, c.max_iterations) if isinstance(c.init, str) else i
-            for i, c in enumerate(configs)]
-    members: dict[object, _Member] = {}
-    fields = {}
-    for key, config in zip(keys, configs):
-        if key not in members:
-            fields[key], track_monotone = _initial_field(config, tables, shape)
-            members[key] = _Member(config, config.tolerance * min(1.0, (1.0 - gamma) / gamma),
-                                   True if track_monotone else None)
+    fields = {i: _initial_field(config, tables, shape) for i, config in enumerate(configs)}
+    members = [_Member(config, config.tolerance * min(1.0, (1.0 - gamma) / gamma),
+                       True if fields[i][1] else None) for i, config in enumerate(configs)]
     # PLUS members first: each variant's members are one run of the stack
-    order = sorted(members, key=lambda key: members[key].config.variant is not Variant.PLUS)
-    running = [members[key] for key in order]
-    values = np.stack([fields.pop(key) for key in order])
+    order = sorted(fields, key=lambda i: configs[i].variant is not Variant.PLUS)
+    running = [members[i] for i in order]
+    values = np.stack([fields.pop(i)[0] for i in order])
 
     sweep = 0
     stopping = True  # some member may stop: at the start, and after a member converges
@@ -297,7 +289,7 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, configs,
                                 np.maximum.reduce(diff, axis=1).tolist()):
             stopping = m.record(low, high) or stopping
         values = updated
-    return [members[key].result for key in keys]
+    return [m.result for m in members]
 
 
 # ---------------------------------------------------------------------------

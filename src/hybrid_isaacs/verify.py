@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .discretize import BellmanTables, GridSpec, build_tables, interpolate
-from .operators import (Variant, bellman_update, impulse_candidates, impulse_field, isaacs_gap,
-                        switch_lower_field, switch_upper_field)
+from .operators import Variant, _obstacles, bellman_update, impulse_candidates, isaacs_gap
 from .problem import FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps
 # ``solve`` is not called here: the name stays for perfbench's traced runs,
 # which patch ``verify.solve`` by name
@@ -157,8 +156,12 @@ def obstacle_chain_check(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     upper_switch - tol <= V <= min(lower_switch, impulse) + tol."""
     if tables is None:
         tables = build_tables(spec, grid)
-    upper = switch_upper_field(values, spec)
-    lower = np.minimum(switch_lower_field(values, spec), impulse_field(values, tables))
+    # the obstacles below the field and above it, -inf and +inf where none binds
+    sides = {np.maximum: np.full_like(values, -np.inf), np.minimum: np.full_like(values, np.inf)}
+    for _, cands, axis, better, _ in _obstacles(values, spec, tables):
+        better(better.reduce(cands, axis=axis), sides[better], out=sides[better])
+        del cands  # freed before the next obstacle's candidates are built
+    upper, lower = sides[np.maximum], sides[np.minimum]
 
     below = upper - values            # wants <= 0
     above = values - lower            # wants <= 0

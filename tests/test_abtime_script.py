@@ -21,3 +21,17 @@ def test_timing_a_tree_against_itself_prints_one_row_per_case():
     assert min(float(parent), float(change)) > 0
     assert 0 < float(q1) <= float(ratio) <= float(q3)
     assert wins.endswith("/3") and 0 <= int(wins[:-2]) <= 3
+
+
+def test_the_simulate_workload_prints_microseconds_per_step():
+    src = str(ROOT / "src")
+    run = subprocess.run([sys.executable, "scripts/abtime.py", src, src, "simulate",
+                          "drift_1d", "impulse_toy", "--rounds", "2"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
+    title, header, *rows = run.stdout.splitlines()
+    assert title == "simulate, 2 rounds, us/step; ratio is change / parent"
+    assert [row.split()[0] for row in rows] == ["drift_1d", "impulse_toy", "all"]
+    for row in rows:
+        parent, change = (float(x) for x in row.split()[1:3])
+        assert 0 < min(parent, change) and max(parent, change) < 1e5  # microseconds a step

@@ -22,13 +22,16 @@ def test_grid_coordinates_are_reproducible():
     assert grid.points[3, 0] == grid.box[0, 0] + 3 * grid.spacing[0]
 
 
-def test_grid_flat_index_row_major():
+def test_grid_is_row_major():
     spec = toy_spec(box=((-1.0, 1.0), (0.0, 1.0)))
     grid = make_grid(spec, (3, 4))
     assert grid.n_points == 12
-    assert grid.flat_index((1, 2)) == 6
-    assert grid.multi_index(6) == (1, 2)
+    np.testing.assert_array_equal(grid.strides, [4, 1])
+    assert int(np.dot((1, 2), grid.strides)) == 6
     np.testing.assert_allclose(grid.points[6], [0.0, 2.0 / 3.0])
+    np.testing.assert_array_equal(grid.points.reshape(3, 4, 2)[:, 0, 0], [-1.0, 0.0, 1.0])
+    np.testing.assert_allclose(grid.points.reshape(3, 4, 2)[0, :, 1],
+                               [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 
 
 def test_grid_rejects_bad_counts():

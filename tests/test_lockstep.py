@@ -78,24 +78,6 @@ def test_lock_step_members_stop_at_zero_sweeps():
     assert_same_solve(results[1], picard_solve(spec, grid, config))
 
 
-def test_equal_configs_are_one_member(monkeypatch):
-    """Configs with the same init string, variant, tolerance and cap share
-    one result, and each sweep updates the distinct members only."""
-    spec, grid, config = load_game("balanced_loop")
-    members = []
-
-    def counting(values, *args, **kwargs):
-        members.append(1 if values.ndim == 3 else len(values))
-        return bellman_update(values, *args, **kwargs)
-
-    monkeypatch.setattr("hybrid_isaacs.solver.bellman_update", counting)
-    upper = SolverConfig(dt=config.dt, tolerance=config.tolerance, init="upper")
-    a, b, c = solve_many(spec, grid, [config, upper, SolverConfig(
-        dt=config.dt, tolerance=config.tolerance, init="upper")])
-    assert b is c and a is not b
-    assert max(members) == 2
-
-
 def test_lock_step_refuses_unequal_time_steps_and_bad_tolerances():
     spec, grid, _ = load_game("constant_cost")
     with pytest.raises(ValueError, match="share dt"):

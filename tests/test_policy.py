@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybrid_isaacs import solver
+from hybrid_isaacs import discretize, solver
 from hybrid_isaacs.cli import main
 from hybrid_isaacs.discretize import build_tables, make_grid, step_constants
 from hybrid_isaacs.operators import (CONTINUE, IMPULSE, SWITCH_LOWER, SWITCH_UPPER, Variant,
@@ -81,6 +81,25 @@ def test_arg_opt_sweep_has_the_bits_of_the_sweep_and_rows_that_reproduce_it(
         assert IMPULSE in branches
     if spec.m2 > 1:
         assert SWITCH_LOWER in branches
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "game_3d"])
+def test_arg_opt_sweep_has_the_same_bits_in_smaller_blocks(name, per_block, tmp_path,
+                                                          monkeypatch):
+    """``T[V]``, ``branch`` and ``arg`` at budgets of 1 and 3 member-pairs
+    per continue block are the default budget's, in both variants."""
+    spec, grid, config = load_game(name, tmp_path)
+    values = np.random.default_rng(5).uniform(0.0, 3.0, (spec.m1, spec.m2, grid.n_points))
+    tables = build_tables(spec, grid, config.dt)
+    whole = {variant: policy_sweep(values, tables, variant) for variant in Variant}
+    per_pair = len(spec.u1_levels) * len(spec.u2_levels) * grid.n_points
+    monkeypatch.setattr(discretize, "_PAIR_BLOCK_READS", per_block * per_pair)
+    tables = build_tables(spec, grid, config.dt)
+    assert len(tables.pair_blocks()) == -(-spec.m1 * spec.m2 // per_block)
+    for variant in Variant:
+        for got, want in zip(policy_sweep(values, tables, variant), whole[variant]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_ties_go_to_the_continue_branch():

@@ -6,14 +6,15 @@ import pytest
 
 from hybrid_isaacs import solver, verify
 from hybrid_isaacs.discretize import build_tables, make_grid
-from hybrid_isaacs.operators import Variant, bellman_update, isaacs_gap
+from hybrid_isaacs.operators import (Variant, bellman_update, impulse_field, isaacs_gap,
+                                     switch_lower_field, switch_upper_field)
 from hybrid_isaacs.problem import load_config
 from hybrid_isaacs.solver import SolverConfig, solve, solve_many
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
                                   two_sided_uniqueness)
 
-from conftest import BUNDLED, load_bundled, toy_spec
+from conftest import BUNDLED, game_2d, game_3d, load_bundled, toy_spec
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -63,6 +64,54 @@ def test_chain_vacuous_without_obstacles():
     check = obstacle_chain_check(values, spec, grid)
     assert check.status == "pass"
     assert "inactive" in check.detail
+
+
+def composed_obstacle_chain(values, spec, grid, tol, tables):
+    """The chain check on obstacles composed from the public branch fields:
+    the player-1 switch below, min(player-2 switch, impulse) above."""
+    upper = switch_upper_field(values, spec)
+    lower = np.minimum(switch_lower_field(values, spec), impulse_field(values, tables))
+    below = upper - values
+    above = values - lower
+    below = np.where(np.isfinite(below), below, -np.inf)
+    above = np.where(np.isfinite(above), above, -np.inf)
+    worst = float(max(below.max(), above.max()))
+    if worst == -np.inf:
+        return verify.CheckResult("obstacle-chain", "pass", "all obstacles inactive",
+                                  {"max_violation": 0.0}, tol)
+    side = below if below.max() >= above.max() else above
+    loc = np.unravel_index(int(side.argmax()), side.shape)
+    return verify.CheckResult(
+        "obstacle-chain", "pass" if worst <= tol else "fail",
+        f"max violation {worst:.3e} ({verify._where(spec, grid, loc)})",
+        {"max_violation": max(worst, 0.0)}, tol)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "game_3d"])
+def test_chain_reports_what_the_composed_obstacles_report(name):
+    """The check reads the projection's obstacles; its report has the bytes
+    of the one built on the branch fields, on a random field, on a field
+    swept toward the fixed point, and on that field with one node lifted
+    above its ceiling."""
+    if name.startswith("game_"):
+        spec = game_2d() if name == "game_2d" else game_3d()
+        grid, dt = make_grid(spec, 9 if name == "game_2d" else 7), None
+    else:
+        spec, grid_cfg, solver_cfg = load_bundled(name)
+        grid, dt = make_grid(spec, grid_cfg["points"]), solver_cfg.get("dt")
+    tables = build_tables(spec, grid, dt)
+    rng = np.random.default_rng(11)
+    swept = rng.uniform(0.0, 3.0, (spec.m1, spec.m2, grid.n_points))
+    fields = [swept.copy()]
+    for _ in range(60):
+        swept = bellman_update(swept, spec, grid, tables=tables)
+    lifted = swept.copy()
+    lifted[0, 0, grid.n_points // 2] += 5.0
+    fields += [swept, lifted]
+    for values in fields:
+        for tol in (1e-9, 10.0):
+            got = obstacle_chain_check(values, spec, grid, tol=tol, tables=tables)
+            assert repr(got) == repr(composed_obstacle_chain(values, spec, grid, tol, tables))
 
 
 # ---------------------------------------------------------------------------
