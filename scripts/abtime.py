@@ -1,7 +1,6 @@
 """Interleaved in-process A/B timing of two source trees.
 
-    python scripts/abtime.py PARENT_SRC CHANGE_SRC {solve,verify,sweep,simulate} [CASE ...]
-        [--rounds N]
+    python scripts/abtime.py PARENT_SRC CHANGE_SRC WORKLOAD [CASE ...] [--rounds N]
 
 Each tree's ``hybrid_isaacs`` package is copied into a temporary directory
 under its own name (``ab_parent``, ``ab_change``) and imported from there,
@@ -16,7 +15,11 @@ settings.  Workloads:
   (the median of 50 calls);
 * ``simulate``: one ``simulate`` on the solved field from the box centre in
   the first mode pair, 200 steps of the solve's time step, in microseconds
-  per rollout step.
+  per rollout step;
+* ``csv_write``: ``cli.write_value_csv`` of the solved field, in milliseconds
+  per call;
+* ``csv_read``: ``cli.read_value_csv`` of that file, written once by the
+  tree's own writer, in milliseconds per call.
 
 Every round times each case once per tree, and the rounds alternate which
 tree goes first; one untimed round warms both.  Per case, and for the sum
@@ -47,6 +50,8 @@ from parity import BUNDLED, case_texts  # noqa: E402
 TREES = ("parent", "change")
 SWEEP_CALLS = 50
 SIM_STEPS = 200
+UNITS = {"sweep": "us/sweep", "simulate": "us/step", "csv_write": "ms/call",
+         "csv_read": "ms/call"}
 
 
 def load_tree(src: Path, name: str, folder: Path) -> dict:
@@ -54,25 +59,29 @@ def load_tree(src: Path, name: str, folder: Path) -> dict:
     shutil.copytree(src / "hybrid_isaacs", folder / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {module: importlib.import_module(f"{name}.{module}")
-            for module in ("discretize", "hybridsim", "operators", "problem", "solver",
-                           "verify")}
+            for module in ("cli", "discretize", "hybridsim", "operators", "problem",
+                           "solver", "verify")}
 
 
 class Case:
-    """One case as one tree sees it: its spec, grid, config and a timed run."""
+    """One case as one tree sees it: its spec, grid, config and a timed run.
+    ``csv`` is the case's value file for the CSV workloads."""
 
-    def __init__(self, tree: dict, path: Path, workload: str):
+    def __init__(self, tree: dict, path: Path, workload: str, csv: Path):
         spec, grid_cfg, solver_cfg = tree["problem"].load_config(path)
-        self.tree, self.workload, self.spec = tree, workload, spec
+        self.tree, self.workload, self.spec, self.csv = tree, workload, spec, csv
         self.grid = tree["discretize"].make_grid(spec, grid_cfg["points"])
         kwargs = {key: solver_cfg[key] for key in ("dt", "tolerance", "init") if key in solver_cfg}
         self.config = tree["solver"].SolverConfig(**kwargs)
-        if workload in ("sweep", "simulate"):
+        if workload in UNITS:    # timed on the solved field
             result = tree["solver"].solve(spec, self.grid, self.config)
             self.values, self.tables = result.values, result.tables
+        if workload == "csv_read":
+            tree["cli"].write_value_csv(csv, spec, self.grid, self.values)
 
     def run(self) -> float:
-        """One timed run: seconds, or microseconds per sweep or per step."""
+        """One timed run: seconds, microseconds per sweep or per step, or
+        milliseconds per CSV call."""
         gc.collect()
         if self.workload == "sweep":
             update = self.tree["operators"].bellman_update
@@ -88,6 +97,14 @@ class Case:
             traj = self.tree["hybridsim"].simulate(self.spec, self.grid, self.values, centre,
                                                    0, 0, SIM_STEPS * dt, dt=dt)
             return 1e6 * (time.perf_counter() - start) / traj.steps
+        if self.workload == "csv_write":
+            start = time.perf_counter()
+            self.tree["cli"].write_value_csv(self.csv, self.spec, self.grid, self.values)
+            return 1e3 * (time.perf_counter() - start)
+        if self.workload == "csv_read":
+            start = time.perf_counter()
+            self.tree["cli"].read_value_csv(self.csv, self.spec)
+            return 1e3 * (time.perf_counter() - start)
         start = time.perf_counter()
         if self.workload == "solve":
             self.tree["solver"].solve(self.spec, self.grid, self.config)
@@ -108,7 +125,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent's src directory")
     parser.add_argument("change", type=Path, help="the change's src directory")
-    parser.add_argument("workload", choices=("solve", "verify", "sweep", "simulate"))
+    parser.add_argument("workload", choices=("solve", "verify", *UNITS))
     parser.add_argument("cases", nargs="*", help="cases to time (default: the bundled specs)")
     parser.add_argument("--rounds", type=int, default=11, help="timed rounds (default: 11)")
     args = parser.parse_args(argv)
@@ -131,7 +148,9 @@ def main(argv=None) -> int:
         for name in names:
             path = folder / f"{name}.toml"
             path.write_text(texts[name], encoding="utf-8")
-            cases[name] = {tree: Case(trees[tree], path, args.workload) for tree in TREES}
+            cases[name] = {tree: Case(trees[tree], path, args.workload,
+                                      folder / f"{name}.{tree}.value.csv")
+                           for tree in TREES}
 
         times = {(name, tree): [] for name in names for tree in TREES}
         for round_ in range(args.rounds + 1):  # round 0 warms both trees
@@ -141,7 +160,7 @@ def main(argv=None) -> int:
                     if round_:
                         times[name, tree].append(took)
 
-    unit = {"sweep": "us/sweep", "simulate": "us/step"}.get(args.workload, "s")
+    unit = UNITS.get(args.workload, "s")
     print(f"{args.workload}, {args.rounds} rounds, {unit}; ratio is change / parent")
     print(f"{'case':<16} {'parent':>12} {'change':>12} {'ratio':>7} {'q1':>7} {'q3':>7} wins")
     for name in names:

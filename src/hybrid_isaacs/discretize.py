@@ -9,6 +9,7 @@ each sweep reduces to numpy gathers and one weighted sum per stencil corner.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,11 +60,13 @@ class GridSpec:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     @cached_property
     def spacing(self) -> np.ndarray:
-        return (self.box[:, 1] - self.box[:, 0]) / (np.asarray(self.counts) - 1)
+        # in Python floats: the same IEEE quotients as numpy's, in fewer calls
+        return np.array([(hi - lo) / (c - 1) for (lo, hi), c in zip(self.box.tolist(),
+                                                                     self.counts)])
 
     @cached_property
     def strides(self) -> np.ndarray:
@@ -77,12 +80,23 @@ class GridSpec:
         return bits @ self.strides
 
     @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Node coordinates along each dimension, each shaped to broadcast
+        along its own axis of ``counts``: ``(c0, 1, ...)``, ``(c1, 1, ...)``."""
+        axes = tuple((self.box[d, 0] + self.spacing[d] * np.arange(c)).reshape(
+                         (c,) + (1,) * (self.dimension - 1 - d))
+                     for d, c in enumerate(self.counts))
+        for axis in axes:
+            axis.setflags(write=False)
+        return axes
+
+    @cached_property
     def points(self) -> np.ndarray:
         """All grid coordinates, shape (n_points, n), flat row-major order."""
-        axes = [self.box[d, 0] + self.spacing[d] * np.arange(self.counts[d])
-                for d in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        pts = np.empty((*self.counts, self.dimension))
+        for d, axis in enumerate(self.axes):
+            pts[..., d] = axis
+        pts = pts.reshape(-1, self.dimension)
         pts.setflags(write=False)
         return pts
 

@@ -163,19 +163,19 @@ class _Policy:
         here = v[d1, d2, 0]
         if spec.impulses:
             cands = self.jump_costs + v[d1, d2, 1:obs]
-            j = int(np.argmin(cands))
+            j = int(cands.argmin())
             if cands[j] <= here + tol:
                 return PolicyDecision(IMPULSE, impulse_index=j), None, None
         if spec.m2 > 1:
             cands2 = spec.switch_cost_2[d2] + v[d1, :, 0]
             cands2[d2] = math.inf
-            o2 = int(np.argmin(cands2))
+            o2 = int(cands2.argmin())
             if cands2[o2] <= here + tol:
                 return PolicyDecision(SWITCH2, target=o2), None, None
         if spec.m1 > 1:
             cands1 = v[:, d2, 0] - spec.switch_cost_1[d1]
             cands1[d1] = -math.inf
-            o1 = int(np.argmax(cands1))
+            o1 = int(cands1.argmax())
             if cands1[o1] >= here - tol:
                 return PolicyDecision(SWITCH1, target=o1), None, None
 

@@ -35,3 +35,17 @@ def test_the_simulate_workload_prints_microseconds_per_step():
     for row in rows:
         parent, change = (float(x) for x in row.split()[1:3])
         assert 0 < min(parent, change) and max(parent, change) < 1e5  # microseconds a step
+
+
+def test_the_csv_workloads_print_milliseconds_per_call():
+    src = str(ROOT / "src")
+    for workload in ("csv_write", "csv_read"):
+        run = subprocess.run([sys.executable, "scripts/abtime.py", src, src, workload,
+                              "drift_1d", "--rounds", "2"],
+                             cwd=ROOT, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr[-4000:]
+        title, header, row = run.stdout.splitlines()
+        assert title == f"{workload}, 2 rounds, ms/call; ratio is change / parent"
+        assert row.split()[0] == "drift_1d"
+        parent, change = (float(x) for x in row.split()[1:3])
+        assert 0 < min(parent, change) and max(parent, change) < 1e4  # milliseconds a call

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -497,8 +498,14 @@ def _swap_mode_columns(line):
     return f"{d2},{d1},{rest}"
 
 
+def _move_coordinate(line, x0="9.9"):
+    d1, d2, _, value = line.split(",")
+    return f"{d1},{d2},{x0},{value}"
+
+
 # each case maps the lines of a good value file to a broken one: lines[:8]
-# are the metadata and the column header, lines[30] a row of the first mode pair
+# are the metadata and the column header, lines[30] a row of the first mode
+# pair, and lines[58] its row at node 50, whose x0 is 0.0
 BROKEN_VALUE_FILES = {
     "empty": lambda lines: [],
     "missing metadata line": lambda lines: [ln for ln in lines
@@ -514,6 +521,10 @@ BROKEN_VALUE_FILES = {
                                         + lines[31:]),
     "swapped mode columns": lambda lines: lines[:8] + [_swap_mode_columns(ln)
                                                        for ln in lines[8:]],
+    "swapped rows": lambda lines: lines[:30] + [lines[31], lines[30]] + lines[32:],
+    "moved coordinate": lambda lines: lines[:30] + [_move_coordinate(lines[30])] + lines[31:],
+    "negative zero coordinate": lambda lines: (lines[:58] + [_move_coordinate(lines[58], "-0.0")]
+                                               + lines[59:]),
 }
 
 
@@ -529,6 +540,23 @@ def test_malformed_value_file_exits_4_and_names_it(mode_selection_field, tmp_pat
         assert run(*argv) == EXIT_MISMATCH, argv[0]
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("swapped rows", r"line 31 is not the row of mode pair \(0, 0\) at grid node 22"),
+    ("moved coordinate", r"line 31 is not the row of mode pair \(0, 0\) at grid node 22"),
+    ("negative zero coordinate", r"line 59 is not the row of mode pair \(0, 0\) at grid node 50"),
+    ("swapped mode columns", r"line 110 is not the row of mode pair \(0, 1\) at grid node 0"),
+])
+def test_a_misplaced_row_is_named_by_its_line(mode_selection_field, tmp_path, case, message):
+    """lines[30] is the file's line 31.  With the mode columns swapped, the
+    first row out of order is mode pair (0, 1)'s first: 8 header lines and
+    101 rows of mode pair (0, 0) come before it."""
+    cfg, lines = mode_selection_field
+    path = tmp_path / "broken.value.csv"
+    path.write_text("".join(BROKEN_VALUE_FILES[case](lines)))
+    with pytest.raises(cli.MismatchError, match=f"^{re.escape(str(path))}: {message}$"):
+        read_value_csv(path, load_spec(cfg))
 
 
 TWO_D = """

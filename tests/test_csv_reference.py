@@ -1,7 +1,8 @@
-"""The CLI writes its CSVs with ``np.savetxt`` and reads value files with
-``np.loadtxt``.  These tests hold it to the per-row writers it replaced,
-kept below as the reference: every file must match them byte for byte, and
-a value file must read back bit for bit."""
+"""The CLI encodes its CSVs a chunk of rows at a time, each row one ``%``
+format of Python floats, with a value file's coordinates formatted once per
+grid node, and reads value files with ``np.loadtxt``.  These tests hold it
+to the per-row writers kept below as the reference: every file must match
+them byte for byte, and a value file must read back bit for bit."""
 
 import itertools
 import tempfile
@@ -18,7 +19,7 @@ from hybrid_isaacs.discretize import make_grid
 from hybrid_isaacs.hybridsim import simulate
 from hybrid_isaacs.solver import SolverConfig, solve
 
-from conftest import game_2d, gen2d, toy_spec
+from conftest import game_2d, game_3d, gen2d, toy_spec
 
 
 def fmt(x):
@@ -83,9 +84,13 @@ def reference_write_trajectory_csv(path, spec, traj):
 # ---------------------------------------------------------------------------
 # value and residual files
 
+# "2d-chunks" has more nodes per mode pair than cli.CHUNK_ROWS, so a chunk
+# boundary falls inside each mode pair's rows
 FIELDS = {
     "1d": (toy_spec(d1=("a", "b"), d2=("c",), c1=[[0.0, 1.0], [1.0, 0.0]]), 7),
     "2d": (game_2d(), (4, 3)),
+    "2d-chunks": (game_2d(), 41),
+    "3d": (game_3d(), (3, 4, 5)),
 }
 
 SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -113,6 +118,10 @@ def assert_round_trip(key, values):
 def field_shape(key):
     spec, counts = FIELDS[key]
     return (spec.m1, spec.m2, make_grid(spec, counts).n_points)
+
+
+def test_a_chunk_boundary_falls_inside_a_mode_pair():
+    assert field_shape("2d-chunks")[-1] > cli.CHUNK_ROWS
 
 
 @pytest.mark.parametrize("key", sorted(FIELDS))

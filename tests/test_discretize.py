@@ -34,6 +34,20 @@ def test_grid_is_row_major():
                                [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 
 
+def test_grid_points_match_the_meshgrid_reference():
+    spec = toy_spec(box=((-1.0, 1.0), (0.1, 0.7), (-2.0, 0.3)))
+    grid = make_grid(spec, (3, 7, 11))
+    box = grid.box
+    spacing = (box[:, 1] - box[:, 0]) / (np.asarray(grid.counts) - 1)
+    assert grid.spacing.tobytes() == spacing.tobytes()
+    axes = [box[d, 0] + spacing[d] * np.arange(c) for d, c in enumerate(grid.counts)]
+    for d, axis in enumerate(grid.axes):
+        assert axis.reshape(-1).tobytes() == axes[d].tobytes()
+    ref = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert grid.points.tobytes() == ref.tobytes() and grid.points.shape == ref.shape
+    assert grid.points.flags.c_contiguous and not grid.points.flags.writeable
+
+
 def test_grid_rejects_bad_counts():
     spec = toy_spec()
     with pytest.raises(ValueError):
