@@ -19,7 +19,9 @@ settings.  Workloads:
 * ``csv_write``: ``cli.write_value_csv`` of the solved field, in milliseconds
   per call;
 * ``csv_read``: ``cli.read_value_csv`` of that file, written once by the
-  tree's own writer, in milliseconds per call.
+  tree's own writer, in milliseconds per call;
+* ``peak``: tracemalloc's peak over one ``solve``, in MB (10^6 bytes): the
+  memory numpy and Python allocate, not the process's resident set.
 
 Every round times each case once per tree, and the rounds alternate which
 tree goes first; one untimed round warms both.  Per case, and for the sum
@@ -40,6 +42,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +53,10 @@ from parity import BUNDLED, case_texts  # noqa: E402
 TREES = ("parent", "change")
 SWEEP_CALLS = 50
 SIM_STEPS = 200
+# workloads timed on the solved field
+ON_FIELD = ("sweep", "simulate", "csv_write", "csv_read")
 UNITS = {"sweep": "us/sweep", "simulate": "us/step", "csv_write": "ms/call",
-         "csv_read": "ms/call"}
+         "csv_read": "ms/call", "peak": "MB"}
 
 
 def load_tree(src: Path, name: str, folder: Path) -> dict:
@@ -73,16 +78,23 @@ class Case:
         self.grid = tree["discretize"].make_grid(spec, grid_cfg["points"])
         kwargs = {key: solver_cfg[key] for key in ("dt", "tolerance", "init") if key in solver_cfg}
         self.config = tree["solver"].SolverConfig(**kwargs)
-        if workload in UNITS:    # timed on the solved field
+        if workload in ON_FIELD:
             result = tree["solver"].solve(spec, self.grid, self.config)
             self.values, self.tables = result.values, result.tables
         if workload == "csv_read":
             tree["cli"].write_value_csv(csv, spec, self.grid, self.values)
 
     def run(self) -> float:
-        """One timed run: seconds, microseconds per sweep or per step, or
-        milliseconds per CSV call."""
+        """One timed run: seconds, microseconds per sweep or per step,
+        milliseconds per CSV call, or a solve's peak MB."""
         gc.collect()
+        if self.workload == "peak":
+            tracemalloc.start()
+            try:
+                self.tree["solver"].solve(self.spec, self.grid, self.config)
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
         if self.workload == "sweep":
             update = self.tree["operators"].bellman_update
             times = []

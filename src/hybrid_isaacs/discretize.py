@@ -168,12 +168,6 @@ def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
     return float(read_stencils(values, base, wts, grid)[0])
 
 
-# at most this many gathered values, a read of several corners forms the
-# product over all of them at once: best of 9x2000 calls (2-vCPU Xeon, numpy
-# 2.4), product / corner gathers, 8 corners 8.7 / 21.2 us at 256 values and
-# 43.5 / 33.5 us at 4096; 2 corners 10.3 / 7.4 us at 256.  Rollout reads of
-# the bundled specs and gen2d gather 18 to 208 values, game_3d's 288.
-_FEW_READS = 256
 # cap on one continue read, in k's control-node values over the block's
 # members and mode pairs; a collapsed cost table (see
 # BellmanTables.saddle_cost) makes the block's q smaller than that.  Median
@@ -192,17 +186,12 @@ def read_stencils(values: np.ndarray, base: np.ndarray, wts: np.ndarray,
     them or compact tables store them (see BellmanTables); leading axes of
     ``values`` broadcast over the queries.  Every read is the running sum
     ``((0 + t_0) + t_1) + ... + t_{c-1}`` of the weighted corner terms in
-    corner order, as a CSR matrix-vector product adds a row.  A read of
-    several corners that gathers at most ``_FEW_READS`` values accumulates
-    their product along its corner axis.  Any other gathers one corner at a
-    time, which skips the corner-long temporary: corner c at ``base`` from
-    the view of ``values`` that starts at ``off[c]``, with no index add."""
+    corner order, as a CSR matrix-vector product adds a row.  A read
+    gathers one corner at a time, which skips the corner-long temporary:
+    corner c at ``base`` from the view of ``values`` that starts at
+    ``off[c]``, with no index add."""
     offsets = grid.corner_offsets
     corners = wts.shape[-1]
-    if corners > 1 and values.size // values.shape[-1] * base.size * corners <= _FEW_READS:
-        product = values[..., base[..., None] + offsets] * wts
-        # the sum starts from +0.0: an all -0.0 stencil reads +0.0
-        return np.add.accumulate(product, axis=-1)[..., -1] + 0.0
     if values.ndim == 1 or corners == 1:
         return _gathered_running_sum(lambda c: values[..., offsets[c]:].take(base, axis=-1), wts)
     # leading axes make the views past offset 0 strided, and take copies a
@@ -286,8 +275,7 @@ class BellmanTables:
     length 1 in ``foot_idx``/``foot_wts``: its feet are all equal.  The
     continue branch reads ``saddle_cost``, ``weight * k`` with the saddle's
     reductions over such axes already taken, built on first use per
-    commitment order; ``nbytes`` leaves these cost tables out.  ``f`` stays
-    for the saddle-order gap.
+    commitment order; ``nbytes`` leaves these cost tables out.
     """
 
     spec: ProblemSpec
@@ -297,7 +285,6 @@ class BellmanTables:
     weight: float                # (1 - e^{-lambda dt}) / lambda
     step_matrix: np.ndarray      # one-step linear factor
     k: np.ndarray                # (m1, m2, nu1, nu2, p)
-    f: np.ndarray                # (m1, m2, nu1, nu2, p, n)
     foot_idx: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p)
     foot_wts: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p, c), c = 1 if one-hot
     imp_idx: np.ndarray          # (n_imp, p)
@@ -407,7 +394,13 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     f, k = sample_controls(spec, pts)
     m1, m2, _, _, npts, _ = f.shape
 
-    f_sup = float(np.linalg.norm(f, axis=-1).max())
+    norms = np.linalg.norm(f, axis=-1)
+    f_sup = float(norms.max())
+    if not math.isfinite(f_sup):
+        i1, i2, a, b, p = np.argwhere(~np.isfinite(norms))[0]
+        raise ValueError(f"drift norm is not finite in mode ({spec.d1_labels[i1]},"
+                         f"{spec.d2_labels[i2]}) at u1={float(spec.u1_levels[a])!r}, "
+                         f"u2={float(spec.u2_levels[b])!r}, x={pts[p].tolist()}")
     k_sup = float(k.max())
     if dt is None:
         dt = default_time_step(spec, grid, f_sup)
@@ -430,7 +423,7 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
         grid.clamp(pts + imp.vector) for imp in spec.impulses))
     return BellmanTables(
         spec=spec, grid=grid, dt=dt, gamma=gamma, weight=weight,
-        step_matrix=step_matrix, k=k, f=f, foot_idx=foot_idx, foot_wts=foot_wts,
+        step_matrix=step_matrix, k=k, foot_idx=foot_idx, foot_wts=foot_wts,
         imp_idx=imp_idx, imp_wts=imp_wts, imp_costs=np.array([i.cost for i in spec.impulses]),
         k_sup=k_sup, f_sup=f_sup,
     )

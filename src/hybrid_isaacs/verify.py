@@ -8,10 +8,13 @@ Each check returns a CheckResult with a machine-readable status:
 * ``skipped``: a precondition failed, with the measurement that failed it
   reported (a nonzero saddle-order gap skips the order-equality check).
 
-``run_all`` builds the update tables once, makes every solve its checks
-need in one lock-step call (``solver.solve_many``) and drives every
-applicable check, producing a deterministic report for a given (problem,
-grid, config, seed).
+``run_all`` is the one place that makes solves: it measures the
+saddle-order gap on the grid's control samples, builds the update tables
+once, makes every solve its checks read in one lock-step call
+(``solver.solve_many``) and drives every applicable check, producing a
+deterministic report for a given (problem, grid, config, seed).  The
+saddle-order and two-sided checks only compare the solved fields they are
+handed.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .discretize import BellmanTables, GridSpec, build_tables, interpolate
 from .operators import Variant, _obstacles, bellman_update, impulse_candidates, isaacs_gap
-from .problem import FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps
+from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps,
+                      sample_controls)
 # ``solve`` is not called here: the name stays for perfbench's traced runs,
 # which patch ``verify.solve`` by name
 from .solver import SolverConfig, SolveResult, solve, solve_many  # noqa: F401
@@ -31,7 +35,6 @@ from .solver import SolverConfig, SolveResult, solve, solve_many  # noqa: F401
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "SharedSolves",
     "obstacle_chain_check",
     "post_impulse_strictness",
     "isaacs_value_equality",
@@ -101,40 +104,6 @@ class VerificationReport:
             for key, value in c.measured.items():
                 rows[f"check.{c.name}.{key}"] = f"{value:.16e}"
         return "".join(f"{k} = {rows[k]}\n" for k in sorted(rows))
-
-
-# a plain class: a dataclass costs about 1 ms of import time
-class SharedSolves:
-    """Solves of one configuration that share one table build.
-
-    ``gap`` is the saddle-order gap of the tables' control samples,
-    measured with the saddle-order check's ``costate_samples`` and
-    ``seed``, or None until measured.  ``results`` holds the solves made
-    on the tables, by init and variant (see ``solved``).  ``run_all`` makes
-    every solve its checks need in one lock-step call and hands them this.
-    """
-
-    def __init__(self, tables: BellmanTables, gap: float | None = None,
-                 results: dict | None = None):
-        self.tables, self.gap = tables, gap
-        self.results = {} if results is None else results
-
-    def solved(self, spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
-               members: list[tuple[object, Variant]]) -> list[SolveResult]:
-        """The solves of ``config`` from each ``(init, variant)`` of
-        ``members``; those not made yet are made in one lock-step call.  An
-        init array is matched by identity."""
-        keys = [_member_key(init, variant) for init, variant in members]
-        todo = {key: replace(config, init=init, variant=variant)
-                for key, (init, variant) in zip(keys, members) if key not in self.results}
-        if todo:
-            self.results.update(zip(todo, solve_many(spec, grid, todo.values(), self.tables)))
-        return [self.results[key] for key in keys]
-
-
-def _member_key(init, variant: Variant) -> tuple:
-    """``SharedSolves.results``' key: an init string, or an init array by identity."""
-    return (init if isinstance(init, str) else id(init)), variant
 
 
 def _require_trials(trials) -> None:
@@ -256,19 +225,11 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
         measured, tol)
 
 
-def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
-                          config: SolverConfig | None = None,
-                          costate_samples: int = 16, seed: int = 0,
-                          tol: float = 1e-12,
-                          shared: SharedSolves | None = None) -> CheckResult:
-    """When both saddle orders agree on sampled costates, the two solve
-    variants must produce the same field.
-
-    The gap is read from the control samples of the update tables, and
-    both variants from ``config``'s init are solved in one lock-step call
-    on them.  ``shared``, if given, supplies the tables, the gap if
-    measured, and any solve already made; otherwise the tables are built
-    here.
+def isaacs_value_equality(gap: float, plus: SolveResult | None, minus: SolveResult | None,
+                          tol: float = 1e-12) -> CheckResult:
+    """When both saddle orders agree on sampled costates (``gap`` not above
+    zero), the two solve variants ``plus`` and ``minus`` must be the same
+    field; both are None when ``gap > 0``, which skips the check.
 
     Caveat: the costate-level gap is linear in the drift, but the discrete
     continue value feeds the drift through a piecewise-linear interpolant.
@@ -277,18 +238,10 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
     measured gap is zero; with the drift controlled by one player (costs may
     involve both, additively) the orders provably coincide bit for bit.
     """
-    base = config or SolverConfig()
-    if shared is None:
-        shared = SharedSolves(build_tables(spec, grid, base.dt))
-    gap = shared.gap
-    if gap is None:
-        gap = isaacs_gap(shared.tables.f, shared.tables.k, costate_samples=costate_samples,
-                         seed=seed)
     if gap > 0:
         return CheckResult("saddle-order-equality", SKIPPED,
                            f"saddle-order gap {gap:.3e} > 0; orders differ by design",
                            {"order_gap": gap}, tol)
-    plus, minus = shared.solved(spec, grid, base, [(base.init, v) for v in Variant])
     if not (plus.converged and minus.converged):
         return CheckResult("saddle-order-equality", FAIL, "a variant solve did not converge",
                            {"order_gap": gap}, tol)
@@ -298,25 +251,9 @@ def isaacs_value_equality(spec: ProblemSpec, grid: GridSpec,
                        {"order_gap": gap, "value_difference": diff}, tol)
 
 
-def two_sided_uniqueness(spec: ProblemSpec, grid: GridSpec,
-                         config: SolverConfig | None = None,
-                         low: SolveResult | None = None,
-                         shared: SharedSolves | None = None) -> CheckResult:
-    """Fixed points reached from below (zero) and above (the cost bound)
-    must coincide within 10x the solver tolerance.
-
-    Both are solved in one lock-step call on one table build.  ``low``, if
-    given, is the solve from zero, whose tables the upper start reuses;
-    ``shared``, if given, supplies the tables and any solve already made.
-    """
-    base = config or SolverConfig()
-    if shared is None:
-        if low is None:
-            shared = SharedSolves(build_tables(spec, grid, base.dt))
-        else:
-            shared = SharedSolves(low.tables, results={_member_key("zero", low.variant): low})
-    low, high = shared.solved(spec, grid, base, [("zero", base.variant), ("upper", base.variant)])
-    tol = 10.0 * base.tolerance
+def two_sided_uniqueness(low: SolveResult, high: SolveResult, tol: float) -> CheckResult:
+    """Fixed points reached from below (``low``, from zero) and above
+    (``high``, from the cost bound) must coincide within ``tol``."""
     if not (low.converged and high.converged):
         return CheckResult("two-sided-agreement", FAIL,
                            "a solve did not converge within the iteration cap",
@@ -454,33 +391,49 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     """Build the update tables once, make every solve the checks need in
     one lock-step call on them, and run every applicable check.
 
-    The solves are the base solve from zero, which is the checked field;
-    both variants from ``config``'s init when the saddle-order gap, read
-    from the tables, is zero; and the start from the upper bound.  A solve
-    two checks share is made once.  ``suites`` filters by the names in
+    The solves are the base solve from zero, which is the checked field and
+    the lower side of two-sided agreement, made when a check reads it; both
+    variants from ``config``'s init when the saddle-order gap, measured on
+    the grid's control samples before the build, is zero; and the start
+    from the upper bound.  A solve two checks share is made once, an init
+    array matched by identity.  ``suites`` filters by the names in
     ``SUITES``; None runs everything.  ``trials`` below 1 is a ValueError.
     """
     config = config or SolverConfig()
     _require_trials(trials)
-    shared = SharedSolves(build_tables(spec, grid, config.dt))
-    members = [("zero", config.variant)]
+    gap = None
+    roles = {}   # (init, variant) of each solve a check reads
+    if any(_wanted(suites, key) for key in ("chain", "impulse", "dpp", "uniqueness")):
+        roles["base"] = ("zero", config.variant)
     if _wanted(suites, "isaacs"):
-        shared.gap = isaacs_gap(shared.tables.f, shared.tables.k, seed=seed)
-        if not shared.gap > 0:
-            members += [(config.init, v) for v in Variant]
+        gap = isaacs_gap(*sample_controls(spec, grid.points), seed=seed)
+        if not gap > 0:
+            roles["plus"], roles["minus"] = ((config.init, v) for v in Variant)
     if _wanted(suites, "uniqueness"):
-        members.append(("upper", config.variant))
-    base = shared.solved(spec, grid, config, members)[0]
-    if not base.converged:
-        return VerificationReport([CheckResult(
-            "base-solve", FAIL, f"no convergence in {base.iterations} iterations")], seed)
+        roles["high"] = ("upper", config.variant)
+    tables = build_tables(spec, grid, config.dt)
 
-    checks = check_field(base.values, spec, grid, config, shared.tables, suites)
+    def key(init, variant: Variant) -> tuple:
+        return (init if isinstance(init, str) else id(init)), variant
+
+    members = {key(*role): role for role in roles.values()}
+    made = dict(zip(members, solve_many(spec, grid, [
+        replace(config, init=init, variant=variant) for init, variant in members.values()],
+        tables))) if members else {}
+    solved = {name: made[key(*role)] for name, role in roles.items()}
+
+    checks = []
+    base = solved.get("base")
+    if base is not None:
+        if not base.converged:
+            return VerificationReport([CheckResult(
+                "base-solve", FAIL, f"no convergence in {base.iterations} iterations")], seed)
+        checks = check_field(base.values, spec, grid, config, tables, suites)
     if _wanted(suites, "isaacs"):
-        checks.append(isaacs_value_equality(spec, grid, config, seed=seed, shared=shared))
+        checks.append(isaacs_value_equality(gap, solved.get("plus"), solved.get("minus")))
     if _wanted(suites, "uniqueness"):
-        checks.append(two_sided_uniqueness(spec, grid, config, shared=shared))
+        checks.append(two_sided_uniqueness(base, solved["high"], 10.0 * config.tolerance))
     if _wanted(suites, "probes"):
         checks.append(operator_probes(spec, grid, trials=trials, seed=seed,
-                                      variant=config.variant, tables=shared.tables))
+                                      variant=config.variant, tables=tables))
     return VerificationReport(checks, seed)

@@ -56,16 +56,22 @@ def full_stencils(grid, pts):
     return base[:, None] + grid.corner_offsets, wts
 
 
+# up to this many gathered values the reference read accumulates the
+# product, a kernel the program does not have; both of its kernels add the
+# terms in corner order, so a read of any size must give their bits
+PRODUCT_READS = 256
+
+
 def interpolate_many(values, idx, wts):
     """The reference read over full corner indices, as the program read
     rollouts before ``read_stencils`` was its only read:
     ``sum_c values[..., idx[..., c]] * wts[..., c]``, leading axes of
     ``values`` broadcast over the queries, added in corner order from +0.0.
-    Reads of at most ``_FEW_READS`` gathered values accumulate the product
-    ``values[..., idx] * wts`` along its corner axis; larger ones gather and
-    weight one corner at a time."""
+    Reads of at most ``PRODUCT_READS`` gathered values accumulate the
+    product ``values[..., idx] * wts`` along its corner axis; larger ones
+    gather and weight one corner at a time."""
     values = np.asarray(values, dtype=float)
-    if values.size // values.shape[-1] * idx.size <= discretize._FEW_READS:
+    if values.size // values.shape[-1] * idx.size <= PRODUCT_READS:
         out = np.add.accumulate(values[..., idx] * wts, axis=-1)[..., -1]
         out += 0.0    # the sum starts from +0.0: an all -0.0 stencil reads +0.0
         return out

@@ -49,3 +49,16 @@ def test_the_csv_workloads_print_milliseconds_per_call():
         assert row.split()[0] == "drift_1d"
         parent, change = (float(x) for x in row.split()[1:3])
         assert 0 < min(parent, change) and max(parent, change) < 1e4  # milliseconds a call
+
+
+def test_the_peak_workload_prints_megabytes_per_solve():
+    src = str(ROOT / "src")
+    run = subprocess.run([sys.executable, "scripts/abtime.py", src, src, "peak",
+                          "drift_1d", "--rounds", "2"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
+    title, header, row = run.stdout.splitlines()
+    assert title == "peak, 2 rounds, MB; ratio is change / parent"
+    assert row.split()[0] == "drift_1d"
+    parent, change = (float(x) for x in row.split()[1:3])
+    assert 0 < min(parent, change) and max(parent, change) < 1e3  # megabytes a solve

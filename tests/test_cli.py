@@ -353,6 +353,29 @@ def test_module_entry_point_returns_the_exit_code(tmp_path):
     assert not (tmp_path / "negative_cost.value.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("drift", ["exp(800*x0) - exp(800*x0)", "exp(800*x0)"])
+def test_a_drift_that_is_not_finite_exits_1_and_names_where(tmp_path, command, drift):
+    """A drift that overflows to inf, or to nan as inf - inf, passes
+    ``validate`` but not the table build: exit 1 with the first mode pair,
+    control pair and node, and no traceback."""
+    text = BUNDLED["drift_1d"].read_text()
+    path = tmp_path / "blowup.toml"
+    path.write_text(text.replace('f = ["0.5*u1 - 0.25*x0"]', f'f = ["{drift}"]')
+                    .replace("points = [161]", "points = [21]"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "hybrid_isaacs.cli", command, str(path),
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_PARSE, done.stderr
+    assert "Traceback" not in done.stderr
+    last = done.stderr.splitlines()[-1]
+    assert re.fullmatch(r"error: drift norm is not finite in mode \(only,only\) at "
+                        r"u1=-1\.0, u2=-1\.0, x=\[[0-9.]+\]", last), done.stderr
+    assert not (tmp_path / "blowup.value.csv").exists()
+
+
 def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):
     tmp, copy = workdir
     cfg = copy("mode_selection")

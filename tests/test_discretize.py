@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,13 +184,14 @@ def test_tables_feet_respect_linear_factor():
 
 
 def test_tables_hold_the_control_samples():
-    """``build_tables`` keeps ``sample_controls``' samples byte for byte, laid
-    out as (mode pair, u1, u2, point)."""
+    """``build_tables`` keeps ``sample_controls``' running-cost samples byte
+    for byte, laid out as (mode pair, u1, u2, point); the drift samples,
+    laid out alike, are not kept."""
     spec = game_2d()
     grid = make_grid(spec, (5, 4))
     tables = build_tables(spec, grid)
     f, k = sample_controls(spec, grid.points)
-    assert tables.f.tobytes() == f.tobytes() and tables.f.shape == (2, 2, 3, 3, 20, 2)
+    assert not hasattr(tables, "f") and f.shape == (2, 2, 3, 3, 20, 2)
     assert tables.k.tobytes() == k.tobytes() and tables.k.shape == (2, 2, 3, 3, 20)
     for (i1, i2) in spec.mode_pairs():
         for a, u1 in enumerate(spec.u1_levels):
@@ -197,3 +199,21 @@ def test_tables_hold_the_control_samples():
                 args = (spec, i1, i2, grid.points, float(u1), float(u2))
                 assert f[i1, i2, a, b].tobytes() == eval_dynamics(*args).tobytes()
                 assert k[i1, i2, a, b].tobytes() == eval_running_cost(*args).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("f, where", [
+    ("exp(800*x0) - exp(800*x0)", "mode (a,b) at u1=-0.5, u2=0.0, x=[1.0, -1.0]"),
+    ("exp(1600*x1*(u1 + 0.5))", "mode (a,b) at u1=0.5, u2=0.0, x=[-1.0, 0.5]"),
+    ("1e200 + 0*x0", "mode (a,a) at u1=-0.5, u2=0.0, x=[-1.0, -1.0]"),
+])
+def test_a_drift_norm_that_is_not_finite_is_refused_where_it_first_is(f, where):
+    """nan, inf, or finite components whose norm overflows: the first mode
+    pair, control pair and node in the tables' order are named."""
+    drift = {(0, 0): ("0", "0"), (0, 1): (f, "0"), (1, 0): ("0", "0"), (1, 1): (f, "0")}
+    if f.startswith("1e200"):
+        drift = {pair: (f, f) for pair in drift}
+    spec = toy_spec(f=drift, u1=(-0.5, 0.5), box=((-1.0, 1.0), (-1.0, 1.0)),
+                    d1=("a", "b"), d2=("a", "b"))
+    with pytest.raises(ValueError, match=re.escape(f"drift norm is not finite in {where}")):
+        build_tables(spec, make_grid(spec, 5))

@@ -145,7 +145,7 @@ def test_tables_match_reference_stencils(name, monkeypatch):
     tables = build_tables(spec, grid)
     monkeypatch.setattr(discretize, "interp_weights", reference_stencils)
     reference = build_tables(spec, grid)
-    for field in ("foot_idx", "foot_wts", "imp_idx", "imp_wts", "k", "f"):
+    for field in ("foot_idx", "foot_wts", "imp_idx", "imp_wts", "k"):
         actual, expected = getattr(tables, field), getattr(reference, field)
         assert actual.shape == expected.shape and actual.strides == expected.strides, field
         assert actual.tobytes(order="A") == expected.tobytes(order="A"), field

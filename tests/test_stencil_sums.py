@@ -19,6 +19,7 @@ from hybrid_isaacs.discretize import (GridSpec, build_tables, interp_weights, in
 from hybrid_isaacs.operators import (_SADDLE as SADDLE, Variant, bellman_update, continue_field,
                                      impulse_candidates, impulse_field, switch_lower_field,
                                      switch_upper_field)
+from hybrid_isaacs.problem import sample_controls
 
 from conftest import (BUNDLED, full_stencils, game_2d, game_3d, gen2d, interpolate_many,
                       load_bundled, toy_spec)
@@ -223,8 +224,9 @@ def test_collapsed_tables_read_bit_identically_to_full_ones(name):
     assert tables.foot_idx.shape[2:4] != tables.k.shape[2:4]
     full = full_shape(tables)
     linear_part = grid.points @ tables.step_matrix.T
+    f, _ = sample_controls(spec, grid.points)
     for i in np.ndindex(tables.k.shape[:-1]):
-        base, wts = interp_weights(grid, grid.clamp(linear_part + tables.dt * tables.f[i]))
+        base, wts = interp_weights(grid, grid.clamp(linear_part + tables.dt * f[i]))
         pair = (i[0] * spec.m2 + i[1]) * grid.n_points
         base, wts = compact(base + pair, wts, grid, full.foot_wts.shape[-1])
         assert_same_bits(full.foot_idx[i], base)
@@ -444,33 +446,21 @@ def test_helper_follows_numpy_summation_order(corners, queries):
 
 
 @pytest.mark.parametrize("corners", [1, 2, 4, 8])
-@pytest.mark.parametrize("side", [-1, 0, 1])
-def test_reads_on_both_sides_of_the_small_read_bound(corners, side, monkeypatch):
-    """Reads of ``_FEW_READS`` gathered values minus, plus or exactly one
-    stencil accumulate the product at or below the bound and gather corner
-    by corner above it, as one-hot reads do on both sides; both kernels
-    give the corner-order running sum's bits."""
-    reads = discretize._FEW_READS + side * corners
-    running = []
-    inner = discretize._gathered_running_sum
-
-    def counted(*args):
-        running.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(discretize, "_gathered_running_sum", counted)
+@pytest.mark.parametrize("stencils", [1, 32, 300])
+def test_reads_of_any_size_give_the_running_sums_bits(corners, stencils):
+    """One kernel reads every size, one-hot reads included: the
+    corner-order running sum's bits, with signed zeros among the values and
+    the weights."""
     rng = np.random.default_rng(corners)
     grid = corner_grid(corners)
     offsets = grid.corner_offsets[:corners]
     values = rng.standard_normal(300) * np.exp(rng.uniform(-30.0, 30.0, size=300))
     values[:30] = -0.0
-    base = rng.integers(0, 300 - offsets.max(), size=reads // corners)
-    wts = np.moveaxis(rng.random((corners, reads // corners)), 0, -1)
+    base = rng.integers(0, 300 - offsets.max(), size=stencils)
+    wts = np.moveaxis(rng.random((corners, stencils)), 0, -1)
     wts[:5] = -0.0
-    idx = base[:, None] + offsets
-    assert idx.size == reads
-    assert_same_bits(read_stencils(values, base, wts, grid), ordered_sum(values, idx, wts))
-    assert bool(running) == (side > 0 or corners == 1)
+    assert_same_bits(read_stencils(values, base, wts, grid),
+                     ordered_sum(values, base[:, None] + offsets, wts))
 
 
 def test_sweeps_leave_no_reference_cycle_holding_the_tables():
@@ -512,8 +502,9 @@ def full_layout(tables):
             idx[i], wts[i] = full_stencils(grid, targets(i))
         return idx, wts
 
+    f, _ = sample_controls(spec, grid.points)
     foot_idx, foot_wts = table(tables.foot_idx.shape,
-                               lambda i: grid.clamp(linear_part + tables.dt * tables.f[i]))
+                               lambda i: grid.clamp(linear_part + tables.dt * f[i]))
     pairs = np.arange(spec.m1 * spec.m2) * grid.n_points
     foot_idx += pairs.reshape(spec.m1, spec.m2, 1, 1, 1, 1)
     imp_idx, imp_wts = table(tables.imp_idx.shape,

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hybrid_isaacs import solver, verify
 from hybrid_isaacs.discretize import build_tables, make_grid
 from hybrid_isaacs.operators import (Variant, bellman_update, impulse_field, isaacs_gap,
                                      switch_lower_field, switch_upper_field)
-from hybrid_isaacs.problem import load_config
+from hybrid_isaacs.problem import load_config, sample_controls
 from hybrid_isaacs.solver import SolverConfig, solve, solve_many
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
@@ -198,33 +199,71 @@ def test_strictness_fails_on_a_field_below_the_margin():
 # ---------------------------------------------------------------------------
 # saddle-order equality / two-sided agreement
 
+# both players' controls in the drift, as a product: a saddle-order gap of 2
+COUPLED = dict(f="u1*u2", k="0.1 + 0.05*x0^2", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
+
+
+def variants_and_gap(spec, grid, config):
+    """The saddle-order gap of the grid's control samples, and both
+    variants of ``config`` solved in one lock-step call."""
+    plus, minus = solve_many(spec, grid, [replace(config, variant=v) for v in Variant])
+    return isaacs_gap(*sample_controls(spec, grid.points), seed=0), plus, minus
+
+
 def test_isaacs_equality_on_separated_spec(drift_1d):
     spec, grid_cfg, solver_cfg = drift_1d
     grid = make_grid(spec, 81)
-    check = isaacs_value_equality(spec, grid, SolverConfig(tolerance=1e-9), seed=0)
+    check = isaacs_value_equality(*variants_and_gap(spec, grid, SolverConfig(tolerance=1e-9)))
     assert check.status == "pass", check.detail
     assert check.measured["order_gap"] == 0.0
     assert check.measured["value_difference"] <= 1e-12
 
 
 def test_isaacs_equality_skipped_for_coupled_controls():
-    spec = toy_spec(f="u1*u2", k="0.1 + 0.05*x0^2", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
+    spec = toy_spec(**COUPLED)
     grid = make_grid(spec, 9)
-    check = isaacs_value_equality(spec, grid, SolverConfig(tolerance=1e-8), seed=0)
+    gap = isaacs_gap(*sample_controls(spec, grid.points), seed=0)
+    check = isaacs_value_equality(gap, None, None)
     assert check.status == "skipped"
-    assert check.measured["order_gap"] >= 2.0
+    assert check.measured == {"order_gap": gap} and gap >= 2.0
 
 
 def test_isaacs_equality_singleton_controls():
     spec = toy_spec(f="u1*u2 + 0.2", k="0.5 + 0.1*x0^2", u1=(0.7,), u2=(-0.3,))
     grid = make_grid(spec, 9)
-    check = isaacs_value_equality(spec, grid, SolverConfig(tolerance=1e-9), seed=0)
+    check = isaacs_value_equality(*variants_and_gap(spec, grid, SolverConfig(tolerance=1e-9)))
     assert check.status == "pass"
+
+
+def test_isaacs_equality_fails_on_fields_apart(drift_1d):
+    """Converged variants more than ``tol`` apart fail, and the difference
+    is measured."""
+    spec, _, _ = drift_1d
+    grid = make_grid(spec, 21)
+    gap, plus, minus = variants_and_gap(spec, grid, SolverConfig(tolerance=1e-9))
+    apart = replace(minus, values=minus.values + 1e-9)
+    check = isaacs_value_equality(gap, plus, apart)
+    assert check.status == "fail"
+    assert check.measured["value_difference"] == float(np.abs(plus.values - apart.values).max())
+    assert isaacs_value_equality(gap, plus, apart, tol=1e-8).status == "pass"
+
+
+def test_isaacs_equality_fails_on_nonconvergence(drift_1d):
+    spec, _, _ = drift_1d
+    grid = make_grid(spec, 21)
+    gap, plus, minus = variants_and_gap(spec, grid,
+                                        SolverConfig(tolerance=1e-12, max_iterations=2))
+    assert not (plus.converged or minus.converged)
+    check = isaacs_value_equality(gap, plus, minus)
+    assert check.status == "fail" and "did not converge" in check.detail
+    assert check.measured == {"order_gap": 0.0}
 
 
 def test_two_sided_on_balanced_loop(solved_balanced_loop):
     spec, grid, low = solved_balanced_loop
-    check = two_sided_uniqueness(spec, grid, SolverConfig(tolerance=1e-9), low=low)
+    config = SolverConfig(tolerance=1e-9)
+    [high] = solve_many(spec, grid, [replace(config, init="upper")], low.tables)
+    check = two_sided_uniqueness(low, high, 10 * config.tolerance)
     assert check.status == "pass", check.detail
     assert check.measured["difference"] <= 1e-8
 
@@ -232,9 +271,33 @@ def test_two_sided_on_balanced_loop(solved_balanced_loop):
 def test_two_sided_fails_on_noncovergence():
     spec = toy_spec(f="0", k="1", lam=0.5)
     grid = make_grid(spec, 5)
-    check = two_sided_uniqueness(spec, grid,
-                                 SolverConfig(dt=0.01, tolerance=1e-12, max_iterations=2))
+    config = SolverConfig(dt=0.01, tolerance=1e-12, max_iterations=2)
+    low, high = solve_many(spec, grid, [replace(config, init=i) for i in ("zero", "upper")])
+    assert not low.converged    # the upper start is the fixed point here
+    check = two_sided_uniqueness(low, high, 1e-11)
     assert check.status == "fail"
+    assert check.measured == {"low_iterations": 2.0, "high_iterations": float(high.iterations)}
+
+
+def test_two_sided_fails_on_fields_apart(solved_balanced_loop):
+    spec, grid, low = solved_balanced_loop
+    high = replace(low, values=low.values + 2e-8)
+    check = two_sided_uniqueness(low, high, 1e-8)
+    assert check.status == "fail" and check.tolerance == 1e-8
+    assert check.measured["difference"] == float(np.abs(high.values - low.values).max())
+
+
+def test_comparison_checks_make_no_solve(drift_1d, monkeypatch):
+    """Handed solved fields, the saddle-order and two-sided checks build
+    no tables and make no solve."""
+    spec, _, _ = drift_1d
+    grid = make_grid(spec, 21)
+    config = SolverConfig(tolerance=1e-9)
+    gap, plus, minus = variants_and_gap(spec, grid, config)
+    calls, builds = counted_lock_steps(monkeypatch)
+    assert isaacs_value_equality(gap, plus, minus).status == "pass"
+    assert two_sided_uniqueness(plus, plus, 10 * config.tolerance).status == "pass"
+    assert calls == [] and builds == []
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +397,9 @@ def counted_lock_steps(monkeypatch):
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_run_all_reuses_its_base_solve(name, monkeypatch):
     """From a zero init the base solve is the saddle-order check's solve of
-    the configured variant, and the gap's control samples come from the one
-    table build: three distinct solves in one lock-step call, and the same
-    check result as a fresh run of the check."""
+    the configured variant, and the gap is measured once, on the grid's
+    control samples: three distinct solves in one lock-step call on one
+    table build, and the check of the same solves made apart."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
     config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
@@ -353,21 +416,39 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
     check = report.checks[0]
     assert check.name == "saddle-order-equality" and check.status == "pass"
     assert calls == [[("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]]
-    [tables] = builds
-    assert len(gap_samples) == 1
-    assert gap_samples[0][0] is tables.f and gap_samples[0][1] is tables.k
-    assert check == isaacs_value_equality(spec, grid, config)
+    assert len(builds) == 1
+    f, k = sample_controls(spec, grid.points)
+    [(gap_f, gap_k)] = gap_samples
+    assert gap_f.tobytes() == f.tobytes() and gap_k.tobytes() == k.tobytes()
+    assert check == isaacs_value_equality(*variants_and_gap(spec, grid, config))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d"])
+def test_run_all_reads_the_gap_of_the_control_samples(name):
+    """``order_gap`` has the bits of the gap of ``sample_controls``' samples
+    at the run's seed."""
+    if name == "game_2d":
+        spec, points, config = game_2d(), 9, SolverConfig(tolerance=1e-9)
+    else:
+        spec, grid_cfg, solver_cfg = load_bundled(name)
+        points = grid_cfg["points"]
+        config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
+    grid = make_grid(spec, points)
+    [check] = run_all(spec, grid, config, seed=3, suites={"isaacs"}).checks
+    gap = isaacs_gap(*sample_controls(spec, grid.points), seed=3)
+    assert np.float64(check.measured["order_gap"]).tobytes() == np.float64(gap).tobytes()
 
 
 def test_run_all_solves_again_from_an_upper_init(constant_cost, monkeypatch):
-    """An upper init adds both variants from the upper bound."""
+    """An upper init solves both variants from the upper bound, and the
+    saddle-order check alone reads no solve from zero."""
     spec, grid_cfg, solver_cfg = constant_cost
     grid = make_grid(spec, 21)
     calls, builds = counted_lock_steps(monkeypatch)
     config = SolverConfig(dt=0.5, tolerance=1e-9, init="upper")
     report = run_all(spec, grid, config, suites={"isaacs"})
     assert report.checks[0].status == "pass"
-    assert calls == [[("zero", Variant.PLUS), ("upper", Variant.PLUS), ("upper", Variant.MINUS)]]
+    assert calls == [[("upper", Variant.PLUS), ("upper", Variant.MINUS)]]
     assert len(builds) == 1
 
 
@@ -389,18 +470,57 @@ def test_run_all_builds_the_tables_once(balanced_loop, init, variant, monkeypatc
                              ("upper", variant)}
 
 
-def test_standalone_checks_solve_in_one_lock_step(drift_1d, monkeypatch):
-    """Called on their own, the saddle-order and two-sided checks each build
-    the tables once and make their two solves in one lock-step call."""
-    spec, grid_cfg, solver_cfg = drift_1d
-    grid = make_grid(spec, 41)
-    config = SolverConfig(tolerance=1e-9)
+def test_run_all_matches_an_init_array_by_identity(balanced_loop, monkeypatch):
+    """An init array is one member however many checks read it, and an
+    equal array is another member."""
+    spec, grid_cfg, solver_cfg = balanced_loop
+    grid = make_grid(spec, 21)
+    start = np.zeros((spec.m1, spec.m2, grid.n_points))
+    calls, _ = counted_lock_steps(monkeypatch)
+    config = SolverConfig(tolerance=solver_cfg["tolerance"], init=start)
+    report = run_all(spec, grid, config, suites={"isaacs", "chain"})
+    assert report.passed, report.to_text()
+    [members] = calls
+    assert [(init if isinstance(init, str) else id(init), v) for init, v in members] == [
+        ("zero", Variant.PLUS), (id(start), Variant.PLUS), (id(start), Variant.MINUS)]
+
+
+@pytest.mark.parametrize("suites, coupled, members", [
+    (None, False, [("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]),
+    (None, True, [("zero", Variant.PLUS), ("upper", Variant.PLUS)]),
+    ({"chain"}, False, [("zero", Variant.PLUS)]),
+    ({"uniqueness"}, False, [("zero", Variant.PLUS), ("upper", Variant.PLUS)]),
+    ({"isaacs"}, False, [("zero", Variant.PLUS), ("zero", Variant.MINUS)]),
+    ({"isaacs"}, True, None),
+    ({"probes"}, False, None),
+])
+def test_run_all_solves_what_its_suites_read(suites, coupled, members, monkeypatch):
+    """One lock-step call of the solves the asked suites read, and none
+    when they read no solve: the probes alone, or the saddle-order check
+    alone where the gap is above zero; the tables are built once either
+    way."""
+    spec = (toy_spec(**COUPLED) if coupled
+            else toy_spec(f="0.5*u1", k="0.1 + 0.05*x0^2 + 0.1*u2", u1=(-1.0, 1.0),
+                          u2=(-1.0, 1.0)))
+    grid = make_grid(spec, 9)
     calls, builds = counted_lock_steps(monkeypatch)
-    assert isaacs_value_equality(spec, grid, config).status == "pass"
-    assert two_sided_uniqueness(spec, grid, config).status == "pass"
-    assert calls == [[("zero", Variant.PLUS), ("zero", Variant.MINUS)],
-                     [("zero", Variant.PLUS), ("upper", Variant.PLUS)]]
-    assert len(builds) == 2
+    report = run_all(spec, grid, SolverConfig(tolerance=1e-9), trials=3, suites=suites)
+    assert report.passed, report.to_text()
+    assert calls == ([] if members is None else [members])
+    assert len(builds) == 1
+
+
+def test_run_all_gates_on_the_base_solve_only_when_made(balanced_loop):
+    """A base solve that does not converge fails the run when a check reads
+    it; the probes alone make no solve and pass."""
+    spec, _, _ = balanced_loop
+    grid = make_grid(spec, 11)
+    config = SolverConfig(tolerance=1e-12, max_iterations=2)
+    for suites in ({"chain"}, {"uniqueness"}):
+        report = run_all(spec, grid, config, trials=3, suites=suites)
+        assert [(c.name, c.status) for c in report.checks] == [("base-solve", "fail")]
+    report = run_all(spec, grid, config, trials=3, suites={"probes"})
+    assert [(c.name, c.status) for c in report.checks] == [("operator-probes", "pass")]
 
 
 @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
