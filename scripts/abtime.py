@@ -20,6 +20,10 @@ settings.  Workloads:
   per call;
 * ``csv_read``: ``cli.read_value_csv`` of that file, written once by the
   tree's own writer, in milliseconds per call;
+* ``checks``: the three checks of ``verify --values`` on the solved field
+  (obstacle chain, post-impulse strictness and multi-step consistency),
+  called as the benchmark's stored-field checks call them, at their
+  defaults, in milliseconds per call of all three;
 * ``peak``: tracemalloc's peak over one ``solve``, in MB (10^6 bytes): the
   memory numpy and Python allocate, not the process's resident set.
 
@@ -54,9 +58,9 @@ TREES = ("parent", "change")
 SWEEP_CALLS = 50
 SIM_STEPS = 200
 # workloads timed on the solved field
-ON_FIELD = ("sweep", "simulate", "csv_write", "csv_read")
+ON_FIELD = ("sweep", "simulate", "csv_write", "csv_read", "checks")
 UNITS = {"sweep": "us/sweep", "simulate": "us/step", "csv_write": "ms/call",
-         "csv_read": "ms/call", "peak": "MB"}
+         "csv_read": "ms/call", "checks": "ms/call", "peak": "MB"}
 
 
 def load_tree(src: Path, name: str, folder: Path) -> dict:
@@ -86,7 +90,7 @@ class Case:
 
     def run(self) -> float:
         """One timed run: seconds, microseconds per sweep or per step,
-        milliseconds per CSV call, or a solve's peak MB."""
+        milliseconds per CSV or checks call, or a solve's peak MB."""
         gc.collect()
         if self.workload == "peak":
             tracemalloc.start()
@@ -116,6 +120,13 @@ class Case:
         if self.workload == "csv_read":
             start = time.perf_counter()
             self.tree["cli"].read_value_csv(self.csv, self.spec)
+            return 1e3 * (time.perf_counter() - start)
+        if self.workload == "checks":
+            verify, field = self.tree["verify"], (self.values, self.spec, self.grid)
+            start = time.perf_counter()
+            verify.obstacle_chain_check(*field)
+            verify.post_impulse_strictness(*field)
+            verify.dpp_consistency(*field, variant=self.config.variant)
             return 1e3 * (time.perf_counter() - start)
         start = time.perf_counter()
         if self.workload == "solve":

@@ -5,6 +5,8 @@ and step size are chosen: the one-step linear factor, the propagated foot
 point of every (state, control, mode) combination, its interpolation stencil,
 and the running-cost samples.  ``build_tables`` evaluates all of it once so
 each sweep reduces to numpy gathers and one weighted sum per stencil corner.
+The impulse landings depend on no step: ``impulse_table`` builds them for
+the tables and for the checks that read only the obstacles.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .problem import ProblemSpec, sample_controls
+from .problem import ProblemSpec, _nonfinite_drift, sample_controls
 
 __all__ = [
     "GridSpec",
@@ -27,6 +29,8 @@ __all__ = [
     "interp_weights",
     "semigroup_step",
     "step_constants",
+    "ImpulseTable",
+    "impulse_table",
     "BellmanTables",
     "build_tables",
     "default_time_step",
@@ -232,13 +236,14 @@ def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
     S = M / (2.0 ** squarings)
     out = np.eye(A.shape[0])
     term = np.eye(A.shape[0])
-    for k in range(1, 25):
-        term = term @ S / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for k in range(1, 25):
+            term = term @ S / k
+            out = out + term
+        for _ in range(squarings):
+            out = out @ out
     if not np.all(np.isfinite(out)):
-        raise ArithmeticError("matrix exponential overflowed; generator is pathological")
+        raise ValueError("matrix exponential overflowed; generator is pathological")
     return out
 
 
@@ -252,8 +257,20 @@ def step_constants(spec: ProblemSpec, dt: float) -> tuple[float, float, np.ndarr
 
 
 @dataclass
-class BellmanTables:
-    """Static data for one (problem, grid, time step) discretization.
+class ImpulseTable:
+    """The menu's landing stencils ``clamp(x + xi)`` on one grid, compact
+    as in BellmanTables, and its costs: no time step enters them."""
+
+    grid: GridSpec
+    imp_idx: np.ndarray          # (n_imp, p)
+    imp_wts: np.ndarray          # (n_imp, p, c), c = 1 if one-hot
+    imp_costs: np.ndarray        # (n_imp,)
+
+
+@dataclass
+class BellmanTables(ImpulseTable):
+    """Static data for one (problem, grid, time step) discretization, the
+    impulse landings of ``ImpulseTable`` included.
 
     Index conventions: mode pairs (i1, i2), control indices (a, b) into the
     level lists, flat grid points p, stencil corners c.  Control axes are
@@ -279,7 +296,6 @@ class BellmanTables:
     """
 
     spec: ProblemSpec
-    grid: GridSpec
     dt: float
     gamma: float                 # e^{-lambda dt}
     weight: float                # (1 - e^{-lambda dt}) / lambda
@@ -287,9 +303,6 @@ class BellmanTables:
     k: np.ndarray                # (m1, m2, nu1, nu2, p)
     foot_idx: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p)
     foot_wts: np.ndarray         # (m1, m2, nu1 or 1, nu2 or 1, p, c), c = 1 if one-hot
-    imp_idx: np.ndarray          # (n_imp, p)
-    imp_wts: np.ndarray          # (n_imp, p, c), c = 1 if one-hot
-    imp_costs: np.ndarray        # (n_imp,)
     k_sup: float                 # max running cost over nodes and controls
     f_sup: float                 # max drift norm over nodes and controls
 
@@ -389,6 +402,13 @@ def _stencil_table(grid: GridSpec, shape: tuple, targets) -> tuple[np.ndarray, n
     return base, wts
 
 
+def impulse_table(spec: ProblemSpec, grid: GridSpec) -> ImpulseTable:
+    """The ImpulseTable of ``spec``'s menu on ``grid``."""
+    imp_idx, imp_wts = _stencil_table(grid, (len(spec.impulses), grid.n_points), (
+        grid.clamp(grid.points + imp.vector) for imp in spec.impulses))
+    return ImpulseTable(grid, imp_idx, imp_wts, np.array([i.cost for i in spec.impulses]))
+
+
 def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> BellmanTables:
     pts = grid.points
     f, k = sample_controls(spec, pts)
@@ -397,10 +417,7 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     norms = np.linalg.norm(f, axis=-1)
     f_sup = float(norms.max())
     if not math.isfinite(f_sup):
-        i1, i2, a, b, p = np.argwhere(~np.isfinite(norms))[0]
-        raise ValueError(f"drift norm is not finite in mode ({spec.d1_labels[i1]},"
-                         f"{spec.d2_labels[i2]}) at u1={float(spec.u1_levels[a])!r}, "
-                         f"u2={float(spec.u2_levels[b])!r}, x={pts[p].tolist()}")
+        raise ValueError(f"drift norm is not finite in {_nonfinite_drift(spec, norms, pts)}")
     k_sup = float(k.max())
     if dt is None:
         dt = default_time_step(spec, grid, f_sup)
@@ -419,11 +436,8 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     foot_idx, foot_wts = _stencil_table(grid, drift.shape[:-1], (
         grid.clamp(linear_part + dt * drift[i]) for i in np.ndindex(drift.shape[:-2])))
     foot_idx += (np.arange(m1 * m2) * npts).reshape(m1, m2, 1, 1, 1)  # see BellmanTables
-    imp_idx, imp_wts = _stencil_table(grid, (len(spec.impulses), npts), (
-        grid.clamp(pts + imp.vector) for imp in spec.impulses))
     return BellmanTables(
-        spec=spec, grid=grid, dt=dt, gamma=gamma, weight=weight,
+        **vars(impulse_table(spec, grid)), spec=spec, dt=dt, gamma=gamma, weight=weight,
         step_matrix=step_matrix, k=k, foot_idx=foot_idx, foot_wts=foot_wts,
-        imp_idx=imp_idx, imp_wts=imp_wts, imp_costs=np.array([i.cost for i in spec.impulses]),
         k_sup=k_sup, f_sup=f_sup,
     )

@@ -19,6 +19,7 @@ import numpy as np
 
 from .discretize import (GridSpec, default_time_step, interp_weights, interpolate,
                          read_stencils, step_constants)
+from .exprlang import ExprDomainError
 from .operators import _ARGS, _SADDLE, Variant
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
 
@@ -159,7 +160,10 @@ class _Policy:
         pts[obs:] = self.step_matrix @ x + self.dt * f
         pts = self.grid.clamp(pts)
         base, wts = interp_weights(self.grid, pts)
-        v = read_stencils(self.values, base, wts, self.grid)    # (m1, m2, obs + nu1*nu2)
+        try:
+            v = read_stencils(self.values, base, wts, self.grid)    # (m1, m2, obs + nu1*nu2)
+        except IndexError:  # a nan coordinate casts to a base off the grid: read nan
+            v = np.full(self.values.shape[:2] + (len(pts),), math.nan)
         here = v[d1, d2, 0]
         if spec.impulses:
             cands = self.jump_costs + v[d1, d2, 1:obs]
@@ -187,6 +191,9 @@ class _Policy:
         rows = q if axis == -2 else q.T
         o = int(_ARGS[outer](inner(rows, axis=-1)))
         i = int(_ARGS[inner](rows[o]))
+        if rows[o, i] != rows[o, i]:  # the saddle picks a nan wherever q holds one
+            raise ExprDomainError(f"drift or running cost is not a number in mode "
+                                  f"({spec.d1_labels[d1]},{spec.d2_labels[d2]}) at x={x.tolist()}")
         a, b = (o, i) if axis == -2 else (i, o)
         pair = a * len(spec.u2_levels) + b
         return (PolicyDecision(CONTINUE, u1=float(self.u1[pair]), u2=float(self.u2[pair])),
@@ -223,9 +230,9 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
     one longer than ``m1*m2*(1 + n_impulses)`` events is taken for the same;
     both raise ChatterError, which indicates ``action_tol`` is too coarse.
     Each decision evaluates the mode pair's expressions first, so any state
-    visited where they leave their domain raises ExprDomainError.  A
-    ``horizon`` or ``action_tol`` that is negative, nan or infinite is a
-    ValueError.
+    visited where they leave their domain, or where the continue step reads
+    a nan drift or cost, raises ExprDomainError.  A ``horizon`` or
+    ``action_tol`` that is negative, nan or infinite is a ValueError.
     """
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be a finite number >= 0, got {horizon!r}")

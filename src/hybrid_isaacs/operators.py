@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .discretize import BellmanTables, GridSpec, build_tables, read_stencils
+from .discretize import BellmanTables, GridSpec, ImpulseTable, build_tables, read_stencils
 from .problem import ProblemSpec
 
 __all__ = [
@@ -142,14 +142,14 @@ def switch_upper_field(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return _upper_candidates(values, spec).max(axis=-3)
 
 
-def impulse_candidates(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
+def impulse_candidates(values: np.ndarray, tables: ImpulseTable) -> np.ndarray:
     """V[d1,d2](clamped x + xi) + cost for every pair and jump: (..., m1, m2, n_imp, p)."""
     read = read_stencils(values, tables.imp_idx, tables.imp_wts, tables.grid)
     read += tables.imp_costs[:, None]  # a fresh array: one candidate-sized temporary
     return read
 
 
-def impulse_field(values: np.ndarray, tables: BellmanTables) -> np.ndarray:
+def impulse_field(values: np.ndarray, tables: ImpulseTable) -> np.ndarray:
     """Best impulse: min over the menu of V[d1,d2](clamped x + xi) + cost.
 
     +inf (inactive) when the menu is empty.
@@ -215,11 +215,12 @@ def continue_field(values: np.ndarray, tables: BellmanTables,
 CONTINUE, IMPULSE, SWITCH_LOWER, SWITCH_UPPER = range(4)
 
 
-def _obstacles(values: np.ndarray, spec: ProblemSpec, tables: BellmanTables):
+def _obstacles(values: np.ndarray, spec: ProblemSpec, tables: ImpulseTable):
     """``(branch, candidates, axis, better, pick)`` of each obstacle that can
     bind, in projection order: the obstacle is ``better.reduce(candidates,
     axis=axis)``, np.minimum's above the field and np.maximum's below, and
-    ``pick`` maps its arg-opt to the menu entry or target mode."""
+    ``pick`` maps its arg-opt to the menu entry or target mode; ``tables``
+    may be an ImpulseTable alone."""
     if tables.imp_costs.size:
         yield IMPULSE, impulse_candidates(values, tables), -2, np.minimum, lambda j: j
     if spec.m2 > 1:

@@ -14,7 +14,8 @@ once, makes every solve its checks read in one lock-step call
 (``solver.solve_many``) and drives every applicable check, producing a
 deterministic report for a given (problem, grid, config, seed).  The
 saddle-order and two-sided checks only compare the solved fields they are
-handed.
+handed.  The obstacle-chain and post-impulse checks read only the
+obstacles, which no time step enters: never the update tables.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretize import BellmanTables, GridSpec, build_tables, interpolate
+from .discretize import (BellmanTables, GridSpec, build_tables, impulse_table, interp_weights,
+                         read_stencils)
 from .operators import Variant, _obstacles, bellman_update, impulse_candidates, isaacs_gap
 from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps,
                       sample_controls)
@@ -118,16 +120,13 @@ def _where(spec: ProblemSpec, grid: GridSpec, flat: tuple) -> str:
 
 
 def obstacle_chain_check(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                         tol: float = 1e-9,
-                         tables: BellmanTables | None = None) -> CheckResult:
+                         tol: float = 1e-9) -> CheckResult:
     """At a fixed point the field sits between the player-1 switch obstacle
     (below) and both player-2 obstacles (above):
     upper_switch - tol <= V <= min(lower_switch, impulse) + tol."""
-    if tables is None:
-        tables = build_tables(spec, grid)
     # the obstacles below the field and above it, -inf and +inf where none binds
     sides = {np.maximum: np.full_like(values, -np.inf), np.minimum: np.full_like(values, np.inf)}
-    for _, cands, axis, better, _ in _obstacles(values, spec, tables):
+    for _, cands, axis, better, _ in _obstacles(values, spec, impulse_table(spec, grid)):
         better(better.reduce(cands, axis=axis), sides[better], out=sides[better])
         del cands  # freed before the next obstacle's candidates are built
     upper, lower = sides[np.maximum], sides[np.minimum]
@@ -149,8 +148,7 @@ def obstacle_chain_check(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
 
 
 def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                            tol: float = 1e-6, binding_tol: float = 1e-7,
-                            tables: BellmanTables | None = None) -> CheckResult:
+                            tol: float = 1e-6, binding_tol: float = 1e-7) -> CheckResult:
     """Where the impulse obstacle binds, re-impulsing from the landed state
     must be suboptimal by at least the menu's strict-subadditivity margin.
 
@@ -161,7 +159,9 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     k alone, and binding points with none are counted as skipped.  For an
     exact menu sum the bound follows from j being optimal at x, so a
     failure points at a sum matched only to the 1e-9 tolerance, at
-    rounding, or at a wrong landing or second-jump set.
+    rounding, or at a wrong landing or second-jump set.  Every landing and
+    covered second landing is read in one stencil read of the flat field;
+    the worst point is the first minimum in (i1, i2, node) order.
     """
     applicable, _, margin = _subadditivity_gaps(spec)
     if not spec.impulses:
@@ -169,12 +169,10 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     if not np.isfinite(margin):
         return CheckResult("post-impulse-strictness", NOT_APPLICABLE,
                            "no impulse pair sums back into the menu")
-    if tables is None:
-        tables = build_tables(spec, grid)
 
-    cand = impulse_candidates(values, tables)  # picks the minimizing jump at binding points
-    imp = cand.min(axis=2)
-    binding = np.abs(values - imp) <= binding_tol
+    table = impulse_table(spec, grid)
+    cand = impulse_candidates(values, table)  # picks the minimizing jump at binding points
+    binding = np.abs(values - cand.min(axis=2)) <= binding_tol
     count = int(binding.sum())
     if count == 0:
         return CheckResult("post-impulse-strictness", PASS,
@@ -182,46 +180,44 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
                                                             "margin": margin}, tol)
 
     # after jump j, the second jumps k with xi_j + xi_k in the menu
-    covered = [set() for _ in spec.impulses]
-    for i, j, _ in applicable:
-        covered[i].add(j)
-        covered[j].add(i)
-    low, high = spec.box[:, 0], spec.box[:, 1]
-
-    def inside(z: np.ndarray) -> bool:
-        return bool(np.all((z >= low) & (z <= high)))
-
-    worst = np.inf
-    worst_at = ""
-    used = 0
-    for (i1, i2) in spec.mode_pairs():
-        for p in np.flatnonzero(binding[i1, i2]):
-            j = int(cand[i1, i2, :, p].argmin())
-            landed = grid.points[p] + spec.impulses[j].vector
-            ks = [k for k in sorted(covered[j]) if inside(landed + spec.impulses[k].vector)]
-            if not (ks and inside(landed)):
-                continue
-            used += 1
-            v_landed = interpolate(values[i1, i2], grid, landed)
-            gap = min(interpolate(values[i1, i2], grid, landed + spec.impulses[k].vector)
-                      + spec.impulses[k].cost for k in ks) - v_landed
-            if gap < worst:
-                worst = gap
-                worst_at = _where(spec, grid, (i1, i2, p))
-    skipped = count - used
+    covered = np.zeros((len(spec.impulses),) * 2, dtype=bool)
+    for a, b, _ in applicable:
+        covered[a, b] = covered[b, a] = True
+    jumps = np.array([imp.vector for imp in spec.impulses])
+    i1, i2, p = np.nonzero(binding)                    # (i1, i2, node) order
+    j = cand[i1, i2, :, p].argmin(axis=1)
+    landed = grid.points[p] + jumps[j]                 # (count, n)
+    second = landed[:, None] + jumps                   # (count, n_imp, n)
+    # covered second jumps that the box clamps at neither landing
+    ks = covered[j] & (grid.clamp(second) == second).all(axis=-1)
+    used = (grid.clamp(landed) == landed).all(axis=-1) & ks.any(axis=1)
+    skipped = count - int(used.sum())
     measured = {"binding_points": float(count), "skipped_points": float(skipped),
                 "margin": margin}
-    if used == 0:
+    if skipped == count:
         return CheckResult(
             "post-impulse-strictness", PASS,
             f"{count} binding point(s), none with a second impulse the lemma covers",
             measured, tol)
+
+    i1, i2, p, landed, second, ks = (a[used] for a in (i1, i2, p, landed, second, ks))
+    point, k = np.nonzero(ks)
+    base, wts = interp_weights(grid, np.concatenate([landed, second[ks]]))
+    pair = (i1 * spec.m2 + i2) * grid.n_points
+    base += np.concatenate([pair, pair[point]])        # each read in its own mode pair
+    read = read_stencils(values.reshape(-1), base, wts, grid)
+    after = np.full(ks.shape, np.inf)
+    after[ks] = read[len(p):] + table.imp_costs[k]
+    gaps = after.min(axis=1) - read[:len(p)]
+    at = int(gaps.argmin())
+    worst = float(gaps[at])
     status = PASS if worst >= margin - tol else FAIL
     measured["min_post_gap"] = worst
+    where = _where(spec, grid, (i1[at], i2[at], p[at]))
     return CheckResult(
         "post-impulse-strictness", status,
         f"{count} binding point(s), {skipped} skipped; min post-impulse slack {worst:.6g} "
-        f"vs margin {margin:.6g}" + ("" if status == PASS else f" (worst from {worst_at})"),
+        f"vs margin {margin:.6g}" + ("" if status == PASS else f" (worst from {where})"),
         measured, tol)
 
 
@@ -369,16 +365,16 @@ def _wanted(suites: set[str] | None, key: str) -> bool:
 
 def check_field(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
                 tables: BellmanTables, suites: set[str] | None = None) -> list[CheckResult]:
-    """The checks that read one field, against the operator of ``config``'s
-    variant on ``tables``: obstacle chain, post-impulse strictness (binding
-    within 10x the solver tolerance) and multi-step consistency."""
+    """The checks that read one field: obstacle chain and post-impulse
+    strictness (binding within 10x the solver tolerance), which read only
+    the obstacles, and multi-step consistency against the operator of
+    ``config``'s variant on ``tables``."""
     checks = []
     if _wanted(suites, "chain"):
-        checks.append(obstacle_chain_check(values, spec, grid, tables=tables))
+        checks.append(obstacle_chain_check(values, spec, grid))
     if _wanted(suites, "impulse"):
         checks.append(post_impulse_strictness(values, spec, grid,
-                                              binding_tol=10 * config.tolerance,
-                                              tables=tables))
+                                              binding_tol=10 * config.tolerance))
     if _wanted(suites, "dpp"):
         checks.append(dpp_consistency(values, spec, grid, variant=config.variant,
                                       tables=tables))

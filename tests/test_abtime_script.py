@@ -62,3 +62,16 @@ def test_the_peak_workload_prints_megabytes_per_solve():
     assert row.split()[0] == "drift_1d"
     parent, change = (float(x) for x in row.split()[1:3])
     assert 0 < min(parent, change) and max(parent, change) < 1e3  # megabytes a solve
+
+
+def test_the_checks_workload_prints_milliseconds_per_call():
+    src = str(ROOT / "src")
+    run = subprocess.run([sys.executable, "scripts/abtime.py", src, src, "checks",
+                          "impulse_toy", "--rounds", "2"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
+    title, header, row = run.stdout.splitlines()
+    assert title == "checks, 2 rounds, ms/call; ratio is change / parent"
+    assert row.split()[0] == "impulse_toy"
+    parent, change = (float(x) for x in row.split()[1:3])
+    assert 0 < min(parent, change) and max(parent, change) < 1e4  # milliseconds a call

@@ -79,8 +79,7 @@ def test_criterion_3_obstacle_chain_everywhere(solved):
     all_ok = True
     for name in BUNDLED_NAMES:
         spec, grid, config, result = solved[name]
-        check = obstacle_chain_check(result.values, spec, grid, tol=1e-9,
-                                     tables=result.tables)
+        check = obstacle_chain_check(result.values, spec, grid, tol=1e-9)
         worst = max(worst, check.measured["max_violation"])
         all_ok = all_ok and check.status == "pass"
     report(3, all_ok, f"upper <= V <= min(lower, impulse) on all bundled specs; "
@@ -118,8 +117,7 @@ def test_criterion_5_two_sided_agreement_everywhere(solved):
 def test_criterion_6_post_impulse_strictness(solved):
     spec, grid, config, result = solved["impulse_toy"]
     check = post_impulse_strictness(result.values, spec, grid, tol=1e-6,
-                                    binding_tol=10 * config.tolerance,
-                                    tables=result.tables)
+                                    binding_tol=10 * config.tolerance)
     ok = (check.status == "pass" and check.measured["margin"] == pytest.approx(0.5)
           and check.measured["min_post_gap"] >= 0.5 - 1e-6)
     report(6, ok, f"margin 0.5; {int(check.measured['binding_points'])} binding points; "

@@ -376,6 +376,50 @@ def test_a_drift_that_is_not_finite_exits_1_and_names_where(tmp_path, command, d
     assert not (tmp_path / "blowup.value.csv").exists()
 
 
+def test_validate_warns_of_a_drift_that_is_not_finite(tmp_path, capsys):
+    """``validate`` passes the spec that ``solve`` and ``verify`` refuse,
+    with a warning that names where the drift is first not finite."""
+    path = tmp_path / "blowup.toml"
+    path.write_text(BUNDLED["drift_1d"].read_text().replace(
+        'f = ["0.5*u1 - 0.25*x0"]', 'f = ["exp(800*x0) - exp(800*x0)"]'))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("validate", path) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r"\n  \[       warning\] drift norm is not finite in mode \(only,only\) "
+                     r"at u1=-1\.0, u2=-1\.0, x=\[[0-9.]+\]; solve and verify refuse it\n", out)
+    assert "verdict: ok" in out
+
+
+def test_an_overflowing_generator_exits_1(workdir, capsys):
+    """A generator whose matrix exponential overflows at the step: ``solve``,
+    ``verify`` and ``simulate`` exit 1 with an error line, no traceback."""
+    tmp, copy = workdir
+    cfg = copy("drift_1d")
+    assert run("solve", cfg) == EXIT_OK    # a field for the rollout
+    capsys.readouterr()
+    cfg.write_text(cfg.read_text().replace("generator = [[0.25]]", "generator = [[-100000.0]]"))
+    for argv in (["solve", cfg], ["verify", cfg], ["simulate", cfg, tmp / "drift_1d.value.csv"]):
+        with pytest.warns(UserWarning, match="negative eigenvalue"):
+            assert run(*argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix exponential overflowed") and err.count("\n") == 1
+
+
+def test_simulate_through_a_drift_that_is_not_a_number_exits_1(workdir, capsys):
+    """A rollout whose continue foot is nan: exit 1 naming the mode pair and
+    the state, not an IndexError's traceback."""
+    tmp, copy = workdir
+    cfg = copy("drift_1d")
+    assert run("solve", cfg) == EXIT_OK
+    capsys.readouterr()
+    cfg.write_text(cfg.read_text().replace('f = ["0.5*u1 - 0.25*x0"]',
+                                           'f = ["exp(800*x0) - exp(800*x0)"]'))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("simulate", cfg, tmp / "drift_1d.value.csv", "--start", "1.5") == EXIT_PARSE
+    assert capsys.readouterr().err == ("error: drift or running cost is not a number in mode "
+                                       "(only,only) at x=[1.5]\n")
+
+
 def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):
     tmp, copy = workdir
     cfg = copy("mode_selection")

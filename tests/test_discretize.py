@@ -217,3 +217,8 @@ def test_a_drift_norm_that_is_not_finite_is_refused_where_it_first_is(f, where):
                     d1=("a", "b"), d2=("a", "b"))
     with pytest.raises(ValueError, match=re.escape(f"drift norm is not finite in {where}")):
         build_tables(spec, make_grid(spec, 5))
+
+
+def test_an_overflowing_matrix_exponential_is_a_value_error():
+    with pytest.raises(ValueError, match="generator is pathological"):
+        semigroup_step(np.array([[-100000.0]]), 0.01)

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -515,3 +516,21 @@ def test_expressions_leave_their_domain_before_an_impulse_fires():
     assert two_build_decide(policy, x, 0, 0)[0] == PolicyDecision("impulse", impulse_index=0)
     with pytest.raises(ExprDomainError, match="sqrt of a negative value"):
         decide(spec, grid, values, x, 0, 0, dt=0.1)
+
+
+@pytest.mark.parametrize("counts", [21, (21, 21), (20, 20)])
+def test_a_rollout_through_a_drift_that_is_not_a_number_raises(counts):
+    """inf - inf in the drift makes the continue foot nan.  Its cast puts
+    the stencil's base off the grid, or, where an even stride wraps it, on
+    the grid with nan weights: either way ExprDomainError names the mode
+    pair and the state, with no IndexError and no nan state recorded."""
+    nan = "exp(800*x0) - exp(800*x0)"
+    if isinstance(counts, int):
+        spec, x0 = toy_spec(f=nan, box=((-2.0, 2.0),)), [1.5]
+    else:
+        spec, x0 = toy_spec(f=(nan, "0"), box=((-2.0, 2.0), (-1.0, 1.0))), [1.5, 0.0]
+    grid = make_grid(spec, counts)
+    values = np.zeros((1, 1, grid.n_points))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ExprDomainError, match=re.escape(f"not a number in mode (only,only) at x={x0}")):
+        simulate(spec, grid, values, x0, 0, 0, 0.1, dt=0.1)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ def test_nan_dynamics_shows_in_the_drift_estimates():
     with np.errstate(over="ignore", invalid="ignore"):
         estimates = validate_a2(spec, samples=32, seed=0).estimates
     assert math.isnan(estimates["f_sup_sampled"]) and math.isnan(estimates["lipschitz_f"])
+
+
+@pytest.mark.parametrize("drift", ["exp(1000*x0) - exp(1000*x0)", "exp(1000*x0)"])
+def test_a_drift_that_is_not_finite_earns_a_warning(drift):
+    """``validate`` names the first sampled mode pair, controls and state
+    where the drift's norm is nan or inf; the verdict stays ok."""
+    spec = toy_spec(f=drift, u1=(-1.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate_a2(spec, samples=32, seed=0)
+    assert report.mandatory_ok
+    [warning] = report.warnings
+    assert re.fullmatch(r"drift norm is not finite in mode \(only,only\) at u1=-1\.0, "
+                        r"u2=0\.0, x=\[0\.[0-9]+\]; solve and verify refuse it", warning)
+    assert f"  [       warning] {warning}\n" in report.to_text()
+    assert validate_a2(toy_spec(f="x0"), samples=32, seed=0).warnings == []
 
 
 def loop_estimates(spec, samples, seed):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from hybrid_isaacs import solver, verify
-from hybrid_isaacs.discretize import build_tables, make_grid
-from hybrid_isaacs.operators import (Variant, bellman_update, impulse_field, isaacs_gap,
+from hybrid_isaacs import discretize, operators
+from hybrid_isaacs.discretize import build_tables, interpolate, make_grid
+from hybrid_isaacs.operators import (Variant, bellman_update, impulse_candidates,
+                                     impulse_field, isaacs_gap,
                                      switch_lower_field, switch_upper_field)
-from hybrid_isaacs.problem import load_config, sample_controls
+from hybrid_isaacs.problem import _subadditivity_gaps, load_config, sample_controls
 from hybrid_isaacs.solver import SolverConfig, solve, solve_many
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
@@ -42,8 +45,7 @@ def solved_balanced_loop(balanced_loop):
 
 def test_chain_holds_on_converged_fields(solved_impulse, solved_balanced_loop):
     for spec, grid, result in (solved_impulse, solved_balanced_loop):
-        check = obstacle_chain_check(result.values, spec, grid, tol=1e-9,
-                                     tables=result.tables)
+        check = obstacle_chain_check(result.values, spec, grid, tol=1e-9)
         assert check.status == "pass", check.detail
         assert check.measured["max_violation"] <= 1e-9
 
@@ -111,7 +113,7 @@ def test_chain_reports_what_the_composed_obstacles_report(name):
     fields += [swept, lifted]
     for values in fields:
         for tol in (1e-9, 10.0):
-            got = obstacle_chain_check(values, spec, grid, tol=tol, tables=tables)
+            got = obstacle_chain_check(values, spec, grid, tol=tol)
             assert repr(got) == repr(composed_obstacle_chain(values, spec, grid, tol, tables))
 
 
@@ -120,8 +122,7 @@ def test_chain_reports_what_the_composed_obstacles_report(name):
 
 def test_strictness_on_impulse_toy(solved_impulse):
     spec, grid, result = solved_impulse
-    check = post_impulse_strictness(result.values, spec, grid, tol=1e-6,
-                                    tables=result.tables)
+    check = post_impulse_strictness(result.values, spec, grid, tol=1e-6)
     assert check.status == "pass", check.detail
     assert check.measured["margin"] == pytest.approx(0.5)
     assert check.measured["binding_points"] > 0
@@ -137,8 +138,7 @@ def test_check_field_binds_within_ten_times_the_tolerance(solved_impulse):
     for tol in (1e-10, 1e-4):
         config = SolverConfig(dt=result.dt, tolerance=tol)
         [check] = verify.check_field(values, spec, grid, config, result.tables, {"impulse"})
-        assert check == post_impulse_strictness(values, spec, grid, binding_tol=10 * tol,
-                                                tables=result.tables)
+        assert check == post_impulse_strictness(values, spec, grid, binding_tol=10 * tol)
         counts.append(check.measured["binding_points"])
     assert counts[0] < counts[1]
 
@@ -165,8 +165,7 @@ def test_strictness_covers_only_menu_sums_inside_the_box():
     spec, grid_cfg, solver_cfg = load_config(DATA / "summing_menu.toml")
     grid = make_grid(spec, grid_cfg["points"])
     result = solve(spec, grid, SolverConfig(tolerance=solver_cfg["tolerance"]))
-    check = post_impulse_strictness(result.values, spec, grid, tol=1e-6, binding_tol=1e-8,
-                                    tables=result.tables)
+    check = post_impulse_strictness(result.values, spec, grid, tol=1e-6, binding_tol=1e-8)
     assert check.status == "pass", check.detail
     assert check.measured["margin"] == pytest.approx(0.1)
     assert check.measured["binding_points"] == 16
@@ -194,6 +193,118 @@ def test_strictness_fails_on_a_field_below_the_margin():
     assert check.measured["min_post_gap"] == 0.0
     assert check.measured["skipped_points"] >= 1
     assert "x=[0.9" in check.detail
+
+
+def pointwise_strictness(values, spec, grid, tol=1e-6, binding_tol=1e-7):
+    """The post-impulse check read one binding point at a time through the
+    scalar ``interpolate``, on the impulse candidates of the full update
+    tables: the reference the one-read check must reproduce."""
+    applicable, _, margin = _subadditivity_gaps(spec)
+    if not spec.impulses:
+        return verify.CheckResult("post-impulse-strictness", "not-applicable", "no impulses")
+    if not np.isfinite(margin):
+        return verify.CheckResult("post-impulse-strictness", "not-applicable",
+                                  "no impulse pair sums back into the menu")
+    cand = impulse_candidates(values, build_tables(spec, grid))
+    binding = np.abs(values - cand.min(axis=2)) <= binding_tol
+    count = int(binding.sum())
+    if count == 0:
+        return verify.CheckResult("post-impulse-strictness", "pass",
+                                  "impulse obstacle never binds",
+                                  {"binding_points": 0.0, "margin": margin}, tol)
+    covered = [set() for _ in spec.impulses]
+    for i, j, _ in applicable:
+        covered[i].add(j)
+        covered[j].add(i)
+    low, high = spec.box[:, 0], spec.box[:, 1]
+
+    def inside(z):
+        return bool(np.all((z >= low) & (z <= high)))
+
+    worst, worst_at, used = np.inf, "", 0
+    for (i1, i2) in spec.mode_pairs():
+        for p in np.flatnonzero(binding[i1, i2]):
+            j = int(cand[i1, i2, :, p].argmin())
+            landed = grid.points[p] + spec.impulses[j].vector
+            ks = [k for k in sorted(covered[j]) if inside(landed + spec.impulses[k].vector)]
+            if not (ks and inside(landed)):
+                continue
+            used += 1
+            v_landed = interpolate(values[i1, i2], grid, landed)
+            gap = min(interpolate(values[i1, i2], grid, landed + spec.impulses[k].vector)
+                      + spec.impulses[k].cost for k in ks) - v_landed
+            if gap < worst:
+                worst, worst_at = gap, verify._where(spec, grid, (i1, i2, p))
+    skipped = count - used
+    measured = {"binding_points": float(count), "skipped_points": float(skipped),
+                "margin": margin}
+    if used == 0:
+        return verify.CheckResult(
+            "post-impulse-strictness", "pass",
+            f"{count} binding point(s), none with a second impulse the lemma covers",
+            measured, tol)
+    status = "pass" if worst >= margin - tol else "fail"
+    measured["min_post_gap"] = worst
+    return verify.CheckResult(
+        "post-impulse-strictness", status,
+        f"{count} binding point(s), {skipped} skipped; min post-impulse slack {worst:.6g} "
+        f"vs margin {margin:.6g}" + ("" if status == "pass" else f" (worst from {worst_at})"),
+        measured, tol)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["summing_menu", "game_2d", "game_3d"])
+def test_strictness_reports_what_the_pointwise_reads_report(name):
+    """The one-read check has the report of the per-point reference on a
+    random field, the solved field and that field lifted by up to 1e-5, at
+    binding tolerances from 1e-8 to 10.  A tolerance of -1 fails every
+    tested field, so the reports name the worst point too."""
+    if name.startswith("game_"):
+        spec = game_2d() if name == "game_2d" else game_3d()
+        grid, config = make_grid(spec, 9 if name == "game_2d" else 7), SolverConfig()
+    else:
+        spec, grid_cfg, solver_cfg = load_config(
+            DATA / "summing_menu.toml" if name == "summing_menu" else BUNDLED[name])
+        grid = make_grid(spec, grid_cfg["points"])
+        config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
+    rng = np.random.default_rng(5)
+    solved = solve(spec, grid, config).values
+    fields = [rng.uniform(0.0, 3.0, solved.shape), solved,
+              solved + rng.uniform(0.0, 1e-5, solved.shape)]
+    for values in fields:
+        for tol, binding_tol in itertools.product((1e-6, -1.0), (1e-8, 1e-4, 0.1, 10.0)):
+            got = post_impulse_strictness(values, spec, grid, tol, binding_tol)
+            want = pointwise_strictness(values, spec, grid, tol, binding_tol)
+            assert got == want and repr(got) == repr(want)
+
+
+def test_strictness_failure_reports_what_the_pointwise_reads_report():
+    """The hand-built failing field below, against the reference."""
+    spec = toy_spec(box=((0.0, 1.0),), impulses=(([-0.3], 0.5), ([-0.6 + 5e-10], 0.8)))
+    grid = make_grid(spec, 11)
+    values = np.full(11, 10.0)
+    values[[1, 3, 4, 6, 9]] = [10.5, 0.0, 1e9, 0.5, 1.0]
+    values = values.reshape(1, 1, -1)
+    check = post_impulse_strictness(values, spec, grid)
+    assert check.status == "fail"
+    assert check == pointwise_strictness(values, spec, grid)
+
+
+@pytest.mark.parametrize("path", [BUNDLED["impulse_toy"], BUNDLED["balanced_loop"],
+                                  DATA / "summing_menu.toml"])
+def test_obstacle_checks_build_no_update_tables(path, monkeypatch):
+    """Called as a stored field's checks call them, the two obstacle checks
+    read the impulse landings alone: no update-table build."""
+    spec, grid_cfg, _ = load_config(path)
+    grid = make_grid(spec, grid_cfg["points"])
+    values = solve(spec, grid).values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_tables called")
+
+    for module in (discretize, operators, verify):
+        monkeypatch.setattr(module, "build_tables", refuse)
+    assert obstacle_chain_check(values, spec, grid).status == "pass"
+    assert post_impulse_strictness(values, spec, grid).status == "pass"
 
 
 # ---------------------------------------------------------------------------
