@@ -14,10 +14,11 @@ it ran.  One line is printed per digest: case, command, then ``exit``,
 ``stdout``, ``stderr`` or an output file name, and the sha256.  Manifests
 are digested without their ``wall_seconds``.
 
-``solve`` runs policy iteration wherever it can certify the field, while
-``verify``'s solves run the Picard loop (``solver.solve_many``).  After
-each ``solve``, the script runs that Picard loop on the same arguments and
-compares its field with the one ``solve`` wrote.  The exit code is 1 when
+``solve`` runs policy iteration wherever it can certify the field, and so
+do ``verify``'s solves; elsewhere both run the Picard loop
+(``solver.solve_many``).  After each ``solve``, the script runs the Picard
+loop on the same arguments and compares its field with the one ``solve``
+wrote.  The exit code is 1 when
 a solve's field is missing or lies more than twice the solve tolerance
 from Picard's; standard error names the case and variant.
 
@@ -48,7 +49,7 @@ VARIANTS = ("plus", "minus")
 
 # run with a ``solve`` command's arguments in the case's directory: prints
 # the largest distance of the field that ``solve`` wrote from the field of
-# the Picard loop that ``verify`` runs, and the solve tolerance
+# the Picard loop, and the solve tolerance
 PICARD_GAP = """\
 import sys
 from pathlib import Path

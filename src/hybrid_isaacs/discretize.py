@@ -164,11 +164,15 @@ def interp_weights(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def interpolate(values: np.ndarray, grid: GridSpec, x) -> float:
     """Multilinear interpolation of a flat nodal array at state ``x``, clamped
-    to the box: the map is total."""
+    to the box, so an infinite coordinate reads the face.  A nan coordinate
+    has no cell and is a ValueError naming the state."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise ValueError("values must be a flat nodal array for this grid")
-    base, wts = interp_weights(grid, np.asarray(x, dtype=float).reshape(1, -1))
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if np.isnan(x).any():
+        raise ValueError(f"cannot interpolate at state {x[0].tolist()}: a coordinate is nan")
+    base, wts = interp_weights(grid, x)
     return float(read_stencils(values, base, wts, grid)[0])
 
 

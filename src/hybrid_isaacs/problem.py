@@ -615,7 +615,10 @@ def check_y1_y2(spec: ProblemSpec, walk_budget: int = 20_000_000) -> Y1Y2Report:
     exists and the condition holds vacuously.  Enumeration is exhaustive over
     closed alternating walks of length <= m1*m2, deduplicated by cyclic
     rotation; it is skipped (status None) when the walk count would exceed
-    ``walk_budget``.
+    ``walk_budget``.  A walk from a start pair visits no pair below it, so
+    each loop is walked only from its least pair, the first in its
+    rotation order: the loops, and the order they are found in, are those
+    of walks from every rotation.
     """
     if spec.m2 > 1:
         c2_min = float(spec.switch_cost_2[~np.eye(spec.m2, dtype=bool)].min())
@@ -637,13 +640,13 @@ def check_y1_y2(spec: ProblemSpec, walk_budget: int = 20_000_000) -> Y1Y2Report:
     count = 0
     pairs = [(a, b) for a in range(spec.m1) for b in range(spec.m2)]
 
-    def neighbors(p: tuple[int, int]):
+    def neighbors(p: tuple[int, int], least: tuple[int, int]):
         a, b = p
         for a2 in range(spec.m1):
-            if a2 != a:
+            if a2 != a and (a2, b) >= least:
                 yield (a2, b), spec.switch_cost_1[a, a2], 0.0, True, False
         for b2 in range(spec.m2):
-            if b2 != b:
+            if b2 != b and (a, b2) >= least:
                 yield (a, b2), 0.0, spec.switch_cost_2[b, b2], False, True
 
     def walk(start, current, path, cost1, cost2, used1, used2):
@@ -659,7 +662,7 @@ def check_y1_y2(spec: ProblemSpec, walk_budget: int = 20_000_000) -> Y1Y2Report:
             # a closed walk may keep going as long as length allows
         if len(path) - 1 >= n_pairs:
             return
-        for nxt, dc1, dc2, s1, s2 in neighbors(current):
+        for nxt, dc1, dc2, s1, s2 in neighbors(current, start):
             walk(start, nxt, path + [nxt], cost1 + dc1, cost2 + dc2,
                  used1 or s1, used2 or s2)
 

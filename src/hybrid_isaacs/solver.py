@@ -21,7 +21,9 @@ Two methods reach the fixed point of the one-step update ``T``.
 Both bounds rest on a unique fixed point, which the paper's switching-cost
 conditions secure: ``solve`` certifies a field, and runs policy iteration,
 only where ``problem.check_y1_y2`` finds the nonzero-loop condition, and
-runs Picard iteration elsewhere.  Switch and impulse rows are not
+runs Picard iteration elsewhere.  ``verify.run_all`` picks its solves'
+method by the same rule: policy solves on a certified spec, one
+lock-step ``solve_many`` call elsewhere.  Switch and impulse rows are not
 discounted, so ``T`` is not a one-step gamma-contraction wherever they
 bind: the certificate is the unscaled residual bound, and the factor a
 chain of zero-time events adds to it is still open.
@@ -52,9 +54,10 @@ INIT_UPPER = "upper"
 METHOD_POLICY = "policy"
 METHOD_PICARD = "picard"
 
-# closed mode walks ``check_y1_y2`` may enumerate for a certificate: at
-# about 3 us a walk, 0.3 s at most; 2x2 and 2x3 mode sets fit, 2x4 and 3x3
-# (6.4 s to enumerate) do not
+# closed mode walks ``check_y1_y2`` may enumerate for a certificate, as its
+# estimate counts them (walks from every pair, though it walks each loop
+# from its least pair only): 2x2 and 2x3 mode sets fit, 2x4 and 3x3 (0.24 s
+# and 1.0 s to enumerate, 2-vCPU Xeon) do not
 _LOOP_WALKS = 100_000
 
 # policy iteration: the coarsest grid of the nesting has at least this many
@@ -88,10 +91,11 @@ class SolverConfig:
     accuracy of the returned field, not the raw successive-change cutoff.
     ``max_iterations`` caps Picard's sweeps.  Under policy iteration it
     caps, on each grid of the nesting apart, the fields whose residual
-    ``|T[V] - V|`` is taken: the grid's start, after its smoothing sweeps,
-    and one after each outer step (a policy step or a fallback), so a grid
-    takes at most ``max_iterations - 1`` steps and always the start's
-    residual.  A capped grid returns the field of the least residual.
+    ``|T[V] - V|`` is taken: the grid's start, after its smoothing sweeps
+    (an explicit field gets none), and one after each outer step (a policy
+    step or a fallback), so a grid takes at most ``max_iterations - 1``
+    steps and always the start's residual.  A capped grid returns the
+    field of the least residual.
     """
 
     dt: float | None = None
@@ -304,25 +308,32 @@ def _grids(grid: GridSpec) -> list[GridSpec]:
     return grids[::-1]
 
 
-def _policy_solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig) -> SolveResult:
+def _policy_solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
+                  tables: BellmanTables | None = None) -> SolveResult:
     """Policy iteration, nested where the time step follows the cell.  A
     given ``dt`` keeps each coarse solve as many steps from its start as
     the fine one, so it starts on ``grid`` itself (bundled specs with
     ``dt = 0.5``: 0.8-1.4 ms against 2.2-4.7 ms nested), and so does an
-    explicit initial field."""
-    nested = config.dt is None and isinstance(config.init, str)
-    grids = _grids(grid) if nested else [grid]
+    explicit initial field.  ``tables``, if given, are ``grid``'s at
+    ``config.dt`` and serve the last grid; coarser grids build their own.
+
+    Each grid's first field gets ``_SMOOTHING_SWEEPS`` Picard sweeps, but
+    an explicit initial field none: its first residual is its own, so a
+    field that already meets the tolerance comes back bit for bit."""
+    explicit = not isinstance(config.init, str)
+    grids = [grid] if explicit or config.dt is not None else _grids(grid)
     run = _PolicyRun(config)
-    values = coarse = tables = None
+    fine, values, coarse = tables, None, None
     for level in grids:
         tables = None  # the coarser grid's tables go before this grid's are built
-        tables = build_tables(spec, level, config.dt)
+        tables = (fine if level is grid and fine is not None
+                  else build_tables(spec, level, config.dt))
         if values is None:
             values, _ = _initial_field(config, tables, (spec.m1, spec.m2, level.n_points))
         else:
             base, wts = interp_weights(coarse, level.points)
             values = read_stencils(values, base, wts, coarse)
-        for _ in range(_SMOOTHING_SWEEPS):
+        for _ in range(0 if explicit else _SMOOTHING_SWEEPS):
             values = bellman_update(values, spec, level, variant=config.variant, tables=tables)
         coarse = level
         values = run.iterate(values, tables, config.tolerance if level is grid

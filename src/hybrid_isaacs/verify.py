@@ -10,12 +10,14 @@ Each check returns a CheckResult with a machine-readable status:
 
 ``run_all`` is the one place that makes solves: it measures the
 saddle-order gap on the grid's control samples, builds the update tables
-once, makes every solve its checks read in one lock-step call
-(``solver.solve_many``) and drives every applicable check, producing a
-deterministic report for a given (problem, grid, config, seed).  The
-saddle-order and two-sided checks only compare the solved fields they are
-handed.  The obstacle-chain and post-impulse checks read only the
-obstacles, which no time step enters: never the update tables.
+once, makes every solve its checks read by the method ``solve`` runs on
+the spec (nested policy iteration where ``check_y1_y2`` certifies it, one
+lock-step Picard call, ``solver.solve_many``, elsewhere) and drives every
+applicable check, producing a deterministic report for a given (problem,
+grid, config, seed).  The saddle-order and two-sided checks only compare
+the solved fields they are handed.  The obstacle-chain and post-impulse
+checks read only the obstacles, which no time step enters: never the
+update tables.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_ga
                       sample_controls)
 # ``solve`` is not called here: the name stays for perfbench's traced runs,
 # which patch ``verify.solve`` by name
-from .solver import SolverConfig, SolveResult, solve, solve_many  # noqa: F401
+from .solver import (SolverConfig, SolveResult, _policy_solve, _uncertified, solve,  # noqa: F401
+                     solve_many)
 
 __all__ = [
     "CheckResult",
@@ -384,16 +387,20 @@ def check_field(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, config: S
 def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None,
             seed: int = 0, trials: int = 100,
             suites: set[str] | None = None) -> VerificationReport:
-    """Build the update tables once, make every solve the checks need in
-    one lock-step call on them, and run every applicable check.
+    """Build the update tables once, make every solve the checks need by
+    the method ``solve`` runs on ``spec``, and run every applicable check.
 
     The solves are the base solve from zero, which is the checked field and
     the lower side of two-sided agreement, made when a check reads it; both
     variants from ``config``'s init when the saddle-order gap, measured on
     the grid's control samples before the build, is zero; and the start
     from the upper bound.  A solve two checks share is made once, an init
-    array matched by identity.  ``suites`` filters by the names in
-    ``SUITES``; None runs everything.  ``trials`` below 1 is a ValueError.
+    array matched by identity.  Where ``check_y1_y2`` certifies the spec,
+    each is a nested policy solve whose last grid reads the run's tables,
+    and the saddle-order pair's other variant starts from the configured
+    variant's field; elsewhere they are one lock-step Picard call on the
+    tables.  ``suites`` filters by the names in ``SUITES``; None runs
+    everything.  ``trials`` below 1 is a ValueError.
     """
     config = config or SolverConfig()
     _require_trials(trials)
@@ -408,15 +415,16 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     if _wanted(suites, "uniqueness"):
         roles["high"] = ("upper", config.variant)
     tables = build_tables(spec, grid, config.dt)
-
-    def key(init, variant: Variant) -> tuple:
-        return (init if isinstance(init, str) else id(init)), variant
-
-    members = {key(*role): role for role in roles.values()}
-    made = dict(zip(members, solve_many(spec, grid, [
-        replace(config, init=init, variant=variant) for init, variant in members.values()],
-        tables))) if members else {}
-    solved = {name: made[key(*role)] for name, role in roles.items()}
+    if not roles:
+        solved = {}
+    elif _uncertified(spec) is None:
+        solved = _policy_solves(spec, grid, config, roles, tables)
+    else:
+        members = {_key(*role): role for role in roles.values()}
+        made = dict(zip(members, solve_many(spec, grid, [
+            replace(config, init=init, variant=variant) for init, variant in members.values()],
+            tables)))
+        solved = {name: made[_key(*role)] for name, role in roles.items()}
 
     checks = []
     base = solved.get("base")
@@ -433,3 +441,33 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
         checks.append(operator_probes(spec, grid, trials=trials, seed=seed,
                                       variant=config.variant, tables=tables))
     return VerificationReport(checks, seed)
+
+
+def _key(init, variant: Variant) -> tuple:
+    """A solve's identity: a string init by value, an init array by identity."""
+    return (init if isinstance(init, str) else id(init)), variant
+
+
+def _policy_solves(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, roles: dict,
+                   tables: BellmanTables) -> dict[str, SolveResult]:
+    """Each role's field by nested policy iteration, ``solve``'s method on a
+    certified spec, so the base solve is ``solve``'s own field.  The
+    saddle-order pair's other variant starts from the configured variant's
+    field on ``grid``: where the two orders agree bit for bit, its first
+    residual certifies that field, which it returns unmoved."""
+    made = {}
+
+    def made_from(init, variant: Variant, start) -> SolveResult:
+        key = _key(init, variant)
+        if key not in made:
+            made[key] = _policy_solve(spec, grid, replace(config, init=start, variant=variant),
+                                      tables)
+        return made[key]
+
+    solved = {}
+    for name, (init, variant) in roles.items():
+        start = init
+        if name in ("plus", "minus") and variant is not config.variant:
+            start = made_from(init, config.variant, init).values
+        solved[name] = made_from(init, variant, start)
+    return solved

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate, make_grid,
                                       semigroup_step)
+from hybrid_isaacs.hybridsim import rollout_value_gap
 from hybrid_isaacs.problem import eval_dynamics, eval_running_cost, sample_controls
 
 from conftest import game_2d, toy_spec
@@ -73,6 +74,28 @@ def test_clamped_below_box():
     values = np.array([3.0, 10.0])
     assert interpolate(values, grid, [-1.0]) == 3.0
     assert interpolate(values, grid, [42.0]) == 10.0
+
+
+@pytest.mark.parametrize("counts", [(20, 20), (21, 20), (21, 21)])
+def test_interpolate_refuses_a_nan_state_on_every_grid(counts):
+    """A nan coordinate is a ValueError naming the state, whatever the
+    grid's point counts; an infinite one clamps to the face."""
+    spec = toy_spec(box=((-1.0, 1.0), (-1.0, 1.0)))
+    grid = make_grid(spec, counts)
+    values = np.arange(grid.n_points, dtype=float)
+    for x in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match=re.escape(f"state {x}")):
+            interpolate(values, grid, x)
+    assert interpolate(values, grid, [np.inf, 0.0]) == interpolate(values, grid, [1.0, 0.0])
+    assert interpolate(values, grid, [-np.inf, -np.inf]) == values[0]
+
+
+def test_rollout_value_gap_refuses_a_nan_start(drift_1d):
+    spec, _, _ = drift_1d
+    grid = make_grid(spec, 21)
+    values = np.zeros((1, 1, grid.n_points))
+    with pytest.raises(ValueError, match=re.escape("state [nan]")):
+        rollout_value_gap(spec, grid, values, [([np.nan], 0, 0)], horizon=0.0)
 
 
 def test_nodal_exactness():

@@ -1,7 +1,7 @@
 """The byte-parity harness, ``scripts/parity.py``: its digests are a
 function of the source tree and the inputs alone, so two runs of one tree
 print the same listing, wall-clock manifest fields left out; and each
-solve's field is checked against the Picard loop that ``verify`` runs."""
+solve's field is checked against the Picard loop's."""
 
 import importlib.util
 import os

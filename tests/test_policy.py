@@ -182,6 +182,34 @@ def test_an_explicit_field_starts_on_the_fine_grid(tmp_path):
         solve(spec, grid, replace(config, init=start[..., :-1]))
 
 
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_a_certified_start_comes_back_bit_for_bit(name, monkeypatch, tmp_path):
+    """An explicit start's first residual is its own, taken before any
+    sweep: a field that already meets the tolerance comes back unmoved,
+    with no outer step and one history entry.  Starts "zero" and "upper"
+    keep their smoothing sweeps on every grid."""
+    spec, grid, config = load_game(name, tmp_path)
+    field = solve(spec, grid, config)
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        sweeps.append(args[2].counts)
+        return bellman_update(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "bellman_update", counting)
+    again = solve(spec, grid, replace(config, init=field.values))
+    assert again.values.tobytes() == field.values.tobytes() and again.values is not field.values
+    assert again.converged and again.outer_steps == again.fallbacks == 0
+    assert again.change_history.tolist() == [field.last_change]
+    assert sweeps == []
+    levels = solver._grids(grid) if config.dt is None else [grid]
+    for init in ("zero", "upper"):
+        sweeps.clear()
+        solve(spec, grid, replace(config, init=init))
+        assert sweeps[:solver._SMOOTHING_SWEEPS] == [levels[0].counts] * solver._SMOOTHING_SWEEPS
+        assert {counts for counts in sweeps} == {level.counts for level in levels}
+
+
 @pytest.mark.parametrize("cap", [0, 1, 2, 3])
 def test_the_cap_counts_residuals_on_each_grid_and_returns_the_least(cap, tmp_path):
     """gen2d seed 2 nests 21^2 and 41^2, and its first policy step on each

@@ -390,3 +390,64 @@ def test_expressions_compile_once_per_spec(monkeypatch):
         + list(spec.running_cost.values())
     assert len(compiled) == len(expected) == 12
     assert sorted(map(id, compiled)) == sorted(map(id, expected))
+
+
+def every_rotation_loops(spec):
+    """Closed alternating walks enumerated from every start pair, each loop
+    walked once from each of its rotations and deduplicated by its least
+    rotation: the enumeration ``check_y1_y2`` made before it walked a loop
+    only from its least pair.  Returns (zero loops in the order found,
+    loop count)."""
+    n_pairs = spec.m1 * spec.m2
+    zero_loops, seen = [], set()
+
+    def walk(start, current, path, cost1, cost2, used1, used2):
+        if len(path) > 1 and current == start and used1 and used2:
+            loop = tuple(path[:-1])
+            key = min(loop[i:] + loop[:i] for i in range(len(loop)))
+            if key not in seen:
+                seen.add(key)
+                if abs(cost1 - cost2) <= 1e-12:
+                    zero_loops.append(list(loop))
+        if len(path) - 1 >= n_pairs:
+            return
+        a, b = current
+        for a2 in range(spec.m1):
+            if a2 != a:
+                walk(start, (a2, b), path + [(a2, b)], cost1 + spec.switch_cost_1[a, a2],
+                     cost2, True, used2)
+        for b2 in range(spec.m2):
+            if b2 != b:
+                walk(start, (a, b2), path + [(a, b2)], cost1,
+                     cost2 + spec.switch_cost_2[b, b2], used1, True)
+
+    for start in [(a, b) for a in range(spec.m1) for b in range(spec.m2)]:
+        walk(start, start, [start], 0.0, 0.0, False, False)
+    return zero_loops, len(seen)
+
+
+@pytest.mark.parametrize("m1, m2, costs", [
+    (2, 2, "uniform"), (2, 2, "equal"), (2, 3, "uniform"), (2, 3, "two-valued"),
+    (3, 2, "uniform"), (3, 2, "equal"), (2, 4, "uniform"), (2, 4, "two-valued"),
+    (3, 3, "two-valued"),
+])
+def test_loops_walked_from_their_least_pair_are_every_rotations_loops(m1, m2, costs):
+    """Walking each loop only from its least mode pair finds the zero loops
+    of walks from every rotation, in the same order, and the same loop
+    count, with random costs, costs of 1 or 2, and all-equal costs."""
+    rng = np.random.default_rng(m1 * 10 + m2)
+
+    def switch_costs(m):
+        c = {"uniform": rng.uniform(0.1, 1.0, (m, m)), "equal": np.ones((m, m)),
+             "two-valued": rng.choice([1.0, 2.0], (m, m))}[costs]
+        np.fill_diagonal(c, 0.0)
+        return c
+
+    spec = toy_spec(d1=tuple("abc"[:m1]), d2=tuple("wxyz"[:m2]), c1=switch_costs(m1),
+                    c2=switch_costs(m2))
+    report = check_y1_y2(spec)
+    zero_loops, count = every_rotation_loops(spec)
+    assert report.zero_loops == zero_loops
+    assert report.loop_count == count and report.y2_holds is (not zero_loops)
+    if costs != "uniform":
+        assert zero_loops

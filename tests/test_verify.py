@@ -18,7 +18,7 @@ from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstac
                                   operator_probes, post_impulse_strictness, run_all,
                                   two_sided_uniqueness)
 
-from conftest import BUNDLED, game_2d, game_3d, load_bundled, toy_spec
+from conftest import BUNDLED, game_2d, game_3d, gen2d, load_bundled, toy_spec
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -405,7 +405,7 @@ def test_comparison_checks_make_no_solve(drift_1d, monkeypatch):
     grid = make_grid(spec, 21)
     config = SolverConfig(tolerance=1e-9)
     gap, plus, minus = variants_and_gap(spec, grid, config)
-    calls, builds = counted_lock_steps(monkeypatch)
+    calls, builds, _ = counted_solves(monkeypatch)
     assert isaacs_value_equality(gap, plus, minus).status == "pass"
     assert two_sided_uniqueness(plus, plus, 10 * config.tolerance).status == "pass"
     assert calls == [] and builds == []
@@ -466,6 +466,66 @@ def test_run_all_passes_on_bundled(impulse_toy):
             "saddle-order-equality", "two-sided-agreement", "operator-probes"} <= names
 
 
+def verified_game(name, tmp_path):
+    """(spec, grid, config) of a bundled spec at its own grid, the test
+    suite's 2-D game at 9 points per side, or the benchmark's 2-D game of
+    seed ``gen2d_<seed>`` at 41; tolerance 1e-9 on the 2-D games."""
+    if name == "game_2d":
+        spec = game_2d()
+        return spec, make_grid(spec, 9), SolverConfig(tolerance=1e-9)
+    if name.startswith("gen2d_"):
+        spec = gen2d(int(name[6:]), 41, tmp_path)
+        return spec, make_grid(spec, 41), SolverConfig(tolerance=1e-9)
+    spec, grid_cfg, solver_cfg = load_bundled(name)
+    return (spec, make_grid(spec, grid_cfg["points"]),
+            SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"]))
+
+
+@pytest.mark.parametrize("init", ["zero", "upper"])
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "gen2d_1", "gen2d_2",
+                                                    "gen2d_3", "gen2d_4"])
+def test_run_all_passes_wherever_picard_verified(name, variant, init, tmp_path):
+    """Every check passes on the bundled specs, the 2-D game and the
+    benchmark's 2-D games, in both variants and from both inits.  Where
+    one player steers the drift the saddle orders agree bit for bit, and
+    so do the two variants' fields; the 2-D game's gap is above zero."""
+    spec, grid, config = verified_game(name, tmp_path)
+    report = run_all(spec, grid, replace(config, variant=variant, init=init), trials=10)
+    assert report.passed, report.to_text()
+    [check] = [c for c in report.checks if c.name == "saddle-order-equality"]
+    if name == "game_2d":
+        assert check.status == "skipped"
+    else:
+        assert check.measured["value_difference"] == 0.0
+
+
+def test_saddle_orders_still_differ_where_both_players_steer(monkeypatch):
+    """Both players steer the drift and the sampled gap is zero, yet the
+    discrete orders differ at the interpolant's kinks: the check fails as
+    it does on Picard's pair, with a difference within twice the tolerance
+    of that pair's."""
+    spec = toy_spec(f="0.5*u1 - 0.3*u2 - 0.2*x0", k="0.1 + 0.05*x0^2", u1=(-1.0, 1.0),
+                    u2=(-1.0, 1.0))
+    grid = make_grid(spec, 41)
+    config = SolverConfig(tolerance=1e-9)
+    _, _, policies = counted_solves(monkeypatch)
+    [check] = run_all(spec, grid, config, suites={"isaacs"}).checks
+    gap, plus, minus = variants_and_gap(spec, grid, config)
+    picard_difference = float(np.abs(plus.values - minus.values).max())
+    assert check.status == "fail" and check.measured["order_gap"] == gap == 0.0
+    assert picard_difference > 1e-4
+    assert abs(check.measured["value_difference"] - picard_difference) <= 2 * config.tolerance
+    assert policies[1][3].outer_steps > 0
+
+
+@pytest.mark.parametrize("name", ["drift_1d", "balanced_loop", "gen2d_1"])
+def test_two_runs_give_the_same_report_bytes(name, tmp_path):
+    spec, grid, config = verified_game(name, tmp_path)
+    first, second = (run_all(spec, grid, config, seed=2, trials=10) for _ in range(2))
+    assert first.to_kv() == second.to_kv() and first.to_text() == second.to_text()
+
+
 def test_run_all_suite_filter(constant_cost):
     spec, grid_cfg, solver_cfg = constant_cost
     grid = make_grid(spec, 21)
@@ -485,10 +545,11 @@ def test_report_serialization_is_diff_stable(constant_cost):
     assert kv_lines == sorted(kv_lines)
 
 
-def counted_lock_steps(monkeypatch):
+def counted_solves(monkeypatch):
     """The members of every lock-step call ``verify`` makes, as (init,
-    variant) lists, and the update tables of every table build it makes."""
-    calls, builds = [], []
+    variant) lists, the update tables of every table build it makes, and
+    every policy solve it makes, as (init, variant, tables passed, result)."""
+    calls, builds, policies = [], [], []
 
     def counting_solve_many(spec, grid, configs, tables=None):
         configs = list(configs)
@@ -499,39 +560,77 @@ def counted_lock_steps(monkeypatch):
         builds.append(build_tables(*args, **kwargs))
         return builds[-1]
 
+    def counting_policy(spec, grid, config, tables=None):
+        result = solver._policy_solve(spec, grid, config, tables)
+        policies.append((config.init, config.variant, tables, result))
+        return result
+
     monkeypatch.setattr(verify, "solve_many", counting_solve_many)
     monkeypatch.setattr(verify, "build_tables", counting_build)
     monkeypatch.setattr(solver, "build_tables", counting_build)
-    return calls, builds
+    monkeypatch.setattr(verify, "_policy_solve", counting_policy)
+    return calls, builds, policies
+
+
+def policy_members(policies):
+    """(init, variant) of each policy solve; a start that is an earlier
+    solve's field is named by that solve's index."""
+    return [(init if isinstance(init, str) else
+             next(i for i, p in enumerate(policies) if p[3].values is init), variant)
+            for init, variant, _, _ in policies]
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_run_all_reuses_its_base_solve(name, monkeypatch):
     """From a zero init the base solve is the saddle-order check's solve of
     the configured variant, and the gap is measured once, on the grid's
-    control samples: three distinct solves in one lock-step call on one
-    table build, and the check of the same solves made apart."""
+    control samples.  On a certified spec each of the three solves is a
+    policy solve made once, the other variant from the base field, and
+    every one reads the one build of the grid's tables; on balanced_loop,
+    which is not certified, they are one lock-step call on one build.  The
+    check is that of the same solves made apart."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
     config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
-    calls, builds = counted_lock_steps(monkeypatch)
-    gap_samples = []
+    calls, builds, policies = counted_solves(monkeypatch)
+    gap_samples, gates = [], []
 
     def recording_gap(f, k, **kwargs):
         gap_samples.append((f, k))
         return isaacs_gap(f, k, **kwargs)
 
+    def counting_gate(spec):
+        gates.append(spec)
+        return solver._uncertified(spec)
+
     with monkeypatch.context() as patched:
         patched.setattr(verify, "isaacs_gap", recording_gap)
+        patched.setattr(verify, "_uncertified", counting_gate)
         report = run_all(spec, grid, config, suites={"isaacs", "uniqueness"})
     check = report.checks[0]
     assert check.name == "saddle-order-equality" and check.status == "pass"
-    assert calls == [[("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]]
-    assert len(builds) == 1
+    assert len(gates) == 1
+    [tables] = [t for t in builds if t.grid == grid]  # coarse grids build their own
     f, k = sample_controls(spec, grid.points)
     [(gap_f, gap_k)] = gap_samples
     assert gap_f.tobytes() == f.tobytes() and gap_k.tobytes() == k.tobytes()
-    assert check == isaacs_value_equality(*variants_and_gap(spec, grid, config))
+    if name == "balanced_loop":
+        assert calls == [[("zero", Variant.PLUS), ("zero", Variant.MINUS),
+                          ("upper", Variant.PLUS)]]
+        assert policies == [] and len(builds) == 1
+        assert check == isaacs_value_equality(*variants_and_gap(spec, grid, config))
+        return
+    assert calls == []
+    assert policy_members(policies) == [("zero", Variant.PLUS), (0, Variant.MINUS),
+                                        ("upper", Variant.PLUS)]
+    assert all(passed is tables for _, _, passed, _ in policies)
+    base, other = policies[0][3], policies[1][3]
+    assert base.values.tobytes() == solve(spec, grid, config).values.tobytes()
+    apart = solver._policy_solve(spec, grid, replace(config, init=base.values,
+                                                     variant=Variant.MINUS))
+    assert apart.values.tobytes() == other.values.tobytes()
+    assert other.outer_steps == 0 and check.measured["value_difference"] == 0.0
+    assert check == isaacs_value_equality(check.measured["order_gap"], base, apart)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d"])
@@ -551,31 +650,34 @@ def test_run_all_reads_the_gap_of_the_control_samples(name):
 
 
 def test_run_all_solves_again_from_an_upper_init(constant_cost, monkeypatch):
-    """An upper init solves both variants from the upper bound, and the
-    saddle-order check alone reads no solve from zero."""
+    """An upper init solves the configured variant from the upper bound
+    and the other from its field, and the saddle-order check alone reads
+    no solve from zero."""
     spec, grid_cfg, solver_cfg = constant_cost
     grid = make_grid(spec, 21)
-    calls, builds = counted_lock_steps(monkeypatch)
+    calls, builds, policies = counted_solves(monkeypatch)
     config = SolverConfig(dt=0.5, tolerance=1e-9, init="upper")
     report = run_all(spec, grid, config, suites={"isaacs"})
     assert report.checks[0].status == "pass"
-    assert calls == [[("upper", Variant.PLUS), ("upper", Variant.MINUS)]]
-    assert len(builds) == 1
+    assert calls == []
+    assert policy_members(policies) == [("upper", Variant.PLUS), (0, Variant.MINUS)]
+    assert len(builds) == 1 and all(p[2] is builds[0] for p in policies)
 
 
 @pytest.mark.parametrize("init", ["zero", "upper"])
 @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
 def test_run_all_builds_the_tables_once(balanced_loop, init, variant, monkeypatch):
-    """Every suite: one table build and three distinct members in one
-    lock-step call; from an upper init, the upper start of two-sided
-    agreement is saddle-order equality's solve of the configured variant."""
+    """Every suite on a spec that is not certified: one table build, three
+    distinct members in one lock-step call and no policy solve; from an
+    upper init, the upper start of two-sided agreement is saddle-order
+    equality's solve of the configured variant."""
     spec, grid_cfg, solver_cfg = balanced_loop
     grid = make_grid(spec, 41)
-    calls, builds = counted_lock_steps(monkeypatch)
+    calls, builds, policies = counted_solves(monkeypatch)
     config = SolverConfig(tolerance=solver_cfg["tolerance"], init=init, variant=variant)
     report = run_all(spec, grid, config, trials=3)
     assert report.passed, report.to_text()
-    assert len(builds) == 1 and len(calls) == 1
+    assert len(builds) == 1 and len(calls) == 1 and policies == []
     assert len(calls[0]) == 3
     assert set(calls[0]) == {("zero", variant), (init, Variant.PLUS), (init, Variant.MINUS),
                              ("upper", variant)}
@@ -587,7 +689,7 @@ def test_run_all_matches_an_init_array_by_identity(balanced_loop, monkeypatch):
     spec, grid_cfg, solver_cfg = balanced_loop
     grid = make_grid(spec, 21)
     start = np.zeros((spec.m1, spec.m2, grid.n_points))
-    calls, _ = counted_lock_steps(monkeypatch)
+    calls, _, _ = counted_solves(monkeypatch)
     config = SolverConfig(tolerance=solver_cfg["tolerance"], init=start)
     report = run_all(spec, grid, config, suites={"isaacs", "chain"})
     assert report.passed, report.to_text()
@@ -597,28 +699,28 @@ def test_run_all_matches_an_init_array_by_identity(balanced_loop, monkeypatch):
 
 
 @pytest.mark.parametrize("suites, coupled, members", [
-    (None, False, [("zero", Variant.PLUS), ("zero", Variant.MINUS), ("upper", Variant.PLUS)]),
+    (None, False, [("zero", Variant.PLUS), (0, Variant.MINUS), ("upper", Variant.PLUS)]),
     (None, True, [("zero", Variant.PLUS), ("upper", Variant.PLUS)]),
     ({"chain"}, False, [("zero", Variant.PLUS)]),
     ({"uniqueness"}, False, [("zero", Variant.PLUS), ("upper", Variant.PLUS)]),
-    ({"isaacs"}, False, [("zero", Variant.PLUS), ("zero", Variant.MINUS)]),
+    ({"isaacs"}, False, [("zero", Variant.PLUS), (0, Variant.MINUS)]),
     ({"isaacs"}, True, None),
     ({"probes"}, False, None),
 ])
 def test_run_all_solves_what_its_suites_read(suites, coupled, members, monkeypatch):
-    """One lock-step call of the solves the asked suites read, and none
-    when they read no solve: the probes alone, or the saddle-order check
-    alone where the gap is above zero; the tables are built once either
-    way."""
+    """Each solve the asked suites read, made once by policy iteration on
+    these certified single-mode toys, and none when they read no solve:
+    the probes alone, or the saddle-order check alone where the gap is
+    above zero; the tables are built once either way."""
     spec = (toy_spec(**COUPLED) if coupled
             else toy_spec(f="0.5*u1", k="0.1 + 0.05*x0^2 + 0.1*u2", u1=(-1.0, 1.0),
                           u2=(-1.0, 1.0)))
     grid = make_grid(spec, 9)
-    calls, builds = counted_lock_steps(monkeypatch)
+    calls, builds, policies = counted_solves(monkeypatch)
     report = run_all(spec, grid, SolverConfig(tolerance=1e-9), trials=3, suites=suites)
     assert report.passed, report.to_text()
-    assert calls == ([] if members is None else [members])
-    assert len(builds) == 1
+    assert calls == [] and policy_members(policies) == (members or [])
+    assert len(builds) == 1 and all(p[2] is builds[0] for p in policies)
 
 
 def test_run_all_gates_on_the_base_solve_only_when_made(balanced_loop):
