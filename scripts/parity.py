@@ -7,7 +7,9 @@ from an upper init, ``verify --values`` and ``simulate`` in each variant,
 on every case: the bundled specs, the benchmark's seeded 2-D game (seeds 1
 to 3 at 41x41) and a 3-D game at 9x9x9.  ``verify`` has no ``--init``
 flag, so the upper-init run reads a copy of the case's spec whose
-``[solver]`` table sets ``init = "upper"``.  Each command runs in a fresh interpreter that imports the
+``[solver]`` table sets ``init = "upper"``; ``verify`` solves from zero and
+from the upper bound whatever the init, so that run's reports are the
+plain run's.  Each command runs in a fresh interpreter that imports the
 program from ``--src`` (default: this checkout's ``src``), with relative
 paths inside a per-case directory, so its output does not depend on where
 it ran.  One line is printed per digest: case, command, then ``exit``,
@@ -16,9 +18,10 @@ are digested without their ``wall_seconds``.
 
 ``solve`` runs policy iteration wherever it can certify the field, and so
 do ``verify``'s solves; elsewhere both run the Picard loop
-(``solver.solve_many``).  After each ``solve``, the script runs the Picard
-loop on the same arguments and compares its field with the one ``solve``
-wrote.  The exit code is 1 when
+(``solver.solve_many(spec, grid, config, inits)``, one config from each
+start).  After each ``solve``, the script runs the Picard loop from the
+config's own start on the same arguments and compares its field with the
+one ``solve`` wrote.  The exit code is 1 when
 a solve's field is missing or lies more than twice the solve tolerance
 from Picard's; standard error names the case and variant.
 
@@ -59,7 +62,7 @@ path = Path(args.config)
 spec, grid_cfg, solver_cfg = problem.load_config(path)
 grid, values = cli.read_value_csv(Path(args.out) / f"{path.stem}.value.csv", spec)
 config = cli._solver_config(args, solver_cfg, path)
-picard = solver.solve_many(spec, grid, [config])[0].values
+picard = solver.solve_many(spec, grid, config, [config.init])[0].values
 print(float(abs(picard - values).max()), config.tolerance)
 """
 

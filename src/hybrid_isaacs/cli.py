@@ -163,7 +163,10 @@ def read_value_csv(path: Path, spec: ProblemSpec) -> tuple[GridSpec, np.ndarray]
     if box != spec.box.tolist():
         raise MismatchError(f"{path}: box does not match the problem")
 
-    grid = make_grid(spec, counts)
+    try:
+        grid = make_grid(spec, counts)
+    except ValueError as exc:
+        raise MismatchError(f"{path}: counts {meta['counts']}: {exc}") from None
     n = grid.n_points
     shape = (spec.m1 * spec.m2 * n, 3 + spec.dimension)
     if rows.shape != shape:

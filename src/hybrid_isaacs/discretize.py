@@ -328,29 +328,30 @@ class BellmanTables(ImpulseTable):
 
     @cached_property
     def _pair_blocks(self) -> dict:
-        """``pair_blocks``' lists by member range, built on first use."""
+        """``pair_blocks``' lists by member count, built on first use."""
         return {}
 
-    def pair_blocks(self, start: int = 0, stop: int = 1) -> list[tuple]:
+    def pair_blocks(self, members: int = 1) -> list[tuple]:
         """``(members, pairs, foot_idx, foot_wts)`` of each block of the
-        continue branch over members ``start`` to ``stop`` of a stack of
-        fields: the member index, or a slice where the block holds several;
-        the pair slice; views of the pairs' tables.  A block spans at most
+        continue branch over a stack of ``members`` fields: the member
+        index, or a slice where the block holds several; the pair slice;
+        views of the pairs' tables.  A block spans at most
         ``_PAIR_BLOCK_READS`` of k's control-node values over its members
         and pairs, and at least one member-pair: every member and as many
-        pairs as fit, or else one pair and as many members as fit."""
-        blocks = self._pair_blocks.get((start, stop))
+        pairs as fit, or else one pair and as many members as fit.  An
+        empty stack has no block."""
+        blocks = self._pair_blocks.get(members)
         if blocks is not None:
             return blocks
-        pairs, members = self.spec.m1 * self.spec.m2, stop - start
+        pairs = self.spec.m1 * self.spec.m2
         budget = max(1, _PAIR_BLOCK_READS // self.k[0, 0].size)
-        size = max(1, budget // members)
+        size = max(1, budget // max(1, members))
         rows = max(1, min(members, budget // size))
         idx, wts = (a.reshape((pairs,) + a.shape[2:]) for a in (self.foot_idx, self.foot_wts))
-        blocks = [(m if rows == 1 else slice(m, min(m + rows, stop)), slice(lo, lo + size),
+        blocks = [(m if rows == 1 else slice(m, min(m + rows, members)), slice(lo, lo + size),
                    idx[lo:lo + size], wts[lo:lo + size])
-                  for m in range(start, stop, rows) for lo in range(0, pairs, size)]
-        self._pair_blocks[start, stop] = blocks
+                  for m in range(0, members, rows) for lo in range(0, pairs, size)]
+        self._pair_blocks[members] = blocks
         return blocks
 
     def saddle_cost(self, saddle: tuple[tuple[int, Callable], ...]) -> np.ndarray:

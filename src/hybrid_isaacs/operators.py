@@ -3,7 +3,8 @@ of the double-obstacle system.
 
 Value fields are plain arrays of shape ``(m1, m2, n_points)``; every
 branch and the update also take a stack of them, ``(..., m1, m2,
-n_points)``, and treat each member as on its own.  Conventions:
+n_points)``, under one commitment order, and treat each member as on
+its own.  Conventions:
 
 * The commitment order is written once, in ``_SADDLE``, which the rollout
   policy reads too.  ``Variant.PLUS``: player 1 commits first (max over u1
@@ -20,7 +21,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -162,44 +162,28 @@ def impulse_field(values: np.ndarray, tables: ImpulseTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-step update
 
-def _variant_runs(variant: Variant | Sequence[Variant], members: int) -> tuple[tuple, ...]:
-    """``(variant, start, stop)`` of each run of equal variants over a
-    stack of ``members`` fields, given one Variant or one per member; none
-    for an empty stack."""
-    if isinstance(variant, Variant):
-        return ((variant, 0, members),) if members else ()
-    variants = list(variant)
-    if len(variants) != members:
-        raise ValueError(f"{len(variants)} variants for a stack of {members} fields")
-    starts = [i for i in range(members) if i == 0 or variants[i] is not variants[i - 1]]
-    return tuple((variants[a], a, b) for a, b in zip(starts, starts[1:] + [members]))
-
-
-def _continue_blocks(rows: np.ndarray, tables: BellmanTables,
-                     variant: Variant | Sequence[Variant]):
+def _continue_blocks(rows: np.ndarray, tables: BellmanTables, variant: Variant):
     """``(members, pairs, q, saddle)`` of each ``tables.pair_blocks`` block
     of flat fields ``rows``, ``(count, m1*m2*p)``: its index in a ``(count,
     m1*m2, p)`` stack, its continue table ``cost[pairs] + gamma * read`` and
-    its ``_SADDLE`` order.  A block of one member reads its flat field."""
-    for v, start, stop in _variant_runs(variant, len(rows)):
-        saddle = _SADDLE[v]
-        cost = tables.saddle_cost(saddle)
-        for members, pairs, idx, wts in tables.pair_blocks(start, stop):
-            read = read_stencils(rows[members], idx, wts, tables.grid)
-            read *= tables.gamma
-            yield members, pairs, cost[pairs] + read, saddle
+    ``variant``'s ``_SADDLE`` order.  A block of one member reads its flat
+    field."""
+    saddle = _SADDLE[variant]
+    cost = tables.saddle_cost(saddle)
+    for members, pairs, idx, wts in tables.pair_blocks(len(rows)):
+        read = read_stencils(rows[members], idx, wts, tables.grid)
+        read *= tables.gamma
+        yield members, pairs, cost[pairs] + read, saddle
 
 
-def continue_field(values: np.ndarray, tables: BellmanTables,
-                   variant: Variant | Sequence[Variant]) -> np.ndarray:
+def continue_field(values: np.ndarray, tables: BellmanTables, variant: Variant) -> np.ndarray:
     """Saddle over the control grids of quadrature cost plus discounted
     interpolated value at the propagated foot, of one field or a stack
-    ``(..., m1, m2, p)``; ``variant`` is one Variant or one per member.
+    ``(..., m1, m2, p)``, read in the blocks of ``tables.pair_blocks``.
 
     The cost is ``tables.saddle_cost``, ``weight * k`` already reduced over
     each control axis whose feet are all equal: the bits of the full saddle
-    from fewer terms.  Each run of equal variants is read in the blocks of
-    ``tables.pair_blocks``.
+    from fewer terms.
     """
     count = math.prod(values.shape[:-3])
     pairs, points = math.prod(values.shape[-3:-1]), values.shape[-1]
@@ -234,17 +218,16 @@ def _obstacles(values: np.ndarray, spec: ProblemSpec, tables: ImpulseTable):
 
 
 def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                   dt: float | None = None, variant: Variant | Sequence[Variant] = Variant.PLUS,
+                   dt: float | None = None, variant: Variant = Variant.PLUS,
                    tables: BellmanTables | None = None) -> np.ndarray:
     """One sweep of the double-obstacle dynamic-programming operator.
 
     Reads only the previous field (Jacobi update): every point is computed
     from the same input array, so the result is independent of sweep order.
     A stack of fields, ``(..., m1, m2, p)``, is swept at once, each member
-    with the bits of its own sweep; ``variant`` is as ``continue_field``
-    takes it.  np.minimum returns the later operand of a tie and the
-    earlier of two NaNs, so ``min(L, min(I, C))`` for ``min(min(L, I), C)``
-    changes no bit.
+    with the bits of its own sweep.  np.minimum returns the later operand of
+    a tie and the earlier of two NaNs, so ``min(L, min(I, C))`` for
+    ``min(min(L, I), C)`` changes no bit.
     """
     if tables is None:
         tables = build_tables(spec, grid, dt)

@@ -3,11 +3,12 @@
 Two methods reach the fixed point of the one-step update ``T``.
 
 * Picard iteration, ``V <- T[V]``: each sweep returns a new field and the
-  previous one is dropped.  ``solve_many`` runs the loop over a stack of
-  fields on one table build.  The stop rule converts the requested
-  ``tolerance`` (a target sup-norm distance to the fixed point) into a
-  successive-change threshold through the one-step discount factor: for a
-  gamma-contraction, ``|V_n - V*| <= gamma/(1-gamma) * |V_n - V_{n-1}|``.
+  previous one is dropped.  ``solve_many`` runs one config's loop from
+  several starts at once, as a stack on one table build.  The stop rule
+  converts the requested ``tolerance`` (a target sup-norm distance to the
+  fixed point) into a successive-change threshold through the one-step
+  discount factor: for a gamma-contraction,
+  ``|V_n - V*| <= gamma/(1-gamma) * |V_n - V_{n-1}|``.
 * Policy iteration (Howard's algorithm), which ``solve`` runs where it
   can certify the field: each outer step fixes the greedy policy of ``V``
   (``operators.policy_sweep``) and solves its linear system
@@ -22,10 +23,10 @@ Both bounds rest on a unique fixed point, which the paper's switching-cost
 conditions secure: ``solve`` certifies a field, and runs policy iteration,
 only where ``problem.check_y1_y2`` finds the nonzero-loop condition, and
 runs Picard iteration elsewhere.  ``verify.run_all`` picks its solves'
-method by the same rule: policy solves on a certified spec, one
-lock-step ``solve_many`` call elsewhere.  Switch and impulse rows are not
-discounted, so ``T`` is not a one-step gamma-contraction wherever they
-bind: the certificate is the unscaled residual bound, and the factor a
+method by the same rule: a policy solve per start on a certified spec,
+one lock-step ``solve_many`` call elsewhere.  Switch and impulse rows are
+not discounted, so ``T`` is not a one-step gamma-contraction wherever
+they bind: the certificate is the unscaled residual bound, and the factor a
 chain of zero-time events adds to it is still open.
 """
 
@@ -154,15 +155,15 @@ def _warn_long_step(spec: ProblemSpec, tables: BellmanTables) -> None:
             stacklevel=3)
 
 
-def _initial_field(config: SolverConfig, tables: BellmanTables,
+def _initial_field(init, tables: BellmanTables,
                    shape: tuple[int, int, int]) -> tuple[np.ndarray, bool]:
-    if isinstance(config.init, str):
-        if config.init == INIT_ZERO:
+    if isinstance(init, str):
+        if init == INIT_ZERO:
             return np.zeros(shape), True
-        if config.init == INIT_UPPER:
+        if init == INIT_UPPER:
             return np.full(shape, tables.upper_bound), False
-        raise ValueError(f"unknown init {config.init!r}; use 'zero', 'upper', or an array")
-    values = np.asarray(config.init, dtype=float)
+        raise ValueError(f"unknown init {init!r}; use 'zero', 'upper', or an array")
+    values = np.asarray(init, dtype=float)
     if values.shape != shape:
         raise ValueError(f"custom initial field has shape {values.shape}, expected {shape}")
     return values.copy(), False
@@ -195,86 +196,80 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
     reason = _uncertified(spec)
     if reason is None:
         return _policy_solve(spec, grid, config)
-    result = solve_many(spec, grid, [config])[0]
+    result = solve_many(spec, grid, config, [config.init])[0]
     result.uncertified = reason
     return result
 
 
 class _Member:
-    """One field of a lock-step solve: its config, stop rule and
-    diagnostics, and its result once it stops.  A plain class: a dataclass
-    costs about 1 ms of import time."""
+    """One field of a lock-step solve: its diagnostics, and its result once
+    it stops.  A plain class: a dataclass costs about 1 ms of import time."""
 
-    __slots__ = ("config", "stop", "monotone", "history", "converged", "result")
+    __slots__ = ("monotone", "history", "converged", "result")
 
-    def __init__(self, config: SolverConfig, stop: float, monotone: bool | None):
-        self.config, self.stop, self.monotone = config, stop, monotone
+    def __init__(self, monotone: bool | None):
+        self.monotone = monotone
         self.history: list[float] = []
         self.converged = False
         self.result: SolveResult | None = None
 
-    def record(self, low: float, high: float) -> bool:
+    def record(self, low: float, high: float, stop: float) -> bool:
         """Take one sweep's least and largest change; True if it converged."""
         change = abs(max(high, -low))  # |diff|.max(), +0.0 when all zero
         self.history.append(change)
         if self.monotone:
             self.monotone = low >= 0.0  # updated >= values, on finite fields
-        self.converged = converged = change <= self.stop
+        self.converged = converged = change <= stop
         return converged
 
-    def finish(self, values: np.ndarray, iterations: int, tables: BellmanTables) -> None:
-        self.result = SolveResult(
-            values=values, iterations=iterations, change_history=np.asarray(self.history),
-            converged=self.converged, monotone=self.monotone, stop_threshold=self.stop,
-            dt=tables.dt, variant=self.config.variant, tables=tables)
 
-
-def solve_many(spec: ProblemSpec, grid: GridSpec, configs,
+def solve_many(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
                tables: BellmanTables | None = None) -> list[SolveResult]:
-    """The Picard loop of each config, in lock-step over one table build.
+    """The Picard loop of ``config`` from each start in ``inits``, in
+    lock-step over one table build; ``config.init`` is not read.
 
-    The configs must share ``dt``; ``tables``, if given, must be built for
-    ``spec``, ``grid`` and that ``dt``.  Every member has its own initial
-    field, variant, stop rule, cap, history and monotone flag.  Each sweep
-    updates the stack of the members still running at once, and a member
-    leaves it when it stops, so its result has the bits of its own
-    ``solve_many`` of one config, which is ``solve`` on a spec it cannot
-    certify.
+    ``tables``, if given, must be built for ``spec``, ``grid`` and
+    ``config.dt``.  Every member has its own start ("zero", "upper" or an
+    array), history and monotone flag, and shares the variant, stop rule
+    and cap.  Each sweep updates the stack of the members still running at
+    once, and a member leaves it when it converges, so its result has the
+    bits of its own ``solve_many`` of one start, which is ``solve`` on a
+    spec it cannot certify.
     """
-    configs = list(configs)
-    for config in configs:
-        _check_tolerance(config)
-    if len({config.dt for config in configs}) > 1:
-        raise ValueError("lock-step solves must share dt, got "
-                         + ", ".join(sorted({repr(config.dt) for config in configs})))
-    if not configs:
+    _check_tolerance(config)
+    inits = list(inits)
+    if not inits:
         return []
     if tables is None:
-        tables = build_tables(spec, grid, configs[0].dt)
+        tables = build_tables(spec, grid, config.dt)
 
     _warn_long_step(spec, tables)
 
     # successive-change cutoff delivering the requested fixed-point accuracy
     gamma = tables.gamma
+    stop = config.tolerance * min(1.0, (1.0 - gamma) / gamma)
     shape = (spec.m1, spec.m2, grid.n_points)
-    fields = {i: _initial_field(config, tables, shape) for i, config in enumerate(configs)}
-    members = [_Member(config, config.tolerance * min(1.0, (1.0 - gamma) / gamma),
-                       True if fields[i][1] else None) for i, config in enumerate(configs)]
-    # PLUS members first: each variant's members are one run of the stack
-    order = sorted(fields, key=lambda i: configs[i].variant is not Variant.PLUS)
-    running = [members[i] for i in order]
-    values = np.stack([fields.pop(i)[0] for i in order])
+    starts = [_initial_field(init, tables, shape) for init in inits]
+    members = [_Member(True if zero else None) for _, zero in starts]
+    running = members
+    values = np.stack([start for start, _ in starts])
+    del starts
 
     sweep = 0
     stopping = True  # some member may stop: at the start, and after a member converges
     while True:
-        if stopping or sweep >= cap:
+        if stopping or sweep >= config.max_iterations:
             stack = values.reshape((len(running),) + shape)
-            done = [m.converged or sweep >= m.config.max_iterations for m in running]
-            for m, final, stopped in zip(running, stack, done):
-                if stopped:
-                    m.finish(final.copy() if len(running) > 1 else final, sweep, tables)
-            keep = [i for i, stopped in enumerate(done) if not stopped]
+            keep = []
+            for i, (m, final) in enumerate(zip(running, stack)):
+                if not (m.converged or sweep >= config.max_iterations):
+                    keep.append(i)
+                    continue
+                m.result = SolveResult(
+                    values=final.copy() if len(running) > 1 else final, iterations=sweep,
+                    change_history=np.asarray(m.history), converged=m.converged,
+                    monotone=m.monotone, stop_threshold=stop, dt=tables.dt,
+                    variant=config.variant, tables=tables)
             if not keep:
                 break
             if len(keep) < len(running):
@@ -282,16 +277,13 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, configs,
                 stack = stack[keep]
             # a lone member sweeps its own field: a stack of one cost 1-D solves ~5%
             values = stack[0] if len(running) == 1 else stack
-            variants = [m.config.variant for m in running]
-            variant = variants if len(set(variants)) > 1 else variants[0]
-            cap = min(m.config.max_iterations for m in running)
             stopping = False
         sweep += 1
-        updated = bellman_update(values, spec, grid, variant=variant, tables=tables)
+        updated = bellman_update(values, spec, grid, variant=config.variant, tables=tables)
         diff = (updated - values).reshape(len(running), -1)
         for m, low, high in zip(running, np.minimum.reduce(diff, axis=1).tolist(),
                                 np.maximum.reduce(diff, axis=1).tolist()):
-            stopping = m.record(low, high) or stopping
+            stopping = m.record(low, high, stop) or stopping
         values = updated
     return [m.result for m in members]
 
@@ -329,7 +321,8 @@ def _policy_solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
         tables = (fine if level is grid and fine is not None
                   else build_tables(spec, level, config.dt))
         if values is None:
-            values, _ = _initial_field(config, tables, (spec.m1, spec.m2, level.n_points))
+            values, _ = _initial_field(config.init, tables,
+                                       (spec.m1, spec.m2, level.n_points))
         else:
             base, wts = interp_weights(coarse, level.points)
             values = read_stencils(values, base, wts, coarse)

@@ -10,14 +10,16 @@ Each check returns a CheckResult with a machine-readable status:
 
 ``run_all`` is the one place that makes solves: it measures the
 saddle-order gap on the grid's control samples, builds the update tables
-once, makes every solve its checks read by the method ``solve`` runs on
-the spec (nested policy iteration where ``check_y1_y2`` certifies it, one
-lock-step Picard call, ``solver.solve_many``, elsewhere) and drives every
-applicable check, producing a deterministic report for a given (problem,
-grid, config, seed).  The saddle-order and two-sided checks only compare
-the solved fields they are handed.  The obstacle-chain and post-impulse
-checks read only the obstacles, which no time step enters: never the
-update tables.
+once, makes the solves from zero and from the upper bound that its checks
+read, by the method ``solve`` runs on the spec (nested policy iteration
+where ``check_y1_y2`` certifies it, one lock-step Picard call,
+``solver.solve_many``, elsewhere), and drives every applicable check,
+producing a deterministic report for a given (problem, grid, config,
+seed).  The saddle-order check compares the two commitment orders' sweeps
+of the solved field, the discrete form of the game having a value; the
+two-sided check only compares the solved fields it is handed.  The
+obstacle-chain and post-impulse checks read only the obstacles, which no
+time step enters: never the update tables.
 """
 
 from __future__ import annotations
@@ -224,11 +226,12 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
         measured, tol)
 
 
-def isaacs_value_equality(gap: float, plus: SolveResult | None, minus: SolveResult | None,
+def isaacs_value_equality(gap: float, values: np.ndarray | None, tables: BellmanTables,
                           tol: float = 1e-12) -> CheckResult:
     """When both saddle orders agree on sampled costates (``gap`` not above
-    zero), the two solve variants ``plus`` and ``minus`` must be the same
-    field; both are None when ``gap > 0``, which skips the check.
+    zero), the two orders' one-step operators must agree on the solved
+    field ``values``: ``T+[V] == T-[V]``, each one sweep on ``tables``.
+    ``values`` is None when ``gap > 0``, which skips the check.
 
     Caveat: the costate-level gap is linear in the drift, but the discrete
     continue value feeds the drift through a piecewise-linear interpolant.
@@ -241,10 +244,9 @@ def isaacs_value_equality(gap: float, plus: SolveResult | None, minus: SolveResu
         return CheckResult("saddle-order-equality", SKIPPED,
                            f"saddle-order gap {gap:.3e} > 0; orders differ by design",
                            {"order_gap": gap}, tol)
-    if not (plus.converged and minus.converged):
-        return CheckResult("saddle-order-equality", FAIL, "a variant solve did not converge",
-                           {"order_gap": gap}, tol)
-    diff = float(np.abs(plus.values - minus.values).max())
+    plus, minus = (bellman_update(values, tables.spec, tables.grid, variant=v, tables=tables)
+                   for v in Variant)
+    diff = float(np.abs(plus - minus).max())
     return CheckResult("saddle-order-equality", PASS if diff <= tol else FAIL,
                        f"sup-norm difference {diff:.3e}",
                        {"order_gap": gap, "value_difference": diff}, tol)
@@ -355,7 +357,7 @@ def dpp_consistency(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
         measured[f"residual_m{m}"] = drift
         bound = m * eps + tol
         worst_ratio = max(worst_ratio, drift / bound if bound > 0 else 0.0)
-        if drift > bound:
+        if not drift <= bound:  # a nan residual fails too
             status = FAIL
     return CheckResult("multi-step-consistency", status,
                        f"residuals for m in {sorted(steps)} vs m*eps+tol "
@@ -390,84 +392,50 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     """Build the update tables once, make every solve the checks need by
     the method ``solve`` runs on ``spec``, and run every applicable check.
 
-    The solves are the base solve from zero, which is the checked field and
-    the lower side of two-sided agreement, made when a check reads it; both
-    variants from ``config``'s init when the saddle-order gap, measured on
-    the grid's control samples before the build, is zero; and the start
-    from the upper bound.  A solve two checks share is made once, an init
-    array matched by identity.  Where ``check_y1_y2`` certifies the spec,
-    each is a nested policy solve whose last grid reads the run's tables,
-    and the saddle-order pair's other variant starts from the configured
-    variant's field; elsewhere they are one lock-step Picard call on the
-    tables.  ``suites`` filters by the names in ``SUITES``; None runs
-    everything.  ``trials`` below 1 is a ValueError.
+    There are at most two solves of ``config``'s variant.  The one from
+    zero is the checked field, the lower side of two-sided agreement and,
+    when the saddle-order gap (measured on the grid's control samples
+    before the build) is not above zero, the field whose two orders'
+    sweeps the saddle-order check compares; it is made when a check reads
+    it.  The one from the upper bound is two-sided agreement's upper side.
+    ``config.init`` is not read.  Where ``check_y1_y2`` certifies the spec,
+    each is a nested policy solve whose last grid reads the run's tables;
+    elsewhere they are one lock-step Picard call on the tables.
+    ``suites`` filters by the names in ``SUITES``; None runs everything.
+    ``trials`` below 1 is a ValueError.
     """
     config = config or SolverConfig()
     _require_trials(trials)
     gap = None
-    roles = {}   # (init, variant) of each solve a check reads
-    if any(_wanted(suites, key) for key in ("chain", "impulse", "dpp", "uniqueness")):
-        roles["base"] = ("zero", config.variant)
     if _wanted(suites, "isaacs"):
         gap = isaacs_gap(*sample_controls(spec, grid.points), seed=seed)
-        if not gap > 0:
-            roles["plus"], roles["minus"] = ((config.init, v) for v in Variant)
+    inits = []
+    if (any(_wanted(suites, key) for key in ("chain", "impulse", "dpp", "uniqueness"))
+            or _wanted(suites, "isaacs") and not gap > 0):
+        inits.append("zero")
     if _wanted(suites, "uniqueness"):
-        roles["high"] = ("upper", config.variant)
+        inits.append("upper")
     tables = build_tables(spec, grid, config.dt)
-    if not roles:
-        solved = {}
+    if not inits:
+        made = []
     elif _uncertified(spec) is None:
-        solved = _policy_solves(spec, grid, config, roles, tables)
+        made = [_policy_solve(spec, grid, replace(config, init=init), tables) for init in inits]
     else:
-        members = {_key(*role): role for role in roles.values()}
-        made = dict(zip(members, solve_many(spec, grid, [
-            replace(config, init=init, variant=variant) for init, variant in members.values()],
-            tables)))
-        solved = {name: made[_key(*role)] for name, role in roles.items()}
+        made = solve_many(spec, grid, config, inits, tables)
+    solved = dict(zip(inits, made))
 
     checks = []
-    base = solved.get("base")
+    base = solved.get("zero")
     if base is not None:
         if not base.converged:
             return VerificationReport([CheckResult(
                 "base-solve", FAIL, f"no convergence in {base.iterations} iterations")], seed)
         checks = check_field(base.values, spec, grid, config, tables, suites)
     if _wanted(suites, "isaacs"):
-        checks.append(isaacs_value_equality(gap, solved.get("plus"), solved.get("minus")))
+        checks.append(isaacs_value_equality(gap, None if gap > 0 else base.values, tables))
     if _wanted(suites, "uniqueness"):
-        checks.append(two_sided_uniqueness(base, solved["high"], 10.0 * config.tolerance))
+        checks.append(two_sided_uniqueness(base, solved["upper"], 10.0 * config.tolerance))
     if _wanted(suites, "probes"):
         checks.append(operator_probes(spec, grid, trials=trials, seed=seed,
                                       variant=config.variant, tables=tables))
     return VerificationReport(checks, seed)
-
-
-def _key(init, variant: Variant) -> tuple:
-    """A solve's identity: a string init by value, an init array by identity."""
-    return (init if isinstance(init, str) else id(init)), variant
-
-
-def _policy_solves(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, roles: dict,
-                   tables: BellmanTables) -> dict[str, SolveResult]:
-    """Each role's field by nested policy iteration, ``solve``'s method on a
-    certified spec, so the base solve is ``solve``'s own field.  The
-    saddle-order pair's other variant starts from the configured variant's
-    field on ``grid``: where the two orders agree bit for bit, its first
-    residual certifies that field, which it returns unmoved."""
-    made = {}
-
-    def made_from(init, variant: Variant, start) -> SolveResult:
-        key = _key(init, variant)
-        if key not in made:
-            made[key] = _policy_solve(spec, grid, replace(config, init=start, variant=variant),
-                                      tables)
-        return made[key]
-
-    solved = {}
-    for name, (init, variant) in roles.items():
-        start = init
-        if name in ("plus", "minus") and variant is not config.variant:
-            start = made_from(init, config.variant, init).values
-        solved[name] = made_from(init, variant, start)
-    return solved

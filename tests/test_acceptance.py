@@ -6,7 +6,6 @@ Solved fields are shared through a session fixture so the suite stays fast.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,7 +102,7 @@ def test_criterion_5_two_sided_agreement_everywhere(solved):
     details = []
     for name in BUNDLED_NAMES:
         spec, grid, config, low = solved[name]
-        [high] = solve_many(spec, grid, [replace(config, init="upper")], low.tables)
+        [high] = solve_many(spec, grid, config, ["upper"], low.tables)
         check = two_sided_uniqueness(low, high, 10 * config.tolerance)
         all_ok = all_ok and check.status == "pass"
         ratio = check.measured.get("difference", math.inf) / (10 * config.tolerance)

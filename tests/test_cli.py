@@ -592,6 +592,11 @@ BROKEN_VALUE_FILES = {
     "moved coordinate": lambda lines: lines[:30] + [_move_coordinate(lines[30])] + lines[31:],
     "negative zero coordinate": lambda lines: (lines[:58] + [_move_coordinate(lines[58], "-0.0")]
                                                + lines[59:]),
+    "counts of another dimension": lambda lines: [ln.replace("# counts = 101", "# counts = 5,5")
+                                                  for ln in lines],
+    "count of one": lambda lines: [ln.replace("# counts = 101", "# counts = 1") for ln in lines],
+    "negative count": lambda lines: [ln.replace("# counts = 101", "# counts = -3")
+                                     for ln in lines],
 }
 
 
@@ -704,6 +709,22 @@ def test_verify_broken_field_exits_5(workdir):
     lines[60] = ",".join(row)
     value_path.write_text("".join(lines))
     assert run("verify", cfg, "--values", value_path) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_verify_a_field_that_is_not_finite_exits_5(workdir, bad):
+    """One value that is not a number or not finite makes the multi-step
+    residuals nan, which fails the check."""
+    tmp, copy = workdir
+    cfg = copy("drift_1d")
+    assert run("solve", cfg) == EXIT_OK
+    value_path = tmp / "drift_1d.value.csv"
+    lines = value_path.read_text().splitlines(keepends=True)
+    lines[60] = lines[60].rsplit(",", 1)[0] + f",{bad}\n"
+    value_path.write_text("".join(lines))
+    assert run("verify", cfg, "--values", value_path) == EXIT_VERIFY
+    report = (tmp / "drift_1d.verification.kv").read_text()
+    assert "check.multi-step-consistency = fail" in report
 
 
 def test_verify_values_uses_the_solving_operator(workdir):

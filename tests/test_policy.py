@@ -45,7 +45,7 @@ def load_game(name, tmp_path):
 
 def picard(spec, grid, config):
     """The Picard loop's result, which ``solve_many`` runs."""
-    return solver.solve_many(spec, grid, [config])[0]
+    return solver.solve_many(spec, grid, config, [config.init])[0]
 
 
 def rows_times(system, values):

@@ -14,7 +14,7 @@ from conftest import toy_spec
 def picard(spec, grid, config):
     """The Picard loop's result, which ``solve_many`` runs; ``solve`` runs
     policy iteration on the specs here that it can certify."""
-    return solve_many(spec, grid, [config])[0]
+    return solve_many(spec, grid, config, [config.init])[0]
 
 
 # ---------------------------------------------------------------------------

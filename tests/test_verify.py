@@ -314,27 +314,40 @@ def test_obstacle_checks_build_no_update_tables(path, monkeypatch):
 COUPLED = dict(f="u1*u2", k="0.1 + 0.05*x0^2", u1=(-1.0, 1.0), u2=(-1.0, 1.0))
 
 
-def variants_and_gap(spec, grid, config):
-    """The saddle-order gap of the grid's control samples, and both
-    variants of ``config`` solved in one lock-step call."""
-    plus, minus = solve_many(spec, grid, [replace(config, variant=v) for v in Variant])
-    return isaacs_gap(*sample_controls(spec, grid.points), seed=0), plus, minus
+# both players steer the drift and the sampled gap is zero, yet the discrete
+# orders differ at the interpolant's kinks
+BOTH_STEER = dict(f="0.5*u1 - 0.3*u2 - 0.2*x0", k="0.1 + 0.05*x0^2", u1=(-1.0, 1.0),
+                  u2=(-1.0, 1.0))
+
+
+def gap_and_field(spec, grid, config):
+    """The saddle-order gap of the grid's control samples, and the field
+    ``solve`` returns with its tables."""
+    result = solve(spec, grid, config)
+    return isaacs_gap(*sample_controls(spec, grid.points), seed=0), result.values, result.tables
+
+
+def order_difference(values, tables):
+    """``max|T+[V] - T-[V]|``, each one sweep of ``values`` on ``tables``."""
+    plus, minus = (bellman_update(values, tables.spec, tables.grid, variant=v, tables=tables)
+                   for v in Variant)
+    return float(np.abs(plus - minus).max())
 
 
 def test_isaacs_equality_on_separated_spec(drift_1d):
     spec, grid_cfg, solver_cfg = drift_1d
     grid = make_grid(spec, 81)
-    check = isaacs_value_equality(*variants_and_gap(spec, grid, SolverConfig(tolerance=1e-9)))
+    check = isaacs_value_equality(*gap_and_field(spec, grid, SolverConfig(tolerance=1e-9)))
     assert check.status == "pass", check.detail
     assert check.measured["order_gap"] == 0.0
-    assert check.measured["value_difference"] <= 1e-12
+    assert check.measured["value_difference"] == 0.0
 
 
 def test_isaacs_equality_skipped_for_coupled_controls():
     spec = toy_spec(**COUPLED)
     grid = make_grid(spec, 9)
     gap = isaacs_gap(*sample_controls(spec, grid.points), seed=0)
-    check = isaacs_value_equality(gap, None, None)
+    check = isaacs_value_equality(gap, None, build_tables(spec, grid))
     assert check.status == "skipped"
     assert check.measured == {"order_gap": gap} and gap >= 2.0
 
@@ -342,38 +355,28 @@ def test_isaacs_equality_skipped_for_coupled_controls():
 def test_isaacs_equality_singleton_controls():
     spec = toy_spec(f="u1*u2 + 0.2", k="0.5 + 0.1*x0^2", u1=(0.7,), u2=(-0.3,))
     grid = make_grid(spec, 9)
-    check = isaacs_value_equality(*variants_and_gap(spec, grid, SolverConfig(tolerance=1e-9)))
+    check = isaacs_value_equality(*gap_and_field(spec, grid, SolverConfig(tolerance=1e-9)))
     assert check.status == "pass"
 
 
-def test_isaacs_equality_fails_on_fields_apart(drift_1d):
-    """Converged variants more than ``tol`` apart fail, and the difference
-    is measured."""
-    spec, _, _ = drift_1d
+def test_isaacs_equality_compares_the_sweeps_of_the_field_it_is_handed():
+    """On any field, not only a solved one, the measured difference is that
+    of the two orders' sweeps; it fails above ``tol`` and passes at it."""
+    spec = toy_spec(**BOTH_STEER)
     grid = make_grid(spec, 21)
-    gap, plus, minus = variants_and_gap(spec, grid, SolverConfig(tolerance=1e-9))
-    apart = replace(minus, values=minus.values + 1e-9)
-    check = isaacs_value_equality(gap, plus, apart)
-    assert check.status == "fail"
-    assert check.measured["value_difference"] == float(np.abs(plus.values - apart.values).max())
-    assert isaacs_value_equality(gap, plus, apart, tol=1e-8).status == "pass"
-
-
-def test_isaacs_equality_fails_on_nonconvergence(drift_1d):
-    spec, _, _ = drift_1d
-    grid = make_grid(spec, 21)
-    gap, plus, minus = variants_and_gap(spec, grid,
-                                        SolverConfig(tolerance=1e-12, max_iterations=2))
-    assert not (plus.converged or minus.converged)
-    check = isaacs_value_equality(gap, plus, minus)
-    assert check.status == "fail" and "did not converge" in check.detail
-    assert check.measured == {"order_gap": 0.0}
+    tables = build_tables(spec, grid)
+    values = np.random.default_rng(2).uniform(0.0, 1.0, (1, 1, grid.n_points))
+    diff = order_difference(values, tables)
+    check = isaacs_value_equality(0.0, values, tables)
+    assert check.status == "fail" and diff > 1e-12
+    assert check.measured == {"order_gap": 0.0, "value_difference": diff}
+    assert isaacs_value_equality(0.0, values, tables, tol=diff).status == "pass"
 
 
 def test_two_sided_on_balanced_loop(solved_balanced_loop):
     spec, grid, low = solved_balanced_loop
     config = SolverConfig(tolerance=1e-9)
-    [high] = solve_many(spec, grid, [replace(config, init="upper")], low.tables)
+    [high] = solve_many(spec, grid, config, ["upper"], low.tables)
     check = two_sided_uniqueness(low, high, 10 * config.tolerance)
     assert check.status == "pass", check.detail
     assert check.measured["difference"] <= 1e-8
@@ -383,7 +386,7 @@ def test_two_sided_fails_on_noncovergence():
     spec = toy_spec(f="0", k="1", lam=0.5)
     grid = make_grid(spec, 5)
     config = SolverConfig(dt=0.01, tolerance=1e-12, max_iterations=2)
-    low, high = solve_many(spec, grid, [replace(config, init=i) for i in ("zero", "upper")])
+    low, high = solve_many(spec, grid, config, ["zero", "upper"])
     assert not low.converged    # the upper start is the fixed point here
     check = two_sided_uniqueness(low, high, 1e-11)
     assert check.status == "fail"
@@ -399,16 +402,18 @@ def test_two_sided_fails_on_fields_apart(solved_balanced_loop):
 
 
 def test_comparison_checks_make_no_solve(drift_1d, monkeypatch):
-    """Handed solved fields, the saddle-order and two-sided checks build
-    no tables and make no solve."""
+    """Handed a solved field and its tables, the saddle-order check builds
+    no tables and makes no solve; nor does the two-sided check, handed two
+    solves."""
     spec, _, _ = drift_1d
     grid = make_grid(spec, 21)
     config = SolverConfig(tolerance=1e-9)
-    gap, plus, minus = variants_and_gap(spec, grid, config)
-    calls, builds, _ = counted_solves(monkeypatch)
-    assert isaacs_value_equality(gap, plus, minus).status == "pass"
-    assert two_sided_uniqueness(plus, plus, 10 * config.tolerance).status == "pass"
-    assert calls == [] and builds == []
+    gap, values, tables = gap_and_field(spec, grid, config)
+    result = solve(spec, grid, config)
+    calls, builds, policies = counted_solves(monkeypatch)
+    assert isaacs_value_equality(gap, values, tables).status == "pass"
+    assert two_sided_uniqueness(result, result, 10 * config.tolerance).status == "pass"
+    assert calls == [] and builds == [] and policies == []
 
 
 # ---------------------------------------------------------------------------
@@ -500,23 +505,18 @@ def test_run_all_passes_wherever_picard_verified(name, variant, init, tmp_path):
         assert check.measured["value_difference"] == 0.0
 
 
-def test_saddle_orders_still_differ_where_both_players_steer(monkeypatch):
+def test_saddle_orders_still_differ_where_both_players_steer():
     """Both players steer the drift and the sampled gap is zero, yet the
-    discrete orders differ at the interpolant's kinks: the check fails as
-    it does on Picard's pair, with a difference within twice the tolerance
-    of that pair's."""
-    spec = toy_spec(f="0.5*u1 - 0.3*u2 - 0.2*x0", k="0.1 + 0.05*x0^2", u1=(-1.0, 1.0),
-                    u2=(-1.0, 1.0))
+    discrete orders differ at the interpolant's kinks: the check fails, and
+    its difference is that of the two orders' sweeps of ``solve``'s field."""
+    spec = toy_spec(**BOTH_STEER)
     grid = make_grid(spec, 41)
     config = SolverConfig(tolerance=1e-9)
-    _, _, policies = counted_solves(monkeypatch)
     [check] = run_all(spec, grid, config, suites={"isaacs"}).checks
-    gap, plus, minus = variants_and_gap(spec, grid, config)
-    picard_difference = float(np.abs(plus.values - minus.values).max())
-    assert check.status == "fail" and check.measured["order_gap"] == gap == 0.0
-    assert picard_difference > 1e-4
-    assert abs(check.measured["value_difference"] - picard_difference) <= 2 * config.tolerance
-    assert policies[1][3].outer_steps > 0
+    result = solve(spec, grid, config)
+    diff = order_difference(result.values, result.tables)
+    assert check.status == "fail" and check.measured["order_gap"] == 0.0
+    assert check.measured["value_difference"] == diff and diff > 1e-4
 
 
 @pytest.mark.parametrize("name", ["drift_1d", "balanced_loop", "gen2d_1"])
@@ -546,15 +546,15 @@ def test_report_serialization_is_diff_stable(constant_cost):
 
 
 def counted_solves(monkeypatch):
-    """The members of every lock-step call ``verify`` makes, as (init,
-    variant) lists, the update tables of every table build it makes, and
-    every policy solve it makes, as (init, variant, tables passed, result)."""
+    """The variant and starts of every lock-step call ``verify`` makes, the
+    update tables of every table build it makes, and every policy solve it
+    makes, as (init, variant, tables passed, result)."""
     calls, builds, policies = [], [], []
 
-    def counting_solve_many(spec, grid, configs, tables=None):
-        configs = list(configs)
-        calls.append([(c.init, c.variant) for c in configs])
-        return solve_many(spec, grid, configs, tables)
+    def counting_solve_many(spec, grid, config, inits, tables=None):
+        inits = list(inits)
+        calls.append((config.variant, inits))
+        return solve_many(spec, grid, config, inits, tables)
 
     def counting_build(*args, **kwargs):
         builds.append(build_tables(*args, **kwargs))
@@ -573,27 +573,25 @@ def counted_solves(monkeypatch):
 
 
 def policy_members(policies):
-    """(init, variant) of each policy solve; a start that is an earlier
-    solve's field is named by that solve's index."""
-    return [(init if isinstance(init, str) else
-             next(i for i, p in enumerate(policies) if p[3].values is init), variant)
-            for init, variant, _, _ in policies]
+    """(init, variant) of each policy solve."""
+    return [(init, variant) for init, variant, _, _ in policies]
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_run_all_reuses_its_base_solve(name, monkeypatch):
-    """From a zero init the base solve is the saddle-order check's solve of
-    the configured variant, and the gap is measured once, on the grid's
-    control samples.  On a certified spec each of the three solves is a
-    policy solve made once, the other variant from the base field, and
-    every one reads the one build of the grid's tables; on balanced_loop,
-    which is not certified, they are one lock-step call on one build.  The
-    check is that of the same solves made apart."""
+    """The base solve from zero is the field whose two orders' sweeps the
+    saddle-order check compares, and the gap is measured once, on the
+    grid's control samples.  On a certified spec the solves from zero and
+    upper are policy solves, each made once on the one build of the grid's
+    tables; on balanced_loop, which is not certified, they are one
+    lock-step call on one build.  The base field is ``solve``'s, and the
+    check that of its sweeps on the run's tables."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
     config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
+    expected = solve(spec, grid, config).values
     calls, builds, policies = counted_solves(monkeypatch)
-    gap_samples, gates = [], []
+    gap_samples, gates, compared = [], [], []
 
     def recording_gap(f, k, **kwargs):
         gap_samples.append((f, k))
@@ -603,34 +601,35 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
         gates.append(spec)
         return solver._uncertified(spec)
 
+    def recording_check(gap, values, tables, **kwargs):
+        compared.append((values, tables))
+        return isaacs_value_equality(gap, values, tables, **kwargs)
+
     with monkeypatch.context() as patched:
         patched.setattr(verify, "isaacs_gap", recording_gap)
         patched.setattr(verify, "_uncertified", counting_gate)
+        patched.setattr(verify, "isaacs_value_equality", recording_check)
         report = run_all(spec, grid, config, suites={"isaacs", "uniqueness"})
     check = report.checks[0]
     assert check.name == "saddle-order-equality" and check.status == "pass"
+    assert check.measured["value_difference"] == 0.0
     assert len(gates) == 1
     [tables] = [t for t in builds if t.grid == grid]  # coarse grids build their own
     f, k = sample_controls(spec, grid.points)
     [(gap_f, gap_k)] = gap_samples
     assert gap_f.tobytes() == f.tobytes() and gap_k.tobytes() == k.tobytes()
+    [(values, passed)] = compared
+    assert passed is tables
+    assert values.tobytes() == expected.tobytes()
+    assert check == isaacs_value_equality(check.measured["order_gap"], values, tables)
     if name == "balanced_loop":
-        assert calls == [[("zero", Variant.PLUS), ("zero", Variant.MINUS),
-                          ("upper", Variant.PLUS)]]
+        assert calls == [(Variant.PLUS, ["zero", "upper"])]
         assert policies == [] and len(builds) == 1
-        assert check == isaacs_value_equality(*variants_and_gap(spec, grid, config))
         return
     assert calls == []
-    assert policy_members(policies) == [("zero", Variant.PLUS), (0, Variant.MINUS),
-                                        ("upper", Variant.PLUS)]
-    assert all(passed is tables for _, _, passed, _ in policies)
-    base, other = policies[0][3], policies[1][3]
-    assert base.values.tobytes() == solve(spec, grid, config).values.tobytes()
-    apart = solver._policy_solve(spec, grid, replace(config, init=base.values,
-                                                     variant=Variant.MINUS))
-    assert apart.values.tobytes() == other.values.tobytes()
-    assert other.outer_steps == 0 and check.measured["value_difference"] == 0.0
-    assert check == isaacs_value_equality(check.measured["order_gap"], base, apart)
+    assert policy_members(policies) == [("zero", Variant.PLUS), ("upper", Variant.PLUS)]
+    assert all(p[2] is tables for p in policies)
+    assert values is policies[0][3].values
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d"])
@@ -649,61 +648,44 @@ def test_run_all_reads_the_gap_of_the_control_samples(name):
     assert np.float64(check.measured["order_gap"]).tobytes() == np.float64(gap).tobytes()
 
 
-def test_run_all_solves_again_from_an_upper_init(constant_cost, monkeypatch):
-    """An upper init solves the configured variant from the upper bound
-    and the other from its field, and the saddle-order check alone reads
-    no solve from zero."""
+@pytest.mark.parametrize("init", ["upper", "array"])
+def test_run_all_reads_no_init_from_the_config(constant_cost, init, monkeypatch):
+    """An upper or array init is not read: the saddle-order check alone
+    reads the solve from zero."""
     spec, grid_cfg, solver_cfg = constant_cost
     grid = make_grid(spec, 21)
     calls, builds, policies = counted_solves(monkeypatch)
-    config = SolverConfig(dt=0.5, tolerance=1e-9, init="upper")
+    start = np.zeros((spec.m1, spec.m2, grid.n_points)) if init == "array" else init
+    config = SolverConfig(dt=0.5, tolerance=1e-9, init=start)
     report = run_all(spec, grid, config, suites={"isaacs"})
     assert report.checks[0].status == "pass"
     assert calls == []
-    assert policy_members(policies) == [("upper", Variant.PLUS), (0, Variant.MINUS)]
+    assert policy_members(policies) == [("zero", Variant.PLUS)]
     assert len(builds) == 1 and all(p[2] is builds[0] for p in policies)
 
 
 @pytest.mark.parametrize("init", ["zero", "upper"])
 @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
 def test_run_all_builds_the_tables_once(balanced_loop, init, variant, monkeypatch):
-    """Every suite on a spec that is not certified: one table build, three
-    distinct members in one lock-step call and no policy solve; from an
-    upper init, the upper start of two-sided agreement is saddle-order
-    equality's solve of the configured variant."""
+    """Every suite on a spec that is not certified: one table build, the
+    starts zero and upper of the configured variant in one lock-step call,
+    whatever the init, and no policy solve."""
     spec, grid_cfg, solver_cfg = balanced_loop
     grid = make_grid(spec, 41)
     calls, builds, policies = counted_solves(monkeypatch)
     config = SolverConfig(tolerance=solver_cfg["tolerance"], init=init, variant=variant)
     report = run_all(spec, grid, config, trials=3)
     assert report.passed, report.to_text()
-    assert len(builds) == 1 and len(calls) == 1 and policies == []
-    assert len(calls[0]) == 3
-    assert set(calls[0]) == {("zero", variant), (init, Variant.PLUS), (init, Variant.MINUS),
-                             ("upper", variant)}
-
-
-def test_run_all_matches_an_init_array_by_identity(balanced_loop, monkeypatch):
-    """An init array is one member however many checks read it, and an
-    equal array is another member."""
-    spec, grid_cfg, solver_cfg = balanced_loop
-    grid = make_grid(spec, 21)
-    start = np.zeros((spec.m1, spec.m2, grid.n_points))
-    calls, _, _ = counted_solves(monkeypatch)
-    config = SolverConfig(tolerance=solver_cfg["tolerance"], init=start)
-    report = run_all(spec, grid, config, suites={"isaacs", "chain"})
-    assert report.passed, report.to_text()
-    [members] = calls
-    assert [(init if isinstance(init, str) else id(init), v) for init, v in members] == [
-        ("zero", Variant.PLUS), (id(start), Variant.PLUS), (id(start), Variant.MINUS)]
+    assert len(builds) == 1 and policies == []
+    assert calls == [(variant, ["zero", "upper"])]
 
 
 @pytest.mark.parametrize("suites, coupled, members", [
-    (None, False, [("zero", Variant.PLUS), (0, Variant.MINUS), ("upper", Variant.PLUS)]),
+    (None, False, [("zero", Variant.PLUS), ("upper", Variant.PLUS)]),
     (None, True, [("zero", Variant.PLUS), ("upper", Variant.PLUS)]),
     ({"chain"}, False, [("zero", Variant.PLUS)]),
     ({"uniqueness"}, False, [("zero", Variant.PLUS), ("upper", Variant.PLUS)]),
-    ({"isaacs"}, False, [("zero", Variant.PLUS), (0, Variant.MINUS)]),
+    ({"isaacs"}, False, [("zero", Variant.PLUS)]),
     ({"isaacs"}, True, None),
     ({"probes"}, False, None),
 ])
@@ -725,11 +707,12 @@ def test_run_all_solves_what_its_suites_read(suites, coupled, members, monkeypat
 
 def test_run_all_gates_on_the_base_solve_only_when_made(balanced_loop):
     """A base solve that does not converge fails the run when a check reads
-    it; the probes alone make no solve and pass."""
+    it, the saddle-order check included; the probes alone make no solve and
+    pass."""
     spec, _, _ = balanced_loop
     grid = make_grid(spec, 11)
     config = SolverConfig(tolerance=1e-12, max_iterations=2)
-    for suites in ({"chain"}, {"uniqueness"}):
+    for suites in ({"chain"}, {"uniqueness"}, {"isaacs"}):
         report = run_all(spec, grid, config, trials=3, suites=suites)
         assert [(c.name, c.status) for c in report.checks] == [("base-solve", "fail")]
     report = run_all(spec, grid, config, trials=3, suites={"probes"})
