@@ -85,6 +85,22 @@ class ProblemSpec:
                        compile_expr(self.running_cost[pair]))
                 for pair in self.mode_pairs()}
 
+    @cached_property
+    def switches(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Each player's switches, player 1's then player 2's, built once
+        for the sweeps: ``(rows, others, costs)``, with (m, 1) rows and
+        (m, m-1) columns, row i the other modes ascending, and the costs of
+        switching to them shaped to meet the candidates, c1 as (m1, m1-1,
+        1, 1) and c2 as (m2, m2-1, 1)."""
+        def player(m: int, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            rows = np.arange(m)[:, None]
+            others = np.arange(m - 1) + (np.arange(m - 1) >= rows)
+            return rows, others, costs[rows, others]
+
+        (rows1, others1, c1), (rows2, others2, c2) = (player(self.m1, self.switch_cost_1),
+                                                      player(self.m2, self.switch_cost_2))
+        return (rows1, others1, c1[:, :, None, None]), (rows2, others2, c2[:, :, None])
+
     def mode_pairs(self) -> Iterable[tuple[int, int]]:
         for i1 in range(self.m1):
             for i2 in range(self.m2):

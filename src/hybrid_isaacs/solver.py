@@ -275,15 +275,22 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
             if len(keep) < len(running):
                 running = [running[i] for i in keep]
                 stack = stack[keep]
-            # a lone member sweeps its own field: a stack of one cost 1-D solves ~5%
-            values = stack[0] if len(running) == 1 else stack
+            # a lone member sweeps its own field (a stack of one cost 1-D solves
+            # ~5%) and takes its least and largest change with no reshape
+            lone = running[0] if len(running) == 1 else None
+            values = stack[0] if lone is not None else stack
             stopping = False
         sweep += 1
         updated = bellman_update(values, spec, grid, variant=config.variant, tables=tables)
-        diff = (updated - values).reshape(len(running), -1)
-        for m, low, high in zip(running, np.minimum.reduce(diff, axis=1).tolist(),
-                                np.maximum.reduce(diff, axis=1).tolist()):
-            stopping = m.record(low, high, stop) or stopping
+        diff = updated - values
+        if lone is not None:
+            stopping = lone.record(float(np.minimum.reduce(diff, axis=None)),
+                                   float(np.maximum.reduce(diff, axis=None)), stop)
+        else:
+            diff = diff.reshape(len(running), -1)
+            for m, low, high in zip(running, np.minimum.reduce(diff, axis=1).tolist(),
+                                    np.maximum.reduce(diff, axis=1).tolist()):
+                stopping = m.record(low, high, stop) or stopping
         values = updated
     return [m.result for m in members]
 

@@ -128,24 +128,36 @@ def obstacle_chain_check(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
                          tol: float = 1e-9) -> CheckResult:
     """At a fixed point the field sits between the player-1 switch obstacle
     (below) and both player-2 obstacles (above):
-    upper_switch - tol <= V <= min(lower_switch, impulse) + tol."""
-    # the obstacles below the field and above it, -inf and +inf where none binds
-    sides = {np.maximum: np.full_like(values, -np.inf), np.minimum: np.full_like(values, np.inf)}
+    upper_switch - tol <= V <= min(lower_switch, impulse) + tol.
+
+    An obstacle that cannot bind is -inf below the field and +inf above
+    it, so its difference is -inf and drops out; any other difference that
+    is not finite fails.  A field value that is not finite is itself a
+    violation, reported at the first such node."""
+    if not np.isfinite(values).all():
+        loc = np.unravel_index(int(np.flatnonzero(~np.isfinite(values))[0]), values.shape)
+        return CheckResult("obstacle-chain", FAIL,
+                           f"max violation inf: value {float(values[loc])} is not finite "
+                           f"({_where(spec, grid, loc)})", {"max_violation": np.inf}, tol)
+    # the obstacles below the field and above it, -inf and +inf where none
+    # binds, then each side's difference from the field, which wants <= 0
+    diffs = np.empty((2,) + values.shape)
+    below, above = diffs
+    below.fill(-np.inf)
+    above.fill(np.inf)
+    sides = {np.maximum: below, np.minimum: above}
     for _, cands, axis, better, _ in _obstacles(values, spec, impulse_table(spec, grid)):
         better(better.reduce(cands, axis=axis), sides[better], out=sides[better])
         del cands  # freed before the next obstacle's candidates are built
-    upper, lower = sides[np.maximum], sides[np.minimum]
+    below -= values
+    np.subtract(values, above, out=above)
 
-    below = upper - values            # wants <= 0
-    above = values - lower            # wants <= 0
-    below = np.where(np.isfinite(below), below, -np.inf)
-    above = np.where(np.isfinite(above), above, -np.inf)
-    worst = float(max(below.max(), above.max()))
+    at = int(diffs.argmax())  # the first worst, below before above, and a nan first of all
+    worst = float(diffs.flat[at])
     if worst == -np.inf:
         return CheckResult("obstacle-chain", PASS, "all obstacles inactive",
                            {"max_violation": 0.0}, tol)
-    side = below if below.max() >= above.max() else above
-    loc = np.unravel_index(int(side.argmax()), side.shape)
+    loc = np.unravel_index(at, diffs.shape)[1:]
     status = PASS if worst <= tol else FAIL
     return CheckResult("obstacle-chain", status,
                        f"max violation {worst:.3e} ({_where(spec, grid, loc)})",
@@ -176,8 +188,11 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
                            "no impulse pair sums back into the menu")
 
     table = impulse_table(spec, grid)
-    cand = impulse_candidates(values, table)  # picks the minimizing jump at binding points
-    binding = np.abs(values - cand.min(axis=2)) <= binding_tol
+    # a field that is not finite reads 0 * inf and takes inf - inf: nan, which
+    # binds nowhere and fails the gap
+    with np.errstate(invalid="ignore"):
+        cand = impulse_candidates(values, table)  # picks the minimizing jump at binding points
+        binding = np.abs(values - cand.min(axis=2)) <= binding_tol
     count = int(binding.sum())
     if count == 0:
         return CheckResult("post-impulse-strictness", PASS,
@@ -210,10 +225,11 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     base, wts = interp_weights(grid, np.concatenate([landed, second[ks]]))
     pair = (i1 * spec.m2 + i2) * grid.n_points
     base += np.concatenate([pair, pair[point]])        # each read in its own mode pair
-    read = read_stencils(values.reshape(-1), base, wts, grid)
     after = np.full(ks.shape, np.inf)
-    after[ks] = read[len(p):] + table.imp_costs[k]
-    gaps = after.min(axis=1) - read[:len(p)]
+    with np.errstate(invalid="ignore"):
+        read = read_stencils(values.reshape(-1), base, wts, grid)
+        after[ks] = read[len(p):] + table.imp_costs[k]
+        gaps = after.min(axis=1) - read[:len(p)]
     at = int(gaps.argmin())
     worst = float(gaps[at])
     status = PASS if worst >= margin - tol else FAIL
@@ -342,26 +358,27 @@ def dpp_consistency(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     optimality recursion collapses onto the fixed point."""
     if tables is None:
         tables = build_tables(spec, grid, dt)
-    one = bellman_update(values, spec, grid, tables=tables, variant=variant)
-    eps = float(np.abs(one - values).max())
-    measured = {"one_step_residual": eps}
-    worst_ratio = 0.0
-    status = PASS
-    current = one
-    applied = 1
-    for m in sorted(steps):
-        while applied < m:
-            current = bellman_update(current, spec, grid, tables=tables, variant=variant)
-            applied += 1
-        drift = float(np.abs(current - values).max())
-        measured[f"residual_m{m}"] = drift
-        bound = m * eps + tol
-        worst_ratio = max(worst_ratio, drift / bound if bound > 0 else 0.0)
-        if not drift <= bound:  # a nan residual fails too
-            status = FAIL
+    measured, ratios, status = {}, [], PASS
+    # a field that is not finite gives inf - inf and 0 * inf: nan residuals, which fail
+    with np.errstate(invalid="ignore"):
+        one = bellman_update(values, spec, grid, tables=tables, variant=variant)
+        eps = float(np.abs(one - values).max())
+        measured["one_step_residual"] = eps
+        current = one
+        applied = 1
+        for m in sorted(steps):
+            while applied < m:
+                current = bellman_update(current, spec, grid, tables=tables, variant=variant)
+                applied += 1
+            drift = float(np.abs(current - values).max())
+            measured[f"residual_m{m}"] = drift
+            bound = m * eps + tol
+            ratios.append(0.0 if bound <= 0 else drift / bound)  # a nan bound gives nan
+            if not drift <= bound or np.isnan(ratios[-1]):  # nan, and inf within an inf bound
+                status = FAIL
     return CheckResult("multi-step-consistency", status,
                        f"residuals for m in {sorted(steps)} vs m*eps+tol "
-                       f"(worst ratio {worst_ratio:.3f})", measured, tol)
+                       f"(worst ratio {float(np.max(ratios, initial=0.0)):.3f})", measured, tol)
 
 
 def _wanted(suites: set[str] | None, key: str) -> bool:
@@ -370,13 +387,15 @@ def _wanted(suites: set[str] | None, key: str) -> bool:
 
 def check_field(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
                 tables: BellmanTables, suites: set[str] | None = None) -> list[CheckResult]:
-    """The checks that read one field: obstacle chain and post-impulse
-    strictness (binding within 10x the solver tolerance), which read only
-    the obstacles, and multi-step consistency against the operator of
-    ``config``'s variant on ``tables``."""
+    """The checks that read one field: obstacle chain (within the solver
+    tolerance, at least 1e-9: a Picard field stops about that far from its
+    fixed point) and post-impulse strictness (binding within 10x the solver
+    tolerance), which read only the obstacles, and multi-step consistency
+    against the operator of ``config``'s variant on ``tables``."""
     checks = []
     if _wanted(suites, "chain"):
-        checks.append(obstacle_chain_check(values, spec, grid))
+        checks.append(obstacle_chain_check(values, spec, grid,
+                                           tol=max(1e-9, config.tolerance)))
     if _wanted(suites, "impulse"):
         checks.append(post_impulse_strictness(values, spec, grid,
                                               binding_tol=10 * config.tolerance))

@@ -711,20 +711,59 @@ def test_verify_broken_field_exits_5(workdir):
     assert run("verify", cfg, "--values", value_path) == EXIT_VERIFY
 
 
+def with_one_value(value_path, bad):
+    """The value CSV with its node 60 (a data row) set to ``bad``."""
+    lines = value_path.read_text().splitlines(keepends=True)
+    lines[60] = lines[60].rsplit(",", 1)[0] + f",{bad}\n"
+    value_path.write_text("".join(lines))
+
+
+def run_cli(*argv):
+    """The command in a fresh interpreter, as a user runs it: what it
+    writes to standard error is what they see."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "hybrid_isaacs.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_verify_a_field_that_is_not_finite_exits_5(workdir, bad):
     """One value that is not a number or not finite makes the multi-step
-    residuals nan, which fails the check."""
+    residuals nan, which fails the check and reads as a nan ratio, and
+    numpy warns of none of the arithmetic that gives them."""
     tmp, copy = workdir
     cfg = copy("drift_1d")
     assert run("solve", cfg) == EXIT_OK
     value_path = tmp / "drift_1d.value.csv"
-    lines = value_path.read_text().splitlines(keepends=True)
-    lines[60] = lines[60].rsplit(",", 1)[0] + f",{bad}\n"
-    value_path.write_text("".join(lines))
-    assert run("verify", cfg, "--values", value_path) == EXIT_VERIFY
+    with_one_value(value_path, bad)
+    done = run_cli("verify", cfg, "--values", value_path, "--out", tmp)
+    assert done.returncode == EXIT_VERIFY, done.stderr
+    assert done.stderr == ""
     report = (tmp / "drift_1d.verification.kv").read_text()
     assert "check.multi-step-consistency = fail" in report
+    assert "vs m*eps+tol (worst ratio nan)" in done.stdout
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_verify_the_chain_of_a_field_that_is_not_finite_exits_5(workdir, bad):
+    """The obstacle chain alone fails a field with one value that is not
+    finite, and names that value's node."""
+    tmp, copy = workdir
+    cfg = copy("mode_selection")
+    assert run("solve", cfg) == EXIT_OK
+    value_path = tmp / "mode_selection.value.csv"
+    with_one_value(value_path, bad)
+    done = run_cli("verify", cfg, "--values", value_path, "--suite", "chain", "--out", tmp)
+    assert done.returncode == EXIT_VERIFY, done.stderr
+    assert done.stderr == ""
+    spec = load_spec(cfg)
+    grid, values = read_value_csv(value_path, spec)
+    node = np.unravel_index(int(np.flatnonzero(~np.isfinite(values))[0]), values.shape)
+    assert (f"[          fail] obstacle-chain -- max violation inf: value {bad} is not finite "
+            f"({verify._where(spec, grid, node)})") in done.stdout
+    report = (tmp / "mode_selection.verification.kv").read_text()
+    assert "check.obstacle-chain.max_violation = inf" in report
 
 
 def test_verify_values_uses_the_solving_operator(workdir):

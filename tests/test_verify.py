@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,10 +75,8 @@ def composed_obstacle_chain(values, spec, grid, tol, tables):
     the player-1 switch below, min(player-2 switch, impulse) above."""
     upper = switch_upper_field(values, spec)
     lower = np.minimum(switch_lower_field(values, spec), impulse_field(values, tables))
-    below = upper - values
-    above = values - lower
-    below = np.where(np.isfinite(below), below, -np.inf)
-    above = np.where(np.isfinite(above), above, -np.inf)
+    below = upper - values            # -inf where no obstacle binds below
+    above = values - lower            # -inf where none binds above
     worst = float(max(below.max(), above.max()))
     if worst == -np.inf:
         return verify.CheckResult("obstacle-chain", "pass", "all obstacles inactive",
@@ -115,6 +114,57 @@ def test_chain_reports_what_the_composed_obstacles_report(name):
         for tol in (1e-9, 10.0):
             got = obstacle_chain_check(values, spec, grid, tol=tol)
             assert repr(got) == repr(composed_obstacle_chain(values, spec, grid, tol, tables))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chain_fails_a_value_that_is_not_finite_at_its_node(solved_balanced_loop, bad):
+    """A value that is not finite is an infinite violation at its own node,
+    though nodes before it read it through their obstacles."""
+    spec, grid, result = solved_balanced_loop
+    broken = result.values.copy()
+    broken[1, 0, 40] = bad
+    check = obstacle_chain_check(broken, spec, grid)
+    assert check.status == "fail"
+    assert check.measured == {"max_violation": np.inf}
+    assert check.detail == (f"max violation inf: value {bad} is not finite "
+                            f"({verify._where(spec, grid, (1, 0, 40))})")
+
+
+def test_chain_fails_an_obstacle_that_is_infinite_where_it_binds():
+    """An infinite switching cost makes the obstacle below the field +inf:
+    a violation, not an obstacle that cannot bind."""
+    spec = toy_spec(d1=("a", "b"), c1=[[0.0, -np.inf], [1.0, 0.0]])
+    grid = make_grid(spec, 5)
+    check = obstacle_chain_check(np.zeros((2, 1, 5)), spec, grid)
+    assert check.status == "fail" and check.measured["max_violation"] == np.inf
+    assert check.detail.startswith("max violation inf (mode (a,only) at x=[-1.0])")
+
+
+@pytest.mark.parametrize("tolerance, bound", [(1e-10, 1e-9), (1e-9, 1e-9), (1e-7, 1e-7)])
+def test_chain_bound_follows_the_solver_tolerance(balanced_loop, tolerance, bound):
+    """A Picard field stops about ``tolerance * (1 - gamma) / gamma`` from
+    its fixed point, so its chain violation grows with the tolerance:
+    balanced_loop's is 1.234e-9 at 1e-7, past a fixed 1e-9."""
+    spec, grid_cfg, _ = balanced_loop
+    grid = make_grid(spec, grid_cfg["points"])
+    [check] = run_all(spec, grid, SolverConfig(tolerance=tolerance), suites={"chain"}).checks
+    assert check.status == "pass", check.detail
+    assert check.tolerance == bound
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multi_step_fails_a_field_that_is_not_finite_with_a_nan_ratio(solved_balanced_loop,
+                                                                      bad):
+    """nan residuals, and infinite ones within an infinite bound, fail; the
+    detail reads their nan ratio, and numpy warns of none of them."""
+    spec, grid, result = solved_balanced_loop
+    broken = result.values.copy()
+    broken[1, 0, 40] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = dpp_consistency(broken, spec, grid, tables=result.tables)
+    assert check.status == "fail"
+    assert check.detail.endswith("(worst ratio nan)")
 
 
 # ---------------------------------------------------------------------------
