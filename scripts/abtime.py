@@ -13,6 +13,9 @@ settings.  Workloads:
 * ``verify``: one ``verify.run_all`` at the command line's defaults, in seconds;
 * ``sweep``: ``bellman_update`` on the solved field, in microseconds per call
   (the median of 50 calls);
+* ``policy``: ``policy_sweep`` on the solved field, the sweep with its
+  arg-opts that each policy iteration step takes, in microseconds per call
+  (the median of 50 calls);
 * ``simulate``: one ``simulate`` on the solved field from the box centre in
   the first mode pair, 200 steps of the solve's time step, in microseconds
   per rollout step;
@@ -58,9 +61,9 @@ TREES = ("parent", "change")
 SWEEP_CALLS = 50
 SIM_STEPS = 200
 # workloads timed on the solved field
-ON_FIELD = ("sweep", "simulate", "csv_write", "csv_read", "checks")
-UNITS = {"sweep": "us/sweep", "simulate": "us/step", "csv_write": "ms/call",
-         "csv_read": "ms/call", "checks": "ms/call", "peak": "MB"}
+ON_FIELD = ("sweep", "policy", "simulate", "csv_write", "csv_read", "checks")
+UNITS = {"sweep": "us/sweep", "policy": "us/call", "simulate": "us/step",
+         "csv_write": "ms/call", "csv_read": "ms/call", "checks": "ms/call", "peak": "MB"}
 
 
 def load_tree(src: Path, name: str, folder: Path) -> dict:
@@ -99,12 +102,18 @@ class Case:
                 return tracemalloc.get_traced_memory()[1] / 1e6
             finally:
                 tracemalloc.stop()
-        if self.workload == "sweep":
-            update = self.tree["operators"].bellman_update
+        if self.workload in ("sweep", "policy"):
+            operators, values, tables = self.tree["operators"], self.values, self.tables
+            if self.workload == "sweep":
+                def call():
+                    operators.bellman_update(values, self.spec, self.grid, tables=tables)
+            else:
+                def call():
+                    operators.policy_sweep(values, tables)
             times = []
             for _ in range(SWEEP_CALLS):
                 start = time.perf_counter()
-                update(self.values, self.spec, self.grid, tables=self.tables)
+                call()
                 times.append(time.perf_counter() - start)
             return 1e6 * statistics.median(times)
         if self.workload == "simulate":

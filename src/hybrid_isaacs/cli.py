@@ -429,8 +429,10 @@ def cmd_solve(args) -> int:
         f"{status} in {result.iterations} iteration(s); last change "
         f"{fmt(result.last_change)}; field written to {value_path}\n")
     if not result.converged:
+        why = (f" within {config.max_iterations} iterations"
+               if math.isfinite(result.last_change) else ": a change is not finite")
         sys.stderr.write(
-            f"no convergence within {config.max_iterations} iterations "
+            f"no convergence{why} "
             f"(last change {fmt(result.last_change)}); partial field kept\n")
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

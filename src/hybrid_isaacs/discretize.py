@@ -419,10 +419,16 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     f, k = sample_controls(spec, pts)
     m1, m2, _, _, npts, _ = f.shape
 
-    norms = np.linalg.norm(f, axis=-1)
-    f_sup = float(norms.max())
+    # linalg.norm(f, axis=-1).max() bit for bit: the same squares added in
+    # component order, and sqrt is monotone and correctly rounded; the
+    # per-node norms are built only to name a node where they are not finite
+    squares = f[..., 0] * f[..., 0]
+    for i in range(1, f.shape[-1]):
+        squares += f[..., i] * f[..., i]
+    f_sup = math.sqrt(float(squares.max()))
     if not math.isfinite(f_sup):
-        raise ValueError(f"drift norm is not finite in {_nonfinite_drift(spec, norms, pts)}")
+        raise ValueError("drift norm is not finite in "
+                         f"{_nonfinite_drift(spec, np.linalg.norm(f, axis=-1), pts)}")
     k_sup = float(k.max())
     if dt is None:
         dt = default_time_step(spec, grid, f_sup)

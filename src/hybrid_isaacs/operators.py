@@ -66,9 +66,11 @@ class Variant(enum.Enum):
 # player 2 minimizes over u2 (axis -2)
 _SADDLE = {Variant.PLUS: ((-2, np.minimum.reduce), (-3, np.maximum.reduce)),
            Variant.MINUS: ((-3, np.maximum.reduce), (-2, np.minimum.reduce))}
-# each reduction's arg-opt, found by equality: every attribute access makes
-# a new bound method, so ``np.minimum.reduce is np.minimum.reduce`` is False;
-# array methods, as np.argmin's wrapper costs a rollout step about 1 us
+# each reduction's arg-opt for the rollout's per-step saddle, found by
+# equality: every attribute access makes a new bound method, so
+# ``np.minimum.reduce is np.minimum.reduce`` is False; array methods, as
+# np.argmin's wrapper costs a rollout step about 1 us.  ``policy_sweep``
+# takes its arg-opts from the reductions it has made (``_arg``)
 _ARGS = {np.minimum.reduce: np.ndarray.argmin, np.maximum.reduce: np.ndarray.argmax}
 
 
@@ -268,37 +270,76 @@ def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # the sweep with its arg-opts
 
+# where an obstacle's best candidate beats the running value: its
+# reduction's strict order, false wherever either side is nan
+_BEATS = {np.minimum: np.less, np.maximum: np.greater}
+
+
+def _arg(reduced: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+    """The arg-opt of ``a`` along ``axis`` whose reduction there is
+    ``reduced``: the first index whose entry equals it or is nan, which is
+    ``np.argmin``'s and ``np.argmax``'s rule (the first of ties, the first
+    nan).  Over an axis of length 1 it is 0, with no call, in an array of
+    ones' shape that broadcasts against ``reduced``; over a longer one a
+    descending scan writes each index but the last where its entry hits,
+    so the last stands where no earlier one does."""
+    last = a.shape[axis] - 1
+    if not last:
+        return np.zeros((1,) * reduced.ndim, dtype=np.intp)
+    arg = np.full(reduced.shape, last, dtype=np.intp)
+    hit = nan = None  # the first hit's buffers, written over by the rest
+    for j in range(last - 1, -1, -1):
+        entry = a[(Ellipsis, j) + _FIRST[axis][2:]]
+        hit = np.equal(entry, reduced, out=hit)
+        nan = np.not_equal(entry, entry, out=nan)
+        hit |= nan
+        np.copyto(arg, j, where=hit)
+    return arg
+
+
 def policy_sweep(values: np.ndarray, tables: BellmanTables,
                  variant: Variant = Variant.PLUS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``bellman_update`` of one field ``(m1, m2, p)`` with its arg-opts:
     ``(T[V], branch, arg)``.  ``T[V]`` has the sweep's bits, from the same
-    blocks and obstacles; each arg-opt is the first of its reduction's ties.
+    blocks, reductions and obstacles; each arg-opt is the first of its
+    reduction's ties, taken from the reduced value by ``_arg``.
 
     ``branch`` (int8) is the branch that binds at each node: a later branch
-    of the projection binds only where it changes the value, so ties go to
-    the continue branch.  ``arg`` is the continue branch's control pair
-    ``a * B + b`` on the (A, B) control grid of the cost table and the feet
-    broadcast together (an axis of length 1 stands for every control the
-    feet ignore; see ``BellmanTables.saddle_cost``), the impulse's menu
-    entry, or the switch's target mode.
+    of the projection binds only where it changes the value to a number, so
+    ties go to the continue branch, and so does every node whose ``T[V]``
+    is nan.  ``arg`` is the continue branch's control pair ``a * B + b`` on
+    the (A, B) control grid of the cost table and the feet broadcast
+    together (an axis of length 1 stands for every control the feet
+    ignore; see ``BellmanTables.saddle_cost``), the impulse's menu entry,
+    or the switch's target mode.
     """
     out = np.empty_like(values)
     arg = np.empty(values.shape, dtype=np.intp)
     out_pairs, arg_pairs = (a.reshape((1, -1, values.shape[-1])) for a in (out, arg))
     for members, pairs, q, saddle in _continue_blocks(values.reshape(1, -1), tables, variant):
         (axis, inner), (_, outer) = saddle
-        reduced = inner(q, axis=axis)
-        out_pairs[members, pairs] = outer(reduced, axis=-2)
-        pick_out = _ARGS[outer](reduced, axis=-2)[:, None]
-        pick_in = np.take_along_axis(_ARGS[inner](q, axis=axis), pick_out, -2)[:, 0]
-        a, b = (pick_out[:, 0], pick_in) if axis == -2 else (pick_in, pick_out[:, 0])
+        reduced = _reduce(inner, q, axis)
+        value = _reduce(outer, reduced, -2)
+        out_pairs[members, pairs] = value
+        pick_out = _arg(value, reduced, -2)
+        # the inner arg-opt in the row of the outer control picked, along
+        # q's other control axis: that row's reduction is ``value``, or nan
+        # where ``value`` is
+        other = -5 - axis
+        pick_in = 0 if q.shape[axis] == 1 else _arg(value, np.take_along_axis(
+            q, pick_out[:, None, None], other).squeeze(other), -2)
+        a, b = (pick_out, pick_in) if axis == -2 else (pick_in, pick_out)
         arg_pairs[members, pairs] = a * q.shape[-2] + b
+    continued = arg.copy()
     branch = np.full(values.shape, CONTINUE, dtype=np.int8)
     for code, cands, axis, better, pick in _obstacles(values, tables.spec, tables):
-        wins = better.reduce(cands, axis=axis)
-        won = better(wins, out) != out
-        np.copyto(arg, pick(_ARGS[better.reduce](cands, axis=axis)), where=won)
-        branch[won] = code
+        wins = _reduce(better.reduce, cands, axis)
+        won = _BEATS[better](wins, out)
+        np.copyto(arg, pick(_arg(wins, cands, axis)), where=won)
+        np.copyto(branch, code, where=won)
         better(wins, out, out=out)
         del cands
+    lost = np.isnan(out)  # a number an obstacle won may turn nan at a later one
+    np.copyto(branch, CONTINUE, where=lost)
+    np.copyto(arg, continued, where=lost)
     return out, branch, arg

@@ -205,22 +205,25 @@ class _Member:
     """One field of a lock-step solve: its diagnostics, and its result once
     it stops.  A plain class: a dataclass costs about 1 ms of import time."""
 
-    __slots__ = ("monotone", "history", "converged", "result")
+    __slots__ = ("monotone", "history", "converged", "ended", "result")
 
     def __init__(self, monotone: bool | None):
         self.monotone = monotone
         self.history: list[float] = []
-        self.converged = False
+        self.converged = self.ended = False
         self.result: SolveResult | None = None
 
     def record(self, low: float, high: float, stop: float) -> bool:
-        """Take one sweep's least and largest change; True if it converged."""
+        """Take one sweep's least and largest change; True if the member
+        ends: it converged, or the change is not finite, as on a field or
+        table that holds nan or inf (a nan change never meets the stop)."""
         change = abs(max(high, -low))  # |diff|.max(), +0.0 when all zero
         self.history.append(change)
         if self.monotone:
             self.monotone = low >= 0.0  # updated >= values, on finite fields
-        self.converged = converged = change <= stop
-        return converged
+        self.converged = change <= stop
+        self.ended = self.converged or not math.isfinite(change)
+        return self.ended
 
 
 def solve_many(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
@@ -232,9 +235,10 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
     ``config.dt``.  Every member has its own start ("zero", "upper" or an
     array), history and monotone flag, and shares the variant, stop rule
     and cap.  Each sweep updates the stack of the members still running at
-    once, and a member leaves it when it converges, so its result has the
-    bits of its own ``solve_many`` of one start, which is ``solve`` on a
-    spec it cannot certify.
+    once, and a member leaves it when it converges, or unconverged at its
+    first change that is not finite, so its result has the bits of its own
+    ``solve_many`` of one start, which is ``solve`` on a spec it cannot
+    certify.
     """
     _check_tolerance(config)
     inits = list(inits)
@@ -262,7 +266,7 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
             stack = values.reshape((len(running),) + shape)
             keep = []
             for i, (m, final) in enumerate(zip(running, stack)):
-                if not (m.converged or sweep >= config.max_iterations):
+                if not (m.ended or sweep >= config.max_iterations):
                     keep.append(i)
                     continue
                 m.result = SolveResult(
@@ -361,8 +365,9 @@ class _PolicyRun:
     def iterate(self, values: np.ndarray, tables: BellmanTables, tolerance: float) -> np.ndarray:
         """Outer steps from ``values`` until ``|T[V] - V| / (1 - gamma)``
         is at most the tolerance, and returns that field; or until the
-        history holds ``max_iterations`` residuals (at least one), and
-        returns the field of the least, whose residual ends the history.
+        history holds ``max_iterations`` residuals (at least one), or
+        until a residual is not finite, and returns the field of the least,
+        whose residual ends the history.
 
         Each step takes the greedy policy of ``V`` and solves its system
         from ``T[V]``: to ``0.01 |T[V] - V|`` while the policy changes and
@@ -389,7 +394,7 @@ class _PolicyRun:
                 best, least, stall = values, residual, 0
             else:
                 stall += 1
-            if len(self.history) >= config.max_iterations:
+            if len(self.history) >= config.max_iterations or not math.isfinite(residual):
                 break
             if stall < _STALL_STEPS:
                 same = last is not None and np.array_equal(branch, last[0]) and np.array_equal(
@@ -486,10 +491,13 @@ class _PolicySystem:
     def _residual_step(self, v: np.ndarray, out: np.ndarray, gathered: np.ndarray) -> None:
         """``out = (I - M) v`` of a padded ``v``, each corner's terms taken
         off in order; corner c reads the view of ``v`` that starts at its
-        offset, at ``base``."""
+        offset, at ``base``.  Every base lies in ``[0, nodes)`` and ``v``
+        is padded by the largest offset, so ``mode="clip"`` clips no index:
+        it only spares the gather the buffered copy that numpy makes of an
+        ``out`` under ``mode="raise"``."""
         np.copyto(out, v[:self.nodes])
         for offset, wts in zip(self.offsets, self.wts):
-            v[offset:].take(self.base, out=gathered)
+            v[offset:].take(self.base, out=gathered, mode="clip")
             gathered *= wts
             out -= gathered
 

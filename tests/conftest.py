@@ -85,6 +85,21 @@ def interpolate_many(values, idx, wts):
     return out
 
 
+def special_fields(spec, grid, count):
+    """``count`` fields of mixed signs, each with nan, +inf, -inf and -0.0
+    at nodes of its own, and an all -0.0 field."""
+    rng = np.random.default_rng(count)
+    shape = (spec.m1, spec.m2, grid.n_points)
+    out = []
+    for i in range(count):
+        values = rng.uniform(-1.0, 3.0, size=shape)
+        cells = rng.permutation(values.size)[:4 * (1 + values.size // 40)].reshape(4, -1)
+        for special, at in zip((np.nan, np.inf, -np.inf, -0.0), cells):
+            values.reshape(-1)[at] = special
+        out.append(values)
+    return out + [np.full(shape, -0.0)]
+
+
 def game_2d():
     """A small 2-D game with 2x2 modes, 3x3 controls and a 2-jump menu."""
     return toy_spec(

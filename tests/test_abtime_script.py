@@ -75,3 +75,17 @@ def test_the_checks_workload_prints_milliseconds_per_call():
     assert row.split()[0] == "impulse_toy"
     parent, change = (float(x) for x in row.split()[1:3])
     assert 0 < min(parent, change) and max(parent, change) < 1e4  # milliseconds a call
+
+
+def test_the_policy_workload_prints_microseconds_per_call():
+    src = str(ROOT / "src")
+    run = subprocess.run([sys.executable, "scripts/abtime.py", src, src, "policy",
+                          "impulse_toy", "balanced_loop", "--rounds", "2"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
+    title, header, *rows = run.stdout.splitlines()
+    assert title == "policy, 2 rounds, us/call; ratio is change / parent"
+    assert [row.split()[0] for row in rows] == ["impulse_toy", "balanced_loop", "all"]
+    for row in rows:
+        parent, change = (float(x) for x in row.split()[1:3])
+        assert 0 < min(parent, change) and max(parent, change) < 1e6  # microseconds a call

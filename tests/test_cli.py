@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -484,6 +485,21 @@ def test_solve_iteration_cap_exits_3_with_partial_field(workdir, capsys):
     assert run("solve", cfg, "--max-iters", "1") == EXIT_NO_CONVERGENCE
     assert (tmp / "constant_cost.value.csv").exists()
     assert "no convergence" in capsys.readouterr().err
+
+
+def test_solve_of_an_overflowing_running_cost_exits_3_at_once(workdir, capsys):
+    """drift_1d with a running cost that overflows to inf: every residual
+    is nan, and the solve ends at its first one rather than at the cap of
+    100 000."""
+    tmp, copy = workdir
+    cfg = copy("drift_1d")
+    cfg.write_text(re.sub(r'k = ".*"', 'k = "1e300*x0^2*1e10"', cfg.read_text()))
+    start = time.perf_counter()
+    with np.errstate(all="ignore"):
+        assert run("solve", cfg) == EXIT_NO_CONVERGENCE
+    assert time.perf_counter() - start < 5.0
+    assert (tmp / "drift_1d.value.csv").exists()
+    assert "no convergence: a change is not finite (last change nan)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hybrid_isaacs.operators import (CONTINUE, IMPULSE, SWITCH_LOWER, SWITCH_UPP
                                      bellman_update, policy_sweep)
 from hybrid_isaacs.solver import SolverConfig, solve
 
-from conftest import BUNDLED, game_2d, game_3d, gen2d, load_bundled, toy_spec
+from conftest import BUNDLED, game_2d, game_3d, gen2d, load_bundled, special_fields, toy_spec
 
 CERTIFIED = ["constant_cost", "drift_1d", "impulse_toy", "mode_selection", "game_2d",
              "gen2d_1", "gen2d_2", "gen2d_3", "gen2d_4"]
@@ -81,6 +81,48 @@ def test_arg_opt_sweep_has_the_bits_of_the_sweep_and_rows_that_reproduce_it(
         assert IMPULSE in branches
     if spec.m2 > 1:
         assert SWITCH_LOWER in branches
+
+
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "game_3d"])
+def test_every_assembled_row_reads_inside_the_padded_vector(name, variant, tmp_path):
+    """The matvec gathers with ``mode="clip"``, which checks no bound:
+    every row's base of a greedy policy, of random fields and of fields
+    holding nan, inf, -inf and -0.0, lies in ``[0, nodes)``, and the
+    padding covers the largest corner offset past it."""
+    spec, grid, config = load_game(name, tmp_path)
+    tables = build_tables(spec, grid, config.dt)
+    system = solver._PolicySystem(tables, variant)
+    rng = np.random.default_rng(7)
+    fields = [rng.uniform(-1.0, 3.0, (spec.m1, spec.m2, grid.n_points)) for _ in range(3)]
+    with np.errstate(invalid="ignore"):
+        for values in fields + special_fields(spec, grid, 3):
+            system.base.fill(-1)
+            system.assemble(*policy_sweep(values, tables, variant)[1:])
+            assert 0 <= system.base.min() and system.base.max() < system.nodes
+    assert system.padded().size == system.nodes + max(system.offsets)
+
+
+@pytest.mark.parametrize("name", ["drift_1d", "impulse_toy", "game_2d", "gen2d_1",
+                                  "balanced_loop"])
+def test_a_field_holding_nan_ends_unconverged_at_once(name, tmp_path):
+    """An explicit start with one nan: policy iteration ends at its first
+    residual, which is nan, and the Picard loop after its first sweep;
+    in a lock-step solve only that member ends, and the other keeps the
+    bits of its own solve."""
+    spec, grid, config = load_game(name, tmp_path)
+    start = np.zeros((spec.m1, spec.m2, grid.n_points))
+    start.reshape(-1)[start.size // 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        result = solve(spec, grid, replace(config, init=start))
+        members = solver.solve_many(spec, grid, config, [start, "zero"])
+    assert not result.converged and result.iterations == 1
+    assert math.isnan(result.last_change)
+    assert result.outer_steps + result.fallbacks == 0
+    assert result.method == ("picard" if name == "balanced_loop" else "policy")
+    assert not members[0].converged and members[0].iterations == 1
+    alone = picard(spec, grid, config)
+    assert members[1].converged and members[1].values.tobytes() == alone.values.tobytes()
 
 
 @pytest.mark.parametrize("per_block", [1, 3])

@@ -9,13 +9,17 @@ nan payloads and signed zeros included."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybrid_isaacs import discretize
 from hybrid_isaacs.discretize import build_tables, make_grid, read_stencils
 from hybrid_isaacs.operators import (_SADDLE as SADDLE, CONTINUE, IMPULSE, SWITCH_LOWER,
-                                     SWITCH_UPPER, Variant, bellman_update, policy_sweep)
+                                     SWITCH_UPPER, Variant, _arg, _reduce, bellman_update,
+                                     policy_sweep)
 
-from conftest import game_2d, game_3d, load_bundled, toy_spec
+from conftest import game_2d, game_3d, load_bundled, special_fields, toy_spec
 
 VARIANTS = pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
 
@@ -51,21 +55,6 @@ GAMES = {
 def game(request):
     spec, grid = GAMES[request.param]()
     return spec, grid, build_tables(spec, grid)
-
-
-def special_fields(spec, grid, count):
-    """``count`` fields of mixed signs, each with nan, +inf, -inf and -0.0
-    at nodes of its own, and an all -0.0 field."""
-    rng = np.random.default_rng(count)
-    shape = (spec.m1, spec.m2, grid.n_points)
-    out = []
-    for i in range(count):
-        values = rng.uniform(-1.0, 3.0, size=shape)
-        cells = rng.permutation(values.size)[:4 * (1 + values.size // 40)].reshape(4, -1)
-        for special, at in zip((np.nan, np.inf, -np.inf, -0.0), cells):
-            values.reshape(-1)[at] = special
-        out.append(values)
-    return out + [np.full(shape, -0.0)]
 
 
 def full_continue(values, tables, variant):
@@ -116,7 +105,8 @@ def reference_sweep(values, tables, variant):
 def reference_policy_sweep(values, tables, variant):
     """``(T[V], branch, arg)`` by the rules ``policy_sweep`` documents: the
     first of each reduction's ties, a later branch only where it changes
-    the value, the continue pair as ``a * B + b``."""
+    the value to a number, the continue branch and its pair, ``a * B +
+    b``, wherever ``T[V]`` is nan."""
     q, out = full_continue(values, tables, variant)
     (axis, inner), (_, outer) = SADDLE[variant]
     argopt = {np.minimum.reduce: np.argmin, np.maximum.reduce: np.argmax}
@@ -124,14 +114,19 @@ def reference_policy_sweep(values, tables, variant):
     picked = argopt[outer](reduced, axis=-2)[:, None]    # the outer control
     inside = np.take_along_axis(argopt[inner](q, axis=axis), picked, -2)[:, 0]
     a, b = (picked[:, 0], inside) if axis == -2 else (inside, picked[:, 0])
-    arg = (a * q.shape[-2] + b).reshape(values.shape)
+    continued = (a * q.shape[-2] + b).reshape(values.shape)
+    arg = continued.copy()
     branch = np.full(values.shape, CONTINUE, dtype=np.int8)
     for code, cands, axis, better, targets in full_obstacles(values, tables):
         wins = better.reduce(cands, axis=axis)
-        won = better(wins, out) != out
+        updated = better(wins, out)
+        won = (updated != out) & ~np.isnan(updated)
         arg[won] = targets(argopt[better.reduce](cands, axis=axis))[won]
         branch[won] = code
-        out = better(wins, out)
+        out = updated
+    lost = np.isnan(out)
+    branch[lost] = CONTINUE
+    arg[lost] = continued[lost]
     return out, branch, arg
 
 
@@ -193,3 +188,24 @@ def test_the_games_take_every_shortcut():
     assert tables.foot_wts.shape[-1] == tables.imp_wts.shape[-1] == 1
     assert all(tables.saddle_cost(s).shape[1:3] == (1, 1) for s in SADDLE.values())
     assert np.signbit(tables.saddle_cost(SADDLE[Variant.PLUS])).all()
+
+
+# a few values, so that draws tie, with nan, both infinities and both zeros
+ENTRIES = st.sampled_from([1.0, 2.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_arg_opt_of_a_reduction_is_argmin_and_argmax(data):
+    """``_arg`` from the reduced value is ``np.ndarray.argmin``/``argmax``
+    over axes -2 and -3 of lengths 1 to 4: the first of ties, the first
+    nan, and -0.0 tied with +0.0."""
+    axis = data.draw(st.sampled_from([-2, -3]))
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=3, max_size=4).map(tuple))
+    a = data.draw(arrays(np.float64, shape, elements=ENTRIES))
+    for reduce, argopt in ((np.minimum.reduce, np.ndarray.argmin),
+                           (np.maximum.reduce, np.ndarray.argmax)):
+        reduced = _reduce(reduce, a, axis)
+        got = _arg(reduced, a, axis)
+        assert got.dtype == np.intp
+        assert np.array_equal(np.broadcast_to(got, reduced.shape), argopt(a, axis=axis))
