@@ -2,14 +2,14 @@
 
     python scripts/parity.py [--src PATH] [--work DIR] [CASE ...]
 
-Runs ``validate`` and ``analyze``, then ``solve``, ``verify``, ``verify``
-from an upper init, ``verify --values`` and ``simulate`` in each variant,
-on every case: the bundled specs, the benchmark's seeded 2-D game (seeds 1
-to 3 at 41x41) and a 3-D game at 9x9x9.  ``verify`` has no ``--init``
-flag, so the upper-init run reads a copy of the case's spec whose
-``[solver]`` table sets ``init = "upper"``; ``verify`` solves from zero and
-from the upper bound whatever the init, so that run's reports are the
-plain run's.  Each command runs in a fresh interpreter that imports the
+Runs ``validate`` and ``analyze``, then ``solve``, ``solve`` from an
+upper init, ``verify``, ``verify`` from an upper init, ``verify
+--values`` and ``simulate`` in each variant, on every case: the bundled
+specs, the benchmark's seeded 2-D game (seeds 1 to 3 at 41x41) and a 3-D
+game at 9x9x9.  ``verify`` has no ``--init`` flag, so the upper-init runs
+read a copy of the case's spec whose ``[solver]`` table sets ``init =
+"upper"``; ``verify`` solves from zero and from the upper bound whatever
+the init, so that run's reports are the plain run's.  Each command runs in a fresh interpreter that imports the
 program from ``--src`` (default: this checkout's ``src``), with relative
 paths inside a per-case directory, so its output does not depend on where
 it ran.  One line is printed per digest: case, command, then ``exit``,
@@ -17,13 +17,15 @@ it ran.  One line is printed per digest: case, command, then ``exit``,
 are digested without their ``wall_seconds``.
 
 ``solve`` runs policy iteration wherever it can certify the field, and so
-do ``verify``'s solves; elsewhere both run the Picard loop
-(``solver.solve_many(spec, grid, config, inits)``, one config from each
-start).  After each ``solve``, the script runs the Picard loop from the
-config's own start on the same arguments and compares its field with the
-one ``solve`` wrote.  The exit code is 1 when
-a solve's field is missing or lies more than twice the solve tolerance
-from Picard's; standard error names the case and variant.
+do ``verify``'s solves; elsewhere both run the Picard loop, from the field
+of a perturbed copy where one brackets the start.  After each ``solve``,
+from zero and from the upper bound alike, the script runs the Picard loop
+(``solver.solve_many(spec, grid, config, inits)``) from the config's own
+start on the same arguments and compares its field with the one ``solve``
+wrote: the upper side is the field that ``verify``'s two-sided agreement
+reads.  The exit code is 1 when a solve's field is missing or lies more
+than twice the solve tolerance from Picard's; standard error names the
+case and command.
 
 The inputs always come from this checkout.  To compare two source trees,
 run this script against each and diff the two listings:
@@ -140,6 +142,7 @@ def commands(name: str) -> list[tuple[str, list[str]]]:
         field = f"{v}-solve/{name}.value.csv"
         runs += [
             (f"{v}-solve", ["solve", spec, "--variant", v]),
+            (f"{v}-solve-upper", ["solve", f"{name}-upper.toml", "--variant", v]),
             (f"{v}-verify", ["verify", spec, "--variant", v]),
             (f"{v}-verify-upper", ["verify", f"{name}-upper.toml", "--variant", v]),
             (f"{v}-verify-values", ["verify", spec, "--variant", v, "--values", field]),

@@ -11,6 +11,7 @@ the tables and for the checks that read only the obstacles.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .problem import ProblemSpec, _nonfinite_drift, sample_controls
+from .problem import ProblemSpec, _nonfinite_at, sample_controls
 
 __all__ = [
     "GridSpec",
@@ -331,6 +332,15 @@ class BellmanTables(ImpulseTable):
         """``pair_blocks``' lists by member count, built on first use."""
         return {}
 
+    def with_spec(self, spec: ProblemSpec) -> BellmanTables:
+        """These tables for ``spec``, which differs from theirs in its
+        switch costs alone: no table holds those, so the twin shares every
+        array and the caches of ``saddle_cost`` and ``pair_blocks``."""
+        twin = copy.copy(self)
+        twin.spec = spec
+        twin.__dict__.update(_saddle_costs=self._saddle_costs, _pair_blocks=self._pair_blocks)
+        return twin
+
     def pair_blocks(self, members: int = 1) -> list[tuple]:
         """``(members, pairs, foot_idx, foot_wts)`` of each block of the
         continue branch over a stack of ``members`` fields: the member
@@ -427,8 +437,9 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
         squares += f[..., i] * f[..., i]
     f_sup = math.sqrt(float(squares.max()))
     if not math.isfinite(f_sup):
-        raise ValueError("drift norm is not finite in "
-                         f"{_nonfinite_drift(spec, np.linalg.norm(f, axis=-1), pts)}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(f, axis=-1)
+        raise ValueError(f"drift norm is not finite in {_nonfinite_at(spec, norms, pts)}")
     k_sup = float(k.max())
     if dt is None:
         dt = default_time_step(spec, grid, f_sup)

@@ -112,10 +112,13 @@ def isaacs_gap(f: np.ndarray, k: np.ndarray, costate_samples: int = 16,
 
     plus, minus = _SADDLE[Variant.PLUS], _SADDLE[Variant.MINUS]
     gap = 0.0
-    for pair in np.ndindex(k.shape[:2]):
-        for p in costates:
-            table = f[pair] @ p + k[pair]  # (nu1, nu2, npts)
-            gap = max(gap, float(np.abs(_saddle(table, plus) - _saddle(table, minus)).max()))
+    # two equal infinite saddles differ by nan, which np.fmax passes over: they agree
+    with np.errstate(invalid="ignore"):
+        for pair in np.ndindex(k.shape[:2]):
+            for p in costates:
+                table = f[pair] @ p + k[pair]  # (nu1, nu2, npts)
+                diff = np.abs(_saddle(table, plus) - _saddle(table, minus))
+                gap = max(gap, float(np.fmax.reduce(diff, axis=None)))
     return gap
 
 
@@ -236,14 +239,16 @@ def _obstacles(values: np.ndarray, spec: ProblemSpec, tables: ImpulseTable):
     may be an ImpulseTable alone."""
     if tables.imp_costs.size:
         yield IMPULSE, impulse_candidates(values, tables), -2, np.minimum, lambda j: j
+    # the j-th other mode of mode i is j, or j + 1 from i on: ``others[i, j]``
+    # without a gather of j's shape
     if spec.m2 > 1:
-        rows2, others2, _ = spec.switches[1]
+        rows2 = spec.switches[1][0]
         yield (SWITCH_LOWER, _lower_candidates(values, spec), -2, np.minimum,
-               lambda j: others2[rows2, j])
+               lambda j: j + (j >= rows2))
     if spec.m1 > 1:
-        rows1, others1, _ = spec.switches[0]
+        rows1 = spec.switches[0][0][:, :, None]
         yield (SWITCH_UPPER, _upper_candidates(values, spec), -3, np.maximum,
-               lambda j: others1[rows1[:, :, None], j])
+               lambda j: j + (j >= rows1))
 
 
 def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,

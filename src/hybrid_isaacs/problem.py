@@ -428,11 +428,15 @@ def sample_controls(spec: ProblemSpec, pts: np.ndarray) -> tuple[np.ndarray, np.
     shape = (spec.m1, spec.m2, len(spec.u1_levels), len(spec.u2_levels), len(pts))
     f = np.empty(shape + (spec.dimension,))
     k = np.empty(shape)
-    for (i1, i2) in spec.mode_pairs():
-        for a, u1 in enumerate(spec.u1_levels):
-            for b, u2 in enumerate(spec.u2_levels):
-                f[i1, i2, a, b] = eval_dynamics(spec, i1, i2, pts, float(u1), float(u2))
-                k[i1, i2, a, b] = eval_running_cost(spec, i1, i2, pts, float(u1), float(u2))
+    # an entry that overflows or leaves its expression's domain is inf or
+    # nan, which ``validate_a2`` names (``_nonfinite_at``), with no warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for (i1, i2) in spec.mode_pairs():
+            for a, u1 in enumerate(spec.u1_levels):
+                for b, u2 in enumerate(spec.u2_levels):
+                    u = (float(u1), float(u2))
+                    f[i1, i2, a, b] = eval_dynamics(spec, i1, i2, pts, *u)
+                    k[i1, i2, a, b] = eval_running_cost(spec, i1, i2, pts, *u)
     return f, k
 
 
@@ -506,9 +510,13 @@ def validate_a2(spec: ProblemSpec, samples: int = 256, seed: int = 0) -> Validat
     if expanding:
         warns.append(expanding)
 
-    nonfinite = _nonfinite_drift(spec, np.linalg.norm(f, axis=-1), pts)
-    if nonfinite:
-        warns.append(f"drift norm is not finite in {nonfinite}; solve and verify refuse it")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(f, axis=-1)
+    for what, table, then in (("drift norm", norms, "; solve and verify refuse it"),
+                              ("running cost", k, "")):
+        where = _nonfinite_at(spec, table, pts)
+        if where:
+            warns.append(f"{what} is not finite in {where}{then}")
 
     lip_f, lip_k, f_sup = _lipschitz_estimates(spec, samples, rng)
     estimates["lipschitz_f"] = lip_f
@@ -549,14 +557,14 @@ def subadditivity_gap(spec: ProblemSpec) -> float:
     return _subadditivity_gaps(spec)[2]
 
 
-def _nonfinite_drift(spec: ProblemSpec, norms: np.ndarray, pts: np.ndarray) -> str | None:
-    """Where the drift norms ``norms``, (m1, m2, nu1, nu2, p) of
-    ``sample_controls``' drift at states ``pts``, are first not finite: the
+def _nonfinite_at(spec: ProblemSpec, table: np.ndarray, pts: np.ndarray) -> str | None:
+    """Where ``table``, (m1, m2, nu1, nu2, p) of ``sample_controls``' drift
+    norms or running costs at states ``pts``, is first not finite: the
     mode pair, the controls and the state; None where all are finite."""
-    bad = np.argwhere(~np.isfinite(norms))
-    if not len(bad):
+    finite = np.isfinite(table)
+    if finite.all():
         return None
-    i1, i2, a, b, p = bad[0]
+    i1, i2, a, b, p = np.argwhere(~finite)[0]
     return (f"mode ({spec.d1_labels[i1]},{spec.d2_labels[i2]}) at "
             f"u1={float(spec.u1_levels[a])!r}, u2={float(spec.u2_levels[b])!r}, "
             f"x={pts[p].tolist()}")
@@ -569,11 +577,14 @@ def _lipschitz_estimates(spec: ProblemSpec, samples: int,
     dist = np.linalg.norm(xs - ys, axis=-1)
     keep = dist > 1e-12
     (fx, kx), (fy, ky) = sample_controls(spec, xs), sample_controls(spec, ys)
-    f_sup = float(np.linalg.norm(fx, axis=-1).max())
-    if not keep.any():
-        return 0.0, 0.0, f_sup
-    lip_f = float((np.linalg.norm(fx - fy, axis=-1)[..., keep] / dist[keep]).max())
-    lip_k = float((np.abs(kx - ky)[..., keep] / dist[keep]).max())
+    # a table that is not finite gives inf - inf: nan estimates, which the
+    # warnings of ``validate_a2`` explain
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_sup = float(np.linalg.norm(fx, axis=-1).max())
+        if not keep.any():
+            return 0.0, 0.0, f_sup
+        lip_f = float((np.linalg.norm(fx - fy, axis=-1)[..., keep] / dist[keep]).max())
+        lip_k = float((np.abs(kx - ky)[..., keep] / dist[keep]).max())
     return lip_f, lip_k, f_sup
 
 

@@ -22,19 +22,26 @@ Two methods reach the fixed point of the one-step update ``T``.
 Both bounds rest on a unique fixed point, which the paper's switching-cost
 conditions secure: ``solve`` certifies a field, and runs policy iteration,
 only where ``problem.check_y1_y2`` finds the nonzero-loop condition, and
-runs Picard iteration elsewhere.  ``verify.run_all`` picks its solves'
-method by the same rule: a policy solve per start on a certified spec,
-one lock-step ``solve_many`` call elsewhere.  Switch and impulse rows are
-not discounted, so ``T`` is not a one-step gamma-contraction wherever
-they bind: the certificate is the unscaled residual bound, and the factor a
-chain of zero-time events adds to it is still open.
+runs Picard iteration elsewhere.  There Picard from zero rises to the
+least fixed point above zero, and from the upper bound falls to the
+greatest below it.  Where a zero-cost loop is the only fault, the loop
+starts instead from the policy field of a perturbed copy of the spec
+whose operator lies below ``T`` (from zero) or above it (from the upper
+bound), which brackets the same end (``_bracket``); where the copy fails,
+from the start it was given.  ``verify.run_all`` picks its solves' method
+by the same rule: a policy solve per start on a certified spec, one
+lock-step ``solve_many`` call from the bracketing starts elsewhere
+(``_bracketed_solves``).  Switch and impulse rows are not discounted, so
+``T`` is not a one-step gamma-contraction wherever they bind: the
+certificate is the unscaled residual bound, and the factor a chain of
+zero-time events adds to it is still open.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +61,7 @@ INIT_ZERO = "zero"
 INIT_UPPER = "upper"
 METHOD_POLICY = "policy"
 METHOD_PICARD = "picard"
+METHOD_BRACKETED = "bracketed"
 
 # closed mode walks ``check_y1_y2`` may enumerate for a certificate, as its
 # estimate counts them (walks from every pair, though it walks each loop
@@ -71,6 +79,19 @@ _COARSE_TOLERANCE = 1e-4
 _SMOOTHING_SWEEPS = 3
 _STALL_STEPS = 3
 _FALLBACK_SWEEPS = 10
+
+# an uncertified spec's Picard loop starts from the policy field of a copy
+# whose one player's switches are dearer by this share of that player's
+# cheapest switch (see ``_bracket``), and that policy solve takes at most
+# this many residuals per grid (``max_iterations``).  At a tolerance of
+# 1e-9 in both variants (2-vCPU Xeon, numpy 2.4), balanced_loop's copies
+# took 3-6 residuals on each grid from 21 to 161 points, in 11-16 ms;
+# game_3d's took 6 to 14 on its one grid at 9^3, 13^3 and 21^3, with at
+# most 2 fallbacks.  At a share of 1e-3, game_3d 13^3's upper copy ran 999
+# outer steps, 993 of them fallbacks, unconverged in 30 s; this bound
+# stops it after 31 steps in under a second
+_BRACKET_SHARE = 0.1
+_BRACKET_RESIDUALS = 32
 
 
 def _krylov_cap(grid: GridSpec) -> int:
@@ -96,7 +117,8 @@ class SolverConfig:
     (an explicit field gets none), and one after each outer step (a policy
     step or a fallback), so a grid takes at most ``max_iterations - 1``
     steps and always the start's residual.  A capped grid returns the
-    field of the least residual.
+    field of the least residual.  A bracketing copy's policy solve
+    (``_bracket``) takes at most ``_BRACKET_RESIDUALS`` of them per grid.
     """
 
     dt: float | None = None
@@ -117,14 +139,19 @@ class SolveResult:
     it is not where undiscounted switch and impulse rows chain (see the
     module docstring).  It is None where the nonzero-loop condition fails
     or was not enumerated, and ``uncertified`` says why; ``solve_many``'s
-    members carry neither.  ``method`` is the method that ran; the policy
-    counts sum over the nested grids."""
+    members carry neither.  ``method`` is the method that ran: "policy",
+    "picard", or "bracketed", Picard from a bracketing copy's policy field
+    (``_bracket``).  The policy counts sum over the nested grids; on an
+    uncertified spec they are the copy's, where one was solved, and the
+    history counts the Picard sweeps alone.  ``monotone`` is kept from a
+    zero start only: a bracketing field's iterates rise or fall but for
+    rounding."""
 
     values: np.ndarray                  # (m1, m2, n_points)
     iterations: int
     change_history: np.ndarray          # sup-norm change per iteration
     converged: bool
-    monotone: bool | None               # nondecreasing iterates (Picard, zero init only)
+    monotone: bool | None               # nondecreasing iterates (Picard from zero only)
     stop_threshold: float
     dt: float
     variant: Variant
@@ -184,7 +211,8 @@ def _uncertified(spec: ProblemSpec) -> str | None:
 def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None) -> SolveResult:
     """Solve for the value field: by policy iteration where the field can
     be certified (see ``_uncertified``), elsewhere by the Picard loop of
-    ``solve_many``, whose field it returns bit for bit.
+    ``solve_many``, from a bracketing start where ``_bracket`` finds one
+    and else from ``config.init``, whose field it then returns bit for bit.
 
     Returns the field together with diagnostics even when the iteration cap
     is hit (``converged=False``); callers decide whether a partial field is
@@ -196,9 +224,70 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
     reason = _uncertified(spec)
     if reason is None:
         return _policy_solve(spec, grid, config)
-    result = solve_many(spec, grid, config, [config.init])[0]
-    result.uncertified = reason
-    return result
+    tables = build_tables(spec, grid, config.dt)
+    return _bracketed_solves(spec, grid, config, [config.init], tables, reason)[0]
+
+
+def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, init: str,
+             tables: BellmanTables) -> tuple[np.ndarray | None, SolveResult | None]:
+    """A start for the Picard loop from ``init`` on ``spec``, a spec
+    without a certificate, that ends where the loop from ``init`` does:
+    ``(field, attempt)``, the field None where the attempt, or a copy to
+    attempt, failed.
+
+    From zero, the copy's player-1 switches are dearer, which lowers the
+    upper obstacle: its operator ``T_lo`` lies below ``T``.  Its fixed
+    point ``V_lo`` lies at or below every fixed point ``V`` of ``T``,
+    since ``T_lo``'s iterates from ``V`` fall, and ``T[V_lo] >= V_lo``.
+    So where ``V_lo >= 0``, ``T``'s iterates from ``V_lo`` rise between
+    those from zero and the least fixed point above zero, where both end.
+    From the upper bound, the copy's player-2 switches are dearer, and
+    ``V_hi``, at most the bound, leads to the greatest fixed point below
+    it.  A copy is used only where ``check_y1_y2`` certifies it, and its
+    field only where its policy solve, capped at ``_BRACKET_RESIDUALS``
+    residuals per grid, converged and the field meets its side's bound."""
+    player = 0 if init == INIT_ZERO else 1
+    name = ("switch_cost_1", "switch_cost_2")[player]
+    costs = getattr(spec, name)
+    others = ~np.eye(len(costs), dtype=bool)
+    delta = _BRACKET_SHARE * float(costs[others].min())
+    if not delta > 0.0:  # a switch that costs nothing or less: no side to perturb
+        return None, None
+    perturbed = replace(spec, **{name: costs + others * delta})
+    if _uncertified(perturbed) is not None:
+        return None, None
+    with warnings.catch_warnings():  # the spec's own Picard loop warns of a long step
+        warnings.simplefilter("ignore")
+        attempt = _policy_solve(perturbed, grid, replace(
+            config, init=init, max_iterations=min(config.max_iterations, _BRACKET_RESIDUALS)),
+            tables.with_spec(perturbed))
+    values = attempt.values
+    bounded = values.min() >= 0.0 if player == 0 else values.max() <= tables.upper_bound
+    return (values if attempt.converged and bounded else None), attempt
+
+
+def _bracketed_solves(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
+                      tables: BellmanTables, reason: str) -> list[SolveResult]:
+    """The Picard loop of ``config`` from each start in ``inits`` on
+    ``spec``, which ``reason`` says is not certified, in one lock-step
+    ``solve_many`` call on ``tables``: "zero" and "upper" from their
+    ``_bracket`` field where it has one, under ``METHOD_BRACKETED``, and
+    each with its attempt's policy counts."""
+    brackets = [_bracket(spec, grid, config, init, tables)
+                if isinstance(init, str) and init in (INIT_ZERO, INIT_UPPER) else (None, None)
+                for init in inits]
+    results = solve_many(spec, grid, config, [init if start is None else start
+                                              for init, (start, _) in zip(inits, brackets)],
+                         tables)
+    for result, (start, attempt) in zip(results, brackets):
+        result.uncertified = reason
+        if attempt is not None:
+            result.outer_steps = attempt.outer_steps
+            result.krylov_iterations = attempt.krylov_iterations
+            result.fallbacks = attempt.fallbacks
+        if start is not None:
+            result.method = METHOD_BRACKETED
+    return results
 
 
 class _Member:

@@ -12,8 +12,9 @@ Each check returns a CheckResult with a machine-readable status:
 saddle-order gap on the grid's control samples, builds the update tables
 once, makes the solves from zero and from the upper bound that its checks
 read, by the method ``solve`` runs on the spec (nested policy iteration
-where ``check_y1_y2`` certifies it, one lock-step Picard call,
-``solver.solve_many``, elsewhere), and drives every applicable check,
+where ``check_y1_y2`` certifies it, elsewhere one lock-step Picard call,
+``solver.solve_many``, from the fields of bracketing copies where they
+are found: ``solver._bracketed_solves``), and drives every applicable check,
 producing a deterministic report for a given (problem, grid, config,
 seed).  The saddle-order check compares the two commitment orders' sweeps
 of the solved field, the discrete form of the game having a value; the
@@ -36,8 +37,8 @@ from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_ga
                       sample_controls)
 # ``solve`` is not called here: the name stays for perfbench's traced runs,
 # which patch ``verify.solve`` by name
-from .solver import (SolverConfig, SolveResult, _policy_solve, _uncertified, solve,  # noqa: F401
-                     solve_many)
+from .solver import (SolverConfig, SolveResult, _bracketed_solves, _policy_solve,  # noqa: F401
+                     _uncertified, solve)
 
 __all__ = [
     "CheckResult",
@@ -419,7 +420,9 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     it.  The one from the upper bound is two-sided agreement's upper side.
     ``config.init`` is not read.  Where ``check_y1_y2`` certifies the spec,
     each is a nested policy solve whose last grid reads the run's tables;
-    elsewhere they are one lock-step Picard call on the tables.
+    elsewhere each start's bracketing copy is solved on a twin of the
+    tables, and one lock-step Picard call on the tables starts from those
+    fields, or from zero and upper where a copy fails.
     ``suites`` filters by the names in ``SUITES``; None runs everything.
     ``trials`` below 1 is a ValueError.
     """
@@ -437,10 +440,10 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     tables = build_tables(spec, grid, config.dt)
     if not inits:
         made = []
-    elif _uncertified(spec) is None:
+    elif (reason := _uncertified(spec)) is None:
         made = [_policy_solve(spec, grid, replace(config, init=init), tables) for init in inits]
     else:
-        made = solve_many(spec, grid, config, inits, tables)
+        made = _bracketed_solves(spec, grid, config, inits, tables, reason)
     solved = dict(zip(inits, made))
 
     checks = []

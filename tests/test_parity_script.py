@@ -23,11 +23,13 @@ def test_two_runs_of_one_tree_print_the_same_digests():
     commands = {row[1] for row in rows}
     assert commands == {"validate", "analyze"} | {
         f"{variant}-{command}" for variant in ("plus", "minus")
-        for command in ("solve", "verify", "verify-upper", "verify-values", "simulate")}
+        for command in ("solve", "solve-upper", "verify", "verify-upper", "verify-values",
+                        "simulate")}
     for command in commands:
         assert {"exit", "stdout", "stderr"} <= {row[2] for row in rows if row[1] == command}
     outputs = {(row[1], row[2]) for row in rows}
     assert {("plus-solve", f"{CASE}.value.csv"), ("plus-solve", f"{CASE}.solve-manifest.json"),
+            ("minus-solve-upper", f"{CASE}-upper.value.csv"),
             ("minus-verify-values", f"{CASE}.verification.txt"),
             ("plus-verify-upper", f"{CASE}-upper.verification.txt"),
             ("minus-simulate", f"{CASE}.trajectory.csv")} <= outputs
@@ -53,3 +55,21 @@ def test_a_solve_field_off_the_picard_loop_is_named(tmp_path):
     field.unlink()
     assert parity.picard_gap(CASE, "minus-solve", args, tmp_path, env).startswith(
         f"{CASE} minus-solve: no field to compare (")
+
+
+def test_the_upper_solve_is_checked_against_the_picard_loop_from_upper(tmp_path):
+    """The 3-D game's fixed points from zero and from the upper bound lie
+    0.1 apart, so the upper-init solve passes only against the loop from
+    its own start."""
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    (tmp_path / "game_3d-upper.toml").write_text(parity.upper_init(parity.GAME_3D))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["solve", "game_3d-upper.toml", "--out", "plus-solve-upper"]
+    subprocess.run([sys.executable, "-m", "hybrid_isaacs.cli", *args], cwd=tmp_path, env=env,
+                   check=True, capture_output=True, timeout=600)
+    assert parity.picard_gap("game_3d", "plus-solve-upper", args, tmp_path, env) is None
+    lower = args[:1] + ["--init", "zero"] + args[1:]
+    assert "from the Picard loop's" in parity.picard_gap("game_3d", "plus-solve-upper", lower,
+                                                          tmp_path, env)

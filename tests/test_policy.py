@@ -144,6 +144,33 @@ def test_arg_opt_sweep_has_the_same_bits_in_smaller_blocks(name, per_block, tmp_
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("m1, m2", [(3, 4), (4, 3)])
+def test_switch_targets_are_the_other_modes_picked(m1, m2):
+    """On players of 3 and 4 modes, each switch node's target is
+    ``others[i, j]`` of ``ProblemSpec.switches``, j the first best of the
+    candidates over the other modes ascending."""
+    rng = np.random.default_rng(m1)
+    c1, c2 = (rng.uniform(0.05, 0.2, (m, m)) * (1 - np.eye(m)) for m in (m1, m2))
+    spec = toy_spec(f="0.5*u1", k="0.2 + x0^2", u1=(-1.0, 1.0), d1=tuple("abcd"[:m1]),
+                    d2=tuple("wxyz"[:m2]), c1=c1, c2=c2)
+    grid = make_grid(spec, 9)
+    tables = build_tables(spec, grid, 0.1)
+    values = rng.uniform(0.0, 3.0, (m1, m2, grid.n_points))
+    (_, others1, _), (_, others2, _) = spec.switches
+    for variant in Variant:
+        _, branch, arg = policy_sweep(values, tables, variant)
+        for code, others, costs, pick in ((SWITCH_LOWER, others2, c2, np.argmin),
+                                          (SWITCH_UPPER, others1, -c1, np.argmax)):
+            nodes = np.argwhere(branch == code)
+            assert len(nodes) > 0
+            for i1, i2, p in nodes:
+                mode = i2 if code == SWITCH_LOWER else i1
+                targets = others[mode]
+                cands = (values[i1, targets, p] if code == SWITCH_LOWER
+                         else values[targets, i2, p]) + costs[mode, targets]
+                assert arg[i1, i2, p] == targets[pick(cands)]
+
+
 def test_ties_go_to_the_continue_branch():
     """On the zero field a switch and a jump that cost the continue step's
     running cost tie with it, and the node stays on the continue branch; a
@@ -186,21 +213,81 @@ def test_policy_field_is_within_twice_the_tolerance_of_picard_and_certified(
 
 
 @pytest.mark.parametrize("name", ["game_3d", "balanced_loop"])
-def test_a_zero_cost_loop_runs_picard_without_certificate(name, tmp_path):
+def test_a_zero_cost_loop_starts_picard_from_a_bracketing_field(name, tmp_path):
     """Both games have a zero-cost switching loop, so the fixed point need
-    not be unique: ``solve`` returns Picard's field bit for bit and names
-    the loop instead of a certificate."""
+    not be unique: ``solve`` runs the Picard loop from the policy field of
+    a bracketing copy, lands within twice the tolerance of the loop from
+    zero in fewer sweeps, reports the copy's policy counts, and names the
+    loop instead of a certificate."""
     spec, grid, config = load_game(name, tmp_path)
     default = solve(spec, grid, config)
     fixed = picard(spec, grid, config)
-    assert default.values.tobytes() == fixed.values.tobytes()
-    assert default.change_history.tobytes() == fixed.change_history.tobytes()
-    assert default.method == "picard" and default.certificate is None
-    assert default.outer_steps == default.krylov_iterations == default.fallbacks == 0
+    assert np.abs(default.values - fixed.values).max() <= 2 * config.tolerance
+    assert default.converged and default.iterations < fixed.iterations
+    assert default.iterations == default.change_history.size
+    assert default.method == "bracketed" and default.certificate is None
+    assert default.monotone is None and fixed.monotone is True
+    assert default.outer_steps > 0 and default.krylov_iterations > 0
+    assert default.tables.spec is spec
     assert default.uncertified.startswith("zero-cost switching loop (")
     if name == "game_3d":
         assert default.uncertified == (
             "zero-cost switching loop (a,c) -> (b,c) -> (a,c) -> (a,d) -> (a,c)")
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("name, points", [("balanced_loop", 161), ("game_3d", 9),
+                                          ("game_3d", 13)])
+def test_a_bracketed_solve_lands_on_the_picard_loops_field(name, points, variant, tmp_path):
+    """From zero and from the upper bound, a bracketed solve's field lies
+    within twice the tolerance of the Picard loop's from the same start:
+    where game_3d's fixed points lie 0.1 apart, each side keeps its own."""
+    spec = game_3d() if name == "game_3d" else load_game(name, tmp_path)[0]
+    grid = make_grid(spec, points)
+    for init in ("zero", "upper"):
+        config = SolverConfig(tolerance=1e-9, init=init, variant=variant)
+        result = solve(spec, grid, config)
+        [fixed] = solver.solve_many(spec, grid, config, [init])
+        assert result.method == "bracketed" and result.converged
+        assert np.abs(result.values - fixed.values).max() <= 2 * config.tolerance
+
+
+@pytest.mark.parametrize("init", ["zero", "upper"])
+@pytest.mark.parametrize("patch", ["_krylov_cap", "_BRACKET_RESIDUALS"])
+def test_a_failed_bracket_keeps_the_picard_loop_bit_for_bit(patch, init, monkeypatch,
+                                                            tmp_path):
+    """A bracketing copy whose policy solve does not converge, its Krylov
+    solves capped at one iteration or the solve at one residual per grid,
+    leaves the start as it was: the Picard loop's field and history, bit
+    for bit, with the attempt's counts."""
+    spec, grid, config = load_game("balanced_loop", tmp_path)
+    config = replace(config, init=init)
+    monkeypatch.setattr(solver, patch, (lambda grid: 1) if patch == "_krylov_cap" else 1)
+    result = solve(spec, grid, config)
+    fixed = picard(spec, grid, config)
+    assert result.method == "picard" and result.converged
+    assert result.values.tobytes() == fixed.values.tobytes()
+    assert result.change_history.tobytes() == fixed.change_history.tobytes()
+    assert result.monotone is fixed.monotone
+    if patch == "_krylov_cap":
+        assert result.fallbacks > 0
+    else:
+        assert result.outer_steps == result.fallbacks == 0
+
+
+def test_loops_not_enumerated_keep_the_picard_loop():
+    """With 3x3 modes ``check_y1_y2`` does not enumerate the loops, of the
+    spec or of a copy, so no copy is solved: the Picard loop runs from
+    zero."""
+    costs = [[0.0, 0.4, 0.5], [0.6, 0.0, 0.4], [0.5, 0.3, 0.0]]
+    spec = toy_spec(k="0.5 + x0^2", d1=("a", "b", "c"), d2=("x", "y", "z"), c1=costs,
+                    c2=costs)
+    grid = make_grid(spec, 5)
+    config = SolverConfig(tolerance=1e-9)
+    result = solve(spec, grid, config)
+    assert result.uncertified == "switching loops not enumerated (mode graph too large)"
+    assert result.method == "picard" and result.outer_steps == result.krylov_iterations == 0
+    assert result.values.tobytes() == picard(spec, grid, config).values.tobytes()
 
 
 def test_a_failed_krylov_step_falls_back_and_still_certifies(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,20 @@ def test_a_drift_that_is_not_finite_earns_a_warning(drift):
                         r"u2=0\.0, x=\[0\.[0-9]+\]; solve and verify refuse it", warning)
     assert f"  [       warning] {warning}\n" in report.to_text()
     assert validate_a2(toy_spec(f="x0"), samples=32, seed=0).warnings == []
+
+
+def test_a_running_cost_that_is_not_finite_earns_a_warning():
+    """``validate`` names the first sampled mode pair, controls and state
+    where the running cost is nan or inf, in the drift's words, and
+    raises no RuntimeWarning."""
+    spec = toy_spec(k="1e300*x0^2*1e10", u1=(-1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = validate_a2(spec, samples=32, seed=0)
+    [warning] = report.warnings
+    assert re.fullmatch(r"running cost is not finite in mode \(only,only\) at u1=-1\.0, "
+                        r"u2=0\.0, x=\[-?0\.[0-9]+\]", warning)
+    assert report.mandatory_ok and math.isnan(report.estimates["lipschitz_k"])
 
 
 def loop_estimates(spec, samples, seed):

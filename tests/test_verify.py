@@ -596,29 +596,34 @@ def test_report_serialization_is_diff_stable(constant_cost):
 
 
 def counted_solves(monkeypatch):
-    """The variant and starts of every lock-step call ``verify`` makes, the
-    update tables of every table build it makes, and every policy solve it
-    makes, as (init, variant, tables passed, result)."""
+    """The variant and starts of every lock-step call ``verify`` makes, a
+    start it computed as "field", the update tables of every table build
+    it makes, and every policy solve it makes, of the spec or of a
+    bracketing copy (``solver._bracket``), as (init, variant, tables
+    passed, result)."""
     calls, builds, policies = [], [], []
+    many, policy = solver.solve_many, solver._policy_solve
 
     def counting_solve_many(spec, grid, config, inits, tables=None):
         inits = list(inits)
-        calls.append((config.variant, inits))
-        return solve_many(spec, grid, config, inits, tables)
+        calls.append((config.variant, [init if isinstance(init, str) else "field"
+                                       for init in inits]))
+        return many(spec, grid, config, inits, tables)
 
     def counting_build(*args, **kwargs):
         builds.append(build_tables(*args, **kwargs))
         return builds[-1]
 
     def counting_policy(spec, grid, config, tables=None):
-        result = solver._policy_solve(spec, grid, config, tables)
+        result = policy(spec, grid, config, tables)
         policies.append((config.init, config.variant, tables, result))
         return result
 
-    monkeypatch.setattr(verify, "solve_many", counting_solve_many)
+    monkeypatch.setattr(solver, "solve_many", counting_solve_many)
     monkeypatch.setattr(verify, "build_tables", counting_build)
     monkeypatch.setattr(solver, "build_tables", counting_build)
     monkeypatch.setattr(verify, "_policy_solve", counting_policy)
+    monkeypatch.setattr(solver, "_policy_solve", counting_policy)
     return calls, builds, policies
 
 
@@ -633,9 +638,10 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
     saddle-order check compares, and the gap is measured once, on the
     grid's control samples.  On a certified spec the solves from zero and
     upper are policy solves, each made once on the one build of the grid's
-    tables; on balanced_loop, which is not certified, they are one
-    lock-step call on one build.  The base field is ``solve``'s, and the
-    check that of its sweeps on the run's tables."""
+    tables; on balanced_loop, which is not certified, each start's
+    bracketing copy is solved once on a twin of those tables, and one
+    lock-step call starts from their fields.  The base field is
+    ``solve``'s, and the check that of its sweeps on the run's tables."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
     config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
@@ -673,8 +679,10 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
     assert values.tobytes() == expected.tobytes()
     assert check == isaacs_value_equality(check.measured["order_gap"], values, tables)
     if name == "balanced_loop":
-        assert calls == [(Variant.PLUS, ["zero", "upper"])]
-        assert policies == [] and len(builds) == 1
+        assert calls == [(Variant.PLUS, ["field", "field"])]
+        assert policy_members(policies) == [("zero", Variant.PLUS), ("upper", Variant.PLUS)]
+        assert all(p[2].spec is not spec and p[2].foot_idx is tables.foot_idx
+                   for p in policies)
         return
     assert calls == []
     assert policy_members(policies) == [("zero", Variant.PLUS), ("upper", Variant.PLUS)]
@@ -717,17 +725,21 @@ def test_run_all_reads_no_init_from_the_config(constant_cost, init, monkeypatch)
 @pytest.mark.parametrize("init", ["zero", "upper"])
 @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
 def test_run_all_builds_the_tables_once(balanced_loop, init, variant, monkeypatch):
-    """Every suite on a spec that is not certified: one table build, the
-    starts zero and upper of the configured variant in one lock-step call,
-    whatever the init, and no policy solve."""
+    """Every suite on a spec that is not certified: one build of the
+    grid's tables, whatever the init a policy solve of the bracketing copy
+    from zero and from upper of the configured variant, each on a twin of
+    those tables (its coarse grid builds its own), and one lock-step call
+    from their fields."""
     spec, grid_cfg, solver_cfg = balanced_loop
     grid = make_grid(spec, 41)
     calls, builds, policies = counted_solves(monkeypatch)
     config = SolverConfig(tolerance=solver_cfg["tolerance"], init=init, variant=variant)
     report = run_all(spec, grid, config, trials=3)
     assert report.passed, report.to_text()
-    assert len(builds) == 1 and policies == []
-    assert calls == [(variant, ["zero", "upper"])]
+    [tables] = [t for t in builds if t.grid == grid]
+    assert policy_members(policies) == [("zero", variant), ("upper", variant)]
+    assert all(p[2].foot_idx is tables.foot_idx for p in policies)
+    assert calls == [(variant, ["field", "field"])]
 
 
 @pytest.mark.parametrize("suites, coupled, members", [
