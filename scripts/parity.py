@@ -20,12 +20,14 @@ are digested without their ``wall_seconds``.
 do ``verify``'s solves; elsewhere both run the Picard loop, from the field
 of a perturbed copy where one brackets the start.  After each ``solve``,
 from zero and from the upper bound alike, the script runs the Picard loop
-(``solver.solve_many(spec, grid, config, inits)``) from the config's own
-start on the same arguments and compares its field with the one ``solve``
-wrote: the upper side is the field that ``verify``'s two-sided agreement
-reads.  The exit code is 1 when a solve's field is missing or lies more
-than twice the solve tolerance from Picard's; standard error names the
-case and command.
+(``solver.picard(spec, grid, config)``) from the config's own start on
+the same arguments and compares its field with the one ``solve`` wrote:
+the upper side is the field that ``verify``'s two-sided agreement reads.
+The exit code is 1 when a solve's field is missing or lies more than
+twice the solve tolerance from Picard's; standard error names the case
+and command.  A tree without ``solver.picard`` fails that comparison
+under ``--src``, though its listing holds: take its exit code from its
+own copy of this script.
 
 The inputs always come from this checkout.  To compare two source trees,
 run this script against each and diff the two listings:
@@ -64,7 +66,7 @@ path = Path(args.config)
 spec, grid_cfg, solver_cfg = problem.load_config(path)
 grid, values = cli.read_value_csv(Path(args.out) / f"{path.stem}.value.csv", spec)
 config = cli._solver_config(args, solver_cfg, path)
-picard = solver.solve_many(spec, grid, config, [config.init])[0].values
+picard = solver.picard(spec, grid, config).values
 print(float(abs(picard - values).max()), config.tolerance)
 """
 

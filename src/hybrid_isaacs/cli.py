@@ -541,6 +541,8 @@ def cmd_analyze(args) -> int:
     sys.stdout.write(y.to_text(spec))
     sys.stdout.write(f"saddle-order gap estimate: {fmt(gap)}"
                      + (" (orders agree on the sample)\n" if gap == 0.0 else "\n"))
+    for warning in report.warnings:
+        sys.stdout.write(f"warning: {warning}\n")
     for key in sorted(report.estimates):
         sys.stdout.write(f"{key} = {fmt(report.estimates[key])}\n")
     return EXIT_OK

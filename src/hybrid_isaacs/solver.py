@@ -2,12 +2,11 @@
 
 Two methods reach the fixed point of the one-step update ``T``.
 
-* Picard iteration, ``V <- T[V]``: each sweep returns a new field and the
-  previous one is dropped.  ``solve_many`` runs one config's loop from
-  several starts at once, as a stack on one table build.  The stop rule
-  converts the requested ``tolerance`` (a target sup-norm distance to the
-  fixed point) into a successive-change threshold through the one-step
-  discount factor: for a gamma-contraction,
+* Picard iteration, ``V <- T[V]`` (``picard``): each sweep returns a new
+  field and the previous one is dropped.  The stop rule converts the
+  requested ``tolerance`` (a target sup-norm distance to the fixed point)
+  into a successive-change threshold through the one-step discount
+  factor: for a gamma-contraction,
   ``|V_n - V*| <= gamma/(1-gamma) * |V_n - V_{n-1}|``.
 * Policy iteration (Howard's algorithm), which ``solve`` runs where it
   can certify the field: each outer step fixes the greedy policy of ``V``
@@ -28,13 +27,12 @@ greatest below it.  Where a zero-cost loop is the only fault, the loop
 starts instead from the policy field of a perturbed copy of the spec
 whose operator lies below ``T`` (from zero) or above it (from the upper
 bound), which brackets the same end (``_bracket``); where the copy fails,
-from the start it was given.  ``verify.run_all`` picks its solves' method
-by the same rule: a policy solve per start on a certified spec, one
-lock-step ``solve_many`` call from the bracketing starts elsewhere
-(``_bracketed_solves``).  Switch and impulse rows are not discounted, so
-``T`` is not a one-step gamma-contraction wherever they bind: the
-certificate is the unscaled residual bound, and the factor a chain of
-zero-time events adds to it is still open.
+from the start it was given.  ``verify.run_all`` makes its solves by the
+same rule, through the one ``_solve`` that ``solve`` calls.  Switch and
+impulse rows are not discounted, so ``T`` is not a one-step
+gamma-contraction wherever they bind: the certificate is the unscaled
+residual bound, and the factor a chain of zero-time events adds to it is
+still open.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "solve",
-    "solve_many",
+    "picard",
 ]
 
 INIT_ZERO = "zero"
@@ -138,8 +136,8 @@ class SolveResult:
     the distance to the fixed point were ``T`` a gamma-contraction, which
     it is not where undiscounted switch and impulse rows chain (see the
     module docstring).  It is None where the nonzero-loop condition fails
-    or was not enumerated, and ``uncertified`` says why; ``solve_many``'s
-    members carry neither.  ``method`` is the method that ran: "policy",
+    or was not enumerated, and ``uncertified`` says why; ``picard``'s
+    results carry neither.  ``method`` is the method that ran: "policy",
     "picard", or "bracketed", Picard from a bracketing copy's policy field
     (``_bracket``).  The policy counts sum over the nested grids; on an
     uncertified spec they are the copy's, where one was solved, and the
@@ -211,8 +209,8 @@ def _uncertified(spec: ProblemSpec) -> str | None:
 def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None) -> SolveResult:
     """Solve for the value field: by policy iteration where the field can
     be certified (see ``_uncertified``), elsewhere by the Picard loop of
-    ``solve_many``, from a bracketing start where ``_bracket`` finds one
-    and else from ``config.init``, whose field it then returns bit for bit.
+    ``picard``, from a bracketing start where ``_bracket`` finds one and
+    else from ``config.init``, whose field it then returns bit for bit.
 
     Returns the field together with diagnostics even when the iteration cap
     is hit (``converged=False``); callers decide whether a partial field is
@@ -221,19 +219,41 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
     """
     config = config or SolverConfig()
     _check_tolerance(config)
-    reason = _uncertified(spec)
+    return _solve(spec, grid, config, None, _uncertified(spec))
+
+
+def _solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
+           tables: BellmanTables | None, reason: str | None) -> SolveResult:
+    """One solve of ``config`` on ``tables`` (None: built here), by the
+    method ``solve`` picks: policy iteration where ``reason``, what
+    ``_uncertified`` says of ``spec``, is None; elsewhere ``picard`` from
+    the field of the ``_bracket`` copy where it has one, under
+    ``METHOD_BRACKETED``, else from ``config.init``, with ``reason`` as
+    ``uncertified`` and the copy's policy counts."""
     if reason is None:
-        return _policy_solve(spec, grid, config)
-    tables = build_tables(spec, grid, config.dt)
-    return _bracketed_solves(spec, grid, config, [config.init], tables, reason)[0]
+        return _policy_solve(spec, grid, config, tables)
+    if tables is None:
+        tables = build_tables(spec, grid, config.dt)
+    start, attempt = _bracket(spec, grid, config, tables)
+    result = picard(spec, grid, config if start is None else replace(config, init=start),
+                    tables)
+    result.uncertified = reason
+    if attempt is not None:
+        result.outer_steps = attempt.outer_steps
+        result.krylov_iterations = attempt.krylov_iterations
+        result.fallbacks = attempt.fallbacks
+    if start is not None:
+        result.method = METHOD_BRACKETED
+    return result
 
 
-def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, init: str,
+def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
              tables: BellmanTables) -> tuple[np.ndarray | None, SolveResult | None]:
-    """A start for the Picard loop from ``init`` on ``spec``, a spec
-    without a certificate, that ends where the loop from ``init`` does:
-    ``(field, attempt)``, the field None where the attempt, or a copy to
-    attempt, failed.
+    """A start for the Picard loop from ``config.init`` on ``spec``, a spec
+    without a certificate, that ends where the loop from ``config.init``
+    does: ``(field, attempt)``, the field None where the attempt, or a copy
+    to attempt, failed, and both None from a start other than "zero" and
+    "upper".
 
     From zero, the copy's player-1 switches are dearer, which lowers the
     upper obstacle: its operator ``T_lo`` lies below ``T``.  Its fixed
@@ -246,6 +266,9 @@ def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, init: str,
     it.  A copy is used only where ``check_y1_y2`` certifies it, and its
     field only where its policy solve, capped at ``_BRACKET_RESIDUALS``
     residuals per grid, converged and the field meets its side's bound."""
+    init = config.init
+    if not (isinstance(init, str) and init in (INIT_ZERO, INIT_UPPER)):
+        return None, None
     player = 0 if init == INIT_ZERO else 1
     name = ("switch_cost_1", "switch_cost_2")[player]
     costs = getattr(spec, name)
@@ -259,80 +282,24 @@ def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, init: str,
     with warnings.catch_warnings():  # the spec's own Picard loop warns of a long step
         warnings.simplefilter("ignore")
         attempt = _policy_solve(perturbed, grid, replace(
-            config, init=init, max_iterations=min(config.max_iterations, _BRACKET_RESIDUALS)),
+            config, max_iterations=min(config.max_iterations, _BRACKET_RESIDUALS)),
             tables.with_spec(perturbed))
     values = attempt.values
     bounded = values.min() >= 0.0 if player == 0 else values.max() <= tables.upper_bound
     return (values if attempt.converged and bounded else None), attempt
 
 
-def _bracketed_solves(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
-                      tables: BellmanTables, reason: str) -> list[SolveResult]:
-    """The Picard loop of ``config`` from each start in ``inits`` on
-    ``spec``, which ``reason`` says is not certified, in one lock-step
-    ``solve_many`` call on ``tables``: "zero" and "upper" from their
-    ``_bracket`` field where it has one, under ``METHOD_BRACKETED``, and
-    each with its attempt's policy counts."""
-    brackets = [_bracket(spec, grid, config, init, tables)
-                if isinstance(init, str) and init in (INIT_ZERO, INIT_UPPER) else (None, None)
-                for init in inits]
-    results = solve_many(spec, grid, config, [init if start is None else start
-                                              for init, (start, _) in zip(inits, brackets)],
-                         tables)
-    for result, (start, attempt) in zip(results, brackets):
-        result.uncertified = reason
-        if attempt is not None:
-            result.outer_steps = attempt.outer_steps
-            result.krylov_iterations = attempt.krylov_iterations
-            result.fallbacks = attempt.fallbacks
-        if start is not None:
-            result.method = METHOD_BRACKETED
-    return results
-
-
-class _Member:
-    """One field of a lock-step solve: its diagnostics, and its result once
-    it stops.  A plain class: a dataclass costs about 1 ms of import time."""
-
-    __slots__ = ("monotone", "history", "converged", "ended", "result")
-
-    def __init__(self, monotone: bool | None):
-        self.monotone = monotone
-        self.history: list[float] = []
-        self.converged = self.ended = False
-        self.result: SolveResult | None = None
-
-    def record(self, low: float, high: float, stop: float) -> bool:
-        """Take one sweep's least and largest change; True if the member
-        ends: it converged, or the change is not finite, as on a field or
-        table that holds nan or inf (a nan change never meets the stop)."""
-        change = abs(max(high, -low))  # |diff|.max(), +0.0 when all zero
-        self.history.append(change)
-        if self.monotone:
-            self.monotone = low >= 0.0  # updated >= values, on finite fields
-        self.converged = change <= stop
-        self.ended = self.converged or not math.isfinite(change)
-        return self.ended
-
-
-def solve_many(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
-               tables: BellmanTables | None = None) -> list[SolveResult]:
-    """The Picard loop of ``config`` from each start in ``inits``, in
-    lock-step over one table build; ``config.init`` is not read.
-
-    ``tables``, if given, must be built for ``spec``, ``grid`` and
-    ``config.dt``.  Every member has its own start ("zero", "upper" or an
-    array), history and monotone flag, and shares the variant, stop rule
-    and cap.  Each sweep updates the stack of the members still running at
-    once, and a member leaves it when it converges, or unconverged at its
-    first change that is not finite, so its result has the bits of its own
-    ``solve_many`` of one start, which is ``solve`` on a spec it cannot
-    certify.
+def picard(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
+           tables: BellmanTables | None = None) -> SolveResult:
+    """The Picard loop of ``config`` from ``config.init`` ("zero", "upper"
+    or an array), on ``tables`` if given, which must be built for ``spec``,
+    ``grid`` and ``config.dt``.  It stops when the successive change is at
+    most the stop threshold, or unconverged after ``max_iterations`` sweeps
+    or at the first change that is not finite, as on a field or table that
+    holds nan or inf (a nan change never meets the stop).  This is
+    ``solve`` on a spec it cannot certify and no copy brackets.
     """
     _check_tolerance(config)
-    inits = list(inits)
-    if not inits:
-        return []
     if tables is None:
         tables = build_tables(spec, grid, config.dt)
 
@@ -341,51 +308,27 @@ def solve_many(spec: ProblemSpec, grid: GridSpec, config: SolverConfig, inits,
     # successive-change cutoff delivering the requested fixed-point accuracy
     gamma = tables.gamma
     stop = config.tolerance * min(1.0, (1.0 - gamma) / gamma)
-    shape = (spec.m1, spec.m2, grid.n_points)
-    starts = [_initial_field(init, tables, shape) for init in inits]
-    members = [_Member(True if zero else None) for _, zero in starts]
-    running = members
-    values = np.stack([start for start, _ in starts])
-    del starts
-
-    sweep = 0
-    stopping = True  # some member may stop: at the start, and after a member converges
-    while True:
-        if stopping or sweep >= config.max_iterations:
-            stack = values.reshape((len(running),) + shape)
-            keep = []
-            for i, (m, final) in enumerate(zip(running, stack)):
-                if not (m.ended or sweep >= config.max_iterations):
-                    keep.append(i)
-                    continue
-                m.result = SolveResult(
-                    values=final.copy() if len(running) > 1 else final, iterations=sweep,
-                    change_history=np.asarray(m.history), converged=m.converged,
-                    monotone=m.monotone, stop_threshold=stop, dt=tables.dt,
-                    variant=config.variant, tables=tables)
-            if not keep:
-                break
-            if len(keep) < len(running):
-                running = [running[i] for i in keep]
-                stack = stack[keep]
-            # a lone member sweeps its own field (a stack of one cost 1-D solves
-            # ~5%) and takes its least and largest change with no reshape
-            lone = running[0] if len(running) == 1 else None
-            values = stack[0] if lone is not None else stack
-            stopping = False
-        sweep += 1
+    values, zero = _initial_field(config.init, tables, (spec.m1, spec.m2, grid.n_points))
+    monotone = True if zero else None
+    history: list[float] = []
+    converged = False
+    while len(history) < config.max_iterations:
         updated = bellman_update(values, spec, grid, variant=config.variant, tables=tables)
         diff = updated - values
-        if lone is not None:
-            stopping = lone.record(float(np.minimum.reduce(diff, axis=None)),
-                                   float(np.maximum.reduce(diff, axis=None)), stop)
-        else:
-            diff = diff.reshape(len(running), -1)
-            for m, low, high in zip(running, np.minimum.reduce(diff, axis=1).tolist(),
-                                    np.maximum.reduce(diff, axis=1).tolist()):
-                stopping = m.record(low, high, stop) or stopping
+        low = float(np.minimum.reduce(diff, axis=None))
+        high = float(np.maximum.reduce(diff, axis=None))
+        change = abs(max(high, -low))  # |diff|.max(), +0.0 when all zero
+        history.append(change)
+        if monotone:
+            monotone = low >= 0.0  # updated >= values, on finite fields
         values = updated
-    return [m.result for m in members]
+        converged = change <= stop
+        if converged or not math.isfinite(change):
+            break
+    return SolveResult(
+        values=values, iterations=len(history), change_history=np.asarray(history),
+        converged=converged, monotone=monotone, stop_threshold=stop, dt=tables.dt,
+        variant=config.variant, tables=tables)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,16 @@ Each check returns a CheckResult with a machine-readable status:
 ``run_all`` is the one place that makes solves: it measures the
 saddle-order gap on the grid's control samples, builds the update tables
 once, makes the solves from zero and from the upper bound that its checks
-read, by the method ``solve`` runs on the spec (nested policy iteration
-where ``check_y1_y2`` certifies it, elsewhere one lock-step Picard call,
-``solver.solve_many``, from the fields of bracketing copies where they
-are found: ``solver._bracketed_solves``), and drives every applicable check,
-producing a deterministic report for a given (problem, grid, config,
-seed).  The saddle-order check compares the two commitment orders' sweeps
-of the solved field, the discrete form of the game having a value; the
-two-sided check only compares the solved fields it is handed.  The
-obstacle-chain and post-impulse checks read only the obstacles, which no
-time step enters: never the update tables.
+read through ``solver._solve``, by the method ``solve`` runs on the spec
+(nested policy iteration where ``check_y1_y2`` certifies it, elsewhere
+each start's Picard loop, from the field of a bracketing copy where one
+is found), and drives every applicable check, producing a deterministic
+report for a given (problem, grid, config, seed).  The saddle-order check
+compares the two commitment orders' sweeps of the solved field, the
+discrete form of the game having a value; the two-sided check only
+compares the solved fields it is handed.  The obstacle-chain and
+post-impulse checks read only the obstacles, which no time step enters:
+never the update tables.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_ga
                       sample_controls)
 # ``solve`` is not called here: the name stays for perfbench's traced runs,
 # which patch ``verify.solve`` by name
-from .solver import (SolverConfig, SolveResult, _bracketed_solves, _policy_solve,  # noqa: F401
-                     _uncertified, solve)
+from .solver import SolverConfig, SolveResult, _solve, _uncertified, solve  # noqa: F401
 
 __all__ = [
     "CheckResult",
@@ -421,8 +420,8 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     ``config.init`` is not read.  Where ``check_y1_y2`` certifies the spec,
     each is a nested policy solve whose last grid reads the run's tables;
     elsewhere each start's bracketing copy is solved on a twin of the
-    tables, and one lock-step Picard call on the tables starts from those
-    fields, or from zero and upper where a copy fails.
+    tables, and each start's Picard loop runs on the one table build, from
+    its copy's field, or from zero or upper where the copy fails.
     ``suites`` filters by the names in ``SUITES``; None runs everything.
     ``trials`` below 1 is a ValueError.
     """
@@ -438,13 +437,9 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     if _wanted(suites, "uniqueness"):
         inits.append("upper")
     tables = build_tables(spec, grid, config.dt)
-    if not inits:
-        made = []
-    elif (reason := _uncertified(spec)) is None:
-        made = [_policy_solve(spec, grid, replace(config, init=init), tables) for init in inits]
-    else:
-        made = _bracketed_solves(spec, grid, config, inits, tables, reason)
-    solved = dict(zip(inits, made))
+    reason = _uncertified(spec) if inits else None
+    solved = {init: _solve(spec, grid, replace(config, init=init), tables, reason)
+              for init in inits}
 
     checks = []
     base = solved.get("zero")

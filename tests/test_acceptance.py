@@ -6,6 +6,7 @@ Solved fields are shared through a session fixture so the suite stays fast.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hybrid_isaacs.discretize import make_grid
 from hybrid_isaacs.hybridsim import rollout_value_gap
 from hybrid_isaacs.operators import Variant, isaacs_gap
 from hybrid_isaacs.problem import sample_controls
-from hybrid_isaacs.solver import SolverConfig, solve, solve_many
+from hybrid_isaacs.solver import SolverConfig, picard, solve
 from hybrid_isaacs.verify import (dpp_consistency, obstacle_chain_check, operator_probes,
                                   post_impulse_strictness, two_sided_uniqueness)
 
@@ -102,7 +103,7 @@ def test_criterion_5_two_sided_agreement_everywhere(solved):
     details = []
     for name in BUNDLED_NAMES:
         spec, grid, config, low = solved[name]
-        [high] = solve_many(spec, grid, config, ["upper"], low.tables)
+        high = picard(spec, grid, replace(config, init="upper"), low.tables)
         check = two_sided_uniqueness(low, high, 10 * config.tolerance)
         all_ok = all_ok and check.status == "pass"
         ratio = check.measured.get("difference", math.inf) / (10 * config.tolerance)

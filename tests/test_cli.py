@@ -393,9 +393,9 @@ def test_validate_warns_of_a_drift_that_is_not_finite(tmp_path, capsys):
 
 
 def test_validate_and_analyze_name_a_running_cost_that_is_not_finite(tmp_path, capsys):
-    """drift_1d with a running cost that overflows to inf: ``validate``
-    warns where it is first not finite, and neither command raises a
-    RuntimeWarning."""
+    """drift_1d with a running cost that overflows to inf: ``validate`` and
+    ``analyze`` both say, in the same words, where it is first not finite,
+    and neither command raises a RuntimeWarning."""
     path = tmp_path / "overflow.toml"
     path.write_text(re.sub(r'k = ".*"', 'k = "1e300*x0^2*1e10"',
                            BUNDLED["drift_1d"].read_text()))
@@ -404,9 +404,13 @@ def test_validate_and_analyze_name_a_running_cost_that_is_not_finite(tmp_path, c
         assert run("validate", path) == EXIT_OK
         out = capsys.readouterr().out
         assert run("analyze", path) == EXIT_OK
-    assert re.search(r"\n  \[       warning\] running cost is not finite in mode "
-                     r"\(only,only\) at u1=-1\.0, u2=-1\.0, x=\[[0-9.]+\]\n", out)
-    assert "saddle-order gap estimate: 0.0" in capsys.readouterr().out
+    where = (r"running cost is not finite in mode \(only,only\) at u1=-1\.0, u2=-1\.0, "
+             r"x=\[[0-9.]+\]\n")
+    found = re.search(r"\n  \[       warning\] (" + where + ")", out)
+    assert found
+    analyzed = capsys.readouterr().out
+    assert "saddle-order gap estimate: 0.0" in analyzed
+    assert f"\nwarning: {found.group(1)}" in analyzed
 
 
 def test_an_overflowing_generator_exits_1(workdir, capsys):

@@ -1,7 +1,5 @@
-"""Stacked sweeps and lock-step solves: every member of a stack has the bits
-of its own sweep, and every member of ``solve_many`` the bits, sweep count
-and history of its own Picard solve, a ``solve_many`` of that start
-alone."""
+"""Stacked sweeps: every member of a stack has the bits of its own sweep,
+and a stack's blocks of mode pairs span at most the block budget."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ import pytest
 from hybrid_isaacs import discretize
 from hybrid_isaacs.discretize import build_tables, make_grid
 from hybrid_isaacs.operators import Variant, bellman_update
-from hybrid_isaacs.solver import SolverConfig, solve_many
+from hybrid_isaacs.solver import SolverConfig
 
 from conftest import BUNDLED, game_2d, game_3d, load_bundled
 
@@ -28,90 +26,6 @@ def load_game(name):
     spec, grid_cfg, solver_cfg = load_bundled(name)
     return (spec, make_grid(spec, grid_cfg["points"]),
             SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"]))
-
-
-def picard_solve(spec, grid, config, init):
-    """The Picard solve of ``config`` from ``init`` alone."""
-    return solve_many(spec, grid, config, [init])[0]
-
-
-def assert_same_solve(result, alone):
-    assert result.values.tobytes() == alone.values.tobytes()
-    assert result.values.shape == alone.values.shape
-    assert result.iterations == alone.iterations
-    assert result.change_history.tobytes() == alone.change_history.tobytes()
-    assert (result.converged, result.monotone, result.variant) == (
-        alone.converged, alone.monotone, alone.variant)
-    assert result.stop_threshold == alone.stop_threshold and result.dt == alone.dt
-
-
-@pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("name", GAMES)
-def test_lock_step_members_match_their_own_solves(name, variant):
-    """Members from zero, upper and an array start, in each variant by a
-    call of its own; the members stop at different sweeps."""
-    spec, grid, config = load_game(name)
-    config = SolverConfig(dt=config.dt, tolerance=config.tolerance, variant=variant)
-    field = np.random.default_rng(4).uniform(0.0, 1.0, (spec.m1, spec.m2, grid.n_points))
-    inits = ["zero", "upper", field]
-    results = solve_many(spec, grid, config, inits)
-    for init, result in zip(inits, results):
-        assert_same_solve(result, picard_solve(spec, grid, config, init))
-        assert result.converged and result.variant is variant
-    assert results[0].monotone and results[1].monotone is None
-    assert len({r.iterations for r in results}) >= 2
-    assert all(r.tables is results[0].tables for r in results)
-
-
-def test_lock_step_members_stop_together_at_the_cap():
-    spec, grid, config = load_game("drift_1d")
-    capped = SolverConfig(dt=config.dt, tolerance=config.tolerance, max_iterations=7,
-                          variant=Variant.MINUS)
-    results = solve_many(spec, grid, capped, ["zero", "upper"])
-    for init, result in zip(["zero", "upper"], results):
-        assert_same_solve(result, picard_solve(spec, grid, capped, init))
-        assert result.iterations == 7 and not result.converged
-
-
-def test_lock_step_members_stop_at_zero_sweeps():
-    spec, grid, config = load_game("constant_cost")
-    capped = SolverConfig(dt=config.dt, tolerance=config.tolerance, max_iterations=0)
-    results = solve_many(spec, grid, capped, ["zero", "upper"])
-    for init, result in zip(["zero", "upper"], results):
-        assert_same_solve(result, picard_solve(spec, grid, capped, init))
-        assert result.iterations == 0 and not result.converged
-
-
-def test_lock_step_refuses_bad_tolerances_and_takes_no_start():
-    spec, grid, _ = load_game("constant_cost")
-    with pytest.raises(ValueError, match="tolerance"):
-        solve_many(spec, grid, SolverConfig(dt=0.5, tolerance=-1.0), ["zero"])
-    assert solve_many(spec, grid, SolverConfig(dt=0.5), []) == []
-
-
-def test_lock_step_reads_no_init_from_the_config():
-    """The config's init plays no part: the members are the starts given."""
-    spec, grid, config = load_game("drift_1d")
-    upper = SolverConfig(dt=config.dt, tolerance=config.tolerance, init="upper")
-    [result] = solve_many(spec, grid, upper, ["zero"])
-    assert_same_solve(result, picard_solve(spec, grid, config, "zero"))
-
-
-def test_lock_step_builds_the_tables_once_or_not_at_all(monkeypatch):
-    spec, grid, config = load_game("drift_1d")
-    tables = build_tables(spec, grid, config.dt)
-    builds = []
-
-    def counting(*args, **kwargs):
-        builds.append(args)
-        return build_tables(*args, **kwargs)
-
-    monkeypatch.setattr("hybrid_isaacs.solver.build_tables", counting)
-    solve_many(spec, grid, config, ["zero", "upper"])
-    assert len(builds) == 1
-    results = solve_many(spec, grid, config, ["zero", "upper"], tables=tables)
-    assert len(builds) == 1 and results[0].tables is tables
-    assert solve_many(spec, grid, config, []) == [] and len(builds) == 1
 
 
 @pytest.mark.parametrize("per_block", [None, 1, 3])

@@ -17,7 +17,7 @@ from hybrid_isaacs.cli import main
 from hybrid_isaacs.discretize import build_tables, make_grid, step_constants
 from hybrid_isaacs.operators import (CONTINUE, IMPULSE, SWITCH_LOWER, SWITCH_UPPER, Variant,
                                      bellman_update, policy_sweep)
-from hybrid_isaacs.solver import SolverConfig, solve
+from hybrid_isaacs.solver import SolverConfig, picard, solve
 
 from conftest import BUNDLED, game_2d, game_3d, gen2d, load_bundled, special_fields, toy_spec
 
@@ -41,11 +41,6 @@ def load_game(name, tmp_path):
     spec, grid_cfg, solver_cfg = load_bundled(name)
     return (spec, make_grid(spec, grid_cfg["points"]),
             SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"]))
-
-
-def picard(spec, grid, config):
-    """The Picard loop's result, which ``solve_many`` runs."""
-    return solver.solve_many(spec, grid, config, [config.init])[0]
 
 
 def rows_times(system, values):
@@ -107,22 +102,18 @@ def test_every_assembled_row_reads_inside_the_padded_vector(name, variant, tmp_p
                                   "balanced_loop"])
 def test_a_field_holding_nan_ends_unconverged_at_once(name, tmp_path):
     """An explicit start with one nan: policy iteration ends at its first
-    residual, which is nan, and the Picard loop after its first sweep;
-    in a lock-step solve only that member ends, and the other keeps the
-    bits of its own solve."""
+    residual, which is nan, and the Picard loop after its first sweep."""
     spec, grid, config = load_game(name, tmp_path)
     start = np.zeros((spec.m1, spec.m2, grid.n_points))
     start.reshape(-1)[start.size // 2] = np.nan
     with np.errstate(invalid="ignore"):
         result = solve(spec, grid, replace(config, init=start))
-        members = solver.solve_many(spec, grid, config, [start, "zero"])
+        looped = picard(spec, grid, replace(config, init=start))
     assert not result.converged and result.iterations == 1
     assert math.isnan(result.last_change)
     assert result.outer_steps + result.fallbacks == 0
     assert result.method == ("picard" if name == "balanced_loop" else "policy")
-    assert not members[0].converged and members[0].iterations == 1
-    alone = picard(spec, grid, config)
-    assert members[1].converged and members[1].values.tobytes() == alone.values.tobytes()
+    assert not looped.converged and looped.iterations == 1
 
 
 @pytest.mark.parametrize("per_block", [1, 3])
@@ -247,7 +238,7 @@ def test_a_bracketed_solve_lands_on_the_picard_loops_field(name, points, variant
     for init in ("zero", "upper"):
         config = SolverConfig(tolerance=1e-9, init=init, variant=variant)
         result = solve(spec, grid, config)
-        [fixed] = solver.solve_many(spec, grid, config, [init])
+        fixed = picard(spec, grid, config)
         assert result.method == "bracketed" and result.converged
         assert np.abs(result.values - fixed.values).max() <= 2 * config.tolerance
 

@@ -1,20 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hybrid_isaacs.discretize import make_grid
+from hybrid_isaacs import solver
+from hybrid_isaacs.discretize import build_tables, make_grid
 from hybrid_isaacs.operators import Variant, bellman_update, isaacs_gap
 from hybrid_isaacs.problem import sample_controls
-from hybrid_isaacs.solver import SolverConfig, solve, solve_many
+from hybrid_isaacs.solver import SolverConfig, picard, solve
 
-from conftest import toy_spec
-
-
-def picard(spec, grid, config):
-    """The Picard loop's result, which ``solve_many`` runs; ``solve`` runs
-    policy iteration on the specs here that it can certify."""
-    return solve_many(spec, grid, config, [config.init])[0]
+from conftest import load_bundled, toy_spec
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +254,56 @@ def test_refusals_and_the_time_step_warning_hold_under_each_method(method, run):
     with pytest.warns(UserWarning, match="time step"):
         result = run(spec, grid, SolverConfig(dt=5.0, tolerance=1e-6))
     assert result.method == method
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
+@pytest.mark.parametrize("init", ["zero", "upper", "array"])
+@pytest.mark.parametrize("name, changes, sweeps", [
+    ("drift_1d", {}, None),                                             # to convergence
+    ("drift_1d", {"max_iterations": 7, "variant": Variant.MINUS}, 7),   # at the cap
+    ("constant_cost", {"max_iterations": 0}, 0),                        # no sweep
+    ("drift_1d", {"tolerance": -1.0}, ValueError),
+], ids=["converged", "cap", "no-sweep", "negative-tolerance"])
+def test_picard_sweeps_from_the_configured_start(name, changes, sweeps, init, given,
+                                                 monkeypatch):
+    """``picard`` sweeps from ``config.init``, "zero", "upper" or an array:
+    its field and history are those of the sweeps from that start, to
+    convergence or to ``max_iterations`` unconverged, and with a cap of 0
+    the start itself.  It builds the tables once where none are given, and
+    none where they are, and refuses a negative tolerance before a build."""
+    spec, grid_cfg, solver_cfg = load_bundled(name)
+    grid = make_grid(spec, grid_cfg["points"])
+    tables = build_tables(spec, grid, solver_cfg.get("dt"))
+    shape = (spec.m1, spec.m2, grid.n_points)
+    start = {"zero": np.zeros(shape), "upper": np.full(shape, tables.upper_bound),
+             "array": np.random.default_rng(4).uniform(0.0, 1.0, shape)}[init]
+    config = replace(SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"],
+                                  init=start if init == "array" else init), **changes)
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_tables(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_tables", counting)
+    if sweeps is ValueError:
+        with pytest.raises(ValueError, match="tolerance"):
+            picard(spec, grid, config, tables if given else None)
+        assert builds == []
+        return
+    result = picard(spec, grid, config, tables if given else None)
+    assert len(builds) == (0 if given else 1) and (result.tables is tables) == given
+    if sweeps is not None:
+        assert result.iterations == sweeps
+    assert result.converged == (sweeps is None) and result.variant is config.variant
+    assert result.monotone is (True if init == "zero" else None)
+    values, history = start, []
+    for _ in range(result.iterations):
+        updated = bellman_update(values, spec, grid, variant=config.variant, tables=tables)
+        history.append(float(np.abs(updated - values).max()))
+        values = updated
+    assert result.values.tobytes() == values.tobytes()
+    assert result.change_history.tolist() == history
 
 
 def test_two_dimensional_constant_cost():

@@ -14,7 +14,7 @@ from hybrid_isaacs.operators import (Variant, bellman_update, impulse_candidates
                                      impulse_field, isaacs_gap,
                                      switch_lower_field, switch_upper_field)
 from hybrid_isaacs.problem import _subadditivity_gaps, load_config, sample_controls
-from hybrid_isaacs.solver import SolverConfig, solve, solve_many
+from hybrid_isaacs.solver import SolverConfig, picard, solve
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
                                   two_sided_uniqueness)
@@ -426,7 +426,7 @@ def test_isaacs_equality_compares_the_sweeps_of_the_field_it_is_handed():
 def test_two_sided_on_balanced_loop(solved_balanced_loop):
     spec, grid, low = solved_balanced_loop
     config = SolverConfig(tolerance=1e-9)
-    [high] = solve_many(spec, grid, config, ["upper"], low.tables)
+    high = picard(spec, grid, replace(config, init="upper"), low.tables)
     check = two_sided_uniqueness(low, high, 10 * config.tolerance)
     assert check.status == "pass", check.detail
     assert check.measured["difference"] <= 1e-8
@@ -436,7 +436,7 @@ def test_two_sided_fails_on_noncovergence():
     spec = toy_spec(f="0", k="1", lam=0.5)
     grid = make_grid(spec, 5)
     config = SolverConfig(dt=0.01, tolerance=1e-12, max_iterations=2)
-    low, high = solve_many(spec, grid, config, ["zero", "upper"])
+    low, high = (picard(spec, grid, replace(config, init=init)) for init in ("zero", "upper"))
     assert not low.converged    # the upper start is the fixed point here
     check = two_sided_uniqueness(low, high, 1e-11)
     assert check.status == "fail"
@@ -596,19 +596,19 @@ def test_report_serialization_is_diff_stable(constant_cost):
 
 
 def counted_solves(monkeypatch):
-    """The variant and starts of every lock-step call ``verify`` makes, a
-    start it computed as "field", the update tables of every table build
-    it makes, and every policy solve it makes, of the spec or of a
+    """Every Picard loop ``verify`` runs, as (variant, start, result), a
+    start it computed as "field"; the update tables of every table build
+    it makes; and every policy solve it makes, of the spec or of a
     bracketing copy (``solver._bracket``), as (init, variant, tables
     passed, result)."""
     calls, builds, policies = [], [], []
-    many, policy = solver.solve_many, solver._policy_solve
+    loop, policy = solver.picard, solver._policy_solve
 
-    def counting_solve_many(spec, grid, config, inits, tables=None):
-        inits = list(inits)
-        calls.append((config.variant, [init if isinstance(init, str) else "field"
-                                       for init in inits]))
-        return many(spec, grid, config, inits, tables)
+    def counting_picard(spec, grid, config, tables=None):
+        result = loop(spec, grid, config, tables)
+        calls.append((config.variant,
+                      config.init if isinstance(config.init, str) else "field", result))
+        return result
 
     def counting_build(*args, **kwargs):
         builds.append(build_tables(*args, **kwargs))
@@ -619,12 +619,16 @@ def counted_solves(monkeypatch):
         policies.append((config.init, config.variant, tables, result))
         return result
 
-    monkeypatch.setattr(solver, "solve_many", counting_solve_many)
+    monkeypatch.setattr(solver, "picard", counting_picard)
     monkeypatch.setattr(verify, "build_tables", counting_build)
     monkeypatch.setattr(solver, "build_tables", counting_build)
-    monkeypatch.setattr(verify, "_policy_solve", counting_policy)
     monkeypatch.setattr(solver, "_policy_solve", counting_policy)
     return calls, builds, policies
+
+
+def loop_members(calls):
+    """(variant, start) of each Picard loop."""
+    return [(variant, start) for variant, start, _ in calls]
 
 
 def policy_members(policies):
@@ -639,8 +643,8 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
     grid's control samples.  On a certified spec the solves from zero and
     upper are policy solves, each made once on the one build of the grid's
     tables; on balanced_loop, which is not certified, each start's
-    bracketing copy is solved once on a twin of those tables, and one
-    lock-step call starts from their fields.  The base field is
+    bracketing copy is solved once on a twin of those tables, and a Picard
+    loop on those tables starts from each copy's field.  The base field is
     ``solve``'s, and the check that of its sweeps on the run's tables."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
@@ -679,7 +683,7 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
     assert values.tobytes() == expected.tobytes()
     assert check == isaacs_value_equality(check.measured["order_gap"], values, tables)
     if name == "balanced_loop":
-        assert calls == [(Variant.PLUS, ["field", "field"])]
+        assert loop_members(calls) == [(Variant.PLUS, "field")] * 2
         assert policy_members(policies) == [("zero", Variant.PLUS), ("upper", Variant.PLUS)]
         assert all(p[2].spec is not spec and p[2].foot_idx is tables.foot_idx
                    for p in policies)
@@ -728,8 +732,8 @@ def test_run_all_builds_the_tables_once(balanced_loop, init, variant, monkeypatc
     """Every suite on a spec that is not certified: one build of the
     grid's tables, whatever the init a policy solve of the bracketing copy
     from zero and from upper of the configured variant, each on a twin of
-    those tables (its coarse grid builds its own), and one lock-step call
-    from their fields."""
+    those tables (its coarse grid builds its own), and a Picard loop on
+    those tables from each copy's field."""
     spec, grid_cfg, solver_cfg = balanced_loop
     grid = make_grid(spec, 41)
     calls, builds, policies = counted_solves(monkeypatch)
@@ -739,7 +743,37 @@ def test_run_all_builds_the_tables_once(balanced_loop, init, variant, monkeypatc
     [tables] = [t for t in builds if t.grid == grid]
     assert policy_members(policies) == [("zero", variant), ("upper", variant)]
     assert all(p[2].foot_idx is tables.foot_idx for p in policies)
-    assert calls == [(variant, ["field", "field"])]
+    assert loop_members(calls) == [(variant, "field"), (variant, "field")]
+    assert all(result.tables is tables for _, _, result in calls)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("name", ["balanced_loop", "game_3d"])
+def test_run_all_solves_are_the_fields_of_solve(name, variant, monkeypatch):
+    """On specs it cannot certify, ``run_all``'s Picard loops from zero and
+    from the upper bound end on the fields of ``solve`` from those starts,
+    bit for bit, with their histories and methods: balanced_loop at its
+    own grid, and game_3d at 7^3 and tolerance 1e-6, whose two fields
+    differ."""
+    if name == "game_3d":
+        spec, points = game_3d(), 7
+        config = SolverConfig(tolerance=1e-6, variant=variant)
+    else:
+        spec, grid_cfg, solver_cfg = load_bundled(name)
+        points = grid_cfg["points"]
+        config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"],
+                              variant=variant)
+    grid = make_grid(spec, points)
+    expected = [solve(spec, grid, replace(config, init=init)) for init in ("zero", "upper")]
+    calls, _, _ = counted_solves(monkeypatch)
+    run_all(spec, grid, config, trials=3, suites={"uniqueness"})
+    assert [variant for variant, _, _ in calls] == [config.variant] * 2
+    for (_, _, made), want in zip(calls, expected):
+        assert made.values.tobytes() == want.values.tobytes()
+        assert made.change_history.tobytes() == want.change_history.tobytes()
+        assert (made.method, made.converged) == (want.method, True)
+    if name == "game_3d":
+        assert expected[0].values.tobytes() != expected[1].values.tobytes()
 
 
 @pytest.mark.parametrize("suites, coupled, members", [
