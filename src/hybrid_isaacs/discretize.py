@@ -399,7 +399,7 @@ class BellmanTables(ImpulseTable):
         return cost
 
 
-def default_time_step(spec: ProblemSpec, grid: GridSpec, f_sup: float) -> float:
+def default_time_step(grid: GridSpec, f_sup: float) -> float:
     """Keep the propagated foot within about half a cell of its start."""
     return 0.5 * float(grid.spacing.min()) / max(1.0, f_sup)
 
@@ -430,19 +430,21 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     m1, m2, _, _, npts, _ = f.shape
 
     # linalg.norm(f, axis=-1).max() bit for bit: the same squares added in
-    # component order, and sqrt is monotone and correctly rounded; the
-    # per-node norms are built only to name a node where they are not finite
-    squares = f[..., 0] * f[..., 0]
-    for i in range(1, f.shape[-1]):
-        squares += f[..., i] * f[..., i]
+    # component order, and sqrt is monotone and correctly rounded; a square
+    # is not finite where the norm is not, which names the first such node
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = f[..., 0] * f[..., 0]
+        for i in range(1, f.shape[-1]):
+            squares += f[..., i] * f[..., i]
     f_sup = math.sqrt(float(squares.max()))
     if not math.isfinite(f_sup):
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(f, axis=-1)
-        raise ValueError(f"drift norm is not finite in {_nonfinite_at(spec, norms, pts)}")
-    k_sup = float(k.max())
+        raise ValueError(f"drift norm is not finite in {_nonfinite_at(spec, squares, pts)}")
+    k_sup = float(k.max())  # nan where a cost is nan; +inf forbids its controls
+    if math.isnan(k_sup):
+        raise ValueError("running cost is nan in "
+                         + _nonfinite_at(spec, np.where(np.isnan(k), k, 0.0), pts))
     if dt is None:
-        dt = default_time_step(spec, grid, f_sup)
+        dt = default_time_step(grid, f_sup)
     dt = float(dt)
 
     gamma, weight, step_matrix = step_constants(spec, dt)

@@ -131,6 +131,8 @@ class _Policy:
         self.spec = spec
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
+        if not np.isfinite(self.values).all():  # 0 * inf reads nan where a weight is 0
+            raise ValueError("the value field is not finite; it gives no policy")
         self.dt = dt
         self.action_tol = action_tol
         self.variant, self.saddle = variant, _SADDLE[variant]
@@ -200,6 +202,7 @@ class _Policy:
                 float(k[pair]), pts[obs + pair])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a saddle that reads nan raises
 def decide(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x, d1: int, d2: int,
            dt: float, action_tol: float = DEFAULT_ACTION_TOL,
            variant: Variant = Variant.PLUS) -> PolicyDecision:
@@ -218,6 +221,7 @@ def decide(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x, d1: int, d2
     return policy.decide(np.asarray(x, dtype=float), d1, d2)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a saddle that reads nan raises
 def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int, d2: int,
              horizon: float, dt: float | None = None,
              action_tol: float = DEFAULT_ACTION_TOL,
@@ -302,7 +306,7 @@ def _default_sim_step(spec: ProblemSpec, grid: GridSpec) -> float:
     u1, u2, p = (g.ravel() for g in np.meshgrid(spec.u1_levels, spec.u2_levels, range(3)))
     f_sup = max(np.linalg.norm(eval_dynamics(spec, i1, i2, probe[p], u1, u2), axis=-1).max()
                 for (i1, i2) in spec.mode_pairs())
-    return default_time_step(spec, grid, float(f_sup))
+    return default_time_step(grid, float(f_sup))
 
 
 def evaluate_cost(traj: HybridTrajectory, discount: float) -> float:

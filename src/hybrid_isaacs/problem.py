@@ -342,10 +342,29 @@ NOT_APPLICABLE = "not-applicable"
 
 @dataclass
 class Check:
+    """One check's outcome in a ``validate`` or ``verify`` report, with its
+    status line (``line``) and ``check.*`` kv rows (``rows``)."""
+
     name: str
     status: str
     detail: str = ""
-    data: dict[str, float] = field(default_factory=dict)
+    measured: dict[str, float] = field(default_factory=dict)
+    tolerance: float | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.status != FAIL
+
+    def line(self) -> str:
+        return f"  [{self.status:>14}] {self.name}" + (f" -- {self.detail}" if self.detail else "")
+
+    def rows(self) -> dict[str, str]:
+        rows = {f"check.{self.name}": self.status}
+        if self.tolerance is not None:
+            rows[f"check.{self.name}.tolerance"] = f"{self.tolerance:.16e}"
+        for key, value in self.measured.items():
+            rows[f"check.{self.name}.{key}"] = f"{value:.16e}"
+        return rows
 
 
 @dataclass
@@ -359,15 +378,14 @@ class ValidationReport:
     @property
     def mandatory_ok(self) -> bool:
         """No check failed."""
-        return all(c.status != FAIL for c in self.checks)
+        return all(c.ok for c in self.checks)
 
     def failures(self) -> list[Check]:
-        return [c for c in self.checks if c.status == FAIL]
+        return [c for c in self.checks if not c.ok]
 
     def to_text(self) -> str:
         lines = [f"validation report (samples={self.samples}, seed={self.seed})"]
-        for c in self.checks:
-            lines.append(f"  [{c.status:>14}] {c.name}" + (f" -- {c.detail}" if c.detail else ""))
+        lines += [c.line() for c in self.checks]
         for w in self.warnings:
             lines.append(f"  [       warning] {w}")
         lines.append("  estimates:")
@@ -379,9 +397,7 @@ class ValidationReport:
     def to_kv(self) -> str:
         rows = {}
         for c in self.checks:
-            rows[f"check.{c.name}"] = c.status
-            for key, value in sorted(c.data.items()):
-                rows[f"check.{c.name}.{key}"] = f"{value:.16e}"
+            rows.update(c.rows())
         for key in sorted(self.estimates):
             rows[f"estimate.{key}"] = f"{self.estimates[key]:.16e}"
         rows["samples"] = str(self.samples)

@@ -27,8 +27,8 @@ greatest below it.  Where a zero-cost loop is the only fault, the loop
 starts instead from the policy field of a perturbed copy of the spec
 whose operator lies below ``T`` (from zero) or above it (from the upper
 bound), which brackets the same end (``_bracket``); where the copy fails,
-from the start it was given.  ``verify.run_all`` makes its solves by the
-same rule, through the one ``_solve`` that ``solve`` calls.  Switch and
+from the start it was given.  ``verify.run_all`` makes its solves by
+calling ``solve``, on its one table build.  Switch and
 impulse rows are not discounted, so ``T`` is not a one-step
 gamma-contraction wherever they bind: the certificate is the unscaled
 residual bound, and the factor a chain of zero-time events adds to it is
@@ -146,20 +146,24 @@ class SolveResult:
     rounding."""
 
     values: np.ndarray                  # (m1, m2, n_points)
-    iterations: int
     change_history: np.ndarray          # sup-norm change per iteration
     converged: bool
     monotone: bool | None               # nondecreasing iterates (Picard from zero only)
-    stop_threshold: float
-    dt: float
-    variant: Variant
-    tables: BellmanTables | None = field(repr=False, default=None)
+    tables: BellmanTables = field(repr=False)
     method: str = METHOD_PICARD
     certificate: float | None = None
     uncertified: str | None = None
     outer_steps: int = 0                # policy steps
     krylov_iterations: int = 0          # BiCGSTAB iterations
     fallbacks: int = 0                  # policy steps replaced by Picard sweeps
+
+    @property
+    def iterations(self) -> int:
+        return len(self.change_history)
+
+    @property
+    def dt(self) -> float:
+        return self.tables.dt
 
     @property
     def last_change(self) -> float:
@@ -206,11 +210,14 @@ def _uncertified(spec: ProblemSpec) -> str | None:
     return None
 
 
-def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None) -> SolveResult:
+def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None,
+          tables: BellmanTables | None = None) -> SolveResult:
     """Solve for the value field: by policy iteration where the field can
     be certified (see ``_uncertified``), elsewhere by the Picard loop of
     ``picard``, from a bracketing start where ``_bracket`` finds one and
     else from ``config.init``, whose field it then returns bit for bit.
+    ``tables``, as ``picard``'s, serve the Picard loop or the last grid of
+    the policy solve; None builds them here.
 
     Returns the field together with diagnostics even when the iteration cap
     is hit (``converged=False``); callers decide whether a partial field is
@@ -219,17 +226,7 @@ def solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = None)
     """
     config = config or SolverConfig()
     _check_tolerance(config)
-    return _solve(spec, grid, config, None, _uncertified(spec))
-
-
-def _solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
-           tables: BellmanTables | None, reason: str | None) -> SolveResult:
-    """One solve of ``config`` on ``tables`` (None: built here), by the
-    method ``solve`` picks: policy iteration where ``reason``, what
-    ``_uncertified`` says of ``spec``, is None; elsewhere ``picard`` from
-    the field of the ``_bracket`` copy where it has one, under
-    ``METHOD_BRACKETED``, else from ``config.init``, with ``reason`` as
-    ``uncertified`` and the copy's policy counts."""
+    reason = _uncertified(spec)
     if reason is None:
         return _policy_solve(spec, grid, config, tables)
     if tables is None:
@@ -289,6 +286,7 @@ def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
     return (values if attempt.converged and bounded else None), attempt
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a change that is not finite ends the loop
 def picard(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
            tables: BellmanTables | None = None) -> SolveResult:
     """The Picard loop of ``config`` from ``config.init`` ("zero", "upper"
@@ -325,10 +323,8 @@ def picard(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
         converged = change <= stop
         if converged or not math.isfinite(change):
             break
-    return SolveResult(
-        values=values, iterations=len(history), change_history=np.asarray(history),
-        converged=converged, monotone=monotone, stop_threshold=stop, dt=tables.dt,
-        variant=config.variant, tables=tables)
+    return SolveResult(values=values, change_history=np.asarray(history),
+                       converged=converged, monotone=monotone, tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +339,7 @@ def _grids(grid: GridSpec) -> list[GridSpec]:
     return grids[::-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a residual that is not finite ends a grid
 def _policy_solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
                   tables: BellmanTables | None = None) -> SolveResult:
     """Policy iteration, nested where the time step follows the cell.  A
@@ -375,11 +372,9 @@ def _policy_solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
         values = run.iterate(values, tables, config.tolerance if level is grid
                              else max(config.tolerance, _COARSE_TOLERANCE))
     _warn_long_step(spec, tables)
-    history = np.asarray(run.history)
     return SolveResult(
-        values=values, iterations=history.size, change_history=history,
-        converged=run.converged, monotone=None, stop_threshold=run.stop, dt=tables.dt,
-        variant=config.variant, tables=tables, method=METHOD_POLICY,
+        values=values, change_history=np.asarray(run.history), converged=run.converged,
+        monotone=None, tables=tables, method=METHOD_POLICY,
         certificate=run.history[-1] / (1.0 - tables.gamma), outer_steps=run.steps,
         krylov_iterations=run.krylov, fallbacks=run.fallbacks)
 
@@ -392,7 +387,7 @@ class _PolicyRun:
         self.config = config
         self.steps = self.krylov = self.fallbacks = 0
         self.history: list[float] = []
-        self.converged, self.stop = False, 0.0
+        self.converged = False
 
     def iterate(self, values: np.ndarray, tables: BellmanTables, tolerance: float) -> np.ndarray:
         """Outer steps from ``values`` until ``|T[V] - V| / (1 - gamma)``
@@ -411,7 +406,7 @@ class _PolicyRun:
         """
         config, spec = self.config, tables.spec
         scale = 1.0 - tables.gamma
-        self.stop = tolerance * scale
+        stop = tolerance * scale
         self.history, self.converged = [], False
         best, least, stall, last = values, math.inf, 0, None
         system = _PolicySystem(tables, config.variant)
@@ -433,10 +428,9 @@ class _PolicyRun:
                     arg, last[1])
                 last = branch, arg
                 system.assemble(branch, arg)
-                inner = 0.1 * self.stop if same else max(0.01 * residual, 0.1 * self.stop)
+                inner = 0.1 * stop if same else max(0.01 * residual, 0.1 * stop)
                 self.steps += 1
-                with np.errstate(over="ignore", invalid="ignore"):
-                    solved, its = system.solve(updated, inner)
+                solved, its = system.solve(updated, inner)
                 self.krylov += its
                 if solved:
                     values = updated
@@ -565,7 +559,10 @@ class _PolicySystem:
             p *= (rho_next / rho) * (alpha / omega)
             p += r
             apply(p_in, v, gathered)
-            alpha = rho_next / float(np.dot(shadow, v))
+            sv = float(np.dot(shadow, v))
+            if sv == 0.0:  # a breakdown: alpha would divide by zero
+                break
+            alpha = rho_next / sv
             np.multiply(v, alpha, out=gathered)
             r -= gathered                                  # s = r - alpha v
             np.multiply(p, alpha, out=gathered)

@@ -1,6 +1,6 @@
 """Executable structural-property checks for solved value fields.
 
-Each check returns a CheckResult with a machine-readable status:
+Each check returns a ``problem.Check`` with a machine-readable status:
 
 * ``pass`` / ``fail``: the property was tested and held / was violated;
 * ``not-applicable``: the problem lacks the ingredient the property needs
@@ -11,7 +11,7 @@ Each check returns a CheckResult with a machine-readable status:
 ``run_all`` is the one place that makes solves: it measures the
 saddle-order gap on the grid's control samples, builds the update tables
 once, makes the solves from zero and from the upper bound that its checks
-read through ``solver._solve``, by the method ``solve`` runs on the spec
+read by calling ``solve`` on those tables, which picks the method
 (nested policy iteration where ``check_y1_y2`` certifies it, elsewhere
 each start's Picard loop, from the field of a bracketing copy where one
 is found), and drives every applicable check, producing a deterministic
@@ -26,21 +26,18 @@ never the update tables.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .discretize import (BellmanTables, GridSpec, build_tables, impulse_table, interp_weights,
                          read_stencils)
 from .operators import Variant, _obstacles, bellman_update, impulse_candidates, isaacs_gap
-from .problem import (FAIL, NOT_APPLICABLE, PASS, ProblemSpec, _subadditivity_gaps,
+from .problem import (FAIL, NOT_APPLICABLE, PASS, Check, ProblemSpec, _subadditivity_gaps,
                       sample_controls)
-# ``solve`` is not called here: the name stays for perfbench's traced runs,
-# which patch ``verify.solve`` by name
-from .solver import SolverConfig, SolveResult, _solve, _uncertified, solve  # noqa: F401
+from .solver import SolverConfig, SolveResult, solve
 
 __all__ = [
-    "CheckResult",
     "VerificationReport",
     "obstacle_chain_check",
     "post_impulse_strictness",
@@ -71,21 +68,8 @@ _PROBE_STACK_VALUES = 1 << 13
 
 
 @dataclass
-class CheckResult:
-    name: str
-    status: str
-    detail: str = ""
-    measured: dict[str, float] = field(default_factory=dict)
-    tolerance: float | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
-
-
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult]
+    checks: list[Check]
     seed: int
 
     @property
@@ -95,7 +79,7 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = [f"verification report (seed={self.seed})"]
         for c in self.checks:
-            lines.append(f"  [{c.status:>14}] {c.name}" + (f" -- {c.detail}" if c.detail else ""))
+            lines.append(c.line())
             for key in sorted(c.measured):
                 lines.append(f"      {key} = {c.measured[key]:.16e}")
         lines.append(f"  overall: {'pass' if self.passed else 'FAIL'}")
@@ -105,11 +89,7 @@ class VerificationReport:
         rows: dict[str, str] = {"seed": str(self.seed),
                                 "overall": "pass" if self.passed else "fail"}
         for c in self.checks:
-            rows[f"check.{c.name}"] = c.status
-            if c.tolerance is not None:
-                rows[f"check.{c.name}.tolerance"] = f"{c.tolerance:.16e}"
-            for key, value in c.measured.items():
-                rows[f"check.{c.name}.{key}"] = f"{value:.16e}"
+            rows.update(c.rows())
         return "".join(f"{k} = {rows[k]}\n" for k in sorted(rows))
 
 
@@ -125,7 +105,7 @@ def _where(spec: ProblemSpec, grid: GridSpec, flat: tuple) -> str:
 
 
 def obstacle_chain_check(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                         tol: float = 1e-9) -> CheckResult:
+                         tol: float = 1e-9) -> Check:
     """At a fixed point the field sits between the player-1 switch obstacle
     (below) and both player-2 obstacles (above):
     upper_switch - tol <= V <= min(lower_switch, impulse) + tol.
@@ -136,9 +116,9 @@ def obstacle_chain_check(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     violation, reported at the first such node."""
     if not np.isfinite(values).all():
         loc = np.unravel_index(int(np.flatnonzero(~np.isfinite(values))[0]), values.shape)
-        return CheckResult("obstacle-chain", FAIL,
-                           f"max violation inf: value {float(values[loc])} is not finite "
-                           f"({_where(spec, grid, loc)})", {"max_violation": np.inf}, tol)
+        return Check("obstacle-chain", FAIL,
+                     f"max violation inf: value {float(values[loc])} is not finite "
+                     f"({_where(spec, grid, loc)})", {"max_violation": np.inf}, tol)
     # the obstacles below the field and above it, -inf and +inf where none
     # binds, then each side's difference from the field, which wants <= 0
     diffs = np.empty((2,) + values.shape)
@@ -155,17 +135,17 @@ def obstacle_chain_check(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     at = int(diffs.argmax())  # the first worst, below before above, and a nan first of all
     worst = float(diffs.flat[at])
     if worst == -np.inf:
-        return CheckResult("obstacle-chain", PASS, "all obstacles inactive",
-                           {"max_violation": 0.0}, tol)
+        return Check("obstacle-chain", PASS, "all obstacles inactive",
+                     {"max_violation": 0.0}, tol)
     loc = np.unravel_index(at, diffs.shape)[1:]
     status = PASS if worst <= tol else FAIL
-    return CheckResult("obstacle-chain", status,
-                       f"max violation {worst:.3e} ({_where(spec, grid, loc)})",
-                       {"max_violation": max(worst, 0.0)}, tol)
+    return Check("obstacle-chain", status,
+                 f"max violation {worst:.3e} ({_where(spec, grid, loc)})",
+                 {"max_violation": max(worst, 0.0)}, tol)
 
 
 def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                            tol: float = 1e-6, binding_tol: float = 1e-7) -> CheckResult:
+                            tol: float = 1e-6, binding_tol: float = 1e-7) -> Check:
     """Where the impulse obstacle binds, re-impulsing from the landed state
     must be suboptimal by at least the menu's strict-subadditivity margin.
 
@@ -182,10 +162,10 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     """
     applicable, _, margin = _subadditivity_gaps(spec)
     if not spec.impulses:
-        return CheckResult("post-impulse-strictness", NOT_APPLICABLE, "no impulses")
+        return Check("post-impulse-strictness", NOT_APPLICABLE, "no impulses")
     if not np.isfinite(margin):
-        return CheckResult("post-impulse-strictness", NOT_APPLICABLE,
-                           "no impulse pair sums back into the menu")
+        return Check("post-impulse-strictness", NOT_APPLICABLE,
+                     "no impulse pair sums back into the menu")
 
     table = impulse_table(spec, grid)
     # a field that is not finite reads 0 * inf and takes inf - inf: nan, which
@@ -195,9 +175,9 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
         binding = np.abs(values - cand.min(axis=2)) <= binding_tol
     count = int(binding.sum())
     if count == 0:
-        return CheckResult("post-impulse-strictness", PASS,
-                           "impulse obstacle never binds", {"binding_points": 0.0,
-                                                            "margin": margin}, tol)
+        return Check("post-impulse-strictness", PASS,
+                     "impulse obstacle never binds", {"binding_points": 0.0,
+                                                      "margin": margin}, tol)
 
     # after jump j, the second jumps k with xi_j + xi_k in the menu
     covered = np.zeros((len(spec.impulses),) * 2, dtype=bool)
@@ -215,7 +195,7 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     measured = {"binding_points": float(count), "skipped_points": float(skipped),
                 "margin": margin}
     if skipped == count:
-        return CheckResult(
+        return Check(
             "post-impulse-strictness", PASS,
             f"{count} binding point(s), none with a second impulse the lemma covers",
             measured, tol)
@@ -235,7 +215,7 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
     status = PASS if worst >= margin - tol else FAIL
     measured["min_post_gap"] = worst
     where = _where(spec, grid, (i1[at], i2[at], p[at]))
-    return CheckResult(
+    return Check(
         "post-impulse-strictness", status,
         f"{count} binding point(s), {skipped} skipped; min post-impulse slack {worst:.6g} "
         f"vs margin {margin:.6g}" + ("" if status == PASS else f" (worst from {where})"),
@@ -243,7 +223,7 @@ def post_impulse_strictness(values: np.ndarray, spec: ProblemSpec, grid: GridSpe
 
 
 def isaacs_value_equality(gap: float, values: np.ndarray | None, tables: BellmanTables,
-                          tol: float = 1e-12) -> CheckResult:
+                          tol: float = 1e-12) -> Check:
     """When both saddle orders agree on sampled costates (``gap`` not above
     zero), the two orders' one-step operators must agree on the solved
     field ``values``: ``T+[V] == T-[V]``, each one sweep on ``tables``.
@@ -257,34 +237,34 @@ def isaacs_value_equality(gap: float, values: np.ndarray | None, tables: Bellman
     involve both, additively) the orders provably coincide bit for bit.
     """
     if gap > 0:
-        return CheckResult("saddle-order-equality", SKIPPED,
-                           f"saddle-order gap {gap:.3e} > 0; orders differ by design",
-                           {"order_gap": gap}, tol)
+        return Check("saddle-order-equality", SKIPPED,
+                     f"saddle-order gap {gap:.3e} > 0; orders differ by design",
+                     {"order_gap": gap}, tol)
     plus, minus = (bellman_update(values, tables.spec, tables.grid, variant=v, tables=tables)
                    for v in Variant)
     diff = float(np.abs(plus - minus).max())
-    return CheckResult("saddle-order-equality", PASS if diff <= tol else FAIL,
-                       f"sup-norm difference {diff:.3e}",
-                       {"order_gap": gap, "value_difference": diff}, tol)
+    return Check("saddle-order-equality", PASS if diff <= tol else FAIL,
+                 f"sup-norm difference {diff:.3e}",
+                 {"order_gap": gap, "value_difference": diff}, tol)
 
 
-def two_sided_uniqueness(low: SolveResult, high: SolveResult, tol: float) -> CheckResult:
+def two_sided_uniqueness(low: SolveResult, high: SolveResult, tol: float) -> Check:
     """Fixed points reached from below (``low``, from zero) and above
     (``high``, from the cost bound) must coincide within ``tol``."""
     if not (low.converged and high.converged):
-        return CheckResult("two-sided-agreement", FAIL,
-                           "a solve did not converge within the iteration cap",
-                           {"low_iterations": float(low.iterations),
+        return Check("two-sided-agreement", FAIL,
+                     "a solve did not converge within the iteration cap",
+                     {"low_iterations": float(low.iterations),
                             "high_iterations": float(high.iterations)}, tol)
     diff = float(np.abs(low.values - high.values).max())
-    return CheckResult("two-sided-agreement", PASS if diff <= tol else FAIL,
-                       f"sup-norm difference {diff:.3e} (tolerance {tol:.1e})",
-                       {"difference": diff}, tol)
+    return Check("two-sided-agreement", PASS if diff <= tol else FAIL,
+                 f"sup-norm difference {diff:.3e} (tolerance {tol:.1e})",
+                 {"difference": diff}, tol)
 
 
 def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
                     trials: int = 100, seed: int = 0, variant: Variant = Variant.PLUS,
-                    tables: BellmanTables | None = None) -> CheckResult:
+                    tables: BellmanTables | None = None) -> Check:
     """Random-field probes of the one-step operator of ``variant``: order
     preservation, nonexpansiveness, and (without obstacles) the discount
     contraction and constant-shift identity.
@@ -300,7 +280,7 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
         tables = build_tables(spec, grid, dt)
     rng = np.random.default_rng(seed)
     shape = (spec.m1, spec.m2, grid.n_points)
-    scale = max(1.0, tables.upper_bound)
+    scale = tables.upper_bound if 1.0 < tables.upper_bound < np.inf else 1.0
     obstacle_free = not spec.impulses and spec.m1 == 1 and spec.m2 == 1
     fields = 3 if obstacle_free else 2  # v, w and v + c per trial
     per_stack = max(1, _PROBE_STACK_VALUES // (fields * int(np.prod(shape))))
@@ -346,13 +326,13 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
         measured["shift_identity_error"] = shift_error
         bad = bad or contraction_violations or shift_error > 1e-12
         detail += "; obstacle-free extras: contraction and constant-shift identity"
-    return CheckResult("operator-probes", FAIL if bad else PASS, detail, measured, 1e-12)
+    return Check("operator-probes", FAIL if bad else PASS, detail, measured, 1e-12)
 
 
 def dpp_consistency(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
                     dt: float | None = None, variant: Variant = Variant.PLUS,
                     steps: tuple[int, ...] = (1, 10, 100), tol: float = 1e-10,
-                    tables: BellmanTables | None = None) -> CheckResult:
+                    tables: BellmanTables | None = None) -> Check:
     """Iterating the one-step update m times moves a converged field by at
     most m times its one-step residual (plus ``tol``): the multi-step
     optimality recursion collapses onto the fixed point."""
@@ -376,9 +356,9 @@ def dpp_consistency(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
             ratios.append(0.0 if bound <= 0 else drift / bound)  # a nan bound gives nan
             if not drift <= bound or np.isnan(ratios[-1]):  # nan, and inf within an inf bound
                 status = FAIL
-    return CheckResult("multi-step-consistency", status,
-                       f"residuals for m in {sorted(steps)} vs m*eps+tol "
-                       f"(worst ratio {float(np.max(ratios, initial=0.0)):.3f})", measured, tol)
+    return Check("multi-step-consistency", status,
+                 f"residuals for m in {sorted(steps)} vs m*eps+tol "
+                 f"(worst ratio {float(np.max(ratios, initial=0.0)):.3f})", measured, tol)
 
 
 def _wanted(suites: set[str] | None, key: str) -> bool:
@@ -386,7 +366,7 @@ def _wanted(suites: set[str] | None, key: str) -> bool:
 
 
 def check_field(values: np.ndarray, spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
-                tables: BellmanTables, suites: set[str] | None = None) -> list[CheckResult]:
+                tables: BellmanTables, suites: set[str] | None = None) -> list[Check]:
     """The checks that read one field: obstacle chain (within the solver
     tolerance, at least 1e-9: a Picard field stops about that far from its
     fixed point) and post-impulse strictness (binding within 10x the solver
@@ -409,7 +389,7 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
             seed: int = 0, trials: int = 100,
             suites: set[str] | None = None) -> VerificationReport:
     """Build the update tables once, make every solve the checks need by
-    the method ``solve`` runs on ``spec``, and run every applicable check.
+    calling ``solve`` on them, and run every applicable check.
 
     There are at most two solves of ``config``'s variant.  The one from
     zero is the checked field, the lower side of two-sided agreement and,
@@ -417,11 +397,8 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     before the build) is not above zero, the field whose two orders'
     sweeps the saddle-order check compares; it is made when a check reads
     it.  The one from the upper bound is two-sided agreement's upper side.
-    ``config.init`` is not read.  Where ``check_y1_y2`` certifies the spec,
-    each is a nested policy solve whose last grid reads the run's tables;
-    elsewhere each start's bracketing copy is solved on a twin of the
-    tables, and each start's Picard loop runs on the one table build, from
-    its copy's field, or from zero or upper where the copy fails.
+    ``config.init`` is not read.  Each is ``solve``'s field from its start,
+    by the method ``solve`` picks for ``spec``.
     ``suites`` filters by the names in ``SUITES``; None runs everything.
     ``trials`` below 1 is a ValueError.
     """
@@ -437,15 +414,13 @@ def run_all(spec: ProblemSpec, grid: GridSpec, config: SolverConfig | None = Non
     if _wanted(suites, "uniqueness"):
         inits.append("upper")
     tables = build_tables(spec, grid, config.dt)
-    reason = _uncertified(spec) if inits else None
-    solved = {init: _solve(spec, grid, replace(config, init=init), tables, reason)
-              for init in inits}
+    solved = {init: solve(spec, grid, replace(config, init=init), tables) for init in inits}
 
     checks = []
     base = solved.get("zero")
     if base is not None:
         if not base.converged:
-            return VerificationReport([CheckResult(
+            return VerificationReport([Check(
                 "base-solve", FAIL, f"no convergence in {base.iterations} iterations")], seed)
         checks = check_field(base.values, spec, grid, config, tables, suites)
     if _wanted(suites, "isaacs"):

@@ -8,7 +8,8 @@ import scipy.linalg
 from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate, make_grid,
                                       semigroup_step)
 from hybrid_isaacs.hybridsim import rollout_value_gap
-from hybrid_isaacs.problem import eval_dynamics, eval_running_cost, sample_controls
+from hybrid_isaacs.problem import eval_dynamics, eval_running_cost, sample_controls, validate_a2
+from hybrid_isaacs.solver import solve
 
 from conftest import game_2d, toy_spec
 
@@ -224,7 +225,6 @@ def test_tables_hold_the_control_samples():
                 assert k[i1, i2, a, b].tobytes() == eval_running_cost(*args).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("f, where", [
     ("exp(800*x0) - exp(800*x0)", "mode (a,b) at u1=-0.5, u2=0.0, x=[1.0, -1.0]"),
     ("exp(1600*x1*(u1 + 0.5))", "mode (a,b) at u1=0.5, u2=0.0, x=[-1.0, 0.5]"),
@@ -232,7 +232,8 @@ def test_tables_hold_the_control_samples():
 ])
 def test_a_drift_norm_that_is_not_finite_is_refused_where_it_first_is(f, where):
     """nan, inf, or finite components whose norm overflows: the first mode
-    pair, control pair and node in the tables' order are named."""
+    pair, control pair and node in the tables' order are named, and the
+    overflow raises no RuntimeWarning."""
     drift = {(0, 0): ("0", "0"), (0, 1): (f, "0"), (1, 0): ("0", "0"), (1, 1): (f, "0")}
     if f.startswith("1e200"):
         drift = {pair: (f, f) for pair in drift}
@@ -240,6 +241,22 @@ def test_a_drift_norm_that_is_not_finite_is_refused_where_it_first_is(f, where):
                     d1=("a", "b"), d2=("a", "b"))
     with pytest.raises(ValueError, match=re.escape(f"drift norm is not finite in {where}")):
         build_tables(spec, make_grid(spec, 5))
+
+
+def test_a_nan_running_cost_is_refused_where_it_first_is():
+    """inf - inf: the first nan entry's mode pair, controls and node are
+    named by ``build_tables`` and ``solve``, past the +inf costs that
+    forbid u2 = 1 earlier in the tables' order; ``validate`` reports the
+    spec and raises nothing."""
+    spec = toy_spec(k={(0, 0): "1 + exp(800*u2)", (1, 0): "exp(800*x0) - exp(800*x0)"},
+                    u2=(0.0, 1.0), d1=("a", "b"), d2=("a",))
+    grid = make_grid(spec, 5)
+    where = re.escape("running cost is nan in mode (b,a) at u1=0.0, u2=0.0, x=[1.0]")
+    for call in (lambda: build_tables(spec, grid), lambda: solve(spec, grid)):
+        with pytest.raises(ValueError, match=where):
+            call()
+    report = validate_a2(spec, samples=64, seed=0)
+    assert any(w.startswith("running cost is not finite in ") for w in report.warnings)
 
 
 def test_an_overflowing_matrix_exponential_is_a_value_error():

@@ -1,6 +1,8 @@
-"""Every name a module exports through ``__all__`` exists, and importing
-the package loads numpy but no optional or test-only package."""
+"""Every name a module exports through ``__all__`` exists, importing the
+package loads numpy but no optional or test-only package, and ``verify``
+reaches the solver through public names alone."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -38,3 +40,16 @@ def test_runtime_loads_no_optional_package(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+def test_verify_imports_only_public_solver_names_that_it_uses():
+    """Each name ``verify`` imports from ``.solver`` is public and read in
+    the module body, so a traced run that patches ``verify.solve`` sees
+    every solve ``verify`` makes."""
+    path = Path(hybrid_isaacs.__file__).with_name("verify.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "solver"
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported and [n for n in imported if n.startswith("_") or n not in used] == []

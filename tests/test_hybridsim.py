@@ -518,6 +518,33 @@ def test_expressions_leave_their_domain_before_an_impulse_fires():
         decide(spec, grid, values, x, 0, 0, dt=0.1)
 
 
+def test_a_cost_that_overflows_on_the_way_is_inf_without_a_warning():
+    """The state drifts right into x0 > 0.887, where exp(800*x0) overflows:
+    the rollout and a decision there take the cost as inf, and raise no
+    RuntimeWarning."""
+    spec = toy_spec(f="1", k="exp(800*x0)")
+    grid = make_grid(spec, 11)
+    values = np.zeros((1, 1, grid.n_points))
+    traj = simulate(spec, grid, values, [0.5], 0, 0, horizon=1.0, dt=0.1)
+    assert traj.step_costs[0] < np.inf == traj.step_costs[-1] == traj.running_total
+    assert decide(spec, grid, values, [1.0], 0, 0, dt=0.1).kind == "continue"
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_value_field_that_is_not_finite_gives_no_policy(drift_1d, value):
+    """A stencil corner of weight 0 on an infinite value reads nan, so
+    ``simulate`` and ``decide`` refuse a field that is not finite, as an
+    unconverged solve may leave."""
+    spec, grid_cfg, _ = drift_1d
+    grid = make_grid(spec, 21)
+    values = np.zeros((1, 1, grid.n_points))
+    values[0, 0, 20] = value
+    with pytest.raises(ValueError, match="value field is not finite"):
+        simulate(spec, grid, values, [0.0], 0, 0, horizon=1.0)
+    with pytest.raises(ValueError, match="value field is not finite"):
+        decide(spec, grid, values, [0.0], 0, 0, dt=0.1)
+
+
 @pytest.mark.parametrize("counts", [21, (21, 21), (20, 20)])
 def test_a_rollout_through_a_drift_that_is_not_a_number_raises(counts):
     """inf - inf in the drift makes the continue foot nan.  Its cast puts

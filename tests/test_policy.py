@@ -116,6 +116,30 @@ def test_a_field_holding_nan_ends_unconverged_at_once(name, tmp_path):
     assert not looped.converged and looped.iterations == 1
 
 
+def test_a_value_that_is_infinite_ends_the_solve_without_a_warning():
+    """exp(800*x0) is inf near the right face for every control, and so is
+    the field: both methods stop unconverged at their first change or
+    residual that is not finite, and the sweeps' 0 * inf and inf - inf
+    raise no RuntimeWarning."""
+    spec = toy_spec(f="0.5*u1", k="exp(800*x0)", u1=(-1.0, 1.0))
+    grid, config = make_grid(spec, 11), SolverConfig(tolerance=1e-6)
+    for result in (solve(spec, grid, config), picard(spec, grid, config)):
+        assert not result.converged and not math.isfinite(result.last_change)
+
+
+def test_a_singular_policy_system_breaks_down_into_a_fallback():
+    """Where continuing costs about 1e300, the greedy policy of the smoothed
+    field has player 2 switch back and forth at every node, so ``I - M``
+    maps BiCGSTAB's constant first direction to 0 and its ``alpha`` would
+    divide by zero: each step breaks down at once and falls back, and the
+    solve ends at its cap, unconverged."""
+    spec = toy_spec(f="u1*x0", k="1e300*x0^2", u1=(-1.0, 1.0), d2=("a", "b"),
+                    c2=[[0.0, 0.5], [0.5, 0.0]], box=((0.5, 1.5),))
+    result = solve(spec, make_grid(spec, 11), SolverConfig(tolerance=1e-6, max_iterations=4))
+    assert result.method == "policy" and not result.converged
+    assert result.krylov_iterations == 0 and result.fallbacks == result.outer_steps == 3
+
+
 @pytest.mark.parametrize("per_block", [1, 3])
 @pytest.mark.parametrize("name", sorted(BUNDLED) + ["game_2d", "game_3d"])
 def test_arg_opt_sweep_has_the_same_bits_in_smaller_blocks(name, per_block, tmp_path,

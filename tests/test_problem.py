@@ -165,7 +165,7 @@ def test_nan_running_cost_fails_the_gate():
         report = validate_a2(spec, samples=32, seed=0)
     check = report.checks[0]
     assert check.name == "running-cost-nonnegative" and check.status == "fail"
-    assert math.isnan(check.data["k_min"])
+    assert math.isnan(check.measured["k_min"])
     assert math.isnan(report.estimates["lipschitz_k"])
 
 
@@ -247,7 +247,7 @@ def test_sampled_estimates_match_a_per_control_loop(spec):
         k_min, where, estimates = loop_estimates(spec, 48, seed)
         report = validate_a2(spec, samples=48, seed=seed)
         check = report.checks[0]
-        assert check.data == {"k_min": k_min}
+        assert check.measured == {"k_min": k_min}
         assert check.status == ("pass" if k_min >= 0 else "fail")
         assert check.detail.endswith(f"= {k_min:.6g}" if k_min >= 0 else f" at {where}")
         assert {key: report.estimates[key] for key in estimates} == estimates

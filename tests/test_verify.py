@@ -13,7 +13,7 @@ from hybrid_isaacs.discretize import build_tables, interpolate, make_grid
 from hybrid_isaacs.operators import (Variant, bellman_update, impulse_candidates,
                                      impulse_field, isaacs_gap,
                                      switch_lower_field, switch_upper_field)
-from hybrid_isaacs.problem import _subadditivity_gaps, load_config, sample_controls
+from hybrid_isaacs.problem import Check, _subadditivity_gaps, load_config, sample_controls
 from hybrid_isaacs.solver import SolverConfig, picard, solve
 from hybrid_isaacs.verify import (dpp_consistency, isaacs_value_equality, obstacle_chain_check,
                                   operator_probes, post_impulse_strictness, run_all,
@@ -79,11 +79,11 @@ def composed_obstacle_chain(values, spec, grid, tol, tables):
     above = values - lower            # -inf where none binds above
     worst = float(max(below.max(), above.max()))
     if worst == -np.inf:
-        return verify.CheckResult("obstacle-chain", "pass", "all obstacles inactive",
-                                  {"max_violation": 0.0}, tol)
+        return Check("obstacle-chain", "pass", "all obstacles inactive",
+                     {"max_violation": 0.0}, tol)
     side = below if below.max() >= above.max() else above
     loc = np.unravel_index(int(side.argmax()), side.shape)
-    return verify.CheckResult(
+    return Check(
         "obstacle-chain", "pass" if worst <= tol else "fail",
         f"max violation {worst:.3e} ({verify._where(spec, grid, loc)})",
         {"max_violation": max(worst, 0.0)}, tol)
@@ -251,17 +251,17 @@ def pointwise_strictness(values, spec, grid, tol=1e-6, binding_tol=1e-7):
     tables: the reference the one-read check must reproduce."""
     applicable, _, margin = _subadditivity_gaps(spec)
     if not spec.impulses:
-        return verify.CheckResult("post-impulse-strictness", "not-applicable", "no impulses")
+        return Check("post-impulse-strictness", "not-applicable", "no impulses")
     if not np.isfinite(margin):
-        return verify.CheckResult("post-impulse-strictness", "not-applicable",
-                                  "no impulse pair sums back into the menu")
+        return Check("post-impulse-strictness", "not-applicable",
+                     "no impulse pair sums back into the menu")
     cand = impulse_candidates(values, build_tables(spec, grid))
     binding = np.abs(values - cand.min(axis=2)) <= binding_tol
     count = int(binding.sum())
     if count == 0:
-        return verify.CheckResult("post-impulse-strictness", "pass",
-                                  "impulse obstacle never binds",
-                                  {"binding_points": 0.0, "margin": margin}, tol)
+        return Check("post-impulse-strictness", "pass",
+                     "impulse obstacle never binds",
+                     {"binding_points": 0.0, "margin": margin}, tol)
     covered = [set() for _ in spec.impulses]
     for i, j, _ in applicable:
         covered[i].add(j)
@@ -289,13 +289,13 @@ def pointwise_strictness(values, spec, grid, tol=1e-6, binding_tol=1e-7):
     measured = {"binding_points": float(count), "skipped_points": float(skipped),
                 "margin": margin}
     if used == 0:
-        return verify.CheckResult(
+        return Check(
             "post-impulse-strictness", "pass",
             f"{count} binding point(s), none with a second impulse the lemma covers",
             measured, tol)
     status = "pass" if worst >= margin - tol else "fail"
     measured["min_post_gap"] = worst
-    return verify.CheckResult(
+    return Check(
         "post-impulse-strictness", status,
         f"{count} binding point(s), {skipped} skipped; min post-impulse slack {worst:.6g} "
         f"vs margin {margin:.6g}" + ("" if status == "pass" else f" (worst from {worst_at})"),
@@ -489,6 +489,18 @@ def test_probes_clean_with_obstacles(balanced_loop):
     assert "contraction_violations" not in check.measured
 
 
+def test_probes_of_an_infinite_cost_bound_draw_fields_of_unit_scale():
+    """exp(800*x0) is inf near the right face in mode a, which player 2
+    leaves for b: the tables' upper bound is inf, and the probes draw
+    their fields on [0, 1], where numpy refuses [0, inf)."""
+    spec = toy_spec(f="0.5*u1", k={(0, 0): "exp(800*x0)", (0, 1): "1"}, u1=(-1.0, 1.0),
+                    d2=("a", "b"), c2=[[0.0, 0.5], [0.5, 0.0]])
+    grid = make_grid(spec, 11)
+    tables = build_tables(spec, grid)
+    assert tables.upper_bound == np.inf
+    assert operator_probes(spec, grid, trials=5, tables=tables).status == "pass"
+
+
 def test_probes_deterministic(balanced_loop):
     spec, _, _ = balanced_loop
     grid = make_grid(spec, 5)
@@ -645,7 +657,9 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
     tables; on balanced_loop, which is not certified, each start's
     bracketing copy is solved once on a twin of those tables, and a Picard
     loop on those tables starts from each copy's field.  The base field is
-    ``solve``'s, and the check that of its sweeps on the run's tables."""
+    ``solve``'s, and the check that of its sweeps on the run's tables.
+    Each solve gates the spec once, and balanced_loop's ``_bracket`` gates
+    each start's copy."""
     spec, grid_cfg, solver_cfg = load_bundled(name)
     grid = make_grid(spec, grid_cfg["points"])
     config = SolverConfig(dt=solver_cfg.get("dt"), tolerance=solver_cfg["tolerance"])
@@ -657,9 +671,11 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
         gap_samples.append((f, k))
         return isaacs_gap(f, k, **kwargs)
 
+    gate = solver._uncertified
+
     def counting_gate(spec):
         gates.append(spec)
-        return solver._uncertified(spec)
+        return gate(spec)
 
     def recording_check(gap, values, tables, **kwargs):
         compared.append((values, tables))
@@ -667,13 +683,14 @@ def test_run_all_reuses_its_base_solve(name, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(verify, "isaacs_gap", recording_gap)
-        patched.setattr(verify, "_uncertified", counting_gate)
+        patched.setattr(solver, "_uncertified", counting_gate)
         patched.setattr(verify, "isaacs_value_equality", recording_check)
         report = run_all(spec, grid, config, suites={"isaacs", "uniqueness"})
     check = report.checks[0]
     assert check.name == "saddle-order-equality" and check.status == "pass"
     assert check.measured["value_difference"] == 0.0
-    assert len(gates) == 1
+    per_solve = [True, False] if name == "balanced_loop" else [True]  # the spec, then a copy
+    assert [g is spec for g in gates] == per_solve * 2
     [tables] = [t for t in builds if t.grid == grid]  # coarse grids build their own
     f, k = sample_controls(spec, grid.points)
     [(gap_f, gap_k)] = gap_samples
