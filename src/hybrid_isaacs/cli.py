@@ -37,7 +37,7 @@ from .hybridsim import DEFAULT_ACTION_TOL, ChatterError, evaluate_cost, simulate
 from .operators import Variant, isaacs_gap
 from .problem import (ProblemSpec, ValidationReport, check_y1_y2, load_config,
                       sample_controls, validate_a2)
-from .solver import INIT_UPPER, INIT_ZERO, SolverConfig, solve
+from .solver import _POLICY_RESIDUALS, INIT_UPPER, INIT_ZERO, METHOD_POLICY, SolverConfig, solve
 from .verify import SUITES, VerificationReport, check_field, run_all
 
 EXIT_OK = 0
@@ -429,8 +429,9 @@ def cmd_solve(args) -> int:
         f"{status} in {result.iterations} iteration(s); last change "
         f"{fmt(result.last_change)}; field written to {value_path}\n")
     if not result.converged:
-        why = (f" within {config.max_iterations} iterations"
-               if math.isfinite(result.last_change) else ": a change is not finite")
+        cap = (f"{_POLICY_RESIDUALS} residuals per grid" if result.method == METHOD_POLICY
+               else f"{config.max_iterations} Picard sweep(s)")
+        why = f" within {cap}" if math.isfinite(result.last_change) else ": a change is not finite"
         sys.stderr.write(
             f"no convergence{why} "
             f"(last change {fmt(result.last_change)}); partial field kept\n")
@@ -569,14 +570,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_validate)
 
+    def solver_flags(p):
+        p.add_argument("--grid", help="points per dimension, e.g. 101 or 65,65")
+        p.add_argument("--dt", type=float)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--max-iters", type=int, dest="max_iters", help=(
+            f"cap on the Picard loop's sweeps (default {SolverConfig.max_iterations}); a "
+            f"policy solve takes at most {_POLICY_RESIDUALS} residuals per grid"))
+        p.add_argument("--variant", choices=VARIANTS)
+
     p = sub.add_parser("solve", help="compute the value field")
     common(p)
-    p.add_argument("--grid", help="points per dimension, e.g. 101 or 65,65")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int, dest="max_iters")
+    solver_flags(p)
     p.add_argument("--init", choices=INITS)
-    p.add_argument("--variant", choices=VARIANTS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="roll out the feedback policy")
@@ -595,11 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the structural property checks")
     common(p)
-    p.add_argument("--grid")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--variant", choices=VARIANTS)
+    solver_flags(p)
     p.add_argument("--suite", action="append", choices=SUITES,
                    help="restrict to named checks (repeatable)")
     p.add_argument("--trials", type=int, default=100)

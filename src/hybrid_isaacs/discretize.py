@@ -34,6 +34,7 @@ __all__ = [
     "impulse_table",
     "BellmanTables",
     "build_tables",
+    "drift_bound",
     "default_time_step",
 ]
 
@@ -255,9 +256,12 @@ def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
 def step_constants(spec: ProblemSpec, dt: float) -> tuple[float, float, np.ndarray]:
     """One step's discount ``gamma = e^{-lambda dt}``, running-cost weight
     ``(1 - gamma) / lambda`` and linear factor, for the tables and the
-    rollout alike."""
+    rollout alike.  A step whose discount rounds to 1 is a ValueError: it
+    would weigh the running cost 0 and leave no contraction to stop on."""
     lam = spec.discount
     gamma = float(np.exp(-lam * dt))
+    if gamma == 1.0:
+        raise ValueError(f"time step dt = {dt!r} is too short: e^(-{lam!r} * dt) rounds to 1")
     return gamma, (1.0 - gamma) / lam, semigroup_step(spec.generator, dt)
 
 
@@ -404,6 +408,25 @@ def default_time_step(grid: GridSpec, f_sup: float) -> float:
     return 0.5 * float(grid.spacing.min()) / max(1.0, f_sup)
 
 
+def drift_bound(spec: ProblemSpec, grid: GridSpec, f: np.ndarray | None = None) -> float:
+    """The largest drift norm over ``grid``'s nodes, mode pairs and control
+    pairs, of ``f``, ``sample_controls``' drift at the nodes, if given.  A
+    norm that is not finite is a ValueError naming the first such node."""
+    if f is None:
+        f, _ = sample_controls(spec, grid.points)
+    # linalg.norm(f, axis=-1).max() bit for bit: the same squares added in
+    # component order, and sqrt is monotone and correctly rounded; a square
+    # is not finite where the norm is not, which names the first such node
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = f[..., 0] * f[..., 0]
+        for i in range(1, f.shape[-1]):
+            squares += f[..., i] * f[..., i]
+    f_sup = math.sqrt(float(squares.max()))
+    if not math.isfinite(f_sup):
+        raise ValueError(f"drift norm is not finite in {_nonfinite_at(spec, squares, grid.points)}")
+    return f_sup
+
+
 def _stencil_table(grid: GridSpec, shape: tuple, targets) -> tuple[np.ndarray, np.ndarray]:
     """Compact tables (see BellmanTables) of the point sets ``targets``
     yields, one per ``shape[:-1]`` index in order."""
@@ -428,17 +451,7 @@ def build_tables(spec: ProblemSpec, grid: GridSpec, dt: float | None = None) -> 
     pts = grid.points
     f, k = sample_controls(spec, pts)
     m1, m2, _, _, npts, _ = f.shape
-
-    # linalg.norm(f, axis=-1).max() bit for bit: the same squares added in
-    # component order, and sqrt is monotone and correctly rounded; a square
-    # is not finite where the norm is not, which names the first such node
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = f[..., 0] * f[..., 0]
-        for i in range(1, f.shape[-1]):
-            squares += f[..., i] * f[..., i]
-    f_sup = math.sqrt(float(squares.max()))
-    if not math.isfinite(f_sup):
-        raise ValueError(f"drift norm is not finite in {_nonfinite_at(spec, squares, pts)}")
+    f_sup = drift_bound(spec, grid, f)
     k_sup = float(k.max())  # nan where a cost is nan; +inf forbids its controls
     if math.isnan(k_sup):
         raise ValueError("running cost is nan in "

@@ -8,6 +8,8 @@ pass over each expression, one stencil build and one read per decision.
 Events are instantaneous, and a cascade of them at one instant may neither
 return to a (modes, state) it held (the policy is deterministic, so it
 would chatter forever) nor exceed ``m1*m2*(1 + n_impulses)`` events.
+Without a given step, a rollout steps as ``solve`` does by default:
+``default_time_step`` of the drift bound over every grid node and control.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import (GridSpec, default_time_step, interp_weights, interpolate,
-                         read_stencils, step_constants)
+from .discretize import (GridSpec, default_time_step, drift_bound, interp_weights,
+                         interpolate, read_stencils, step_constants)
 from .exprlang import ExprDomainError
 from .operators import _ARGS, _SADDLE, Variant
 from .problem import ProblemSpec, eval_dynamics, eval_running_cost
@@ -237,11 +239,13 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
     visited where they leave their domain, or where the continue step reads
     a nan drift or cost, raises ExprDomainError.  A ``horizon`` or
     ``action_tol`` that is negative, nan or infinite is a ValueError.
+    ``dt`` of None is the solve's default step on ``grid`` (see ``drift_bound``);
+    a step whose discount rounds to 1 is a ValueError.
     """
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be a finite number >= 0, got {horizon!r}")
     if dt is None:
-        dt = _default_sim_step(spec, grid)
+        dt = default_time_step(grid, drift_bound(spec, grid))
     policy = _Policy(spec, grid, values, dt, action_tol, variant)
 
     x = grid.clamp(np.asarray(x0, dtype=float))
@@ -298,15 +302,6 @@ def simulate(spec: ProblemSpec, grid: GridSpec, values: np.ndarray, x0, d1: int,
     traj.step_costs = np.asarray(step_costs)
     traj.event_flags = np.asarray(flags, dtype=int).reshape(len(times), 3)
     return traj
-
-
-def _default_sim_step(spec: ProblemSpec, grid: GridSpec) -> float:
-    # cheap drift bound: the box corners and midpoint under every control pair
-    probe = np.vstack([grid.box[:, 0], grid.box[:, 1], grid.box.mean(axis=1)])
-    u1, u2, p = (g.ravel() for g in np.meshgrid(spec.u1_levels, spec.u2_levels, range(3)))
-    f_sup = max(np.linalg.norm(eval_dynamics(spec, i1, i2, probe[p], u1, u2), axis=-1).max()
-                for (i1, i2) in spec.mode_pairs())
-    return default_time_step(grid, float(f_sup))
 
 
 def evaluate_cost(traj: HybridTrajectory, discount: float) -> float:
@@ -366,6 +361,8 @@ def rollout_value_gap(spec: ProblemSpec, grid: GridSpec, values: np.ndarray,
                       action_tol: float = DEFAULT_ACTION_TOL,
                       variant: Variant = Variant.PLUS) -> RolloutReport:
     """Simulate from each (x, d1, d2) start and compare cost to the field."""
+    if dt is None:
+        dt = default_time_step(grid, drift_bound(spec, grid))
     rows = []
     for (x, d1, d2) in starts:
         x = np.asarray(x, dtype=float)

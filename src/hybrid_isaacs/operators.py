@@ -252,7 +252,7 @@ def _obstacles(values: np.ndarray, spec: ProblemSpec, tables: ImpulseTable):
 
 
 def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                   dt: float | None = None, variant: Variant = Variant.PLUS,
+                   variant: Variant = Variant.PLUS,
                    tables: BellmanTables | None = None) -> np.ndarray:
     """One sweep of the double-obstacle dynamic-programming operator.
 
@@ -261,10 +261,11 @@ def bellman_update(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
     A stack of fields, ``(..., m1, m2, p)``, is swept at once, each member
     with the bits of its own sweep.  np.minimum returns the later operand of
     a tie and the earlier of two NaNs, so ``min(L, min(I, C))`` for
-    ``min(min(L, I), C)`` changes no bit.
+    ``min(min(L, I), C)`` changes no bit.  ``tables`` of None are built at
+    the default step.
     """
     if tables is None:
-        tables = build_tables(spec, grid, dt)
+        tables = build_tables(spec, grid)
     out = continue_field(values, tables, variant)
     for _, cands, axis, better, _ in _obstacles(values, spec, tables):
         better(_reduce(better.reduce, cands, axis), out, out=out)

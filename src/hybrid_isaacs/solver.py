@@ -16,7 +16,7 @@ Two methods reach the fixed point of the one-step update ``T``.
   solved on grids of ``(n-1)/2 + 1`` points per side down to about
   ``_COARSEST``, and each field is interpolated onto the next grid as its
   start.  It stops when ``|T[V] - V| / (1 - gamma)`` is at most
-  ``tolerance``.
+  ``tolerance``, or after ``_POLICY_RESIDUALS`` residuals on a grid.
 
 Both bounds rest on a unique fixed point, which the paper's switching-cost
 conditions secure: ``solve`` certifies a field, and runs policy iteration,
@@ -80,16 +80,14 @@ _FALLBACK_SWEEPS = 10
 
 # an uncertified spec's Picard loop starts from the policy field of a copy
 # whose one player's switches are dearer by this share of that player's
-# cheapest switch (see ``_bracket``), and that policy solve takes at most
-# this many residuals per grid (``max_iterations``).  At a tolerance of
-# 1e-9 in both variants (2-vCPU Xeon, numpy 2.4), balanced_loop's copies
-# took 3-6 residuals on each grid from 21 to 161 points, in 11-16 ms;
-# game_3d's took 6 to 14 on its one grid at 9^3, 13^3 and 21^3, with at
-# most 2 fallbacks.  At a share of 1e-3, game_3d 13^3's upper copy ran 999
-# outer steps, 993 of them fallbacks, unconverged in 30 s; this bound
-# stops it after 31 steps in under a second
+# cheapest switch (see ``_bracket``).  Every policy solve, a certified
+# spec's and a copy's alike, takes at most this many residuals per grid:
+# at each spec's tolerance the solves of ROADMAP.md's table took at most 16
+# (2-vCPU Xeon, numpy 2.4).  At a share of 1e-3, game_3d 13^3's upper copy
+# ran 999 outer steps, 993 of them fallbacks, unconverged in 30 s; this
+# bound stops it after 31 steps in under a second
 _BRACKET_SHARE = 0.1
-_BRACKET_RESIDUALS = 32
+_POLICY_RESIDUALS = 32
 
 
 def _krylov_cap(grid: GridSpec) -> int:
@@ -109,14 +107,9 @@ class SolverConfig:
     bound.  ``init`` is "zero", "upper" (the no-action cost bound k_sup /
     discount), or an explicit field.  ``tolerance`` is the target sup-norm
     accuracy of the returned field, not the raw successive-change cutoff.
-    ``max_iterations`` caps Picard's sweeps.  Under policy iteration it
-    caps, on each grid of the nesting apart, the fields whose residual
-    ``|T[V] - V|`` is taken: the grid's start, after its smoothing sweeps
-    (an explicit field gets none), and one after each outer step (a policy
-    step or a fallback), so a grid takes at most ``max_iterations - 1``
-    steps and always the start's residual.  A capped grid returns the
-    field of the least residual.  A bracketing copy's policy solve
-    (``_bracket``) takes at most ``_BRACKET_RESIDUALS`` of them per grid.
+    ``max_iterations`` caps the sweeps of the Picard loop (``picard``),
+    also where it starts from a bracketing copy's field; a policy solve
+    takes at most ``_POLICY_RESIDUALS`` residuals per grid instead.
     """
 
     dt: float | None = None
@@ -261,7 +254,7 @@ def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
     From the upper bound, the copy's player-2 switches are dearer, and
     ``V_hi``, at most the bound, leads to the greatest fixed point below
     it.  A copy is used only where ``check_y1_y2`` certifies it, and its
-    field only where its policy solve, capped at ``_BRACKET_RESIDUALS``
+    field only where its policy solve, capped at ``_POLICY_RESIDUALS``
     residuals per grid, converged and the field meets its side's bound."""
     init = config.init
     if not (isinstance(init, str) and init in (INIT_ZERO, INIT_UPPER)):
@@ -278,9 +271,7 @@ def _bracket(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
         return None, None
     with warnings.catch_warnings():  # the spec's own Picard loop warns of a long step
         warnings.simplefilter("ignore")
-        attempt = _policy_solve(perturbed, grid, replace(
-            config, max_iterations=min(config.max_iterations, _BRACKET_RESIDUALS)),
-            tables.with_spec(perturbed))
+        attempt = _policy_solve(perturbed, grid, config, tables.with_spec(perturbed))
     values = attempt.values
     bounded = values.min() >= 0.0 if player == 0 else values.max() <= tables.upper_bound
     return (values if attempt.converged and bounded else None), attempt
@@ -304,8 +295,9 @@ def picard(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
     _warn_long_step(spec, tables)
 
     # successive-change cutoff delivering the requested fixed-point accuracy
+    # (min(1, (1 - gamma) / gamma) bit for bit, and 1 at gamma = 0)
     gamma = tables.gamma
-    stop = config.tolerance * min(1.0, (1.0 - gamma) / gamma)
+    stop = config.tolerance * ((1.0 - gamma) / max(gamma, 1.0 - gamma))
     values, zero = _initial_field(config.init, tables, (spec.m1, spec.m2, grid.n_points))
     monotone = True if zero else None
     history: list[float] = []
@@ -354,7 +346,7 @@ def _policy_solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
     field that already meets the tolerance comes back bit for bit."""
     explicit = not isinstance(config.init, str)
     grids = [grid] if explicit or config.dt is not None else _grids(grid)
-    run = _PolicyRun(config)
+    run = _PolicyRun()
     fine, values, coarse = tables, None, None
     for level in grids:
         tables = None  # the coarser grid's tables go before this grid's are built
@@ -369,7 +361,7 @@ def _policy_solve(spec: ProblemSpec, grid: GridSpec, config: SolverConfig,
         for _ in range(0 if explicit else _SMOOTHING_SWEEPS):
             values = bellman_update(values, spec, level, variant=config.variant, tables=tables)
         coarse = level
-        values = run.iterate(values, tables, config.tolerance if level is grid
+        values = run.iterate(values, tables, config.variant, config.tolerance if level is grid
                              else max(config.tolerance, _COARSE_TOLERANCE))
     _warn_long_step(spec, tables)
     return SolveResult(
@@ -383,18 +375,17 @@ class _PolicyRun:
     """Policy iteration on one grid after another, with the counts summed
     over the grids and the history of the last."""
 
-    def __init__(self, config: SolverConfig):
-        self.config = config
+    def __init__(self):
         self.steps = self.krylov = self.fallbacks = 0
         self.history: list[float] = []
         self.converged = False
 
-    def iterate(self, values: np.ndarray, tables: BellmanTables, tolerance: float) -> np.ndarray:
+    def iterate(self, values: np.ndarray, tables: BellmanTables, variant: Variant,
+                tolerance: float) -> np.ndarray:
         """Outer steps from ``values`` until ``|T[V] - V| / (1 - gamma)``
         is at most the tolerance, and returns that field; or until the
-        history holds ``max_iterations`` residuals (at least one), or
-        until a residual is not finite, and returns the field of the least,
-        whose residual ends the history.
+        history holds ``_POLICY_RESIDUALS`` residuals, or a residual is not
+        finite, and returns the field of the least, whose residual ends it.
 
         Each step takes the greedy policy of ``V`` and solves its system
         from ``T[V]``: to ``0.01 |T[V] - V|`` while the policy changes and
@@ -404,14 +395,14 @@ class _PolicyRun:
         step whose Krylov solve fails, ``_FALLBACK_SWEEPS`` Picard sweeps
         from that field replace the step.
         """
-        config, spec = self.config, tables.spec
+        spec = tables.spec
         scale = 1.0 - tables.gamma
         stop = tolerance * scale
         self.history, self.converged = [], False
         best, least, stall, last = values, math.inf, 0, None
-        system = _PolicySystem(tables, config.variant)
+        system = _PolicySystem(tables, variant)
         while True:
-            updated, branch, arg = policy_sweep(values, tables, config.variant)
+            updated, branch, arg = policy_sweep(values, tables, variant)
             residual = float(np.abs(updated - values).max())
             self.history.append(residual)
             self.converged = residual / scale <= tolerance
@@ -421,7 +412,7 @@ class _PolicyRun:
                 best, least, stall = values, residual, 0
             else:
                 stall += 1
-            if len(self.history) >= config.max_iterations or not math.isfinite(residual):
+            if len(self.history) >= _POLICY_RESIDUALS or not math.isfinite(residual):
                 break
             if stall < _STALL_STEPS:
                 same = last is not None and np.array_equal(branch, last[0]) and np.array_equal(
@@ -438,8 +429,7 @@ class _PolicyRun:
             values, stall, last = best, 0, None
             self.fallbacks += 1
             for _ in range(_FALLBACK_SWEEPS):
-                values = bellman_update(values, spec, tables.grid, variant=config.variant,
-                                        tables=tables)
+                values = bellman_update(values, spec, tables.grid, variant=variant, tables=tables)
         if best is not values:
             self.history.append(least)
         return best

@@ -66,6 +66,10 @@ _ULP_GUARD = 1e-13
 # raised peak memory by 0.5 and 7 MB over one at a time
 _PROBE_STACK_VALUES = 1 << 13
 
+# multi-step consistency's step counts m, and its slack on m * one-step residual
+_DPP_STEPS = (1, 10, 100)
+_DPP_TOL = 1e-10
+
 
 @dataclass
 class VerificationReport:
@@ -262,8 +266,9 @@ def two_sided_uniqueness(low: SolveResult, high: SolveResult, tol: float) -> Che
                  {"difference": diff}, tol)
 
 
-def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
-                    trials: int = 100, seed: int = 0, variant: Variant = Variant.PLUS,
+@np.errstate(invalid="ignore")  # two equal infinite sweeps differ by nan, which np.fmax skips
+def operator_probes(spec: ProblemSpec, grid: GridSpec, trials: int = 100, seed: int = 0,
+                    variant: Variant = Variant.PLUS,
                     tables: BellmanTables | None = None) -> Check:
     """Random-field probes of the one-step operator of ``variant``: order
     preservation, nonexpansiveness, and (without obstacles) the discount
@@ -272,12 +277,13 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
     Each trial draws a field ``v``, a field ``w >= v`` and, without
     obstacles, a shift ``c``, in that order.  The trials' fields are swept
     as stacks of at most ``_PROBE_STACK_VALUES`` values, each field with
-    the bits of its own sweep.  ``trials`` below 1 is a ValueError: no
-    probe would pass.
+    the bits of its own sweep; two sweeps that are the same infinity agree.
+    ``tables`` of None are built at the default step.  ``trials`` below 1
+    is a ValueError: no probe would pass.
     """
     _require_trials(trials)
     if tables is None:
-        tables = build_tables(spec, grid, dt)
+        tables = build_tables(spec, grid)
     rng = np.random.default_rng(seed)
     shape = (spec.m1, spec.m2, grid.n_points)
     scale = tables.upper_bound if 1.0 < tables.upper_bound < np.inf else 1.0
@@ -303,16 +309,14 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
                                variant=variant).reshape((fields, count, -1))
         tv, tw = swept[0], swept[1]
         monotone_violations += int((tv > tw).any(axis=1).sum())
-        norms_in = np.abs(v - w).reshape(count, -1).max(axis=1).tolist()
-        norms_out = np.abs(tv - tw).max(axis=1).tolist()
-        for norm_in, norm_out in zip(norms_in, norms_out):
-            if norm_out > norm_in * (1.0 + _ULP_GUARD):
-                nonexpansive_violations += 1
-            if obstacle_free and norm_out > tables.gamma * norm_in * (1.0 + _ULP_GUARD):
-                contraction_violations += 1
+        norms_in = np.abs(v - w).reshape(count, -1).max(axis=1)
+        norms_out = np.fmax.reduce(np.abs(tv - tw), axis=1)
+        nonexpansive_violations += int((norms_out > norms_in * (1.0 + _ULP_GUARD)).sum())
+        contracted = tables.gamma * norms_in * (1.0 + _ULP_GUARD)
+        contraction_violations += int((norms_out > contracted).sum())  # read if obstacle-free
         if obstacle_free:
-            shifts = np.abs(swept[2] - (tv + tables.gamma * c[:, None])).max(axis=1).tolist()
-            shift_error = max(shift_error, *shifts)
+            shifts = np.fmax.reduce(np.abs(swept[2] - (tv + tables.gamma * c[:, None])), axis=1)
+            shift_error = max(shift_error, *shifts.tolist())
 
     measured = {
         "monotone_violations": float(monotone_violations),
@@ -330,35 +334,34 @@ def operator_probes(spec: ProblemSpec, grid: GridSpec, dt: float | None = None,
 
 
 def dpp_consistency(values: np.ndarray, spec: ProblemSpec, grid: GridSpec,
-                    dt: float | None = None, variant: Variant = Variant.PLUS,
-                    steps: tuple[int, ...] = (1, 10, 100), tol: float = 1e-10,
+                    variant: Variant = Variant.PLUS,
                     tables: BellmanTables | None = None) -> Check:
-    """Iterating the one-step update m times moves a converged field by at
-    most m times its one-step residual (plus ``tol``): the multi-step
-    optimality recursion collapses onto the fixed point."""
+    """Iterating the one-step update m times, for each m in ``_DPP_STEPS``,
+    moves a converged field by at most m times its one-step residual (plus
+    ``_DPP_TOL``): the multi-step optimality recursion collapses onto the
+    fixed point.  ``tables`` of None are built at the default step."""
     if tables is None:
-        tables = build_tables(spec, grid, dt)
+        tables = build_tables(spec, grid)
     measured, ratios, status = {}, [], PASS
     # a field that is not finite gives inf - inf and 0 * inf: nan residuals, which fail
     with np.errstate(invalid="ignore"):
-        one = bellman_update(values, spec, grid, tables=tables, variant=variant)
-        eps = float(np.abs(one - values).max())
+        current = bellman_update(values, spec, grid, tables=tables, variant=variant)
+        eps = float(np.abs(current - values).max())
         measured["one_step_residual"] = eps
-        current = one
         applied = 1
-        for m in sorted(steps):
+        for m in _DPP_STEPS:
             while applied < m:
                 current = bellman_update(current, spec, grid, tables=tables, variant=variant)
                 applied += 1
             drift = float(np.abs(current - values).max())
             measured[f"residual_m{m}"] = drift
-            bound = m * eps + tol
-            ratios.append(0.0 if bound <= 0 else drift / bound)  # a nan bound gives nan
+            bound = m * eps + _DPP_TOL
+            ratios.append(drift / bound)  # a nan bound gives nan
             if not drift <= bound or np.isnan(ratios[-1]):  # nan, and inf within an inf bound
                 status = FAIL
     return Check("multi-step-consistency", status,
-                 f"residuals for m in {sorted(steps)} vs m*eps+tol "
-                 f"(worst ratio {float(np.max(ratios, initial=0.0)):.3f})", measured, tol)
+                 f"residuals for m in {list(_DPP_STEPS)} vs m*eps+tol "
+                 f"(worst ratio {float(np.max(ratios, initial=0.0)):.3f})", measured, _DPP_TOL)
 
 
 def _wanted(suites: set[str] | None, key: str) -> bool:

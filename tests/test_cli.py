@@ -16,7 +16,7 @@ from hybrid_isaacs.cli import (EXIT_ASSUMPTION, EXIT_MISMATCH, EXIT_NO_CONVERGEN
                                EXIT_PARSE, EXIT_VERIFY, main, read_value_csv)
 from hybrid_isaacs.problem import load_config, load_spec, save_spec
 
-from conftest import BUNDLED, INVALID, game_2d
+from conftest import BUNDLED, INVALID, game_2d, toy_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -438,9 +438,15 @@ def test_simulate_through_a_drift_that_is_not_a_number_exits_1(workdir, capsys):
     cfg.write_text(cfg.read_text().replace('f = ["0.5*u1 - 0.25*x0"]',
                                            'f = ["exp(800*x0) - exp(800*x0)"]'))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert run("simulate", cfg, tmp / "drift_1d.value.csv", "--start", "1.5") == EXIT_PARSE
+        assert run("simulate", cfg, tmp / "drift_1d.value.csv", "--start", "1.5",
+                   "--dt", "0.0125") == EXIT_PARSE
     assert capsys.readouterr().err == ("error: drift or running cost is not a number in mode "
                                        "(only,only) at x=[1.5]\n")
+    # without a step, the default step's drift bound names the first such node
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("simulate", cfg, tmp / "drift_1d.value.csv", "--start", "1.5") == EXIT_PARSE
+    assert capsys.readouterr().err == ("error: drift norm is not finite in mode (only,only) at "
+                                       "u1=-1.0, u2=-1.0, x=[0.9000000000000004]\n")
 
 
 def test_simulate_rejects_a_time_step_of_the_wrong_type(workdir, capsys):
@@ -504,11 +510,47 @@ def test_solve_manifest_records_the_method_and_the_certificate(workdir, capsys):
 
 
 def test_solve_iteration_cap_exits_3_with_partial_field(workdir, capsys):
+    """``--max-iters`` caps the Picard loop's sweeps: balanced_loop, which
+    has no certificate, ends after one sweep from its bracketing field,
+    and the message names that cap.  A policy solve, constant_cost's, is
+    capped by residuals per grid, not by the flag."""
     tmp, copy = workdir
-    cfg = copy("constant_cost")
+    cfg = copy("balanced_loop")
     assert run("solve", cfg, "--max-iters", "1") == EXIT_NO_CONVERGENCE
-    assert (tmp / "constant_cost.value.csv").exists()
-    assert "no convergence" in capsys.readouterr().err
+    assert (tmp / "balanced_loop.value.csv").exists()
+    assert "no convergence within 1 Picard sweep(s)" in capsys.readouterr().err
+    assert run("solve", copy("constant_cost"), "--max-iters", "1") == EXIT_OK
+
+
+def test_solve_at_an_unreachable_tolerance_exits_3_at_the_policy_cap(workdir, capsys):
+    """At a tolerance of 0, which drift_1d's residual (floored at about
+    1e-16) never meets, the policy solve ends after its 32 residuals per
+    grid, not after the 100 000 sweeps of ``max_iterations``."""
+    tmp, copy = workdir
+    start = time.perf_counter()
+    assert run("solve", copy("drift_1d"), "--tol", "0") == EXIT_NO_CONVERGENCE
+    assert time.perf_counter() - start < 5.0
+    assert "no convergence within 32 residuals per grid" in capsys.readouterr().err
+
+
+def test_a_step_whose_discount_rounds_to_one_exits_1(workdir, capsys):
+    """``--dt 1e-17`` gives drift_1d's discount e^(-dt) = 1, which would
+    leave the stop rules nothing to divide by: solve and verify exit 1
+    naming the step, with no traceback; balanced_loop's likewise."""
+    tmp, copy = workdir
+    for name, command in [("drift_1d", "solve"), ("drift_1d", "verify"),
+                          ("balanced_loop", "solve")]:
+        assert run(command, copy(name), "--dt", "1e-17") == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: time step dt = 1e-17 is too short: e^(-1.0 * dt) rounds to 1\n")
+
+
+def test_a_step_whose_discount_rounds_to_zero_solves(workdir):
+    """``--dt 1000`` gives balanced_loop's discount e^(-1000) = 0: its
+    Picard loop stops at the tolerance itself."""
+    tmp, copy = workdir
+    with pytest.warns(UserWarning, match="exceeds box diameter"):
+        assert run("solve", copy("balanced_loop"), "--dt", "1000") == EXIT_OK
 
 
 def test_solve_of_an_overflowing_running_cost_exits_3_at_once(workdir, capsys):
@@ -806,6 +848,22 @@ def test_verify_the_chain_of_a_field_that_is_not_finite_exits_5(workdir, bad):
     assert "check.obstacle-chain.max_violation = inf" in report
 
 
+def test_probes_let_an_unavoidable_infinite_cost_agree(tmp_path, capsys):
+    """k = exp(800*x0) is +inf past x0 = 0.887 whatever the controls, so
+    both probe fields sweep to +inf there: equal infinities agree, with no
+    RuntimeWarning, and the probes pass."""
+    cfg = tmp_path / "inf_cost.toml"
+    save_spec(toy_spec(k="exp(800*x0)"), cfg, grid={"points": 11})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("verify", cfg, "--suite", "probes", "--trials", "5") == EXIT_OK
+    assert "operator-probes" in capsys.readouterr().out
+    kv = (tmp_path / "inf_cost.verification.kv").read_text()
+    assert "check.operator-probes = pass" in kv
+    assert "check.operator-probes.nonexpansive_violations = 0.0000000000000000e+00" in kv
+    assert "nan" not in kv
+
+
 def test_verify_values_uses_the_solving_operator(workdir):
     """``--values`` checks a stored field against the operator it was solved
     with: the configured dt (0.5 for impulse_toy, not the default step) and
@@ -817,9 +875,10 @@ def test_verify_values_uses_the_solving_operator(workdir):
     spec, _, solver_cfg = load_config(cfg)
     grid, values = read_value_csv(tmp / "impulse_toy.value.csv", spec)
     assert solver_cfg["dt"] == 0.5
+    tables = discretize.build_tables(spec, grid, solver_cfg["dt"])
     expected = [verify.post_impulse_strictness(values, spec, grid,
                                                binding_tol=10 * solver_cfg["tolerance"]),
-                verify.dpp_consistency(values, spec, grid, dt=solver_cfg["dt"])]
+                verify.dpp_consistency(values, spec, grid, tables=tables)]
     kv = (tmp / "impulse_toy.verification.kv").read_text()
     for check in expected:
         block = [line for line in kv.splitlines() if line.startswith(f"check.{check.name}")]

@@ -48,11 +48,15 @@ def specs(draw):
 
 
 def commands(config: Path):
-    """Each command's argv, ``simulate`` last; it reads the field ``solve``
-    wrote."""
+    """Each command's argv, ``simulate`` last; it reads the field the last
+    ``solve`` wrote.  A tolerance of 0, which no residual meets, ends at
+    the solve's cap; a step of 1e-300, whose discount rounds to 1, is
+    refused; the probes alone sweep fields that may be +inf."""
     value = config.with_name(f"{config.stem}.value.csv")
-    return [["validate", config], ["analyze", config], ["solve", config, "--max-iters", 50],
+    return [["validate", config], ["analyze", config], ["solve", config, "--tol", 0],
+            ["solve", config, "--dt", "1e-300"], ["solve", config, "--max-iters", 50],
             ["verify", config, "--max-iters", 50, "--trials", 5],
+            ["verify", config, "--suite", "probes", "--trials", 5],
             ["simulate", config, value, "--horizon", 1.0]]
 
 

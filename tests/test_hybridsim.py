@@ -1,13 +1,14 @@
 import copy
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from hybrid_isaacs import hybridsim
-from hybrid_isaacs.discretize import (build_tables, interp_weights, interpolate, make_grid,
-                                      read_stencils, semigroup_step)
+from hybrid_isaacs.discretize import (build_tables, drift_bound, interp_weights, interpolate,
+                                      make_grid, read_stencils, semigroup_step)
 from hybrid_isaacs.exprlang import ExprDomainError
 from hybrid_isaacs.hybridsim import (DEFAULT_ACTION_TOL, ChatterError, PolicyDecision, _Policy,
                                      decide, evaluate_cost, rollout_value_gap, simulate)
@@ -543,6 +544,65 @@ def test_a_value_field_that_is_not_finite_gives_no_policy(drift_1d, value):
         simulate(spec, grid, values, [0.0], 0, 0, horizon=1.0)
     with pytest.raises(ValueError, match="value field is not finite"):
         decide(spec, grid, values, [0.0], 0, 0, dt=0.1)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["skewed"])
+def test_the_default_step_is_the_solves(name):
+    """Without a ``dt``, ``simulate`` steps at the step ``build_tables``
+    picks: the half-cell rule of the drift bound over every node and
+    control.  The skewed drift (x0 - x1, 0) peaks at the corners (-1, 1)
+    and (1, -1), so its step at 21^2 is 0.025."""
+    if name == "skewed":
+        spec = toy_spec(f=("x0 - x1", "0"), box=((-1.0, 1.0), (-1.0, 1.0)))
+        grid = make_grid(spec, 21)
+    else:
+        spec, grid_cfg, _ = load_bundled(name)
+        grid = make_grid(spec, grid_cfg["points"])
+    values = np.zeros((spec.m1, spec.m2, grid.n_points))
+    traj = simulate(spec, grid, values, grid.box.mean(axis=1), 0, 0, horizon=0.0)
+    assert traj.dt == build_tables(spec, grid).dt
+    if name == "skewed":
+        assert traj.dt == 0.025
+
+
+def test_a_default_step_through_an_overflowing_drift_is_refused():
+    """exp(800*x0) squared overflows past x0 = 0.444: with no ``dt``,
+    ``simulate`` refuses the drift bound at the first such node, with no
+    RuntimeWarning, rather than step at 0 for ever."""
+    spec = toy_spec(f="exp(800*x0)")
+    grid = make_grid(spec, 11)
+    values = np.zeros((1, 1, grid.n_points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(
+                "drift norm is not finite in mode (only,only) at u1=0.0, u2=0.0, "
+                "x=[0.6000000000000001]")):
+            simulate(spec, grid, values, [0.0], 0, 0, horizon=1.0)
+
+
+def test_a_rollout_report_takes_the_default_step_once(drift_1d, monkeypatch):
+    spec, grid_cfg, _ = drift_1d
+    grid = make_grid(spec, 21)
+    values = np.zeros((1, 1, grid.n_points))
+    bounds = []
+
+    def counting(*args):
+        bounds.append(args)
+        return drift_bound(*args)
+
+    monkeypatch.setattr(hybridsim, "drift_bound", counting)
+    report = rollout_value_gap(spec, grid, values, [([x], 0, 0) for x in (-1.0, 0.0, 1.0)],
+                               horizon=0.1)
+    assert len(report.rows) == 3 and len(bounds) == 1
+
+
+@pytest.mark.parametrize("dt", [1e-300, 1e-17])
+def test_a_step_whose_discount_rounds_to_one_is_refused(drift_1d, dt):
+    """A step with no discount would weigh the running cost 0."""
+    spec, _, _ = drift_1d
+    grid = make_grid(spec, 21)
+    with pytest.raises(ValueError, match=f"time step dt = {dt!r} is too short"):
+        simulate(spec, grid, np.zeros((1, 1, grid.n_points)), [0.0], 0, 0, 1.0, dt=dt)
 
 
 @pytest.mark.parametrize("counts", [21, (21, 21), (20, 20)])

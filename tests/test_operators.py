@@ -399,14 +399,16 @@ def test_residual_zero_when_upper_switch_binds():
     values[1, 0, :] = 1.0
     values[0, 0, :] = 0.7    # exactly the switch target: V = M_plus
     np.testing.assert_array_equal(values[0, 0] - switch_upper_field(values, spec)[0, 0], 0.0)
-    np.testing.assert_array_equal(bellman_update(values, spec, grid, dt=0.2)[0, 0], 0.7)
+    tables = build_tables(spec, grid, 0.2)
+    np.testing.assert_array_equal(bellman_update(values, spec, grid, tables=tables)[0, 0], 0.7)
 
 
 def test_fixed_point_residual_reports_update_distance():
     spec = toy_spec(f="0", k="1", lam=0.5)
     grid = make_grid(spec, 5)
     values = np.zeros((1, 1, 5))
-    residual = np.abs(bellman_update(values, spec, grid, dt=0.1) - values)
+    tables = build_tables(spec, grid, 0.1)
+    residual = np.abs(bellman_update(values, spec, grid, tables=tables) - values)
     expected = (1.0 - math.exp(-0.05)) / 0.5
     np.testing.assert_allclose(residual, expected, rtol=1e-15)
 

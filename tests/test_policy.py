@@ -5,6 +5,7 @@ its cap, fallback and memory stay in bounds, and it runs only where the
 field can be certified."""
 
 import json
+import time
 import tracemalloc
 import math
 from dataclasses import replace
@@ -127,15 +128,23 @@ def test_a_value_that_is_infinite_ends_the_solve_without_a_warning():
         assert not result.converged and not math.isfinite(result.last_change)
 
 
-def test_a_singular_policy_system_breaks_down_into_a_fallback():
+def test_a_singular_policy_system_breaks_down_into_a_fallback(monkeypatch):
     """Where continuing costs about 1e300, the greedy policy of the smoothed
     field has player 2 switch back and forth at every node, so ``I - M``
     maps BiCGSTAB's constant first direction to 0 and its ``alpha`` would
     divide by zero: each step breaks down at once and falls back, and the
-    solve ends at its cap, unconverged."""
+    solve ends at its cap, unconverged: 4 residuals here, and at the
+    default cap within a second."""
     spec = toy_spec(f="u1*x0", k="1e300*x0^2", u1=(-1.0, 1.0), d2=("a", "b"),
                     c2=[[0.0, 0.5], [0.5, 0.0]], box=((0.5, 1.5),))
-    result = solve(spec, make_grid(spec, 11), SolverConfig(tolerance=1e-6, max_iterations=4))
+    grid, config = make_grid(spec, 11), SolverConfig(tolerance=1e-6)
+    start = time.perf_counter()
+    result = solve(spec, grid, config)
+    assert time.perf_counter() - start < 1.0
+    assert result.method == "policy" and not result.converged
+    assert result.fallbacks == result.outer_steps == solver._POLICY_RESIDUALS - 1
+    monkeypatch.setattr(solver, "_POLICY_RESIDUALS", 4)
+    result = solve(spec, grid, config)
     assert result.method == "policy" and not result.converged
     assert result.krylov_iterations == 0 and result.fallbacks == result.outer_steps == 3
 
@@ -268,7 +277,7 @@ def test_a_bracketed_solve_lands_on_the_picard_loops_field(name, points, variant
 
 
 @pytest.mark.parametrize("init", ["zero", "upper"])
-@pytest.mark.parametrize("patch", ["_krylov_cap", "_BRACKET_RESIDUALS"])
+@pytest.mark.parametrize("patch", ["_krylov_cap", "_POLICY_RESIDUALS"])
 def test_a_failed_bracket_keeps_the_picard_loop_bit_for_bit(patch, init, monkeypatch,
                                                             tmp_path):
     """A bracketing copy whose policy solve does not converge, its Krylov
@@ -355,13 +364,16 @@ def test_a_certified_start_comes_back_bit_for_bit(name, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3])
-def test_the_cap_counts_residuals_on_each_grid_and_returns_the_least(cap, tmp_path):
+def test_the_cap_counts_residuals_on_each_grid_and_returns_the_least(cap, tmp_path,
+                                                                    monkeypatch):
     """gen2d seed 2 nests 21^2 and 41^2, and its first policy step on each
-    overshoots.  A grid takes its start's residual and at most ``cap - 1``
-    steps; a capped grid returns the field of the least residual, whose
-    residual ends the history and gives the certificate."""
+    overshoots.  At a cap of ``cap`` residuals, a grid takes its start's
+    residual and at most ``cap - 1`` steps; a capped grid returns the field
+    of the least residual, whose residual ends the history and gives the
+    certificate.  ``max_iterations`` caps no policy solve."""
     spec, grid, config = load_game("gen2d_2", tmp_path)
-    result = solve(spec, grid, replace(config, max_iterations=cap))
+    monkeypatch.setattr(solver, "_POLICY_RESIDUALS", cap)
+    result = solve(spec, grid, replace(config, max_iterations=1))
     assert result.method == "policy" and not result.converged
     steps = max(cap - 1, 0) * len(solver._grids(grid))
     assert result.outer_steps + result.fallbacks <= steps

@@ -511,8 +511,7 @@ def test_probes_deterministic(balanced_loop):
 
 def test_dpp_consistency_on_solved_fields(solved_impulse, solved_balanced_loop):
     for spec, grid, result in (solved_impulse, solved_balanced_loop):
-        check = dpp_consistency(result.values, spec, grid, steps=(1, 10, 100),
-                                tables=result.tables)
+        check = dpp_consistency(result.values, spec, grid, tables=result.tables)
         assert check.status == "pass", check.detail
         eps = check.measured["one_step_residual"]
         assert check.measured["residual_m1"] <= eps + 1e-16
@@ -824,7 +823,7 @@ def test_run_all_gates_on_the_base_solve_only_when_made(balanced_loop):
     pass."""
     spec, _, _ = balanced_loop
     grid = make_grid(spec, 11)
-    config = SolverConfig(tolerance=1e-12, max_iterations=2)
+    config = SolverConfig(tolerance=1e-12, max_iterations=1)  # one sweep from the copy's field
     for suites in ({"chain"}, {"uniqueness"}, {"isaacs"}):
         report = run_all(spec, grid, config, trials=3, suites=suites)
         assert [(c.name, c.status) for c in report.checks] == [("base-solve", "fail")]
